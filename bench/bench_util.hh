@@ -12,11 +12,13 @@
 #define VMP_BENCH_BENCH_UTIL_HH
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -81,6 +83,38 @@ struct BenchOptions
     mem::ArbitrationConfig arbitration{};
 };
 
+/** Report a bad command line for bench_@p bench_name and exit 1. */
+[[noreturn]] inline void
+usageError(const std::string &bench_name, const std::string &message)
+{
+    std::cerr << "bench_" << bench_name << ": " << message
+              << " (see --help)\n";
+    std::exit(1);
+}
+
+/**
+ * Parse @p text as a whole decimal integer in [@p lo, @p hi], or exit 1
+ * naming @p flag.
+ */
+inline std::uint64_t
+parseFlagNumber(const std::string &bench_name, const std::string &flag,
+                const std::string &text, std::uint64_t lo,
+                std::uint64_t hi)
+{
+    const bool digits = !text.empty() &&
+        std::all_of(text.begin(), text.end(),
+                    [](char c) { return c >= '0' && c <= '9'; });
+    errno = 0;
+    const std::uint64_t value =
+        digits ? std::strtoull(text.c_str(), nullptr, 10) : 0;
+    if (!digits || errno == ERANGE || value < lo || value > hi)
+        usageError(bench_name, flag + " wants an integer in " +
+                                   std::to_string(lo) + ".." +
+                                   std::to_string(hi) + ", got '" +
+                                   text + "'");
+    return value;
+}
+
 /**
  * Parse (and consume) the shared bench flags:
  *   --json-out PATH | --json-out=PATH   artifact destination
@@ -91,7 +125,8 @@ struct BenchOptions
  *                                       (fifo | priority | rr)
  *   --priority-levels N                 bus-request levels (priority)
  *   --help | -h                         print usage and exit
- * Unrecognized arguments are left in argv (bench_simperf forwards
+ * A missing or malformed value prints the problem to stderr and exits
+ * 1. Unrecognized arguments are left in argv (bench_simperf forwards
  * them to google-benchmark); @p argc is adjusted accordingly.
  */
 inline BenchOptions
@@ -106,7 +141,7 @@ parseBenchOptions(const std::string &bench_name, int &argc, char **argv)
                                  std::string &value) {
             if (arg == flag) {
                 if (i + 1 >= argc)
-                    fatal(flag, " requires a value");
+                    usageError(bench_name, flag + " requires a value");
                 value = argv[++i];
                 return true;
             }
@@ -122,16 +157,24 @@ parseBenchOptions(const std::string &bench_name, int &argc, char **argv)
         } else if (arg == "--no-json") {
             opts.writeJson = false;
         } else if (valueOf("--threads", value)) {
-            opts.threads =
-                static_cast<unsigned>(std::stoul(value));
+            opts.threads = static_cast<unsigned>(parseFlagNumber(
+                bench_name, "--threads", value, 0,
+                std::numeric_limits<unsigned>::max()));
         } else if (valueOf("--seed-base", value)) {
-            opts.seedBase = std::stoull(value);
+            opts.seedBase = parseFlagNumber(
+                bench_name, "--seed-base", value, 0,
+                std::numeric_limits<std::uint64_t>::max());
         } else if (valueOf("--arbitration", value)) {
-            opts.arbitration.discipline =
-                mem::arbitrationFromName(value);
+            try {
+                opts.arbitration.discipline =
+                    mem::arbitrationFromName(value);
+            } catch (const FatalError &e) {
+                usageError(bench_name, e.what());
+            }
         } else if (valueOf("--priority-levels", value)) {
             opts.arbitration.priorityLevels =
-                static_cast<unsigned>(std::stoul(value));
+                static_cast<unsigned>(parseFlagNumber(
+                    bench_name, "--priority-levels", value, 1, 8));
         } else if (arg == "--help" || arg == "-h") {
             std::cout
                 << "bench_" << bench_name << " [options]\n"
@@ -144,7 +187,7 @@ parseBenchOptions(const std::string &bench_name, int &argc, char **argv)
                 << "  --arbitration NAME  bus discipline: fifo | "
                    "priority | rr (default fifo)\n"
                 << "  --priority-levels N bus-request levels "
-                   "(priority; default 4)\n"
+                   "1..8 (priority; default 4)\n"
                 << "  --help, -h       this message\n"
                 << "Unrecognized arguments are forwarded (only "
                    "bench_simperf consumes them).\n";

@@ -139,11 +139,13 @@ Cache::probe(Asid asid, Addr vaddr, bool write, bool supervisor) const
     const CacheTag tag = tagFor(asid, vaddr);
     const std::uint32_t set = setOf(vaddr);
     AccessResult res;
-    res.suggestedVictim = lruOf(set);
 
+    // The LRU way-scan runs only on the miss returns: a hit needs no
+    // victim.
     const auto way = findWay(set, tag);
     if (!way) {
         res.miss = MissKind::NoMatch;
+        res.suggestedVictim = lruOf(set);
         return res;
     }
     const SlotIndex idx = indexOf(set, *way);
@@ -156,10 +158,12 @@ Cache::probe(Asid asid, Addr vaddr, bool write, bool supervisor) const
                  : (s.flags & FlagUserReadable) != 0);
     if (!perm_ok) {
         res.miss = MissKind::Protection;
+        res.suggestedVictim = lruOf(set);
         return res;
     }
     if (write && !s.exclusive()) {
         res.miss = MissKind::WriteShared;
+        res.suggestedVictim = lruOf(set);
         return res;
     }
     res.hit = true;

@@ -61,7 +61,8 @@ struct AccessResult
     MissKind miss = MissKind::None;
     /** Matching slot on hit (or protection/ownership miss). */
     std::optional<SlotIndex> slot;
-    /** Hardware-suggested victim slot for the referenced set. */
+    /** Hardware-suggested victim slot for the referenced set; set
+     *  only on a miss (0 on a hit). */
     SlotIndex suggestedVictim = 0;
 };
 

@@ -88,8 +88,8 @@ TraceCpu::run(Done done)
     step();
 }
 
-void
-TraceCpu::step()
+bool
+TraceCpu::fetch()
 {
     // Failstop lands at the instruction boundary: halt without firing
     // done_ (a dead board never reports completion).
@@ -98,17 +98,16 @@ TraceCpu::step()
         halted_ = true;
         running_ = false;
         finishedAt_ = events_.now();
-        return;
+        return false;
     }
 
     // Bus-monitor interrupts are taken between instructions.
     if (controller_.interruptPending()) {
         controller_.serviceInterrupts([this] { step(); });
-        return;
+        return false;
     }
 
-    trace::MemRef ref;
-    if (!source_.next(ref)) {
+    if (!source_.next(ref_)) {
         running_ = false;
         exhausted_ = true;
         finishedAt_ = events_.now();
@@ -118,19 +117,56 @@ TraceCpu::step()
         // the idle loop.
         if (controller_.interruptPending())
             onInterruptLine();
-        return;
+        return false;
     }
+    return true;
+}
 
+void
+TraceCpu::step()
+{
     // Full-speed execution charge for this reference, then present it
-    // to the cache; a miss blocks us inside the controller.
-    events_.scheduleIn(timing_.refNs(), [this, ref] {
-        controller_.access(ref.asid, ref.vaddr, ref.isWrite(),
-                           ref.supervisor,
-                           [this](proto::AccessOutcome) {
-                               ++refs_;
-                               step();
-                           });
-    }, "cpu-step");
+    // to the cache.
+    if (fetch())
+        events_.scheduleIn(timing_.refNs(), [this] { present(); },
+                           "cpu-step");
+}
+
+void
+TraceCpu::present()
+{
+    // This runs as the CPU's own event, and after a hit nothing else
+    // is left to do in it. So when no other event (and no run() limit)
+    // falls before the next reference's presentation tick, that event
+    // would be the very next dispatch: retire it here instead, by
+    // advancing the clock. Every other entry to step() (run(),
+    // resume(), interrupt service, a miss's done-chain) sits in the
+    // middle of other work that may still schedule, so it always
+    // schedules.
+    for (;;) {
+        const bool write = ref_.isWrite();
+        const auto res = controller_.lookup(ref_.asid, ref_.vaddr, write,
+                                            ref_.supervisor);
+        if (!res.hit) {
+            // A miss blocks us inside the controller.
+            controller_.miss(res, ref_.asid, ref_.vaddr, write,
+                             ref_.supervisor,
+                             [this](proto::AccessOutcome) {
+                                 ++refs_;
+                                 step();
+                             });
+            return;
+        }
+        ++refs_;
+        if (!fetch())
+            return;
+        const Tick at = events_.now() + timing_.refNs();
+        if (at >= events_.nextTick()) {
+            events_.schedule(at, [this] { present(); }, "cpu-step");
+            return;
+        }
+        events_.advanceTo(at);
+    }
 }
 
 Tick

@@ -79,7 +79,17 @@ class TraceCpu
     void registerStats(StatGroup &group) const;
 
   private:
+    /**
+     * Take the next instruction boundary: fetch the next reference
+     * into ref_ and return true, or handle a failstop, interrupt
+     * service or the end of the trace and return false.
+     */
+    bool fetch();
+    /** fetch(), then schedule the reference's presentation. */
     void step();
+    /** Event body: present ref_ to the cache, retiring hits inline
+     *  while no other event is due before the next reference. */
+    void present();
     void onInterruptLine();
 
     CpuId id_;
@@ -88,6 +98,9 @@ class TraceCpu
     trace::RefSource &source_;
     M68020Timing timing_;
     Done done_;
+    /** The reference being presented (held between step() and
+     *  present(), and across a miss). */
+    trace::MemRef ref_;
     bool running_ = false;
     bool idleServicing_ = false;
     bool pendingFailstop_ = false;

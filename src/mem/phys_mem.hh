@@ -1,16 +1,22 @@
 /**
  * @file
- * Main (global) memory: a flat byte array viewed as a sequence of cache
- * page frames. The static-column access timing of the paper's memory
- * boards lives in the bus model; this class is the storage plus frame
- * arithmetic and a write-back audit counter used to check the paper's
- * invariant that write-back is the only transaction modifying memory.
+ * Main (global) memory: a byte address space viewed as a sequence of
+ * cache page frames. The static-column access timing of the paper's
+ * memory boards lives in the bus model; this class is the storage plus
+ * frame arithmetic and a write-back audit counter used to check the
+ * paper's invariant that write-back is the only transaction modifying
+ * memory.
+ *
+ * Storage is sparse: a frame is allocated, zero-filled, on its first
+ * write, and reads of a frame never written return zeros. A run pays
+ * only for the frames it touches, not for the whole 8 MiB.
  */
 
 #ifndef VMP_MEM_PHYS_MEM_HH
 #define VMP_MEM_PHYS_MEM_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/stats.hh"
@@ -29,7 +35,7 @@ class PhysMem
      */
     PhysMem(std::uint64_t bytes, std::uint32_t page_bytes);
 
-    std::uint64_t size() const { return data_.size(); }
+    std::uint64_t size() const { return bytes_; }
     std::uint32_t pageBytes() const { return pageBytes_; }
     std::uint64_t frames() const { return size() / pageBytes_; }
 
@@ -60,11 +66,25 @@ class PhysMem
     const Counter &writes() const { return writes_; }
     const Counter &initWrites() const { return initWrites_; }
 
+    /** Frames holding allocated storage (written at least once). */
+    std::uint64_t residentFrames() const { return resident_; }
+
   private:
     void checkRange(Addr paddr, std::uint32_t len) const;
+    /**
+     * Split [paddr, paddr + len) at frame boundaries and call
+     * @p fn(frame, offset-in-frame, offset-in-buffer, length) per piece.
+     */
+    template <typename Fn>
+    void forEachPiece(Addr paddr, std::uint32_t len, Fn fn) const;
+    /** Copy @p src into memory, allocating untouched frames. */
+    void store(Addr paddr, const void *src, std::uint32_t len);
 
-    std::vector<std::uint8_t> data_;
+    std::uint64_t bytes_;
     std::uint32_t pageBytes_;
+    /** Per-frame storage; null until the frame's first write. */
+    std::vector<std::unique_ptr<std::uint8_t[]>> frames_;
+    std::uint64_t resident_ = 0;
     Counter writes_;
     Counter initWrites_;
 };

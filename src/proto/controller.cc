@@ -326,12 +326,19 @@ void
 CacheController::access(Asid asid, Addr vaddr, bool write,
                         bool supervisor, AccessDone done)
 {
-    const auto res = cache_.access(asid, vaddr, write, supervisor);
+    const auto res = lookup(asid, vaddr, write, supervisor);
     if (res.hit) {
         done(AccessOutcome::Hit);
         return;
     }
+    miss(res, asid, vaddr, write, supervisor, std::move(done));
+}
 
+void
+CacheController::miss(const cache::AccessResult &res, Asid asid,
+                      Addr vaddr, bool write, bool supervisor,
+                      AccessDone done)
+{
     ++missCount_;
     liveRetries_ = 0;
     VMP_DTRACE(debug::Proto, events_.now(), "cpu", cpuId_, " miss ",

@@ -246,6 +246,26 @@ class CacheController
     void access(Asid asid, Addr vaddr, bool write, bool supervisor,
                 AccessDone done);
 
+    /**
+     * The hardware half of access(): present the reference to the
+     * cache (a tag match; LRU and hit counters update on a hit). A hit
+     * needs no software, so the CPU model may retire it without an
+     * event or callback.
+     */
+    cache::AccessResult
+    lookup(Asid asid, Addr vaddr, bool write, bool supervisor)
+    {
+        return cache_.access(asid, vaddr, write, supervisor);
+    }
+
+    /**
+     * The software half of access(): trap into the miss handler for
+     * @p res, a non-hit result lookup() just returned for the same
+     * reference. @p done runs once the miss is resolved.
+     */
+    void miss(const cache::AccessResult &res, Asid asid, Addr vaddr,
+              bool write, bool supervisor, AccessDone done);
+
     /** Data-plane reference: read a 32-bit word through the cache. */
     void readWord(Asid asid, Addr vaddr, bool supervisor,
                   std::function<void(std::uint32_t)> done);

@@ -284,8 +284,8 @@ namespace
 {
 
 core::RunResult
-flatRun(std::uint32_t cpus, std::uint64_t refs_per_cpu,
-        std::uint64_t cache_kib, bool share_kernel, core::VmpSystem &sys)
+flatRun(std::uint32_t cpus, std::uint64_t refs_per_cpu, bool share_kernel,
+        core::VmpSystem &sys)
 {
     std::vector<std::unique_ptr<trace::SyntheticGen>> gens;
     std::vector<trace::RefSource *> sources;
@@ -321,7 +321,7 @@ TEST(FifoFingerprint, FlatPartitionedWorkload)
 {
     setInformEnabled(false);
     core::VmpSystem sys(flatConfig(4, 64));
-    const auto r = flatRun(4, 20'000, 64, false, sys);
+    const auto r = flatRun(4, 20'000, false, sys);
     EXPECT_EQ(r.elapsed, 11'702'800u);
     EXPECT_EQ(r.totalRefs, 80'000u);
     EXPECT_EQ(r.totalMisses, 852u);
@@ -336,7 +336,7 @@ TEST(FifoFingerprint, FlatSharedKernelWorkload)
 {
     setInformEnabled(false);
     core::VmpSystem sys(flatConfig(4, 16));
-    const auto r = flatRun(4, 20'000, 16, true, sys);
+    const auto r = flatRun(4, 20'000, true, sys);
     EXPECT_EQ(r.elapsed, 23'979'131u);
     EXPECT_EQ(r.totalRefs, 80'000u);
     EXPECT_EQ(r.totalMisses, 2'098u);
@@ -390,7 +390,7 @@ TEST(DisciplineSweep, PartitionedMissesAreDisciplineInvariant)
         auto cfg = flatConfig(4, 64);
         cfg.arbitration.discipline = discipline;
         core::VmpSystem sys(cfg);
-        const auto r = flatRun(4, 20'000, 64, false, sys);
+        const auto r = flatRun(4, 20'000, false, sys);
         EXPECT_EQ(r.totalRefs, 80'000u) << arbitrationName(discipline);
         EXPECT_EQ(r.totalMisses, 852u) << arbitrationName(discipline);
         EXPECT_EQ(r.busAborts, 0u) << arbitrationName(discipline);

@@ -16,7 +16,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "bench/bench_util.hh"
 #include "core/sweep.hh"
@@ -318,6 +321,48 @@ TEST(Artifact, BenchBinaryWritesValidArtifact)
 
     std::remove(path_a.c_str());
     std::remove(path_b.c_str());
+}
+
+TEST(Artifact, BadCommandLineExitsOneWithMessage)
+{
+    const std::string binary =
+        std::string(VMP_BENCH_DIR) + "/bench_table1";
+    if (!std::ifstream(binary).good())
+        GTEST_SKIP() << "bench binaries not built";
+
+    // Each bad command line must be rejected at parse time with exit
+    // status 1 and a message naming the problem (never an uncaught
+    // exception, which aborts with 134).
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"--priority-levels 0", "--priority-levels wants an integer "
+                                "in 1..8, got '0'"},
+        {"--priority-levels=9", "--priority-levels wants an integer "
+                                "in 1..8, got '9'"},
+        {"--threads abc", "--threads wants an integer"},
+        {"--threads -2", "--threads wants an integer"},
+        {"--seed-base 12x", "--seed-base wants an integer"},
+        {"--seed-base", "--seed-base requires a value"},
+        {"--json-out", "--json-out requires a value"},
+        {"--arbitration lottery",
+         "unknown arbitration discipline 'lottery'"},
+    };
+    for (const auto &[args, message] : cases) {
+        const std::string cmd =
+            binary + " --no-json " + args + " 2>&1";
+        FILE *pipe = popen(cmd.c_str(), "r");
+        ASSERT_NE(pipe, nullptr) << cmd;
+        std::string output;
+        char buf[256];
+        while (std::fgets(buf, sizeof(buf), pipe))
+            output += buf;
+        const int status = pclose(pipe);
+        ASSERT_TRUE(WIFEXITED(status)) << args << ": " << output;
+        EXPECT_EQ(WEXITSTATUS(status), 1) << args << ": " << output;
+        EXPECT_NE(output.find("bench_table1: "), std::string::npos)
+            << args << ": " << output;
+        EXPECT_NE(output.find(message), std::string::npos)
+            << args << ": " << output;
+    }
 }
 
 #endif // VMP_BENCH_DIR

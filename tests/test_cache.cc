@@ -200,6 +200,40 @@ TEST(Cache, LruSuggestsLeastRecentlyUsedWay)
     EXPECT_EQ(cache.slot(victim).tag.vpn, 4u);
 }
 
+TEST(Cache, EveryMissKindSuggestsTheLruSlot)
+{
+    // The victim is computed only on the miss returns; each of the
+    // three must still name the set's least recently used slot, even
+    // when the matching slot is the most recently used one.
+    Cache cache(smallConfig()); // 2 ways, 4 sets, 128B pages
+    const SlotIndex old_slot = installPage(cache, 1, 0 * 128);
+    const SlotIndex new_slot = installPage(cache, 1, 4 * 128);
+    ASSERT_TRUE(cache.access(1, 4 * 128, false, false).hit);
+
+    const auto no_match = cache.access(1, 8 * 128, false, false);
+    EXPECT_EQ(no_match.miss, MissKind::NoMatch);
+    EXPECT_EQ(no_match.suggestedVictim, old_slot);
+
+    // Read-only for the user: a user write is a protection miss.
+    const auto protection = cache.access(1, 4 * 128, true, false);
+    EXPECT_EQ(protection.miss, MissKind::Protection);
+    EXPECT_EQ(*protection.slot, new_slot);
+    EXPECT_EQ(protection.suggestedVictim, old_slot);
+
+    // Writable but shared: a write needs ownership.
+    cache.setFlags(new_slot, FlagValid | FlagUserReadable |
+                                 FlagUserWritable | FlagSupWritable);
+    const auto write_shared = cache.access(1, 4 * 128, true, false);
+    EXPECT_EQ(write_shared.miss, MissKind::WriteShared);
+    EXPECT_EQ(*write_shared.slot, new_slot);
+    EXPECT_EQ(write_shared.suggestedVictim, old_slot);
+
+    // Misses leave LRU alone, and probe agrees with access.
+    EXPECT_EQ(cache.victimFor(8 * 128), old_slot);
+    EXPECT_EQ(cache.probe(1, 8 * 128, false, false).suggestedVictim,
+              old_slot);
+}
+
 TEST(Cache, InvalidSlotPreferredAsVictim)
 {
     Cache cache(smallConfig());

@@ -8,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "core/fast_sim.hh"
+#include "core/hier_system.hh"
 #include "core/system.hh"
 #include "cpu/program.hh"
+#include "recover/recovery.hh"
 #include "sim/logging.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_io.hh"
@@ -230,6 +235,113 @@ TEST(VmpSystem, ProgramsInDistinctPagesDontInterfere)
     // Same virtual address but different ASIDs: distinct frames.
     EXPECT_EQ(cpus[0]->reg(0), 100u);
     EXPECT_EQ(cpus[1]->reg(0), 200u);
+}
+
+// ------------------------------------------ inline hit retirement
+
+/**
+ * Forwards a reference source, counting fetches and noting the tick of
+ * the first one. TraceCpu::run() fetches the first reference before
+ * returning, so that tick is the CPU's startedAt().
+ */
+class FetchProbe : public trace::RefSource
+{
+  public:
+    FetchProbe(const EventQueue &events, trace::RefSource &inner)
+        : events_(events), inner_(inner)
+    {}
+
+    bool
+    next(trace::MemRef &ref) override
+    {
+        if (fetches_++ == 0)
+            firstFetch_ = events_.now();
+        return inner_.next(ref);
+    }
+
+    Tick firstFetch() const { return firstFetch_; }
+    /** Calls to next(), including a final one at exhaustion. */
+    std::uint64_t fetches() const { return fetches_; }
+
+  private:
+    const EventQueue &events_;
+    trace::RefSource &inner_;
+    Tick firstFetch_ = maxTick;
+    std::uint64_t fetches_ = 0;
+};
+
+/** Probed synthetic sources, one per CPU, with private kernels. */
+struct ProbedSources
+{
+    ProbedSources(const EventQueue &events, std::uint32_t cpus,
+                  std::uint64_t refs)
+    {
+        for (std::uint32_t i = 0; i < cpus; ++i) {
+            auto cfg = tinyWorkload(refs, 300 + i);
+            cfg.asidBase = static_cast<Asid>(1 + i * 8);
+            cfg.kernelOffset = static_cast<Addr>(i) * 0x4'0000;
+            gens.push_back(std::make_unique<trace::SyntheticGen>(cfg));
+            probes.push_back(
+                std::make_unique<FetchProbe>(events, *gens.back()));
+            raw.push_back(probes.back().get());
+        }
+    }
+
+    std::vector<std::unique_ptr<trace::SyntheticGen>> gens;
+    std::vector<std::unique_ptr<FetchProbe>> probes;
+    std::vector<trace::RefSource *> raw;
+};
+
+TEST(InlineHits, EveryFlatCpuStartsAtTickZero)
+{
+    // Hits are retired inline only at the tail of the CPU's own
+    // event; the start-up path always schedules, so no CPU can move
+    // the clock before the others have started.
+    VmpSystem system(smallConfig(4));
+    ProbedSources sources(system.events(), 4, 5'000);
+    const auto result = system.runTraces(sources.raw);
+    EXPECT_EQ(result.totalRefs, 20'000u);
+    for (const auto &probe : sources.probes)
+        EXPECT_EQ(probe->firstFetch(), 0u);
+    // Pinned from the one-event-per-reference queue.
+    EXPECT_EQ(result.elapsed, 7'401'450u);
+}
+
+TEST(InlineHits, EveryHierCpuStartsAtTickZero)
+{
+    HierConfig cfg;
+    cfg.clusters = 2;
+    cfg.cpusPerCluster = 2;
+    cfg.cache = cache::CacheConfig{256, 2, 16, true};
+    cfg.memBytes = MiB(2);
+    HierVmpSystem system(cfg);
+    ProbedSources sources(system.events(), 4, 5'000);
+    const auto result = system.runTraces(sources.raw);
+    EXPECT_EQ(result.totalRefs, 20'000u);
+    for (const auto &probe : sources.probes)
+        EXPECT_EQ(probe->firstFetch(), 0u);
+    EXPECT_EQ(result.elapsed, 9'882'733u);
+}
+
+TEST(InlineHits, KilledBoardHaltsAtTheSameReference)
+{
+    // A failstop requested by another event lands at the same
+    // instruction boundary whether the hits before it were retired by
+    // events or inline: the kill event closes the inline window.
+    VmpSystem system(smallConfig(4));
+    recover::RecoveryConfig rc;
+    rc.detector.sweepPeriod = 64;
+    system.enableRecovery(rc);
+    system.killBoard(3, usec(300));
+    ProbedSources sources(system.events(), 4, 12'000);
+    const auto result = system.runTraces(sources.raw);
+    EXPECT_TRUE(system.controller(3).dead());
+    // The survivors retire their whole traces; the dead board fetched
+    // exactly the references it retired. Counts pinned from the
+    // one-event-per-reference queue.
+    EXPECT_EQ(sources.probes[3]->fetches(), 130u);
+    EXPECT_EQ(result.totalRefs, 3u * 12'000u + 130u);
+    EXPECT_EQ(result.elapsed, 15'561'250u);
 }
 
 // ------------------------------------------------------- FastCacheSim

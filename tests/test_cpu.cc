@@ -95,6 +95,50 @@ TEST_F(CpuFixture, HitsRunAtFullSpeed)
     EXPECT_GT(cpu.performance(), 0.6);
 }
 
+/** @p count reads cycling over the words of one user page. */
+class OnePageSource : public trace::RefSource
+{
+  public:
+    explicit OnePageSource(std::uint64_t count) : left_(count) {}
+
+    bool
+    next(trace::MemRef &ref) override
+    {
+        if (left_ == 0)
+            return false;
+        --left_;
+        ref = trace::MemRef{};
+        ref.asid = 1;
+        ref.vaddr = trace::userBase + 4 * (left_ % 64);
+        ref.type = trace::RefType::DataRead;
+        return true;
+    }
+
+  private:
+    std::uint64_t left_;
+};
+
+TEST_F(CpuFixture, LongHitRunRetiresInlineWithoutRecursion)
+{
+    // With nothing else queued, every hit after the first miss is
+    // retired inside one event by advancing the clock, in a loop: a
+    // million hits take a handful of events and no deep call stack,
+    // and the elapsed time is exactly what one event per reference
+    // gave.
+    constexpr std::uint64_t refs = 1'000'000;
+    OnePageSource source(refs);
+    TraceCpu cpu(0, events, controller, source);
+    bool finished = false;
+    cpu.run([&] { finished = true; });
+    events.run();
+    ASSERT_TRUE(finished);
+    EXPECT_EQ(cpu.refsExecuted(), refs);
+    EXPECT_EQ(controller.misses().value(), 1u);
+    EXPECT_EQ(cpu.elapsed(), refs * 350 + 13'500 + 6'600);
+    EXPECT_LT(events.dispatched(), refs);
+    EXPECT_LT(events.dispatched(), 100u);
+}
+
 TEST_F(CpuFixture, ZeroMissWorkloadHasUnitPerformance)
 {
     // Touch the page once to warm, then re-run the same CPU? Simpler:

@@ -89,6 +89,69 @@ TEST(PhysMem, OutOfRangePanics)
     EXPECT_THROW(mem.frameOf(4096), PanicError);
 }
 
+TEST(PhysMem, UntouchedFramesReadAsZerosAndAllocateNothing)
+{
+    PhysMem mem(8u << 20, 256);
+    EXPECT_EQ(mem.residentFrames(), 0u);
+    std::vector<std::uint8_t> buf(512, 0xAB);
+    mem.readBlock(1000, buf.data(), 512);
+    for (const auto b : buf)
+        ASSERT_EQ(b, 0);
+    EXPECT_EQ(mem.readWord(8u << 19), 0u);
+    // Zeroing a frame that was never written has nothing to clear.
+    mem.zeroInit(4096, 256);
+    EXPECT_EQ(mem.residentFrames(), 0u);
+    EXPECT_EQ(mem.initWrites().value(), 1u);
+    EXPECT_EQ(mem.writes().value(), 0u);
+}
+
+TEST(PhysMem, CrossFrameBlocksRoundTrip)
+{
+    PhysMem mem(4096, 256);
+    std::vector<std::uint8_t> src(568);
+    for (std::size_t i = 0; i < src.size(); ++i)
+        src[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    // Starts mid-frame 0 and ends at the end of frame 2.
+    mem.writeBlock(200, src.data(), 568);
+    EXPECT_EQ(mem.residentFrames(), 3u);
+    std::vector<std::uint8_t> dst(568);
+    mem.readBlock(200, dst.data(), 568);
+    EXPECT_EQ(dst, src);
+    // A read spanning a written and an untouched frame stitches both.
+    std::uint8_t edge[8] = {};
+    mem.readBlock(764, edge, 8);
+    EXPECT_EQ(edge[0], src[564]);
+    EXPECT_EQ(edge[3], src[567]);
+    EXPECT_EQ(edge[4], 0);
+    EXPECT_EQ(edge[7], 0);
+    EXPECT_EQ(mem.residentFrames(), 3u);
+    // Zeroing across frames clears only what it covers.
+    mem.zeroInit(256, 256);
+    mem.readBlock(200, dst.data(), 568);
+    EXPECT_EQ(dst[55], src[55]);
+    EXPECT_EQ(dst[56], 0);
+    EXPECT_EQ(dst[311], 0);
+    EXPECT_EQ(dst[312], src[312]);
+}
+
+TEST(PhysMem, CountersAreUnchangedBySparseStorage)
+{
+    PhysMem mem(4096, 256);
+    const std::uint8_t src[4] = {1, 2, 3, 4};
+    mem.writeBlock(254, src, 4); // spans two frames: one write
+    mem.writeWord(0, 7);
+    mem.initBlock(1024, src, 4);
+    mem.zeroInit(2048, 512);
+    EXPECT_EQ(mem.writes().value(), 2u);
+    EXPECT_EQ(mem.initWrites().value(), 2u);
+    EXPECT_EQ(mem.residentFrames(), 3u);
+    // Out-of-range accesses still panic before touching anything.
+    EXPECT_THROW(mem.writeBlock(4094, src, 4), PanicError);
+    EXPECT_THROW(mem.zeroInit(4096, 1), PanicError);
+    EXPECT_EQ(mem.writes().value(), 2u);
+    EXPECT_EQ(mem.initWrites().value(), 2u);
+}
+
 TEST(PhysMem, ConfigValidation)
 {
     EXPECT_THROW(PhysMem(1000, 256), FatalError);

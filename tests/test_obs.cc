@@ -318,8 +318,9 @@ TEST_F(ExportTest, ChromeTraceSchemaAndRoundTrip)
         EXPECT_TRUE(event.contains("pid"));
         EXPECT_TRUE(event.contains("tid"));
         EXPECT_LT(event.get("tid").asUint(), tracer.trackCount());
-        if (ph == "X")
+        if (ph == "X") {
             EXPECT_TRUE(event.contains("dur"));
+        }
     }
     EXPECT_EQ(metadata, tracer.trackCount());
 

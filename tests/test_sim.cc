@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <iterator>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -391,62 +394,170 @@ TEST(Debug, EmitFormatsTickFlagMessage)
 
 TEST(EventQueue, RandomizedStressAgainstReferenceModel)
 {
-    // Schedule/deschedule randomly and verify dispatch order against
-    // a simple reference: events fire in (time, insertion) order.
+    // Drive the queue with random schedules, heavy cancellation, many
+    // same-tick ties, and events scheduled or cancelled from inside
+    // dispatched callbacks (which reuse the slot the dispatch just
+    // freed). Every dispatch is checked against a reference model:
+    // the live set ordered by (tick, insertion order). Ids grow with
+    // insertion, so (when, id) orders like (when, seq).
     Rng rng(2024);
     EventQueue eq;
-    std::vector<std::pair<Tick, int>> fired;
+    std::set<std::pair<Tick, int>> model;
     struct Planned
     {
         Tick when;
-        int id;
         EventId handle;
-        bool cancelled;
+        bool live;
     };
     std::vector<Planned> planned;
+    std::size_t fired = 0;
+    std::size_t cancelled = 0;
 
-    int next_id = 0;
-    for (int round = 0; round < 200; ++round) {
-        const Tick when = eq.now() + rng.below(1000);
-        const int id = next_id++;
-        Planned p{when, id, {}, false};
-        p.handle = eq.schedule(when, [&fired, &eq, id] {
-            fired.emplace_back(eq.now(), id);
-        });
-        planned.push_back(p);
-        // Randomly cancel an earlier still-pending event.
-        if (rng.chance(0.25) && !planned.empty()) {
-            auto &victim = planned[rng.below(planned.size())];
-            if (!victim.cancelled &&
-                eq.deschedule(victim.handle)) {
-                victim.cancelled = true;
-            }
+    // Cancel a live event, or (half the time) any event ever planned.
+    const auto cancel_random = [&] {
+        if (planned.empty())
+            return;
+        int id;
+        if (!model.empty() && rng.chance(0.5)) {
+            id = std::next(model.begin(),
+                           static_cast<long>(rng.below(model.size())))
+                     ->second;
+        } else {
+            id = static_cast<int>(rng.below(planned.size()));
         }
-        // Occasionally run a little.
-        if (rng.chance(0.3))
-            eq.run(eq.now() + rng.below(500));
+        auto &p = planned[static_cast<std::size_t>(id)];
+        // A copy, so the stored handle survives for repeat attempts:
+        // already-dispatched and already-cancelled ids answer false.
+        EventId handle = p.handle;
+        EXPECT_EQ(eq.deschedule(handle), p.live) << id;
+        EXPECT_FALSE(handle.valid());
+        if (p.live) {
+            p.live = false;
+            model.erase({p.when, id});
+            ++cancelled;
+        }
+    };
+    std::function<void(Tick)> schedule_at = [&](Tick when) {
+        const auto id = static_cast<int>(planned.size());
+        planned.push_back({when, {}, true});
+        planned.back().handle = eq.schedule(when, [&, id] {
+            ASSERT_FALSE(model.empty());
+            EXPECT_EQ(model.begin()->second, id);
+            EXPECT_EQ(model.begin()->first, eq.now());
+            model.erase(model.begin());
+            planned[static_cast<std::size_t>(id)].live = false;
+            ++fired;
+            if (rng.chance(0.3))
+                schedule_at(eq.now() + rng.below(3));
+            if (rng.chance(0.3))
+                cancel_random();
+            EXPECT_EQ(eq.pending(), model.size());
+        });
+        model.insert({when, id});
+    };
+
+    for (int round = 0; round < 3000; ++round) {
+        // Half the events land within a few ticks of now: many ties.
+        schedule_at(eq.now() +
+                    (rng.chance(0.5) ? rng.below(4) : rng.below(1000)));
+        while (rng.chance(0.6))
+            cancel_random();
+        EXPECT_EQ(eq.pending(), model.size());
+        if (rng.chance(0.2)) {
+            const Tick limit = eq.now() + rng.below(300);
+            eq.run(limit);
+            EXPECT_EQ(eq.now(), limit);
+        } else if (rng.chance(0.2)) {
+            eq.step();
+        }
+        EXPECT_EQ(eq.pending(), model.size());
     }
     eq.run();
 
-    // Everything not cancelled fired exactly once, at its time, in
-    // global time order.
-    std::size_t expected = 0;
-    for (const auto &p : planned)
-        expected += p.cancelled ? 0 : 1;
-    EXPECT_EQ(fired.size(), expected);
-    for (std::size_t i = 1; i < fired.size(); ++i)
-        EXPECT_LE(fired[i - 1].first, fired[i].first);
-    for (const auto &p : planned) {
-        const auto it = std::find_if(
-            fired.begin(), fired.end(),
-            [&p](const auto &f) { return f.second == p.id; });
-        if (p.cancelled) {
-            EXPECT_EQ(it, fired.end()) << p.id;
-        } else {
-            ASSERT_NE(it, fired.end()) << p.id;
-            EXPECT_EQ(it->first, p.when);
-        }
-    }
+    EXPECT_TRUE(model.empty());
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_EQ(eq.dispatched(), fired);
+    EXPECT_EQ(fired + cancelled, planned.size());
+    EXPECT_GT(cancelled, planned.size() / 5);
+}
+
+TEST(EventQueue, SameTickTiesSurviveCancellation)
+{
+    // Cancelling entries between same-tick events (including the
+    // one at the top) must not disturb the FIFO order of the rest.
+    EventQueue eq;
+    std::vector<int> order;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 8; ++i)
+        ids.push_back(eq.schedule(50, [&order, i] { order.push_back(i); }));
+    EXPECT_TRUE(eq.deschedule(ids[0]));
+    EXPECT_TRUE(eq.deschedule(ids[3]));
+    EXPECT_TRUE(eq.deschedule(ids[7]));
+    EXPECT_EQ(eq.pending(), 5u);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 5, 6}));
+    EXPECT_EQ(eq.dispatched(), 5u);
+}
+
+TEST(EventQueue, CallbackMayReuseItsOwnSlot)
+{
+    // The dispatched event's slot is free while its callback runs;
+    // scheduling from inside reuses it without clobbering the
+    // callback being executed.
+    EventQueue eq;
+    std::vector<Tick> seen;
+    int calls = 0;
+    std::function<void()> tick = [&] {
+        ++calls;
+        seen.push_back(eq.now());
+        if (calls < 5)
+            eq.scheduleIn(static_cast<Tick>(calls % 2), tick);
+        seen.push_back(eq.now());
+    };
+    eq.schedule(10, tick);
+    eq.run();
+    EXPECT_EQ(seen, (std::vector<Tick>{10, 10, 11, 11, 11, 11, 12, 12,
+                                        12, 12}));
+    EXPECT_EQ(eq.pending(), 0u);
+}
+
+TEST(EventQueue, NextTickAndAdvanceToContract)
+{
+    EventQueue eq;
+    EXPECT_EQ(eq.nextTick(), maxTick);
+    eq.advanceTo(5);
+    EXPECT_EQ(eq.now(), 5u);
+
+    EventId first = eq.schedule(100, [] {});
+    eq.schedule(200, [] {});
+    EXPECT_EQ(eq.nextTick(), 100u);
+    eq.advanceTo(99);
+    EXPECT_EQ(eq.now(), 99u);
+    EXPECT_EQ(eq.dispatched(), 0u);
+    // Advancing to or past the next event, or backwards, panics.
+    EXPECT_THROW(eq.advanceTo(100), PanicError);
+    EXPECT_THROW(eq.advanceTo(150), PanicError);
+    EXPECT_THROW(eq.advanceTo(98), PanicError);
+    EXPECT_EQ(eq.now(), 99u);
+
+    // A cancelled event no longer bounds the window.
+    EXPECT_TRUE(eq.deschedule(first));
+    EXPECT_EQ(eq.nextTick(), 200u);
+
+    // Inside run(limit), the limit bounds it as well: nothing may
+    // advance past a tick the run would not have reached.
+    Tick inside = 0;
+    eq.schedule(120, [&] {
+        inside = eq.nextTick();
+        eq.advanceTo(150);
+        EXPECT_THROW(eq.advanceTo(151), PanicError);
+    });
+    EXPECT_EQ(eq.run(150), 150u);
+    EXPECT_EQ(inside, 151u);
+    EXPECT_EQ(eq.nextTick(), 200u);
+    eq.run();
+    EXPECT_EQ(eq.now(), 200u);
+    EXPECT_EQ(eq.nextTick(), maxTick);
 }
 
 TEST(Logging, InformToggle)
