@@ -22,11 +22,17 @@ ctest --test-dir "$build" --output-on-failure -j "$jobs" -LE torture
 echo "== tier1: sanitizer build ($sanitize) =="
 cmake -B "$sanitize" -S "$repo" -DVMP_SANITIZE=address,undefined
 cmake --build "$sanitize" -j "$jobs" \
-    --target test_sim test_mem test_artifact bench_table1
+    --target test_sim test_mem test_artifact test_core test_hier \
+    test_recover bench_table1
 
 echo "== tier1: sanitized core tests =="
 "$sanitize/tests/test_sim"
 "$sanitize/tests/test_mem"
 "$sanitize/tests/test_artifact"
+# Machine assembly: kill, fence and rejoin hooks capture the machine and
+# raw board pointers.
+"$sanitize/tests/test_core"
+"$sanitize/tests/test_hier"
+"$sanitize/tests/test_recover" --gtest_filter=-*Torture*
 
 echo "== tier1: OK =="

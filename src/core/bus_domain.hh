@@ -1,0 +1,298 @@
+/**
+ * @file
+ * Machine assembly. Every VMP machine repeats one unit, the BusDomain:
+ * a VMEbus, the memory it serves, and the clients that watch it —
+ * processor boards and, in the hierarchy, inter-bus boards (the bridge
+ * of a cluster bus, or the clients of the global bus). A domain owns
+ * its optional coherence checker, recovery manager and frame
+ * checkpoint, and wires its own fault hooks and tracer tracks.
+ *
+ * Machine holds what spans domains — the event queue, the translator,
+ * the fault injector, the tracer and the running CPUs — and writes the
+ * machine-wide behaviour once over its domain list: runs, idle
+ * service, fault arming, kill/rejoin, board partial faults, the
+ * watchdog and the statistics. A flat VmpSystem is one domain; a
+ * HierVmpSystem is k cluster domains plus the global one.
+ *
+ * Domains are kept in layout order, the root (main-memory) domain
+ * first; stat groups and tracer tracks follow it. Checkers, recovery
+ * managers and checkpoints install in install order: every non-root
+ * domain in turn, then the root.
+ */
+
+#ifndef VMP_CORE_BUS_DOMAIN_HH
+#define VMP_CORE_BUS_DOMAIN_HH
+
+#include <iosfwd>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "backing/checkpoint.hh"
+#include "backing/page_store.hh"
+#include "check/coherence_checker.hh"
+#include "cpu/program_cpu.hh"
+#include "cpu/timing.hh"
+#include "cpu/trace_cpu.hh"
+#include "fault/injector.hh"
+#include "hier/inter_bus_board.hh"
+#include "mem/phys_mem.hh"
+#include "mem/vme_bus.hh"
+#include "obs/event_tracer.hh"
+#include "obs/miss_profiler.hh"
+#include "proto/controller.hh"
+#include "proto/translator.hh"
+#include "recover/recovery.hh"
+#include "sim/event.hh"
+#include "sim/json.hh"
+#include "sim/stats.hh"
+#include "trace/ref.hh"
+
+namespace vmp::core
+{
+
+struct ProcessorBoard;
+struct RunResult;
+struct VmpConfig;
+
+/** One bus, the memory it serves, and its clients. */
+struct BusDomain
+{
+    BusDomain(EventQueue &events, std::uint64_t mem_bytes,
+              std::uint32_t page_bytes, const mem::BusTiming &timing,
+              const mem::ArbitrationConfig &arbitration);
+    ~BusDomain(); // out of line: ProcessorBoard is incomplete here
+
+    /** Stat-group name of a per-domain subsystem ("check", ...). */
+    std::string
+    groupName(const char *what) const
+    {
+        return groupPrefix + what + groupSuffix;
+    }
+
+    /** Point the bus, bridge and every board at @p injector. */
+    void setFaultHooks(fault::FaultInjector &injector);
+    /** Register this domain's tracks: bus, bridge, then each board. */
+    void setTracer(obs::EventTracer &tracer);
+    void enableChecker(const check::CheckerOptions &options);
+    /** Recovery over every client; fence hooks are the machine's. */
+    void enableRecovery(const recover::RecoveryConfig &options,
+                        obs::EventTracer *tracer,
+                        std::uint16_t recover_track);
+    void enableCheckpoint(Asid asid);
+
+    EventQueue &events;
+    /** Stat group and track of the bus. */
+    std::string busName = "bus";
+    /** Around "ibc", "check", "recover" and "backing" group names. */
+    std::string groupPrefix;
+    std::string groupSuffix;
+    mem::PhysMem memory;
+    mem::VmeBus bus;
+    /** Inter-bus board bridging this (cluster) bus to the global bus. */
+    std::unique_ptr<hier::InterBusBoard> bridge;
+    /** Inter-bus boards acting as this (global) bus's clients. */
+    std::vector<hier::InterBusBoard *> globalClients;
+    /** Machine-wide CPU index of boards[0]. */
+    CpuId firstCpu = 0;
+    std::vector<std::unique_ptr<ProcessorBoard>> boards;
+    std::unique_ptr<check::CoherenceChecker> checker;
+    std::unique_ptr<recover::RecoveryManager> recovery;
+    std::unique_ptr<backing::PageStore> checkpointStore;
+    std::unique_ptr<backing::FrameCheckpointer> checkpointer;
+};
+
+/** What every VMP machine does, written once over its domains. */
+class Machine
+{
+  public:
+    EventQueue &events() { return events_; }
+    const EventQueue &events() const { return events_; }
+    /** Main memory (the root domain's). */
+    mem::PhysMem &memory() { return root().memory; }
+    const mem::PhysMem &memory() const { return root().memory; }
+
+    /** Board/controller for the machine-wide CPU index. */
+    ProcessorBoard &board(std::size_t cpu);
+    const ProcessorBoard &board(std::size_t cpu) const;
+    proto::CacheController &controller(std::size_t cpu);
+    const proto::CacheController &controller(std::size_t cpu) const;
+
+    /**
+     * Attach one scripted CPU per program (CPU i uses ASID i+1) and
+     * run until every program halts. Returns the CPUs for register
+     * inspection. Keep them alive while continuing to use the system:
+     * even halted processors service their bus monitors, and pages
+     * they own privately are unreachable to other masters otherwise.
+     */
+    std::vector<std::unique_ptr<cpu::ProgramCpu>>
+    runPrograms(const std::vector<cpu::Program> &programs);
+
+    /**
+     * Make every board behave like an idle processor: whenever its
+     * bus-monitor interrupt line rises, a service pass is scheduled.
+     * Use when driving controllers directly (no CPU models attached);
+     * TraceCpu/ProgramCpu objects override these hooks while running.
+     */
+    void attachIdleServicers();
+
+    /**
+     * Arm a fault injector over the whole machine: every bus, every
+     * board's interrupt FIFO, delivery path and block copier, and
+     * every inter-bus board's FIFOs and global copier. May be called
+     * at most once, before any traffic. With DmaBurst armed, a DMA
+     * engine on the main bus writes scratch frames (inside the
+     * translator's reserved low region, never cached) mid-run. Board
+     * crashes, rejoins and partial faults in the schedule become
+     * events now, in schedule order. Returns the injector for stats.
+     */
+    fault::FaultInjector &
+    enableFaultInjection(const fault::FaultSchedule &schedule);
+
+    /** The armed injector, or null if none. */
+    fault::FaultInjector *faultInjector() { return injector_.get(); }
+
+    /**
+     * Arm the observability subsystem: a per-board ring-buffer event
+     * tracer over every bus, monitor/FIFO, controller miss phases and
+     * block copier, inter-bus board and (if installed) recovery
+     * coordinator — plus, unless disabled in @p config, a MissProfiler
+     * folding the traced phases into per-miss breakdowns. Tracks are
+     * per domain (bus, bridge, then "cpuN" per board) plus one shared
+     * "recover" track. Pure observation: no event is scheduled and no
+     * RNG is drawn, so simulated time is bit-identical with tracing on
+     * or off. May be called at most once, before any traffic;
+     * recovery enabled later is wired onto "recover" automatically.
+     */
+    obs::EventTracer &enableTracing(obs::TraceConfig config = {});
+
+    /** The armed tracer, or null if tracing is off. */
+    obs::EventTracer *tracer() { return tracer_.get(); }
+    const obs::EventTracer *tracer() const { return tracer_.get(); }
+
+    /** The attached miss profiler, or null. */
+    obs::MissProfiler *missProfiler() { return profiler_.get(); }
+    const obs::MissProfiler *missProfiler() const
+    {
+        return profiler_.get();
+    }
+
+    /**
+     * Failstop board @p cpu at tick @p at: its CPU halts at the next
+     * instruction boundary and its controller software dies, but its
+     * bus monitor keeps driving the bus from stale table state — the
+     * hazard the recovery subsystem exists to clear. Without recovery
+     * the stale Protect entries wedge every later access to the dead
+     * board's pages (surfaced as DeadOwnerErrors when the controllers'
+     * deadOwnerTimeoutNs expires).
+     */
+    void killBoard(std::uint32_t cpu, Tick at);
+
+    /**
+     * Hot-rejoin board @p cpu at tick @p at: the monitor is unmasked
+     * with a cleared table, the controller restarts cold, and the CPU
+     * resumes its trace. If its domain is reclaiming at @p at the
+     * rejoin defers until the reclaim completes.
+     */
+    void rejoinBoard(std::uint32_t cpu, Tick at);
+
+    /**
+     * Configure the livelock watchdog on every controller: a starving
+     * operation (more than @p maxRetries consecutive aborts) fires
+     * @p handler once (default: a warning) and keeps retrying.
+     * A cap of 0 disables the watchdog.
+     */
+    void setWatchdog(std::uint64_t maxRetries,
+                     proto::CacheController::WatchdogHandler handler = {});
+
+    /** gem5-style dump of every component's statistics. */
+    void dumpStats(std::ostream &os) const;
+
+    /**
+     * Aggregate every component's StatGroup into a StatRegistry and
+     * serialize it: {"bus": {...}, "cpu0": {...}, ...}. Histograms
+     * (e.g. the bus arbitration queue-delay distribution) serialize
+     * as objects with samples/mean/min/max/underflow/buckets.
+     */
+    Json statsJson() const;
+
+  protected:
+    /** @p tag prefixes fatal messages ("system", "hier"). */
+    Machine(const char *tag, const cpu::M68020Timing &cpu_timing);
+    ~Machine() = default;
+
+    /** Use @p translator, or build the internal DemandTranslator
+     *  (kernel region shared across ASIDs) when it is null. */
+    void useTranslator(proto::Translator *translator,
+                       std::uint64_t mem_bytes, std::uint32_t page_bytes);
+    /** Append a domain; the first one added is the root. */
+    BusDomain &addDomain(std::uint64_t mem_bytes, std::uint32_t page_bytes,
+                         const mem::BusTiming &timing,
+                         const mem::ArbitrationConfig &arbitration);
+    /** Build @p count boards on @p domain, numbered machine-wide. */
+    void addBoards(BusDomain &domain, std::uint32_t count,
+                   const VmpConfig &config);
+
+    BusDomain &root() { return *domains_.front(); }
+    const BusDomain &root() const { return *domains_.front(); }
+    /** Every non-root domain in turn, then the root. */
+    std::vector<BusDomain *> installOrder() const;
+
+    void enableCheckers(const check::CheckerOptions &options);
+    void enableRecoveryAll(const recover::RecoveryConfig &options);
+    void enableCheckpoints(Asid asid);
+
+    /** Run one trace CPU per source to completion; returns them. */
+    std::vector<std::unique_ptr<cpu::TraceCpu>>
+    runTraceCpus(const std::vector<trace::RefSource *> &sources);
+    static std::vector<cpu::TraceCpu *>
+    rawCpus(const std::vector<std::unique_ptr<cpu::TraceCpu>> &cpus);
+    /** The RunResult fields every machine reports alike. */
+    void collectInto(RunResult &result,
+                     const std::vector<cpu::TraceCpu *> &cpus) const;
+
+    /** Schedule a crashInterBus() entry; a flat machine rejects it. */
+    virtual void armInterBusCrash(const fault::BoardCrashSpec &crash);
+    /** Schedule a wedgeInterBus() entry; a flat machine rejects it. */
+    virtual void armInterBusPartial(const fault::PartialFaultSpec &spec);
+
+    EventQueue events_;
+    std::unique_ptr<proto::DemandTranslator> ownedTranslator_;
+    /** Layout order: the root first. */
+    std::vector<std::unique_ptr<BusDomain>> domains_;
+    std::unique_ptr<fault::FaultInjector> injector_;
+
+  private:
+    struct BoardSlot
+    {
+        ProcessorBoard *board;
+        BusDomain *domain;
+    };
+
+    /** The CPU running on board @p cpu, or null. */
+    cpu::TraceCpu *activeCpu(std::uint32_t cpu) const;
+    /** Rejoin body (defers itself while the domain is reclaiming). */
+    void doRejoin(std::uint32_t cpu);
+    /** Turn one scheduled partial-failure spec into onset/clear events. */
+    void armPartialFault(const fault::PartialFaultSpec &spec);
+    /** The one stat-group layout dumpStats and statsJson share. */
+    void buildStats(std::vector<std::unique_ptr<StatGroup>> &groups,
+                    StatRegistry &registry) const;
+
+    const char *tag_;
+    cpu::M68020Timing cpuTiming_;
+    proto::Translator *translator_ = nullptr;
+    /** Every processor board, by machine-wide CPU index. */
+    std::vector<BoardSlot> boards_;
+    std::unique_ptr<obs::EventTracer> tracer_;
+    std::unique_ptr<obs::MissProfiler> profiler_;
+    /** Track id recovery events land on (valid while tracer_ != null). */
+    std::uint16_t recoverTrack_ = 0;
+    /** Raw CPU handles while a trace run is in flight (for kill,
+     *  rejoin and fence events scheduled before or during the run). */
+    std::vector<cpu::TraceCpu *> activeCpus_;
+};
+
+} // namespace vmp::core
+
+#endif // VMP_CORE_BUS_DOMAIN_HH

@@ -1,12 +1,10 @@
 #include "core/hier_system.hh"
 
 #include <algorithm>
-#include <ostream>
 #include <sstream>
 
 #include "sim/debug.hh"
 #include "sim/logging.hh"
-#include "trace/synthetic.hh"
 
 namespace vmp::core
 {
@@ -56,505 +54,135 @@ HierRunResult::toString() const
     return os.str();
 }
 
-/** One cluster: image memory, local bus, inter-bus board, CPUs. */
-struct HierVmpSystem::Cluster
-{
-    Cluster(std::uint32_t index, const HierConfig &cfg,
-            EventQueue &events, mem::VmeBus &global_bus,
-            proto::Translator &translator)
-        : image(cfg.memBytes, cfg.cache.pageBytes),
-          bus(events, image, cfg.localBusTiming, cfg.localArbitration),
-          ibc(index, cfg.totalCpus() + index, events, bus, global_bus,
-              image, cfg.ibcTiming, cfg.ibcFifoCapacity)
-    {
-        const VmpConfig cluster_cfg = cfg.clusterConfig();
-        for (std::uint32_t i = 0; i < cfg.cpusPerCluster; ++i) {
-            const CpuId id = index * cfg.cpusPerCluster + i;
-            boards.push_back(std::make_unique<ProcessorBoard>(
-                id, events, bus, translator, cluster_cfg));
-        }
-    }
-
-    mem::PhysMem image;
-    mem::VmeBus bus;
-    hier::InterBusBoard ibc;
-    std::vector<std::unique_ptr<ProcessorBoard>> boards;
-};
-
 HierVmpSystem::HierVmpSystem(const HierConfig &config,
                              proto::Translator *translator)
-    : cfg_(config), memory_(config.memBytes, config.cache.pageBytes),
-      globalBus_(events_, memory_, config.globalBusTiming,
-                 config.globalArbitration)
+    : Machine("hier", config.cpuTiming), cfg_(config)
 {
     cfg_.check();
-    if (translator == nullptr) {
-        ownedTranslator_ = std::make_unique<proto::DemandTranslator>(
-            cfg_.memBytes, cfg_.cache.pageBytes, trace::kernelBase,
-            trace::userBase);
-        translator_ = ownedTranslator_.get();
-    } else {
-        translator_ = translator;
-    }
+    useTranslator(translator, cfg_.memBytes, cfg_.cache.pageBytes);
+    BusDomain &global = addDomain(cfg_.memBytes, cfg_.cache.pageBytes,
+                                  cfg_.globalBusTiming,
+                                  cfg_.globalArbitration);
+    global.busName = "global_bus";
+    global.groupSuffix = ".global";
+    const VmpConfig cluster_cfg = cfg_.clusterConfig();
     for (std::uint32_t k = 0; k < cfg_.clusters; ++k) {
-        clusters_.push_back(std::make_unique<Cluster>(
-            k, cfg_, events_, globalBus_, *translator_));
+        BusDomain &domain = addDomain(cfg_.memBytes, cfg_.cache.pageBytes,
+                                      cfg_.localBusTiming,
+                                      cfg_.localArbitration);
+        domain.groupPrefix = "c" + std::to_string(k) + ".";
+        domain.busName = domain.groupPrefix + "bus";
+        // The bridge's local monitor watches the bus before the CPUs'.
+        domain.bridge = std::make_unique<hier::InterBusBoard>(
+            k, cfg_.totalCpus() + k, events_, domain.bus, global.bus,
+            domain.memory, cfg_.ibcTiming, cfg_.ibcFifoCapacity);
+        global.globalClients.push_back(domain.bridge.get());
+        addBoards(domain, cfg_.cpusPerCluster, cluster_cfg);
     }
 }
 
-HierVmpSystem::~HierVmpSystem() = default;
+BusDomain &
+HierVmpSystem::cluster(std::size_t k)
+{
+    if (k >= cfg_.clusters)
+        panic("cluster index ", k, " out of range");
+    return *domains_[k + 1];
+}
+
+const BusDomain &
+HierVmpSystem::cluster(std::size_t k) const
+{
+    if (k >= cfg_.clusters)
+        panic("cluster index ", k, " out of range");
+    return *domains_[k + 1];
+}
 
 mem::VmeBus &
-HierVmpSystem::localBus(std::size_t cluster)
+HierVmpSystem::localBus(std::size_t k)
 {
-    if (cluster >= clusters_.size())
-        panic("cluster index ", cluster, " out of range");
-    return clusters_[cluster]->bus;
+    return cluster(k).bus;
 }
 
 const mem::VmeBus &
-HierVmpSystem::localBus(std::size_t cluster) const
+HierVmpSystem::localBus(std::size_t k) const
 {
-    if (cluster >= clusters_.size())
-        panic("cluster index ", cluster, " out of range");
-    return clusters_[cluster]->bus;
+    return cluster(k).bus;
 }
 
 mem::PhysMem &
-HierVmpSystem::image(std::size_t cluster)
+HierVmpSystem::image(std::size_t k)
 {
-    if (cluster >= clusters_.size())
-        panic("cluster index ", cluster, " out of range");
-    return clusters_[cluster]->image;
+    return cluster(k).memory;
 }
 
 hier::InterBusBoard &
-HierVmpSystem::interBusBoard(std::size_t cluster)
+HierVmpSystem::interBusBoard(std::size_t k)
 {
-    if (cluster >= clusters_.size())
-        panic("cluster index ", cluster, " out of range");
-    return clusters_[cluster]->ibc;
+    return *cluster(k).bridge;
 }
 
 const hier::InterBusBoard &
-HierVmpSystem::interBusBoard(std::size_t cluster) const
+HierVmpSystem::interBusBoard(std::size_t k) const
 {
-    if (cluster >= clusters_.size())
-        panic("cluster index ", cluster, " out of range");
-    return clusters_[cluster]->ibc;
-}
-
-ProcessorBoard &
-HierVmpSystem::board(std::size_t cpu)
-{
-    if (cpu >= cfg_.totalCpus())
-        panic("cpu index ", cpu, " out of range");
-    return *clusters_[cpu / cfg_.cpusPerCluster]
-                ->boards[cpu % cfg_.cpusPerCluster];
-}
-
-const ProcessorBoard &
-HierVmpSystem::board(std::size_t cpu) const
-{
-    if (cpu >= cfg_.totalCpus())
-        panic("cpu index ", cpu, " out of range");
-    return *clusters_[cpu / cfg_.cpusPerCluster]
-                ->boards[cpu % cfg_.cpusPerCluster];
-}
-
-proto::CacheController &
-HierVmpSystem::controller(std::size_t cpu)
-{
-    return board(cpu).controller;
-}
-
-const proto::CacheController &
-HierVmpSystem::controller(std::size_t cpu) const
-{
-    return board(cpu).controller;
+    return *cluster(k).bridge;
 }
 
 HierRunResult
 HierVmpSystem::runTraces(const std::vector<trace::RefSource *> &sources)
 {
-    if (sources.size() > cfg_.totalCpus())
-        fatal("hier: ", sources.size(), " traces for ",
-              cfg_.totalCpus(), " processors");
-
-    std::vector<std::unique_ptr<cpu::TraceCpu>> cpus;
-    std::vector<cpu::TraceCpu *> raw;
-    std::size_t remaining = sources.size();
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-        cpus.push_back(std::make_unique<cpu::TraceCpu>(
-            static_cast<CpuId>(i), events_, controller(i),
-            *sources[i], cfg_.cpuTiming));
-        raw.push_back(cpus.back().get());
-    }
-    activeCpus_ = raw;
-    for (auto &c : cpus)
-        c->run([&remaining] { --remaining; });
-    events_.run();
-    // A CPU failstopped mid-trace never fires its completion callback;
-    // any other shortfall is a genuine hang.
-    std::size_t halted_midrun = 0;
-    for (const auto *c : raw) {
-        if (c->halted() && !c->finished())
-            ++halted_midrun;
-    }
-    if (remaining != halted_midrun) {
-        panic("hier: ", remaining - halted_midrun,
-              " trace CPUs did not finish");
-    }
-    HierRunResult result = collect(raw);
-    activeCpus_.clear();
-    return result;
-}
-
-std::vector<std::unique_ptr<cpu::ProgramCpu>>
-HierVmpSystem::runPrograms(const std::vector<cpu::Program> &programs)
-{
-    if (programs.size() > cfg_.totalCpus())
-        fatal("hier: ", programs.size(), " programs for ",
-              cfg_.totalCpus(), " processors");
-
-    std::vector<std::unique_ptr<cpu::ProgramCpu>> cpus;
-    std::size_t remaining = programs.size();
-    for (std::size_t i = 0; i < programs.size(); ++i) {
-        cpus.push_back(std::make_unique<cpu::ProgramCpu>(
-            static_cast<CpuId>(i), events_, controller(i),
-            static_cast<Asid>(i + 1), programs[i], cfg_.cpuTiming));
-    }
-    for (auto &c : cpus)
-        c->run([&remaining] { --remaining; });
-    events_.run();
-    if (remaining != 0)
-        panic("hier: ", remaining, " program CPUs did not halt");
-    return cpus;
+    return collect(rawCpus(runTraceCpus(sources)));
 }
 
 void
-HierVmpSystem::attachIdleServicers()
+HierVmpSystem::armInterBusCrash(const fault::BoardCrashSpec &crash)
 {
-    for (auto &cluster : clusters_) {
-        for (auto &board : cluster->boards) {
-            auto *controller = &board->controller;
-            controller->busMonitor().setInterruptLine(
-                [this, controller] {
-                    events_.scheduleIn(1, [controller] {
-                        controller->serviceInterrupts([] {});
-                    }, "idle-service");
-                });
-        }
-    }
-}
-
-fault::FaultInjector &
-HierVmpSystem::enableFaultInjection(const fault::FaultSchedule &schedule)
-{
-    if (injector_)
-        fatal("hier: fault injection enabled twice");
-    injector_ = std::make_unique<fault::FaultInjector>(events_, schedule);
-    globalBus_.setFaultHooks(injector_.get());
-    for (auto &cluster : clusters_) {
-        cluster->bus.setFaultHooks(injector_.get());
-        cluster->ibc.setFaultHooks(injector_.get());
-        for (auto &board : cluster->boards) {
-            board->monitor.setFaultHooks(injector_.get(), &events_);
-            board->controller.setFaultHooks(injector_.get());
-        }
-    }
-    if (schedule.arms(fault::FaultKind::DmaBurst)) {
-        injector_->attachDmaTarget(globalBus_,
-                                   cfg_.totalCpus() + cfg_.clusters + 64,
-                                   8ull * cfg_.cache.pageBytes,
-                                   cfg_.cache.pageBytes, 8);
-    }
-    // Board crashes are time-driven: turn each schedule entry into
-    // kill/rejoin events now (deterministic, no RNG draw).
-    for (const auto &crash : injector_->schedule().crashes) {
-        if (crash.interBus) {
-            if (crash.rejoinAt != 0)
-                fatal("hier: inter-bus boards do not hot-rejoin");
-            killInterBusBoard(crash.board, crash.at);
-        } else {
-            killBoard(crash.board, crash.at);
-            if (crash.rejoinAt != 0)
-                rejoinBoard(crash.board, crash.rejoinAt);
-        }
-    }
-    // Partial failures (wedge/stuck/slow) are likewise time-driven;
-    // babble is opportunity-driven through the injectFifoBabble seam.
-    for (const auto &part : injector_->schedule().partials)
-        armPartialFault(part);
-    return *injector_;
+    if (crash.rejoinAt != 0)
+        fatal("hier: inter-bus boards do not hot-rejoin");
+    killInterBusBoard(crash.board, crash.at);
 }
 
 void
-HierVmpSystem::armPartialFault(const fault::PartialFaultSpec &spec)
+HierVmpSystem::armInterBusPartial(const fault::PartialFaultSpec &spec)
 {
-    if (spec.interBus) {
-        // Wedged-IBC variant: the bridge's service pump stops draining
-        // both FIFOs while its global monitor keeps aborting.
-        if (spec.kind != fault::FaultKind::MonitorWedge)
-            fatal("hier: only wedgeInterBus() partial faults target "
-                  "inter-bus boards");
-        if (spec.board >= cfg_.clusters)
-            fatal("hier: wedgeInterBus(", spec.board, ") out of range");
-        const std::uint32_t k = spec.board;
-        events_.schedule(spec.at, [this, k] {
-            hier::InterBusBoard &ibc = clusters_[k]->ibc;
-            if (ibc.dead())
-                return;
-            VMP_DTRACE(debug::Fault, events_.now(), "cluster ", k,
-                       " inter-bus board wedged");
-            ibc.setWedged(true);
-            injector_->notePartialFault(fault::FaultKind::MonitorWedge);
-        }, "partial-fault");
-        if (spec.clearAt != 0) {
-            events_.schedule(spec.clearAt, [this, k] {
-                clusters_[k]->ibc.setWedged(false);
-            }, "partial-clear");
-        }
-        return;
-    }
-    if (spec.board >= cfg_.totalCpus())
-        fatal("hier: partial fault on board ", spec.board,
-              " out of range");
-    if (spec.kind == fault::FaultKind::FifoBabble)
-        return; // drawn per bus transaction inside the injector
-    const std::uint32_t cpu = spec.board;
-    events_.schedule(spec.at, [this, cpu, spec] {
-        ProcessorBoard &b = board(cpu);
-        if (b.controller.dead())
+    // Wedged-IBC variant: the bridge's service pump stops draining
+    // both FIFOs while its global monitor keeps aborting.
+    if (spec.kind != fault::FaultKind::MonitorWedge)
+        fatal("hier: only wedgeInterBus() partial faults target "
+              "inter-bus boards");
+    if (spec.board >= cfg_.clusters)
+        fatal("hier: wedgeInterBus(", spec.board, ") out of range");
+    hier::InterBusBoard *ibc = cluster(spec.board).bridge.get();
+    const std::uint32_t k = spec.board;
+    events_.schedule(spec.at, [this, ibc, k] {
+        if (ibc->dead())
             return;
-        VMP_DTRACE(debug::Fault, events_.now(), "board ", cpu,
-                   " partial fault onset: ",
-                   fault::faultKindName(spec.kind));
-        switch (spec.kind) {
-        case fault::FaultKind::MonitorWedge:
-            b.controller.setWedged(true);
-            break;
-        case fault::FaultKind::ActionTableStuck:
-            b.monitor.setTableStuck(true);
-            break;
-        case fault::FaultKind::SlowBoard:
-            b.controller.setServiceSlowdown(spec.factor);
-            break;
-        default:
-            fatal("hier: unexpected partial fault kind");
-        }
-        injector_->notePartialFault(spec.kind);
+        VMP_DTRACE(debug::Fault, events_.now(), "cluster ", k,
+                   " inter-bus board wedged");
+        ibc->setWedged(true);
+        injector_->notePartialFault(fault::FaultKind::MonitorWedge);
     }, "partial-fault");
-    if (spec.clearAt == 0)
-        return;
-    events_.schedule(spec.clearAt, [this, cpu, spec] {
-        ProcessorBoard &b = board(cpu);
-        switch (spec.kind) {
-        case fault::FaultKind::MonitorWedge:
-            b.controller.setWedged(false);
-            break;
-        case fault::FaultKind::ActionTableStuck:
-            b.monitor.setTableStuck(false);
-            break;
-        case fault::FaultKind::SlowBoard:
-            b.controller.setServiceSlowdown(1);
-            break;
-        default:
-            break;
-        }
-    }, "partial-clear");
+    if (spec.clearAt != 0) {
+        events_.schedule(spec.clearAt, [ibc] { ibc->setWedged(false); },
+                         "partial-clear");
+    }
 }
 
-obs::EventTracer &
-HierVmpSystem::enableTracing(obs::TraceConfig config)
+void
+HierVmpSystem::enableCoherenceCheckers(check::CheckerOptions options)
 {
-    if (tracer_)
-        fatal("hier: tracing enabled twice");
-    tracer_ = std::make_unique<obs::EventTracer>(config.ringCapacity);
-    if (config.profileMisses) {
-        profiler_ = std::make_unique<obs::MissProfiler>();
-        tracer_->addSink(profiler_->sink());
-    }
-    const std::uint16_t global_track =
-        tracer_->registerTrack("global_bus");
-    globalBus_.setTracer(tracer_.get(), global_track);
-    for (std::size_t k = 0; k < clusters_.size(); ++k) {
-        Cluster &cluster = *clusters_[k];
-        const std::uint16_t bus_track = tracer_->registerTrack(
-            "c" + std::to_string(k) + ".bus");
-        cluster.bus.setTracer(tracer_.get(), bus_track);
-        const std::uint16_t ibc_track = tracer_->registerTrack(
-            "c" + std::to_string(k) + ".ibc");
-        cluster.ibc.setTracer(tracer_.get(), ibc_track);
-        for (std::size_t i = 0; i < cluster.boards.size(); ++i) {
-            const auto id = k * cfg_.cpusPerCluster + i;
-            const std::uint16_t track = tracer_->registerTrack(
-                "cpu" + std::to_string(id));
-            cluster.boards[i]->monitor.setTracer(tracer_.get(), track,
-                                                 &events_);
-            cluster.boards[i]->controller.setTracer(tracer_.get(),
-                                                    track);
-        }
-    }
-    recoverTrack_ = tracer_->registerTrack("recover");
-    for (auto &manager : clusterRecoveries_)
-        manager->setTracer(tracer_.get(), recoverTrack_);
-    if (globalRecovery_)
-        globalRecovery_->setTracer(tracer_.get(), recoverTrack_);
-    VMP_DTRACE(debug::Obs, events_.now(), "hier tracing armed: ",
-               tracer_->trackCount(), " tracks, ring capacity ",
-               tracer_->ringCapacity());
-    return *tracer_;
+    enableCheckers(options);
 }
 
 void
 HierVmpSystem::enableRecovery(recover::RecoveryConfig options)
 {
-    if (globalRecovery_ || !clusterRecoveries_.empty())
-        fatal("hier: recovery enabled twice");
-    // One manager per cluster bus: the CPU boards are full reclaim
-    // targets and the inter-bus board is a liveness-only bridge.
-    for (std::uint32_t k = 0; k < cfg_.clusters; ++k) {
-        Cluster &cluster = *clusters_[k];
-        auto manager = std::make_unique<recover::RecoveryManager>(
-            events_, cluster.bus, cluster.image, options);
-        for (std::uint32_t i = 0; i < cfg_.cpusPerCluster; ++i) {
-            auto *controller = &cluster.boards[i]->controller;
-            auto *monitor = &cluster.boards[i]->monitor;
-            const auto cpu =
-                static_cast<std::uint32_t>(k * cfg_.cpusPerCluster + i);
-            manager->addBoard(cpu, cluster.boards[i]->monitor,
-                              [controller] {
-                                  return !controller->dead();
-                              });
-            controller->setDeadOwnerOracle(manager.get());
-            manager->detector().setHealthFn(
-                cpu, [controller, monitor] {
-                    recover::HealthReport report;
-                    report.alive = !controller->dead();
-                    report.responsive =
-                        !controller->dead() && !controller->wedged();
-                    report.progressEpoch = controller->serviceEpoch();
-                    report.pendingWords =
-                        monitor->fifo().size() +
-                        (monitor->fifo().overflowed() ? 1 : 0);
-                    report.wordsServiced =
-                        controller->wordsServiced().value();
-                    report.spuriousWords =
-                        controller->spuriousWords().value();
-                    report.serviceBusyNs =
-                        controller->serviceCpuTicks();
-                    report.fifoPushed =
-                        monitor->fifo().pushed().value();
-                    return report;
-                });
-        }
-        // Quarantine hooks mirror the flat system's: park the fenced
-        // CPU's reference stream, cold-restart on unfence.
-        manager->setFenceHooks(
-            [this](std::uint32_t cpu) {
-                if (cpu < activeCpus_.size() &&
-                    activeCpus_[cpu] != nullptr) {
-                    activeCpus_[cpu]->requestFailstop();
-                }
-            },
-            [this](std::uint32_t cpu) {
-                ProcessorBoard &b = board(cpu);
-                while (b.monitor.fifo().pop().has_value()) {
-                }
-                b.monitor.fifo().clearOverflow();
-                if (!b.controller.dead())
-                    b.controller.failstop();
-                b.controller.rejoin();
-                if (cpu < activeCpus_.size() &&
-                    activeCpus_[cpu] != nullptr) {
-                    activeCpus_[cpu]->resume();
-                }
-            });
-        auto *ibc = &cluster.ibc;
-        manager->addBridge(ibc->localMasterId(),
-                           [ibc] { return !ibc->dead(); });
-        manager->setPostReclaimHook([this, k] {
-            if (k < clusterCheckers_.size())
-                clusterCheckers_[k]->checkOwnersSweep();
-        });
-        if (tracer_)
-            manager->setTracer(tracer_.get(), recoverTrack_);
-        if (k < clusterCheckpointStores_.size())
-            manager->setBackingStore(clusterCheckpointStores_[k].get(),
-                                     clusterCheckpointers_[k]->asid());
-        manager->install();
-        clusterRecoveries_.push_back(std::move(manager));
-    }
-    // Global level: the inter-bus boards are the protocol clients;
-    // their global monitors are the reclaim targets.
-    globalRecovery_ = std::make_unique<recover::RecoveryManager>(
-        events_, globalBus_, memory_, options);
-    for (std::uint32_t k = 0; k < cfg_.clusters; ++k) {
-        auto *ibc = &clusters_[k]->ibc;
-        globalRecovery_->addBoard(ibc->clusterIndex(),
-                                  ibc->globalMonitor(),
-                                  [ibc] { return !ibc->dead(); });
-        // Wedged-IBC witness: a wedged pump answers alive but its
-        // progress epoch freezes while words pend. No latency or
-        // babble witness for bridges (serviceBusyNs stays 0).
-        globalRecovery_->detector().setHealthFn(
-            ibc->clusterIndex(), [ibc] {
-                recover::HealthReport report;
-                report.alive = !ibc->dead();
-                report.responsive = !ibc->dead() && !ibc->wedged();
-                report.progressEpoch = ibc->serviceEpoch();
-                report.pendingWords = ibc->pendingWords();
-                report.wordsServiced = ibc->wordsLocal().value() +
-                    ibc->wordsGlobal().value();
-                report.spuriousWords = ibc->spuriousWords().value();
-                report.fifoPushed =
-                    ibc->globalMonitor().fifo().pushed().value();
-                return report;
-            });
-    }
-    globalRecovery_->setPostReclaimHook([this] {
-        if (globalChecker_)
-            globalChecker_->checkOwnersSweep();
-    });
-    if (tracer_)
-        globalRecovery_->setTracer(tracer_.get(), recoverTrack_);
-    if (globalCheckpointStore_)
-        globalRecovery_->setBackingStore(globalCheckpointStore_.get(),
-                                         globalCheckpointer_->asid());
-    globalRecovery_->install();
+    enableRecoveryAll(options);
 }
 
 void
 HierVmpSystem::enableFrameCheckpoint(Asid asid)
 {
-    if (globalCheckpointer_)
-        fatal("hier: frame checkpoint enabled twice");
-    // One shadow store per cluster image, written off the local bus,
-    // plus one for main memory off the global bus. All are latency-0
-    // PageStores: the shadow write rides the memory board's own store
-    // path; recovery still pays the restore DMA.
-    for (std::uint32_t k = 0; k < cfg_.clusters; ++k) {
-        Cluster &cluster = *clusters_[k];
-        clusterCheckpointStores_.push_back(
-            std::make_unique<backing::PageStore>(
-                0, cluster.image.pageBytes()));
-        clusterCheckpointers_.push_back(
-            std::make_unique<backing::FrameCheckpointer>(
-                cluster.image, *clusterCheckpointStores_.back(), asid));
-        clusterCheckpointers_.back()->install(cluster.bus);
-        if (k < clusterRecoveries_.size())
-            clusterRecoveries_[k]->setBackingStore(
-                clusterCheckpointStores_.back().get(), asid);
-    }
-    globalCheckpointStore_ = std::make_unique<backing::PageStore>(
-        0, memory_.pageBytes());
-    globalCheckpointer_ = std::make_unique<backing::FrameCheckpointer>(
-        memory_, *globalCheckpointStore_, asid);
-    globalCheckpointer_->install(globalBus_);
-    if (globalRecovery_)
-        globalRecovery_->setBackingStore(globalCheckpointStore_.get(),
-                                         asid);
+    enableCheckpoints(asid);
 }
 
 backing::BudgetController &
@@ -572,7 +200,7 @@ HierVmpSystem::enableClusterBudget(backing::BudgetConfig config)
         const std::uint32_t client =
             budget_->addClient("cluster" + std::to_string(k));
         auto *controller = budget_.get();
-        clusters_[k]->ibc.setBudgetClient(
+        interBusBoard(k).setBudgetClient(
             [controller, client] { controller->noteFault(client); },
             [controller, client](std::int32_t delta) {
                 controller->noteUse(client, delta);
@@ -584,136 +212,66 @@ HierVmpSystem::enableClusterBudget(backing::BudgetConfig config)
 }
 
 recover::RecoveryManager &
-HierVmpSystem::clusterRecovery(std::size_t cluster)
+HierVmpSystem::clusterRecovery(std::size_t k)
 {
-    if (cluster >= clusterRecoveries_.size())
-        panic("cluster recovery ", cluster,
+    if (k >= cfg_.clusters || !recoveryEnabled())
+        panic("cluster recovery ", k,
               " out of range (recovery enabled?)");
-    return *clusterRecoveries_[cluster];
+    return *cluster(k).recovery;
+}
+
+const recover::RecoveryManager &
+HierVmpSystem::clusterRecovery(std::size_t k) const
+{
+    if (k >= cfg_.clusters || !recoveryEnabled())
+        panic("cluster recovery ", k,
+              " out of range (recovery enabled?)");
+    return *cluster(k).recovery;
 }
 
 void
-HierVmpSystem::killBoard(std::uint32_t cpu, Tick at)
+HierVmpSystem::killInterBusBoard(std::uint32_t k, Tick at)
 {
-    if (cpu >= cfg_.totalCpus())
-        fatal("hier: killBoard(", cpu, ") out of range");
-    events_.schedule(at, [this, cpu] {
-        ProcessorBoard &b = board(cpu);
-        if (b.controller.dead())
-            return;
-        VMP_DTRACE(debug::Recover, events_.now(), "killing board ",
-                   cpu);
-        if (cpu < activeCpus_.size() && activeCpus_[cpu] != nullptr)
-            activeCpus_[cpu]->requestFailstop();
-        b.controller.failstop();
-        if (injector_)
-            injector_->noteBoardCrash();
-    }, "kill-board");
-}
-
-void
-HierVmpSystem::rejoinBoard(std::uint32_t cpu, Tick at)
-{
-    if (cpu >= cfg_.totalCpus())
-        fatal("hier: rejoinBoard(", cpu, ") out of range");
-    events_.schedule(at, [this, cpu] { doRejoin(cpu); },
-                     "rejoin-board");
-}
-
-void
-HierVmpSystem::doRejoin(std::uint32_t cpu)
-{
-    ProcessorBoard &b = board(cpu);
-    if (!b.controller.dead())
-        return;
-    const std::size_t k = cpu / cfg_.cpusPerCluster;
-    recover::RecoveryManager *manager = k < clusterRecoveries_.size()
-        ? clusterRecoveries_[k].get()
-        : nullptr;
-    if (manager != nullptr && manager->recovering()) {
-        events_.scheduleIn(usec(10), [this, cpu] { doRejoin(cpu); },
-                          "rejoin-board");
-        return;
-    }
-    VMP_DTRACE(debug::Recover, events_.now(), "board ", cpu,
-               " hot-rejoining");
-    b.monitor.table().clear();
-    while (b.monitor.fifo().pop().has_value()) {
-    }
-    b.monitor.fifo().clearOverflow();
-    b.monitor.setMasked(false);
-    b.controller.rejoin();
-    if (manager != nullptr)
-        manager->markRejoined(cpu);
-    if (cpu < activeCpus_.size() && activeCpus_[cpu] != nullptr)
-        activeCpus_[cpu]->resume();
-}
-
-void
-HierVmpSystem::killInterBusBoard(std::uint32_t cluster, Tick at)
-{
-    if (cluster >= cfg_.clusters)
-        fatal("hier: killInterBusBoard(", cluster, ") out of range");
-    events_.schedule(at, [this, cluster] {
-        hier::InterBusBoard &ibc = clusters_[cluster]->ibc;
-        if (ibc.dead())
+    if (k >= cfg_.clusters)
+        fatal("hier: killInterBusBoard(", k, ") out of range");
+    hier::InterBusBoard *ibc = cluster(k).bridge.get();
+    events_.schedule(at, [this, ibc, k] {
+        if (ibc->dead())
             return;
         VMP_DTRACE(debug::Recover, events_.now(),
-                   "killing inter-bus board of cluster ", cluster);
-        ibc.failstop();
+                   "killing inter-bus board of cluster ", k);
+        ibc->failstop();
         if (injector_)
             injector_->noteBoardCrash();
     }, "kill-ibc");
 }
 
-void
-HierVmpSystem::enableCoherenceCheckers(check::CheckerOptions options)
-{
-    if (globalChecker_)
-        fatal("hier: coherence checkers enabled twice");
-    for (auto &cluster : clusters_) {
-        auto checker = std::make_unique<check::CoherenceChecker>(
-            cluster->bus, cluster->image, options);
-        for (auto &board : cluster->boards)
-            checker->addController(board->controller);
-        checker->install();
-        clusterCheckers_.push_back(std::move(checker));
-    }
-    // Global level: the inter-bus boards are the protocol clients, so
-    // only the hardware single-owner invariant is checkable there.
-    globalChecker_ = std::make_unique<check::CoherenceChecker>(
-        globalBus_, memory_, options);
-    for (auto &cluster : clusters_)
-        globalChecker_->addMonitor(cluster->ibc.globalMonitor());
-    globalChecker_->install();
-}
-
 check::CoherenceChecker &
-HierVmpSystem::clusterChecker(std::size_t cluster)
+HierVmpSystem::clusterChecker(std::size_t k)
 {
-    if (cluster >= clusterCheckers_.size())
-        panic("cluster checker ", cluster,
+    if (k >= cfg_.clusters || !checkersEnabled())
+        panic("cluster checker ", k,
               " out of range (checkers enabled?)");
-    return *clusterCheckers_[cluster];
+    return *cluster(k).checker;
 }
 
 check::CoherenceChecker &
 HierVmpSystem::globalChecker()
 {
-    if (!globalChecker_)
+    if (!checkersEnabled())
         panic("global checker requested before "
               "enableCoherenceCheckers()");
-    return *globalChecker_;
+    return *root().checker;
 }
 
 std::uint64_t
 HierVmpSystem::checkFullAll()
 {
     std::uint64_t found = 0;
-    for (auto &checker : clusterCheckers_)
-        found += checker->checkFull();
-    if (globalChecker_)
-        found += globalChecker_->checkFull();
+    for (BusDomain *domain : installOrder()) {
+        if (domain->checker)
+            found += domain->checker->checkFull();
+    }
     return found;
 }
 
@@ -721,207 +279,36 @@ std::uint64_t
 HierVmpSystem::totalViolations() const
 {
     std::uint64_t total = 0;
-    for (const auto &checker : clusterCheckers_)
-        total += checker->violations().value();
-    if (globalChecker_)
-        total += globalChecker_->violations().value();
+    for (const auto &domain : domains_) {
+        if (domain->checker)
+            total += domain->checker->violations().value();
+    }
     return total;
-}
-
-void
-HierVmpSystem::setWatchdog(std::uint64_t maxRetries,
-                           proto::CacheController::WatchdogHandler handler)
-{
-    for (auto &cluster : clusters_)
-        for (auto &board : cluster->boards)
-            board->controller.setWatchdog(maxRetries, handler);
 }
 
 HierRunResult
 HierVmpSystem::collect(const std::vector<cpu::TraceCpu *> &cpus) const
 {
     HierRunResult result;
-    result.elapsed = events_.now();
-    double perf_sum = 0.0;
-    for (const auto *c : cpus) {
-        result.totalRefs += c->refsRetired().value();
-        perf_sum += c->performance();
-    }
+    collectInto(result, cpus);
     double local_util_sum = 0.0;
-    for (const auto &cluster : clusters_) {
-        for (const auto &b : cluster->boards) {
-            result.totalMisses += b->controller.misses().value();
-            result.writeBacks += b->controller.writeBacks().value();
-        }
-        const double util = cluster->bus.utilization();
+    for (std::uint32_t k = 0; k < cfg_.clusters; ++k) {
+        const BusDomain &domain = cluster(k);
+        const double util = domain.bus.utilization();
         local_util_sum += util;
-        result.busUpgrades +=
-            cluster->bus.countOf(mem::TxType::AssertOwnership).value();
         result.peakLocalBusUtilization =
             std::max(result.peakLocalBusUtilization, util);
-        result.globalFetches += cluster->ibc.globalFetches();
+        result.globalFetches += domain.bridge->globalFetches();
         result.globalWriteBacks +=
-            cluster->ibc.globalWriteBacks().value();
+            domain.bridge->globalWriteBacks().value();
     }
-    result.missRatio = result.totalRefs == 0
-        ? 0.0
-        : static_cast<double>(result.totalMisses) /
-            static_cast<double>(result.totalRefs);
-    result.performance =
-        cpus.empty() ? 0.0 : perf_sum / static_cast<double>(cpus.size());
-    result.busUtilization = globalBus_.utilization();
-    result.meanLocalBusUtilization = clusters_.empty()
-        ? 0.0
-        : local_util_sum / static_cast<double>(clusters_.size());
-    result.busAborts = globalBus_.aborts().value();
+    result.meanLocalBusUtilization =
+        local_util_sum / static_cast<double>(cfg_.clusters);
     result.refsPerSec = result.elapsed == 0
         ? 0.0
         : static_cast<double>(result.totalRefs) /
             (static_cast<double>(result.elapsed) * 1e-9);
     return result;
-}
-
-void
-HierVmpSystem::dumpStats(std::ostream &os) const
-{
-    StatGroup global_group("global_bus");
-    globalBus_.registerStats(global_group);
-    global_group.dump(os);
-    for (std::size_t k = 0; k < clusters_.size(); ++k) {
-        StatGroup bus_group("c" + std::to_string(k) + ".bus");
-        clusters_[k]->bus.registerStats(bus_group);
-        bus_group.dump(os);
-        StatGroup ibc_group("c" + std::to_string(k) + ".ibc");
-        clusters_[k]->ibc.registerStats(ibc_group);
-        ibc_group.dump(os);
-        for (std::size_t i = 0; i < clusters_[k]->boards.size(); ++i) {
-            const auto id = k * cfg_.cpusPerCluster + i;
-            StatGroup cpu_group("cpu" + std::to_string(id));
-            clusters_[k]->boards[i]->controller.registerStats(
-                cpu_group);
-            clusters_[k]->boards[i]->cache.registerStats(cpu_group);
-            cpu_group.dump(os);
-        }
-    }
-    if (injector_) {
-        StatGroup fault_group("fault");
-        injector_->registerStats(fault_group);
-        fault_group.dump(os);
-    }
-    for (std::size_t k = 0; k < clusterCheckers_.size(); ++k) {
-        StatGroup check_group("c" + std::to_string(k) + ".check");
-        clusterCheckers_[k]->registerStats(check_group);
-        check_group.dump(os);
-    }
-    if (globalChecker_) {
-        StatGroup check_group("check.global");
-        globalChecker_->registerStats(check_group);
-        check_group.dump(os);
-    }
-    for (std::size_t k = 0; k < clusterRecoveries_.size(); ++k) {
-        StatGroup recover_group("c" + std::to_string(k) + ".recover");
-        clusterRecoveries_[k]->registerStats(recover_group);
-        recover_group.dump(os);
-    }
-    if (globalRecovery_) {
-        StatGroup recover_group("recover.global");
-        globalRecovery_->registerStats(recover_group);
-        recover_group.dump(os);
-    }
-    for (std::size_t k = 0; k < clusterCheckpointers_.size(); ++k) {
-        StatGroup backing_group("c" + std::to_string(k) + ".backing");
-        clusterCheckpointers_[k]->registerStats(backing_group);
-        backing_group.dump(os);
-    }
-    if (globalCheckpointer_) {
-        StatGroup backing_group("backing.global");
-        globalCheckpointer_->registerStats(backing_group);
-        backing_group.dump(os);
-    }
-    if (tracer_) {
-        StatGroup obs_group("obs");
-        tracer_->registerStats(obs_group);
-        if (profiler_)
-            profiler_->registerStats(obs_group);
-        obs_group.dump(os);
-    }
-}
-
-Json
-HierVmpSystem::statsJson() const
-{
-    std::vector<std::unique_ptr<StatGroup>> groups;
-    StatRegistry registry;
-
-    groups.push_back(std::make_unique<StatGroup>("global_bus"));
-    globalBus_.registerStats(*groups.back());
-    registry.add(*groups.back());
-    for (std::size_t k = 0; k < clusters_.size(); ++k) {
-        groups.push_back(std::make_unique<StatGroup>(
-            "c" + std::to_string(k) + ".bus"));
-        clusters_[k]->bus.registerStats(*groups.back());
-        registry.add(*groups.back());
-        groups.push_back(std::make_unique<StatGroup>(
-            "c" + std::to_string(k) + ".ibc"));
-        clusters_[k]->ibc.registerStats(*groups.back());
-        registry.add(*groups.back());
-        for (std::size_t i = 0; i < clusters_[k]->boards.size(); ++i) {
-            const auto id = k * cfg_.cpusPerCluster + i;
-            groups.push_back(std::make_unique<StatGroup>(
-                "cpu" + std::to_string(id)));
-            clusters_[k]->boards[i]->controller.registerStats(
-                *groups.back());
-            clusters_[k]->boards[i]->cache.registerStats(
-                *groups.back());
-            registry.add(*groups.back());
-        }
-    }
-    if (injector_) {
-        groups.push_back(std::make_unique<StatGroup>("fault"));
-        injector_->registerStats(*groups.back());
-        registry.add(*groups.back());
-    }
-    for (std::size_t k = 0; k < clusterCheckers_.size(); ++k) {
-        groups.push_back(std::make_unique<StatGroup>(
-            "c" + std::to_string(k) + ".check"));
-        clusterCheckers_[k]->registerStats(*groups.back());
-        registry.add(*groups.back());
-    }
-    if (globalChecker_) {
-        groups.push_back(std::make_unique<StatGroup>("check.global"));
-        globalChecker_->registerStats(*groups.back());
-        registry.add(*groups.back());
-    }
-    for (std::size_t k = 0; k < clusterRecoveries_.size(); ++k) {
-        groups.push_back(std::make_unique<StatGroup>(
-            "c" + std::to_string(k) + ".recover"));
-        clusterRecoveries_[k]->registerStats(*groups.back());
-        registry.add(*groups.back());
-    }
-    if (globalRecovery_) {
-        groups.push_back(std::make_unique<StatGroup>("recover.global"));
-        globalRecovery_->registerStats(*groups.back());
-        registry.add(*groups.back());
-    }
-    for (std::size_t k = 0; k < clusterCheckpointers_.size(); ++k) {
-        groups.push_back(std::make_unique<StatGroup>(
-            "c" + std::to_string(k) + ".backing"));
-        clusterCheckpointers_[k]->registerStats(*groups.back());
-        registry.add(*groups.back());
-    }
-    if (globalCheckpointer_) {
-        groups.push_back(std::make_unique<StatGroup>("backing.global"));
-        globalCheckpointer_->registerStats(*groups.back());
-        registry.add(*groups.back());
-    }
-    if (tracer_) {
-        groups.push_back(std::make_unique<StatGroup>("obs"));
-        tracer_->registerStats(*groups.back());
-        if (profiler_)
-            profiler_->registerStats(*groups.back());
-        registry.add(*groups.back());
-    }
-    return registry.toJson();
 }
 
 } // namespace vmp::core

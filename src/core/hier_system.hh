@@ -19,7 +19,6 @@
 #ifndef VMP_CORE_HIER_SYSTEM_HH
 #define VMP_CORE_HIER_SYSTEM_HH
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -81,8 +80,8 @@ struct HierRunResult : RunResult
     std::string toString() const;
 };
 
-/** The two-level machine. */
-class HierVmpSystem
+/** The two-level machine: k cluster domains plus the global one. */
+class HierVmpSystem : public Machine
 {
   public:
     /**
@@ -92,15 +91,10 @@ class HierVmpSystem
      */
     explicit HierVmpSystem(const HierConfig &config,
                            proto::Translator *translator = nullptr);
-    ~HierVmpSystem(); // out of line: Cluster is incomplete here
 
     const HierConfig &config() const { return cfg_; }
-    EventQueue &events() { return events_; }
-    const EventQueue &events() const { return events_; }
-    /** Main (global) memory. */
-    mem::PhysMem &memory() { return memory_; }
-    mem::VmeBus &globalBus() { return globalBus_; }
-    const mem::VmeBus &globalBus() const { return globalBus_; }
+    mem::VmeBus &globalBus() { return root().bus; }
+    const mem::VmeBus &globalBus() const { return root().bus; }
     std::uint32_t clusters() const { return cfg_.clusters; }
     std::uint32_t cpusPerCluster() const { return cfg_.cpusPerCluster; }
     std::uint32_t totalCpus() const { return cfg_.totalCpus(); }
@@ -111,40 +105,13 @@ class HierVmpSystem
     hier::InterBusBoard &interBusBoard(std::size_t cluster);
     const hier::InterBusBoard &interBusBoard(std::size_t cluster) const;
 
-    /** Board/controller for the flat CPU index
-     *  (cluster = index / cpusPerCluster). */
-    ProcessorBoard &board(std::size_t cpu);
-    const ProcessorBoard &board(std::size_t cpu) const;
-    proto::CacheController &controller(std::size_t cpu);
-    const proto::CacheController &controller(std::size_t cpu) const;
-
     /** One trace CPU per source, filled cluster-major; runs all to
      *  completion. */
     HierRunResult runTraces(
         const std::vector<trace::RefSource *> &sources);
 
-    /** One scripted CPU per program (CPU i uses ASID i+1). */
-    std::vector<std::unique_ptr<cpu::ProgramCpu>>
-    runPrograms(const std::vector<cpu::Program> &programs);
-
     HierRunResult collect(
         const std::vector<cpu::TraceCpu *> &cpus) const;
-
-    /** Idle-processor interrupt service on every board. */
-    void attachIdleServicers();
-
-    /**
-     * Arm one fault injector over the whole hierarchy: global and
-     * local buses, every processor board's FIFO/delivery/copier, and
-     * every inter-bus board's FIFOs and global copier. With DmaBurst
-     * armed a DMA engine targets scratch frames over the global bus.
-     * May be called at most once, before any traffic.
-     */
-    fault::FaultInjector &
-    enableFaultInjection(const fault::FaultSchedule &schedule);
-
-    /** The armed injector, or null if none. */
-    fault::FaultInjector *faultInjector() { return injector_.get(); }
 
     /**
      * Install coherence checkers at both levels: one per cluster bus
@@ -159,7 +126,7 @@ class HierVmpSystem
     /** Global-bus checker (requires enableCoherenceCheckers). */
     check::CoherenceChecker &globalChecker();
     /** True once enableCoherenceCheckers() has run. */
-    bool checkersEnabled() const { return globalChecker_ != nullptr; }
+    bool checkersEnabled() const { return root().checker != nullptr; }
 
     /**
      * Install failstop recovery at both levels: one RecoveryManager
@@ -175,21 +142,18 @@ class HierVmpSystem
 
     /** Per-cluster recovery manager (requires enableRecovery). */
     recover::RecoveryManager &clusterRecovery(std::size_t cluster);
-    /** True once enableRecovery() has run. */
-    bool recoveryEnabled() const { return globalRecovery_ != nullptr; }
     const recover::RecoveryManager &
-    clusterRecovery(std::size_t cluster) const
-    {
-        return *clusterRecoveries_.at(cluster);
-    }
+    clusterRecovery(std::size_t cluster) const;
+    /** True once enableRecovery() has run. */
+    bool recoveryEnabled() const { return root().recovery != nullptr; }
     /** Global-bus recovery manager, or null if none installed. */
     recover::RecoveryManager *globalRecovery()
     {
-        return globalRecovery_.get();
+        return root().recovery.get();
     }
     const recover::RecoveryManager *globalRecovery() const
     {
-        return globalRecovery_.get();
+        return root().recovery.get();
     }
 
     /**
@@ -206,37 +170,8 @@ class HierVmpSystem
     /** True once enableFrameCheckpoint() ran. */
     bool frameCheckpointEnabled() const
     {
-        return globalCheckpointer_ != nullptr;
+        return root().checkpointer != nullptr;
     }
-
-    /**
-     * Arm the observability subsystem over the whole hierarchy: tracks
-     * "global_bus", per-cluster "cK.bus" and "cK.ibc", per-CPU "cpuN",
-     * and one shared "recover" track. Same guarantees as the flat
-     * system: pure observation, bit-identical simulated time, at most
-     * once, before any traffic.
-     */
-    obs::EventTracer &enableTracing(obs::TraceConfig config = {});
-
-    /** The armed tracer, or null if tracing is off. */
-    obs::EventTracer *tracer() { return tracer_.get(); }
-    const obs::EventTracer *tracer() const { return tracer_.get(); }
-
-    /** The attached miss profiler, or null. */
-    obs::MissProfiler *missProfiler() { return profiler_.get(); }
-    const obs::MissProfiler *missProfiler() const
-    {
-        return profiler_.get();
-    }
-
-    /**
-     * Failstop CPU board @p cpu (flat index) at tick @p at; the board's
-     * monitor hardware keeps driving its cluster bus. Without
-     * enableRecovery() its stale entries wedge the cluster.
-     */
-    void killBoard(std::uint32_t cpu, Tick at);
-    /** Hot-rejoin CPU board @p cpu at tick @p at (cold restart). */
-    void rejoinBoard(std::uint32_t cpu, Tick at);
 
     /**
      * Failstop cluster @p cluster's inter-bus cache board at tick
@@ -274,51 +209,16 @@ class HierVmpSystem
     /** Total violations across all checkers so far. */
     std::uint64_t totalViolations() const;
 
-    /** Livelock watchdog on every processor controller. */
-    void setWatchdog(std::uint64_t maxRetries,
-                     proto::CacheController::WatchdogHandler handler = {});
-
-    /** gem5-style dump of every component's statistics. */
-    void dumpStats(std::ostream &os) const;
-    /** {"global_bus": {...}, "c0.bus": {...}, "c0.ibc": {...},
-     *   "cpu0": {...}, ...} */
-    Json statsJson() const;
-
   private:
-    struct Cluster;
+    /** Cluster @p k's domain (domains_[0] is the global one). */
+    BusDomain &cluster(std::size_t k);
+    const BusDomain &cluster(std::size_t k) const;
 
-    /** Rejoin body (defers itself while the cluster is reclaiming). */
-    void doRejoin(std::uint32_t cpu);
-    /** Turn one scheduled partial-failure spec into onset/clear events. */
-    void armPartialFault(const fault::PartialFaultSpec &spec);
+    void armInterBusCrash(const fault::BoardCrashSpec &crash) override;
+    void armInterBusPartial(const fault::PartialFaultSpec &spec) override;
 
     HierConfig cfg_;
-    EventQueue events_;
-    mem::PhysMem memory_;
-    mem::VmeBus globalBus_;
-    std::unique_ptr<proto::DemandTranslator> ownedTranslator_;
-    proto::Translator *translator_;
-    std::vector<std::unique_ptr<Cluster>> clusters_;
-    std::unique_ptr<fault::FaultInjector> injector_;
-    std::vector<std::unique_ptr<check::CoherenceChecker>>
-        clusterCheckers_;
-    std::unique_ptr<check::CoherenceChecker> globalChecker_;
-    std::vector<std::unique_ptr<recover::RecoveryManager>>
-        clusterRecoveries_;
-    std::unique_ptr<recover::RecoveryManager> globalRecovery_;
-    std::vector<std::unique_ptr<backing::PageStore>>
-        clusterCheckpointStores_;
-    std::vector<std::unique_ptr<backing::FrameCheckpointer>>
-        clusterCheckpointers_;
-    std::unique_ptr<backing::PageStore> globalCheckpointStore_;
-    std::unique_ptr<backing::FrameCheckpointer> globalCheckpointer_;
     std::unique_ptr<backing::BudgetController> budget_;
-    std::unique_ptr<obs::EventTracer> tracer_;
-    std::unique_ptr<obs::MissProfiler> profiler_;
-    /** Track id recovery events land on (valid while tracer_ != null). */
-    std::uint16_t recoverTrack_ = 0;
-    /** Raw CPU handles while runTraces is in flight. */
-    std::vector<cpu::TraceCpu *> activeCpus_;
 };
 
 } // namespace vmp::core

@@ -1,11 +1,8 @@
 #include "core/system.hh"
 
-#include <ostream>
 #include <sstream>
 
-#include "sim/debug.hh"
 #include "sim/logging.hh"
-#include "trace/synthetic.hh"
 
 namespace vmp::core
 {
@@ -52,22 +49,13 @@ RunResult::toString() const
 
 VmpSystem::VmpSystem(const VmpConfig &config,
                      proto::Translator *translator)
-    : cfg_(config), memory_(config.memBytes, config.cache.pageBytes),
-      bus_(events_, memory_, config.busTiming, config.arbitration)
+    : Machine("system", config.cpuTiming), cfg_(config)
 {
     cfg_.check();
-    if (translator == nullptr) {
-        ownedTranslator_ = std::make_unique<proto::DemandTranslator>(
-            cfg_.memBytes, cfg_.cache.pageBytes, trace::kernelBase,
-            trace::userBase);
-        translator_ = ownedTranslator_.get();
-    } else {
-        translator_ = translator;
-    }
-    for (CpuId id = 0; id < cfg_.processors; ++id) {
-        boards_.push_back(std::make_unique<ProcessorBoard>(
-            id, events_, bus_, *translator_, cfg_));
-    }
+    useTranslator(translator, cfg_.memBytes, cfg_.cache.pageBytes);
+    BusDomain &domain = addDomain(cfg_.memBytes, cfg_.cache.pageBytes,
+                                  cfg_.busTiming, cfg_.arbitration);
+    addBoards(domain, cfg_.processors, cfg_);
 }
 
 std::uint32_t
@@ -76,403 +64,39 @@ VmpSystem::processors() const
     return cfg_.processors;
 }
 
-ProcessorBoard &
-VmpSystem::board(std::size_t index)
-{
-    if (index >= boards_.size())
-        panic("board index ", index, " out of range");
-    return *boards_[index];
-}
-
-const ProcessorBoard &
-VmpSystem::board(std::size_t index) const
-{
-    if (index >= boards_.size())
-        panic("board index ", index, " out of range");
-    return *boards_[index];
-}
-
-proto::CacheController &
-VmpSystem::controller(std::size_t index)
-{
-    return board(index).controller;
-}
-
-const proto::CacheController &
-VmpSystem::controller(std::size_t index) const
-{
-    return board(index).controller;
-}
-
 RunResult
 VmpSystem::runTraces(const std::vector<trace::RefSource *> &sources)
 {
-    if (sources.size() > boards_.size())
-        fatal("system: ", sources.size(), " traces for ",
-              boards_.size(), " processors");
+    return collect(rawCpus(runTraceCpus(sources)));
+}
 
-    std::vector<std::unique_ptr<cpu::TraceCpu>> cpus;
-    std::vector<cpu::TraceCpu *> raw;
-    std::size_t remaining = sources.size();
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-        cpus.push_back(std::make_unique<cpu::TraceCpu>(
-            static_cast<CpuId>(i), events_, controller(i),
-            *sources[i], cfg_.cpuTiming));
-        raw.push_back(cpus.back().get());
-    }
-    activeCpus_ = raw;
-    for (auto &c : cpus)
-        c->run([&remaining] { --remaining; });
-    events_.run();
-    // A CPU failstopped mid-trace never fires its completion callback;
-    // any other shortfall is a genuine hang.
-    std::size_t halted_midrun = 0;
-    for (const auto *c : raw) {
-        if (c->halted() && !c->finished())
-            ++halted_midrun;
-    }
-    if (remaining != halted_midrun) {
-        panic("system: ", remaining - halted_midrun,
-              " trace CPUs did not finish");
-    }
-    RunResult result = collect(raw);
-    activeCpus_.clear();
+RunResult
+VmpSystem::collect(const std::vector<cpu::TraceCpu *> &cpus) const
+{
+    RunResult result;
+    collectInto(result, cpus);
     return result;
-}
-
-std::vector<std::unique_ptr<cpu::ProgramCpu>>
-VmpSystem::runPrograms(const std::vector<cpu::Program> &programs)
-{
-    if (programs.size() > boards_.size())
-        fatal("system: ", programs.size(), " programs for ",
-              boards_.size(), " processors");
-
-    std::vector<std::unique_ptr<cpu::ProgramCpu>> cpus;
-    std::size_t remaining = programs.size();
-    for (std::size_t i = 0; i < programs.size(); ++i) {
-        cpus.push_back(std::make_unique<cpu::ProgramCpu>(
-            static_cast<CpuId>(i), events_, controller(i),
-            static_cast<Asid>(i + 1), programs[i], cfg_.cpuTiming));
-    }
-    for (auto &c : cpus)
-        c->run([&remaining] { --remaining; });
-    events_.run();
-    if (remaining != 0)
-        panic("system: ", remaining, " program CPUs did not halt");
-    return cpus;
-}
-
-void
-VmpSystem::attachIdleServicers()
-{
-    for (auto &board : boards_) {
-        auto *controller = &board->controller;
-        controller->busMonitor().setInterruptLine(
-            [this, controller] {
-                events_.scheduleIn(1, [controller] {
-                    controller->serviceInterrupts([] {});
-                }, "idle-service");
-            });
-    }
-}
-
-fault::FaultInjector &
-VmpSystem::enableFaultInjection(const fault::FaultSchedule &schedule)
-{
-    if (injector_)
-        fatal("system: fault injection enabled twice");
-    injector_ = std::make_unique<fault::FaultInjector>(events_, schedule);
-    bus_.setFaultHooks(injector_.get());
-    for (auto &board : boards_) {
-        board->monitor.setFaultHooks(injector_.get(), &events_);
-        board->controller.setFaultHooks(injector_.get());
-    }
-    if (schedule.arms(fault::FaultKind::DmaBurst)) {
-        // Scratch frames 8..15 sit inside the demand translator's
-        // reserved low region: DMA traffic there perturbs bus timing
-        // and monitor snooping without ever touching a cached page.
-        injector_->attachDmaTarget(bus_, cfg_.processors + 64,
-                                   8ull * cfg_.cache.pageBytes,
-                                   cfg_.cache.pageBytes, 8);
-    }
-    // Board crashes are time-driven: turn each schedule entry into
-    // kill/rejoin events now (deterministic, no RNG draw).
-    for (const auto &crash : injector_->schedule().crashes) {
-        if (crash.interBus) {
-            fatal("system: crashInterBus() on a flat (single-bus) "
-                  "system");
-        }
-        killBoard(crash.board, crash.at);
-        if (crash.rejoinAt != 0)
-            rejoinBoard(crash.board, crash.rejoinAt);
-    }
-    // Partial failures (wedge/stuck/slow) are likewise time-driven;
-    // babble is opportunity-driven through the injectFifoBabble seam
-    // and needs no event here.
-    for (const auto &part : injector_->schedule().partials)
-        armPartialFault(part);
-    return *injector_;
-}
-
-void
-VmpSystem::armPartialFault(const fault::PartialFaultSpec &spec)
-{
-    if (spec.interBus) {
-        fatal("system: wedgeInterBus() on a flat (single-bus) "
-              "system");
-    }
-    if (spec.board >= boards_.size())
-        fatal("system: partial fault on board ", spec.board,
-              " out of range");
-    if (spec.kind == fault::FaultKind::FifoBabble)
-        return; // drawn per bus transaction inside the injector
-    const std::uint32_t index = spec.board;
-    events_.schedule(spec.at, [this, index, spec] {
-        ProcessorBoard &board = *boards_[index];
-        if (board.controller.dead())
-            return;
-        VMP_DTRACE(debug::Fault, events_.now(), "board ", index,
-                   " partial fault onset: ",
-                   fault::faultKindName(spec.kind));
-        switch (spec.kind) {
-        case fault::FaultKind::MonitorWedge:
-            // Service loop stops draining; CPU and monitor hardware
-            // keep running against the rotting FIFO/table.
-            board.controller.setWedged(true);
-            break;
-        case fault::FaultKind::ActionTableStuck:
-            board.monitor.setTableStuck(true);
-            break;
-        case fault::FaultKind::SlowBoard:
-            board.controller.setServiceSlowdown(spec.factor);
-            break;
-        default:
-            fatal("system: unexpected partial fault kind");
-        }
-        injector_->notePartialFault(spec.kind);
-    }, "partial-fault");
-    if (spec.clearAt == 0)
-        return;
-    events_.schedule(spec.clearAt, [this, index, spec] {
-        ProcessorBoard &board = *boards_[index];
-        switch (spec.kind) {
-        case fault::FaultKind::MonitorWedge:
-            board.controller.setWedged(false);
-            break;
-        case fault::FaultKind::ActionTableStuck:
-            board.monitor.setTableStuck(false);
-            break;
-        case fault::FaultKind::SlowBoard:
-            board.controller.setServiceSlowdown(1);
-            break;
-        default:
-            break;
-        }
-        VMP_DTRACE(debug::Fault, events_.now(), "board ", index,
-                   " partial fault cleared: ",
-                   fault::faultKindName(spec.kind));
-    }, "partial-clear");
-}
-
-obs::EventTracer &
-VmpSystem::enableTracing(obs::TraceConfig config)
-{
-    if (tracer_)
-        fatal("system: tracing enabled twice");
-    tracer_ = std::make_unique<obs::EventTracer>(config.ringCapacity);
-    if (config.profileMisses) {
-        profiler_ = std::make_unique<obs::MissProfiler>();
-        tracer_->addSink(profiler_->sink());
-    }
-    const std::uint16_t bus_track = tracer_->registerTrack("bus");
-    bus_.setTracer(tracer_.get(), bus_track);
-    for (std::size_t i = 0; i < boards_.size(); ++i) {
-        const std::uint16_t track =
-            tracer_->registerTrack("cpu" + std::to_string(i));
-        boards_[i]->monitor.setTracer(tracer_.get(), track, &events_);
-        boards_[i]->controller.setTracer(tracer_.get(), track);
-    }
-    recoverTrack_ = tracer_->registerTrack("recover");
-    if (recovery_)
-        recovery_->setTracer(tracer_.get(), recoverTrack_);
-    VMP_DTRACE(debug::Obs, events_.now(), "tracing armed: ",
-               tracer_->trackCount(), " tracks, ring capacity ",
-               tracer_->ringCapacity());
-    return *tracer_;
-}
-
-recover::RecoveryManager &
-VmpSystem::enableRecovery(recover::RecoveryConfig options)
-{
-    if (recovery_)
-        fatal("system: recovery enabled twice");
-    recovery_ = std::make_unique<recover::RecoveryManager>(
-        events_, bus_, memory_, options);
-    if (tracer_)
-        recovery_->setTracer(tracer_.get(), recoverTrack_);
-    for (std::size_t i = 0; i < boards_.size(); ++i) {
-        auto *controller = &boards_[i]->controller;
-        auto *monitor = &boards_[i]->monitor;
-        recovery_->addBoard(static_cast<std::uint32_t>(i),
-                            boards_[i]->monitor,
-                            [controller] { return !controller->dead(); });
-        controller->setDeadOwnerOracle(recovery_.get());
-        // Health witness: the probe channel the detector's partial-
-        // failure witnesses read. A wedged service loop still answers
-        // alive (the hazard) but stops being responsive and freezes
-        // its progress epoch.
-        recovery_->detector().setHealthFn(
-            static_cast<std::uint32_t>(i), [controller, monitor] {
-                recover::HealthReport report;
-                report.alive = !controller->dead();
-                report.responsive =
-                    !controller->dead() && !controller->wedged();
-                report.progressEpoch = controller->serviceEpoch();
-                report.pendingWords =
-                    monitor->fifo().size() +
-                    (monitor->fifo().overflowed() ? 1 : 0);
-                report.wordsServiced =
-                    controller->wordsServiced().value();
-                report.spuriousWords =
-                    controller->spuriousWords().value();
-                report.serviceBusyNs = controller->serviceCpuTicks();
-                report.fifoPushed = monitor->fifo().pushed().value();
-                return report;
-            });
-    }
-    // Quarantine hooks: park stops the fenced board's reference
-    // stream; resync cold-restarts its controller software after an
-    // unfence (monitor already unmasked over a clean table).
-    recovery_->setFenceHooks(
-        [this](std::uint32_t master) {
-            if (master < activeCpus_.size() &&
-                activeCpus_[master] != nullptr) {
-                activeCpus_[master]->requestFailstop();
-            }
-        },
-        [this](std::uint32_t master) {
-            ProcessorBoard &board = *boards_[master];
-            // Babble pushed through the masked window: start empty.
-            while (board.monitor.fifo().pop().has_value()) {
-            }
-            board.monitor.fifo().clearOverflow();
-            if (!board.controller.dead())
-                board.controller.failstop();
-            board.controller.rejoin();
-            if (master < activeCpus_.size() &&
-                activeCpus_[master] != nullptr) {
-                activeCpus_[master]->resume();
-            }
-        });
-    // Checker may be installed before or after: resolve at sweep time.
-    recovery_->setPostReclaimHook([this] {
-        if (checker_)
-            checker_->checkOwnersSweep();
-    });
-    if (checkpointStore_) {
-        recovery_->setBackingStore(checkpointStore_.get(),
-                                   checkpointer_->asid());
-    }
-    recovery_->install();
-    return *recovery_;
-}
-
-backing::PageStore &
-VmpSystem::enableFrameCheckpoint(Asid asid)
-{
-    if (checkpointer_)
-        fatal("system: frame checkpoint enabled twice");
-    // Latency 0: the shadow is written as part of the memory board's
-    // own store path; recovery still pays its restore DMA.
-    checkpointStore_ = std::make_unique<backing::PageStore>(
-        0, memory_.pageBytes());
-    checkpointer_ = std::make_unique<backing::FrameCheckpointer>(
-        memory_, *checkpointStore_, asid);
-    checkpointer_->install(bus_);
-    if (recovery_)
-        recovery_->setBackingStore(checkpointStore_.get(), asid);
-    return *checkpointStore_;
-}
-
-void
-VmpSystem::killBoard(std::uint32_t index, Tick at)
-{
-    if (index >= boards_.size())
-        fatal("system: killBoard(", index, ") out of range");
-    events_.schedule(at, [this, index] {
-        ProcessorBoard &board = *boards_[index];
-        if (board.controller.dead())
-            return;
-        VMP_DTRACE(debug::Recover, events_.now(), "killing board ",
-                   index);
-        if (index < activeCpus_.size() &&
-            activeCpus_[index] != nullptr) {
-            activeCpus_[index]->requestFailstop();
-        }
-        // The controller software dies; the monitor *hardware* keeps
-        // driving the bus from its (now stale) table.
-        board.controller.failstop();
-        if (injector_)
-            injector_->noteBoardCrash();
-    }, "kill-board");
-}
-
-void
-VmpSystem::rejoinBoard(std::uint32_t index, Tick at)
-{
-    if (index >= boards_.size())
-        fatal("system: rejoinBoard(", index, ") out of range");
-    events_.schedule(at, [this, index] { doRejoin(index); },
-                     "rejoin-board");
-}
-
-void
-VmpSystem::doRejoin(std::uint32_t index)
-{
-    ProcessorBoard &board = *boards_[index];
-    if (!board.controller.dead())
-        return;
-    // Never rip the table out from under an in-flight reclaim scan:
-    // defer the rejoin until the coordinator finishes.
-    if (recovery_ != nullptr && recovery_->recovering()) {
-        events_.scheduleIn(usec(10), [this, index] { doRejoin(index); },
-                          "rejoin-board");
-        return;
-    }
-    VMP_DTRACE(debug::Recover, events_.now(), "board ", index,
-               " hot-rejoining");
-    // Cold hardware state: empty table, empty FIFO, unmasked monitor.
-    board.monitor.table().clear();
-    while (board.monitor.fifo().pop().has_value()) {
-    }
-    board.monitor.fifo().clearOverflow();
-    board.monitor.setMasked(false);
-    board.controller.rejoin();
-    if (recovery_)
-        recovery_->markRejoined(index);
-    if (index < activeCpus_.size() && activeCpus_[index] != nullptr)
-        activeCpus_[index]->resume();
 }
 
 check::CoherenceChecker &
 VmpSystem::enableCoherenceChecker(check::CheckerOptions options)
 {
-    if (checker_)
-        fatal("system: coherence checker enabled twice");
-    checker_ = std::make_unique<check::CoherenceChecker>(bus_, memory_,
-                                                         options);
-    for (auto &board : boards_)
-        checker_->addController(board->controller);
-    checker_->install();
-    return *checker_;
+    enableCheckers(options);
+    return *root().checker;
 }
 
-void
-VmpSystem::setWatchdog(std::uint64_t maxRetries,
-                       proto::CacheController::WatchdogHandler handler)
+recover::RecoveryManager &
+VmpSystem::enableRecovery(recover::RecoveryConfig options)
 {
-    for (auto &board : boards_)
-        board->controller.setWatchdog(maxRetries, handler);
+    enableRecoveryAll(options);
+    return *root().recovery;
+}
+
+backing::PageStore &
+VmpSystem::enableFrameCheckpoint(Asid asid)
+{
+    enableCheckpoints(asid);
+    return *root().checkpointStore;
 }
 
 void
@@ -482,122 +106,6 @@ VmpSystem::setUserPrivateHint(bool enabled)
         fatal("setUserPrivateHint requires the internal demand "
               "translator");
     ownedTranslator_->setUserPrivateHint(enabled);
-}
-
-void
-VmpSystem::dumpStats(std::ostream &os) const
-{
-    StatGroup bus_group("bus");
-    bus_.registerStats(bus_group);
-    bus_group.dump(os);
-    for (std::size_t i = 0; i < boards_.size(); ++i) {
-        StatGroup cpu_group("cpu" + std::to_string(i));
-        boards_[i]->controller.registerStats(cpu_group);
-        boards_[i]->cache.registerStats(cpu_group);
-        cpu_group.dump(os);
-    }
-    if (injector_) {
-        StatGroup fault_group("fault");
-        injector_->registerStats(fault_group);
-        fault_group.dump(os);
-    }
-    if (checker_) {
-        StatGroup check_group("check");
-        checker_->registerStats(check_group);
-        check_group.dump(os);
-    }
-    if (recovery_) {
-        StatGroup recover_group("recover");
-        recovery_->registerStats(recover_group);
-        recover_group.dump(os);
-    }
-    if (checkpointer_) {
-        StatGroup backing_group("backing");
-        checkpointer_->registerStats(backing_group);
-        backing_group.dump(os);
-    }
-    if (tracer_) {
-        StatGroup obs_group("obs");
-        tracer_->registerStats(obs_group);
-        if (profiler_)
-            profiler_->registerStats(obs_group);
-        obs_group.dump(os);
-    }
-}
-
-Json
-VmpSystem::statsJson() const
-{
-    // The groups reference component members directly, so they only
-    // need to stay alive until the registry is serialized.
-    std::vector<std::unique_ptr<StatGroup>> groups;
-    StatRegistry registry;
-
-    groups.push_back(std::make_unique<StatGroup>("bus"));
-    bus_.registerStats(*groups.back());
-    registry.add(*groups.back());
-    for (std::size_t i = 0; i < boards_.size(); ++i) {
-        groups.push_back(std::make_unique<StatGroup>(
-            "cpu" + std::to_string(i)));
-        boards_[i]->controller.registerStats(*groups.back());
-        boards_[i]->cache.registerStats(*groups.back());
-        registry.add(*groups.back());
-    }
-    if (injector_) {
-        groups.push_back(std::make_unique<StatGroup>("fault"));
-        injector_->registerStats(*groups.back());
-        registry.add(*groups.back());
-    }
-    if (checker_) {
-        groups.push_back(std::make_unique<StatGroup>("check"));
-        checker_->registerStats(*groups.back());
-        registry.add(*groups.back());
-    }
-    if (recovery_) {
-        groups.push_back(std::make_unique<StatGroup>("recover"));
-        recovery_->registerStats(*groups.back());
-        registry.add(*groups.back());
-    }
-    if (checkpointer_) {
-        groups.push_back(std::make_unique<StatGroup>("backing"));
-        checkpointer_->registerStats(*groups.back());
-        registry.add(*groups.back());
-    }
-    if (tracer_) {
-        groups.push_back(std::make_unique<StatGroup>("obs"));
-        tracer_->registerStats(*groups.back());
-        if (profiler_)
-            profiler_->registerStats(*groups.back());
-        registry.add(*groups.back());
-    }
-    return registry.toJson();
-}
-
-RunResult
-VmpSystem::collect(const std::vector<cpu::TraceCpu *> &cpus) const
-{
-    RunResult result;
-    result.elapsed = events_.now();
-    double perf_sum = 0.0;
-    for (const auto *c : cpus) {
-        result.totalRefs += c->refsRetired().value();
-        perf_sum += c->performance();
-    }
-    for (const auto &b : boards_) {
-        result.totalMisses += b->controller.misses().value();
-        result.writeBacks += b->controller.writeBacks().value();
-    }
-    result.missRatio = result.totalRefs == 0
-        ? 0.0
-        : static_cast<double>(result.totalMisses) /
-            static_cast<double>(result.totalRefs);
-    result.performance =
-        cpus.empty() ? 0.0 : perf_sum / static_cast<double>(cpus.size());
-    result.busUtilization = bus_.utilization();
-    result.busAborts = bus_.aborts().value();
-    result.busUpgrades =
-        bus_.countOf(mem::TxType::AssertOwnership).value();
-    return result;
 }
 
 } // namespace vmp::core

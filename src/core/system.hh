@@ -11,31 +11,13 @@
 #ifndef VMP_CORE_SYSTEM_HH
 #define VMP_CORE_SYSTEM_HH
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "backing/checkpoint.hh"
-#include "backing/page_store.hh"
 #include "cache/cache.hh"
-#include "check/coherence_checker.hh"
-#include "cpu/program_cpu.hh"
-#include "cpu/timing.hh"
-#include "cpu/trace_cpu.hh"
-#include "fault/injector.hh"
-#include "mem/phys_mem.hh"
-#include "mem/vme_bus.hh"
+#include "core/bus_domain.hh"
 #include "monitor/bus_monitor.hh"
-#include "obs/event_tracer.hh"
-#include "obs/miss_profiler.hh"
-#include "proto/controller.hh"
-#include "proto/translator.hh"
-#include "recover/recovery.hh"
-#include "sim/event.hh"
-#include "sim/json.hh"
-#include "sim/stats.hh"
-#include "trace/ref.hh"
 
 namespace vmp::core
 {
@@ -96,8 +78,8 @@ struct RunResult
     std::string toString() const;
 };
 
-/** The machine. */
-class VmpSystem
+/** The single-bus machine: one BusDomain. */
+class VmpSystem : public Machine
 {
   public:
     /**
@@ -108,17 +90,9 @@ class VmpSystem
                        proto::Translator *translator = nullptr);
 
     const VmpConfig &config() const { return cfg_; }
-    EventQueue &events() { return events_; }
-    const EventQueue &events() const { return events_; }
-    mem::PhysMem &memory() { return memory_; }
-    const mem::PhysMem &memory() const { return memory_; }
-    mem::VmeBus &bus() { return bus_; }
-    const mem::VmeBus &bus() const { return bus_; }
+    mem::VmeBus &bus() { return root().bus; }
+    const mem::VmeBus &bus() const { return root().bus; }
     std::uint32_t processors() const;
-    ProcessorBoard &board(std::size_t index);
-    const ProcessorBoard &board(std::size_t index) const;
-    proto::CacheController &controller(std::size_t index);
-    const proto::CacheController &controller(std::size_t index) const;
 
     /**
      * Attach one trace-driven CPU per source and run all of them to
@@ -127,26 +101,8 @@ class VmpSystem
     RunResult runTraces(
         const std::vector<trace::RefSource *> &sources);
 
-    /**
-     * Attach one scripted CPU per program (CPU i uses ASID i+1) and
-     * run until every program halts. Returns the CPUs for register
-     * inspection. Keep them alive while continuing to use the system:
-     * even halted processors service their bus monitors, and pages
-     * they own privately are unreachable to other masters otherwise.
-     */
-    std::vector<std::unique_ptr<cpu::ProgramCpu>>
-    runPrograms(const std::vector<cpu::Program> &programs);
-
     /** Collect aggregate statistics for the run so far. */
     RunResult collect(const std::vector<cpu::TraceCpu *> &cpus) const;
-
-    /**
-     * Make every board behave like an idle processor: whenever its
-     * bus-monitor interrupt line rises, a service pass is scheduled.
-     * Use when driving controllers directly (no CPU models attached);
-     * TraceCpu/ProgramCpu objects override these hooks while running.
-     */
-    void attachIdleServicers();
 
     /**
      * When using the internal demand translator: declare user pages
@@ -154,20 +110,6 @@ class VmpSystem
      * fetch read-private, eliminating later write upgrades.
      */
     void setUserPrivateHint(bool enabled);
-
-    /**
-     * Arm a fault injector over the whole machine: bus transactions,
-     * every board's interrupt FIFO and delivery path, and every
-     * board's block copier. May be called at most once, before any
-     * traffic. With DmaBurst armed, a DMA engine is attached that
-     * writes scratch frames (inside the translator's reserved low
-     * region, never cached) mid-run. Returns the injector for stats.
-     */
-    fault::FaultInjector &
-    enableFaultInjection(const fault::FaultSchedule &schedule);
-
-    /** The armed injector, or null if none. */
-    fault::FaultInjector *faultInjector() { return injector_.get(); }
 
     /**
      * Install a coherence-invariant checker over the bus: online
@@ -178,7 +120,10 @@ class VmpSystem
     enableCoherenceChecker(check::CheckerOptions options = {});
 
     /** The installed checker, or null if none. */
-    check::CoherenceChecker *coherenceChecker() { return checker_.get(); }
+    check::CoherenceChecker *coherenceChecker()
+    {
+        return root().checker.get();
+    }
 
     /**
      * Install the failstop-recovery subsystem: a FailureDetector over
@@ -193,10 +138,13 @@ class VmpSystem
     enableRecovery(recover::RecoveryConfig options = {});
 
     /** The installed recovery manager, or null if none. */
-    recover::RecoveryManager *recoveryManager() { return recovery_.get(); }
+    recover::RecoveryManager *recoveryManager()
+    {
+        return root().recovery.get();
+    }
     const recover::RecoveryManager *recoveryManager() const
     {
-        return recovery_.get();
+        return root().recovery.get();
     }
 
     /**
@@ -215,97 +163,11 @@ class VmpSystem
     /** The installed checkpointer, or null if none. */
     backing::FrameCheckpointer *frameCheckpointer()
     {
-        return checkpointer_.get();
+        return root().checkpointer.get();
     }
-
-    /**
-     * Arm the observability subsystem: a per-board ring-buffer event
-     * tracer over the bus, every monitor/FIFO, every controller's miss
-     * phases and block copier, and (if installed) the recovery
-     * coordinator — plus, unless disabled in @p config, a MissProfiler
-     * folding the traced phases into per-miss breakdowns. Pure
-     * observation: no event is scheduled and no RNG is drawn, so
-     * simulated time is bit-identical with tracing on or off. May be
-     * called at most once, before any traffic; if recovery is enabled
-     * later it is wired onto the "recover" track automatically.
-     */
-    obs::EventTracer &enableTracing(obs::TraceConfig config = {});
-
-    /** The armed tracer, or null if tracing is off. */
-    obs::EventTracer *tracer() { return tracer_.get(); }
-    const obs::EventTracer *tracer() const { return tracer_.get(); }
-
-    /** The attached miss profiler, or null. */
-    obs::MissProfiler *missProfiler() { return profiler_.get(); }
-    const obs::MissProfiler *missProfiler() const
-    {
-        return profiler_.get();
-    }
-
-    /**
-     * Failstop board @p index at tick @p at: its CPU halts at the next
-     * instruction boundary and its controller software dies, but its
-     * bus monitor keeps driving the bus from stale table state — the
-     * hazard the recovery subsystem exists to clear. Without
-     * enableRecovery() the stale Protect entries wedge every later
-     * access to the dead board's pages (surfaced as DeadOwnerErrors
-     * when the controllers' deadOwnerTimeoutNs expires).
-     */
-    void killBoard(std::uint32_t index, Tick at);
-
-    /**
-     * Hot-rejoin board @p index at tick @p at: the monitor is unmasked
-     * with a cleared table, the controller restarts cold, and the CPU
-     * resumes its trace. If a reclaim is in flight at @p at the rejoin
-     * defers until it completes.
-     */
-    void rejoinBoard(std::uint32_t index, Tick at);
-
-    /**
-     * Configure the livelock watchdog on every controller: a starving
-     * operation (more than @p maxRetries consecutive aborts) fires
-     * @p handler once (default: a warning) and keeps retrying.
-     * A cap of 0 disables the watchdog.
-     */
-    void setWatchdog(std::uint64_t maxRetries,
-                     proto::CacheController::WatchdogHandler handler = {});
-
-    /** gem5-style dump of every component's statistics. */
-    void dumpStats(std::ostream &os) const;
-
-    /**
-     * Aggregate every component's StatGroup into a StatRegistry and
-     * serialize it: {"bus": {...}, "cpu0": {...}, ...}. Histograms
-     * (e.g. the bus arbitration queue-delay distribution) serialize
-     * as objects with samples/mean/min/max/underflow/buckets.
-     */
-    Json statsJson() const;
 
   private:
-    /** Rejoin body (defers itself while a reclaim is in flight). */
-    void doRejoin(std::uint32_t index);
-    /** Turn one scheduled partial-failure spec into onset/clear events. */
-    void armPartialFault(const fault::PartialFaultSpec &spec);
-
     VmpConfig cfg_;
-    EventQueue events_;
-    mem::PhysMem memory_;
-    mem::VmeBus bus_;
-    std::unique_ptr<proto::DemandTranslator> ownedTranslator_;
-    proto::Translator *translator_;
-    std::vector<std::unique_ptr<ProcessorBoard>> boards_;
-    std::unique_ptr<fault::FaultInjector> injector_;
-    std::unique_ptr<check::CoherenceChecker> checker_;
-    std::unique_ptr<recover::RecoveryManager> recovery_;
-    std::unique_ptr<backing::PageStore> checkpointStore_;
-    std::unique_ptr<backing::FrameCheckpointer> checkpointer_;
-    std::unique_ptr<obs::EventTracer> tracer_;
-    std::unique_ptr<obs::MissProfiler> profiler_;
-    /** Raw CPU handles while runTraces is in flight (for kill/rejoin
-     *  events scheduled before or during the run). */
-    std::vector<cpu::TraceCpu *> activeCpus_;
-    /** Track id recovery events land on (valid while tracer_ != null). */
-    std::uint16_t recoverTrack_ = 0;
 };
 
 } // namespace vmp::core

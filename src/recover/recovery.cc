@@ -60,7 +60,7 @@ RecoveryManager::install()
 }
 
 void
-RecoveryManager::setBackingStore(vm::BackingStore *store, Asid asid)
+RecoveryManager::setBackingStore(backing::PageStore *store, Asid asid)
 {
     backing_ = store;
     backingAsid_ = asid;

@@ -56,6 +56,7 @@
 #include <functional>
 #include <memory>
 
+#include "backing/page_store.hh"
 #include "mem/phys_mem.hh"
 #include "mem/vme_bus.hh"
 #include "monitor/bus_monitor.hh"
@@ -64,7 +65,6 @@
 #include "sim/event.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
-#include "vm/backing_store.hh"
 
 namespace vmp::recover
 {
@@ -114,7 +114,7 @@ class RecoveryManager final : public proto::DeadOwnerOracle
      * address-space key the system checkpoints physical frames under
      * (vpn == frame number).
      */
-    void setBackingStore(vm::BackingStore *store, Asid asid);
+    void setBackingStore(backing::PageStore *store, Asid asid);
 
     /** Fired after each completed reclaim (checker sweep hook). */
     void setPostReclaimHook(std::function<void()> hook);
@@ -216,7 +216,7 @@ class RecoveryManager final : public proto::DeadOwnerOracle
 
     /** Stable addresses: reclaim events capture Record pointers. */
     std::deque<Record> records_;
-    vm::BackingStore *backing_ = nullptr;
+    backing::PageStore *backing_ = nullptr;
     Asid backingAsid_ = 0;
     obs::EventTracer *tracer_ = nullptr;
     std::uint16_t traceTrack_ = 0;

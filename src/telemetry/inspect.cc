@@ -16,6 +16,7 @@
 #include "core/hier_system.hh"
 #include "core/system.hh"
 #include "hier/inter_bus_board.hh"
+#include "mem/vme_bus.hh"
 #include "monitor/action_table.hh"
 #include "monitor/interrupt_fifo.hh"
 #include "recover/recovery.hh"
@@ -89,6 +90,16 @@ inspectFifo(const monitor::InterruptFifo &fifo)
         words.push(std::move(w));
     }
     doc["words"] = std::move(words);
+    return doc;
+}
+
+Json
+inspectBus(const mem::VmeBus &bus)
+{
+    Json doc = Json::object();
+    doc["utilization"] = Json(bus.utilization());
+    doc["busy"] = Json(bus.busy());
+    doc["fenced_drops"] = Json(bus.fencedDrops().value());
     return doc;
 }
 
@@ -192,11 +203,7 @@ inspectSystem(const core::VmpSystem &system)
     Json doc = Json::object();
     doc["t_ns"] = Json(system.events().now());
     doc["processors"] = Json(std::uint64_t{system.processors()});
-    Json bus = Json::object();
-    bus["utilization"] = Json(system.bus().utilization());
-    bus["busy"] = Json(system.bus().busy());
-    bus["fenced_drops"] = Json(system.bus().fencedDrops().value());
-    doc["bus"] = std::move(bus);
+    doc["bus"] = inspectBus(system.bus());
     Json boards = Json::array();
     for (std::size_t i = 0; i < system.processors(); ++i)
         boards.push(inspectBoard(system.board(i)));
@@ -222,15 +229,11 @@ inspectSystem(const core::HierVmpSystem &system)
     doc["clusters"] = Json(std::uint64_t{system.clusters()});
     doc["cpus_per_cluster"] =
         Json(std::uint64_t{system.cpusPerCluster()});
-    Json global_bus = Json::object();
-    global_bus["utilization"] =
-        Json(system.globalBus().utilization());
-    doc["global_bus"] = std::move(global_bus);
+    doc["global_bus"] = inspectBus(system.globalBus());
     Json clusters = Json::array();
     for (std::size_t k = 0; k < system.clusters(); ++k) {
         Json cluster = Json::object();
-        cluster["bus_utilization"] =
-            Json(system.localBus(k).utilization());
+        cluster["bus"] = inspectBus(system.localBus(k));
         const hier::InterBusBoard &ibc = system.interBusBoard(k);
         Json ibc_doc = Json::object();
         ibc_doc["idle"] = Json(ibc.idle());

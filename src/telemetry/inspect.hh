@@ -29,6 +29,11 @@ namespace vmp::cache
 class Cache;
 } // namespace vmp::cache
 
+namespace vmp::mem
+{
+class VmeBus;
+} // namespace vmp::mem
+
 namespace vmp::monitor
 {
 class ActionTable;
@@ -64,6 +69,9 @@ Json inspectActionTable(const monitor::ActionTable &table);
 
 /** FIFO occupancy plus every queued word (type, paddr, requester). */
 Json inspectFifo(const monitor::InterruptFifo &fifo);
+
+/** One bus at any level: utilization, busy flag, fenced drops. */
+Json inspectBus(const mem::VmeBus &bus);
 
 /** One processor board: cache + monitor (table, fifo) + controller. */
 Json inspectBoard(const core::ProcessorBoard &board);

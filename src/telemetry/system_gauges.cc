@@ -27,6 +27,30 @@ addFifoGauges(obs::GaugeSet &set, const std::string &group,
             static_cast<double>(fifo.dropped().value()));
 }
 
+/** The same bus fields at every level of every machine. */
+void
+addBusGauges(obs::GaugeSet &set, const std::string &group,
+             const mem::VmeBus &bus)
+{
+    set.add(group, "utilization", bus.utilization());
+    set.add(group, "fenced_drops",
+            static_cast<double>(bus.fencedDrops().value()));
+}
+
+/** Re-collect @p system's gauges into every sampled set. */
+template <class System>
+void
+attachGauges(StreamingSink &sink, const System &system)
+{
+    sink.addGaugeProvider([&system](obs::GaugeSet &set) {
+        const obs::GaugeSet live = collectGauges(system);
+        for (const obs::GaugeGroup &group : live.groups()) {
+            for (const obs::Gauge &gauge : group.gauges)
+                set.add(group.name, gauge.name, gauge.value);
+        }
+    });
+}
+
 } // namespace
 
 void
@@ -93,9 +117,7 @@ obs::GaugeSet
 collectGauges(const core::VmpSystem &system)
 {
     obs::GaugeSet set;
-    set.add("bus", "utilization", system.bus().utilization());
-    set.add("bus", "fenced_drops",
-            static_cast<double>(system.bus().fencedDrops().value()));
+    addBusGauges(set, "bus", system.bus());
     for (std::size_t i = 0; i < system.processors(); ++i) {
         addFifoGauges(set, "cpu" + std::to_string(i),
                       system.board(i).monitor.fifo());
@@ -110,12 +132,10 @@ obs::GaugeSet
 collectGauges(const core::HierVmpSystem &system)
 {
     obs::GaugeSet set;
-    set.add("global_bus", "utilization",
-            system.globalBus().utilization());
+    addBusGauges(set, "global_bus", system.globalBus());
     for (std::size_t k = 0; k < system.clusters(); ++k) {
         const std::string cluster = "c" + std::to_string(k);
-        set.add(cluster + ".bus", "utilization",
-                system.localBus(k).utilization());
+        addBusGauges(set, cluster + ".bus", system.localBus(k));
         set.add(cluster + ".ibc", "pending_words",
                 static_cast<double>(
                     system.interBusBoard(k).pendingWords()));
@@ -143,26 +163,14 @@ void
 attachSystemGauges(StreamingSink &sink,
                    const core::VmpSystem &system)
 {
-    sink.addGaugeProvider([&system](obs::GaugeSet &set) {
-        const obs::GaugeSet live = collectGauges(system);
-        for (const obs::GaugeGroup &group : live.groups()) {
-            for (const obs::Gauge &gauge : group.gauges)
-                set.add(group.name, gauge.name, gauge.value);
-        }
-    });
+    attachGauges(sink, system);
 }
 
 void
 attachSystemGauges(StreamingSink &sink,
                    const core::HierVmpSystem &system)
 {
-    sink.addGaugeProvider([&system](obs::GaugeSet &set) {
-        const obs::GaugeSet live = collectGauges(system);
-        for (const obs::GaugeGroup &group : live.groups()) {
-            for (const obs::Gauge &gauge : group.gauges)
-                set.add(group.name, gauge.name, gauge.value);
-        }
-    });
+    attachGauges(sink, system);
 }
 
 } // namespace vmp::telemetry

@@ -26,16 +26,20 @@
 
 #include "backing/budget.hh"
 #include "backing/memory_tier.hh"
+#include "backing/page_store.hh"
 #include "mem/phys_mem.hh"
 #include "proto/controller.hh"
 #include "proto/translator.hh"
 #include "sim/event.hh"
 #include "sim/stats.hh"
-#include "vm/backing_store.hh"
 #include "vm/page_table.hh"
 
 namespace vmp::vm
 {
+
+// Demand paging keeps one image per vm page in the tier's PageStore.
+static_assert(vmPageBytes == backing::kDefaultPageBytes,
+              "vm page and default image granule must agree");
 
 /** Start of the kernel window onto physical memory. */
 constexpr Addr kernelBase = 0x1800'0000;
@@ -126,7 +130,7 @@ class VmSystem
     const VmConfig &config() const { return cfg_; }
     FrameAllocator &allocator() { return allocator_; }
     /** The tier's durable image plane (legacy accessor). */
-    BackingStore &backingStore() { return tier_.images(); }
+    backing::PageStore &backingStore() { return tier_.images(); }
     /** The modeled memory-tier node behind demand paging. */
     backing::MemoryTier &tier() { return tier_; }
     AddressSpace &space(Asid asid);

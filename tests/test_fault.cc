@@ -536,11 +536,36 @@ TEST(CoherenceChecker, InstallTwiceIsFatal)
     EXPECT_THROW(system.enableCoherenceChecker(), FatalError);
 }
 
+/** Stat-group names in the order their lines first appear in a
+ *  dumpStats() text (each line is "<group>.<stat> ..."). */
+std::vector<std::string>
+dumpGroupOrder(const std::string &text,
+               const std::vector<std::string> &groups)
+{
+    std::vector<std::string> order;
+    std::istringstream lines(text);
+    std::string line;
+    while (std::getline(lines, line)) {
+        std::string best;
+        for (const auto &g : groups) {
+            if (line.compare(0, g.size() + 1, g + ".") == 0 &&
+                g.size() > best.size())
+                best = g;
+        }
+        if (!best.empty() && (order.empty() || order.back() != best))
+            order.push_back(best);
+    }
+    return order;
+}
+
 TEST(CoherenceChecker, StatsAppearInDumpAndJson)
 {
     core::VmpSystem system(smallConfig(2, 256));
     system.enableFaultInjection(tortureSchedule(0, 23));
     system.enableCoherenceChecker();
+    system.enableRecovery();
+    system.enableFrameCheckpoint();
+    system.enableTracing();
     auto gens = makeSources("atum2", 2, 4'000, 23);
     auto raw = rawSources(gens);
     system.runTraces(raw);
@@ -550,9 +575,27 @@ TEST(CoherenceChecker, StatsAppearInDumpAndJson)
     const std::string out = os.str();
     EXPECT_NE(out.find("check.violations"), std::string::npos);
     EXPECT_NE(out.find("fault.bus_aborts"), std::string::npos);
-    const std::string json = system.statsJson().dump();
+    const Json stats = system.statsJson();
+    const std::string json = stats.dump();
     EXPECT_NE(json.find("\"check\""), std::string::npos);
     EXPECT_NE(json.find("\"fault\""), std::string::npos);
+
+    // The full layout with every subsystem armed, in order.
+    const std::vector<std::string> groups = {
+        "bus",     "cpu0",    "cpu1",    "fault",
+        "check",   "recover", "backing", "obs"};
+    std::vector<std::string> json_groups;
+    for (const auto &member : stats.members())
+        json_groups.push_back(member.first);
+    EXPECT_EQ(json_groups, groups);
+    EXPECT_EQ(dumpGroupOrder(out, groups), groups);
+
+    const std::vector<std::string> tracks = {"bus", "cpu0", "cpu1",
+                                             "recover"};
+    std::vector<std::string> track_names;
+    for (std::uint16_t i = 0; i < system.tracer()->trackCount(); ++i)
+        track_names.push_back(system.tracer()->trackName(i));
+    EXPECT_EQ(track_names, tracks);
 }
 
 // ------------------------------------------------ livelock watchdog

@@ -15,9 +15,11 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/hier_system.hh"
+#include "fault/injector.hh"
 #include "sim/logging.hh"
 #include "trace/synthetic.hh"
 #include "trace/workloads.hh"
@@ -335,6 +337,28 @@ TEST(HierSystem, TinyFifosStillCompleteAndStayCoherent)
 
 // ----------------------------------------------------------- statistics
 
+/** Stat-group names in the order their lines first appear in a
+ *  dumpStats() text (each line is "<group>.<stat> ..."). */
+std::vector<std::string>
+dumpGroupOrder(const std::string &text,
+               const std::vector<std::string> &groups)
+{
+    std::vector<std::string> order;
+    std::istringstream lines(text);
+    std::string line;
+    while (std::getline(lines, line)) {
+        std::string best;
+        for (const auto &g : groups) {
+            if (line.compare(0, g.size() + 1, g + ".") == 0 &&
+                g.size() > best.size())
+                best = g;
+        }
+        if (!best.empty() && (order.empty() || order.back() != best))
+            order.push_back(best);
+    }
+    return order;
+}
+
 TEST(HierSystem, StatsMentionEveryLevel)
 {
     core::HierConfig cfg;
@@ -343,6 +367,14 @@ TEST(HierSystem, StatsMentionEveryLevel)
     cfg.cache = cache::CacheConfig{256, 2, 16, true};
     cfg.memBytes = MiB(1);
     core::HierVmpSystem system(cfg);
+    fault::FaultSchedule schedule;
+    schedule.seed = 7;
+    schedule.busAborts(0.01);
+    system.enableFaultInjection(schedule);
+    system.enableCoherenceCheckers();
+    system.enableRecovery();
+    system.enableFrameCheckpoint();
+    system.enableTracing();
 
     std::vector<std::unique_ptr<trace::SyntheticGen>> gens;
     std::vector<trace::RefSource *> sources;
@@ -366,6 +398,27 @@ TEST(HierSystem, StatsMentionEveryLevel)
     const auto text = json.dump();
     EXPECT_NE(text.find("\"c0.ibc\""), std::string::npos);
     EXPECT_NE(text.find("\"cpu3\""), std::string::npos);
+
+    // The full layout with every subsystem armed, in order.
+    const std::vector<std::string> groups = {
+        "global_bus", "c0.bus",        "c0.ibc",       "cpu0",
+        "cpu1",       "c1.bus",        "c1.ibc",       "cpu2",
+        "cpu3",       "fault",         "c0.check",     "c1.check",
+        "check.global", "c0.recover",  "c1.recover",   "recover.global",
+        "c0.backing", "c1.backing",    "backing.global", "obs"};
+    std::vector<std::string> json_groups;
+    for (const auto &member : json.members())
+        json_groups.push_back(member.first);
+    EXPECT_EQ(json_groups, groups);
+    EXPECT_EQ(dumpGroupOrder(out, groups), groups);
+
+    const std::vector<std::string> tracks = {
+        "global_bus", "c0.bus", "c0.ibc", "cpu0",   "cpu1",
+        "c1.bus",     "c1.ibc", "cpu2",   "cpu3",   "recover"};
+    std::vector<std::string> track_names;
+    for (std::uint16_t i = 0; i < system.tracer()->trackCount(); ++i)
+        track_names.push_back(system.tracer()->trackName(i));
+    EXPECT_EQ(track_names, tracks);
 }
 
 } // namespace

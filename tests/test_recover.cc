@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "backing/page_store.hh"
 #include "check/coherence_checker.hh"
 #include "core/hier_system.hh"
 #include "core/system.hh"
@@ -38,7 +39,6 @@
 #include "sim/logging.hh"
 #include "trace/synthetic.hh"
 #include "trace/workloads.hh"
-#include "vm/backing_store.hh"
 #include "vm/page_table.hh"
 
 namespace vmp
@@ -644,7 +644,7 @@ TEST(Reclaim, FullFlowMasksDrainsReclaimsAndRestores)
     manager.install();
 
     // Backing store holds a checkpoint of frame 3 under ASID 7.
-    vm::BackingStore store(usec(1));
+    backing::PageStore store(usec(1));
     std::vector<std::uint8_t> image(page, 0xAB);
     store.store(7, 3, image);
     manager.setBackingStore(&store, 7);
@@ -986,6 +986,239 @@ TEST(Recovery, ClearedWedgeIsUnfencedAndBoardResumes)
     quiesce(system);
     EXPECT_EQ(checker.checkFull(), 0u) << reportsOf(checker);
     EXPECT_EQ(checker.violations().value(), 0u) << reportsOf(checker);
+}
+
+// ------------------------------- hier partial faults and hot rejoin
+//
+// The fault paths of the two-level machine, pinned: board partial
+// faults (onset and clear), a CPU crash with hot rejoin under the
+// frame checkpoint, the wedged-IBC variant, and mixed stuck/slow
+// boards, each on a 2x2 hier with checkers and recovery at both
+// levels. The pinned run results and per-level recovery counters are
+// the oracle that the machine keeps its event order.
+
+struct HierFaultOutcome
+{
+    std::string result;
+    /** "c0: ...", "c1: ...", "global: ..." recovery counter lines. */
+    std::vector<std::string> levels;
+    std::uint64_t onlineViolations = 0;
+    std::uint64_t ownersSweep = 0;
+};
+
+std::string
+recoverCounters(const recover::RecoveryManager &manager)
+{
+    std::ostringstream os;
+    os << "dead=" << manager.boardsDeclaredDead().value()
+       << " fenced=" << manager.boardsFenced().value()
+       << " unfenced=" << manager.boardsUnfenced().value()
+       << " reclaimed=" << manager.framesReclaimed().value()
+       << " pages_lost=" << manager.pagesLost().value()
+       << " restored=" << manager.pagesRestored().value()
+       << " recoveries=" << manager.recoveriesCompleted().value();
+    return os.str();
+}
+
+core::HierConfig
+hierFaultConfig()
+{
+    core::HierConfig cfg;
+    cfg.clusters = 2;
+    cfg.cpusPerCluster = 2;
+    cfg.cache = cache::CacheConfig{256, 2, 16, true};
+    cfg.memBytes = MiB(1);
+    // Bound a quarantined board's stranded in-flight access.
+    cfg.swTiming.deadOwnerTimeoutNs = msec(1);
+    return cfg;
+}
+
+/** Arm @p s on a 2x2 hier with checkers and recovery, run atum3. */
+HierFaultOutcome
+runHierFault(core::HierVmpSystem &system, const fault::FaultSchedule &s,
+             bool checkpoint)
+{
+    system.enableFaultInjection(s);
+    system.enableCoherenceCheckers();
+    recover::RecoveryConfig rc;
+    rc.detector.sweepPeriod = 32;
+    rc.detector.deadlineNs = 20'000;
+    // Recheck window spans the scheduled clear ticks.
+    rc.detector.unfenceCheckNs = 500'000;
+    rc.detector.unfenceChecks = 8;
+    system.enableRecovery(rc);
+    if (checkpoint)
+        system.enableFrameCheckpoint();
+
+    auto gens = makeSources("atum3", 4, 20'000, 17);
+    auto raw = rawSources(gens);
+    HierFaultOutcome out;
+    out.result = system.runTraces(raw).toString();
+    for (std::size_t k = 0; k < system.clusters(); ++k) {
+        out.levels.push_back("c" + std::to_string(k) + ": " +
+                             recoverCounters(system.clusterRecovery(k)));
+    }
+    out.levels.push_back("global: " +
+                         recoverCounters(*system.globalRecovery()));
+    out.onlineViolations = system.totalViolations();
+    for (std::size_t k = 0; k < system.clusters(); ++k)
+        out.ownersSweep += system.clusterChecker(k).checkOwnersSweep();
+    out.ownersSweep += system.globalChecker().checkOwnersSweep();
+    return out;
+}
+
+TEST(HierPartialFault, WedgedBoardIsFencedAndStaysFenced)
+{
+    core::HierVmpSystem system(hierFaultConfig());
+    fault::FaultSchedule s;
+    s.wedgeMonitor(1, msec(1)); // never clears
+    const auto out = runHierFault(system, s, false);
+
+    EXPECT_EQ(out.result,
+              "refs=60300 misses=3349 missRatio=5.5539% "
+              "perf=0.0942369 busUtil=23.1607% aborts=3028 "
+              "writeBacks=802 elapsed=70344.9us "
+              "localUtil(mean/peak)=20.9368/27.1775% "
+              "globalFetches=1779 globalWriteBacks=323 "
+              "refs/s=857205");
+    EXPECT_EQ(out.levels,
+              (std::vector<std::string>{
+                  "c0: dead=0 fenced=1 unfenced=0 reclaimed=4 "
+                  "pages_lost=4 restored=0 recoveries=1",
+                  "c1: dead=0 fenced=0 unfenced=0 reclaimed=0 "
+                  "pages_lost=0 restored=0 recoveries=0",
+                  "global: dead=0 fenced=1 unfenced=1 reclaimed=72 "
+                  "pages_lost=72 restored=0 recoveries=1"}));
+    EXPECT_EQ(out.onlineViolations, 0u);
+    EXPECT_EQ(out.ownersSweep, 0u);
+    EXPECT_TRUE(system.clusterRecovery(0).isFenced(1));
+    EXPECT_EQ(system.clusterRecovery(0).detector().fenceKindOf(1),
+              recover::SuspicionKind::Wedge);
+    EXPECT_TRUE(system.board(1).monitor.masked());
+}
+
+TEST(HierPartialFault, ClearedWedgeIsUnfencedAndBoardResumes)
+{
+    core::HierVmpSystem system(hierFaultConfig());
+    fault::FaultSchedule s;
+    s.wedgeMonitor(1, msec(1)).clearAt(msec(3));
+    const auto out = runHierFault(system, s, false);
+
+    EXPECT_EQ(out.result,
+              "refs=80000 misses=5053 missRatio=6.31625% "
+              "perf=0.0837214 busUtil=27.8217% aborts=4877 "
+              "writeBacks=1141 elapsed=87767.3us "
+              "localUtil(mean/peak)=25.3296/25.651% "
+              "globalFetches=2672 globalWriteBacks=451 "
+              "refs/s=911501");
+    EXPECT_EQ(out.levels,
+              (std::vector<std::string>{
+                  "c0: dead=0 fenced=1 unfenced=1 reclaimed=4 "
+                  "pages_lost=4 restored=0 recoveries=1",
+                  "c1: dead=0 fenced=0 unfenced=0 reclaimed=0 "
+                  "pages_lost=0 restored=0 recoveries=0",
+                  "global: dead=0 fenced=2 unfenced=2 reclaimed=52 "
+                  "pages_lost=52 restored=0 recoveries=2"}));
+    EXPECT_EQ(out.onlineViolations, 0u);
+    EXPECT_EQ(out.ownersSweep, 0u);
+    EXPECT_FALSE(system.clusterRecovery(0).isFenced(1));
+    EXPECT_FALSE(system.controller(1).dead());
+    EXPECT_FALSE(system.board(1).monitor.masked());
+    EXPECT_EQ(system.checkFullAll(), 0u);
+}
+
+TEST(HierPartialFault, CrashedBoardRejoinsWithCheckpoint)
+{
+    core::HierVmpSystem system(hierFaultConfig());
+    fault::FaultSchedule s;
+    s.crashBoard(3, msec(1)).rejoinAt(msec(4));
+    const auto out = runHierFault(system, s, true);
+
+    EXPECT_EQ(out.result,
+              "refs=80000 misses=5668 missRatio=7.085% "
+              "perf=0.0612293 busUtil=30.706% aborts=7250 "
+              "writeBacks=1298 elapsed=117277us "
+              "localUtil(mean/peak)=22.6745/22.6774% "
+              "globalFetches=3807 globalWriteBacks=750 "
+              "refs/s=682146");
+    EXPECT_EQ(out.levels,
+              (std::vector<std::string>{
+                  "c0: dead=0 fenced=0 unfenced=0 reclaimed=0 "
+                  "pages_lost=0 restored=0 recoveries=0",
+                  "c1: dead=1 fenced=0 unfenced=0 reclaimed=3 "
+                  "pages_lost=0 restored=3 recoveries=1",
+                  "global: dead=0 fenced=2 unfenced=2 reclaimed=46 "
+                  "pages_lost=0 restored=46 recoveries=2"}));
+    EXPECT_EQ(out.onlineViolations, 0u);
+    EXPECT_EQ(out.ownersSweep, 0u);
+    EXPECT_FALSE(system.controller(3).dead());
+    EXPECT_FALSE(system.board(3).monitor.masked());
+    EXPECT_EQ(system.faultInjector()
+                  ->injected(fault::FaultKind::BoardCrash)
+                  .value(), 1u);
+}
+
+TEST(HierPartialFault, WedgedInterBusBoardClears)
+{
+    core::HierVmpSystem system(hierFaultConfig());
+    fault::FaultSchedule s;
+    s.wedgeInterBus(1, msec(1)).clearAt(msec(3));
+    const auto out = runHierFault(system, s, false);
+
+    EXPECT_EQ(out.result,
+              "refs=80000 misses=5423 missRatio=6.77875% "
+              "perf=0.0708205 busUtil=27.9131% aborts=5974 "
+              "writeBacks=1245 elapsed=102184us "
+              "localUtil(mean/peak)=24.1289/24.2037% "
+              "globalFetches=3024 globalWriteBacks=594 "
+              "refs/s=782898");
+    EXPECT_EQ(out.levels,
+              (std::vector<std::string>{
+                  "c0: dead=0 fenced=0 unfenced=0 reclaimed=0 "
+                  "pages_lost=0 restored=0 recoveries=0",
+                  "c1: dead=0 fenced=0 unfenced=0 reclaimed=0 "
+                  "pages_lost=0 restored=0 recoveries=0",
+                  "global: dead=0 fenced=5 unfenced=5 reclaimed=171 "
+                  "pages_lost=171 restored=0 recoveries=5"}));
+    EXPECT_EQ(out.onlineViolations, 0u);
+    EXPECT_EQ(out.ownersSweep, 0u);
+    EXPECT_FALSE(system.interBusBoard(1).wedged());
+    EXPECT_FALSE(system.interBusBoard(1).dead());
+}
+
+TEST(HierPartialFault, StuckTableAndSlowBoard)
+{
+    core::HierVmpSystem system(hierFaultConfig());
+    fault::FaultSchedule s;
+    s.stickActionTable(2, msec(1));
+    s.slowBoard(0, msec(1), 64);
+    const auto out = runHierFault(system, s, false);
+
+    EXPECT_EQ(out.result,
+              "refs=60067 misses=2889 missRatio=4.80963% "
+              "perf=0.11528 busUtil=21.3118% aborts=1639 "
+              "writeBacks=666 elapsed=55384.7us "
+              "localUtil(mean/peak)=21.5667/26.0322% "
+              "globalFetches=1265 globalWriteBacks=325 "
+              "refs/s=1.08454e+06");
+    EXPECT_EQ(out.levels,
+              (std::vector<std::string>{
+                  "c0: dead=0 fenced=1 unfenced=0 reclaimed=0 "
+                  "pages_lost=0 restored=0 recoveries=1",
+                  "c1: dead=0 fenced=1 unfenced=1 reclaimed=3 "
+                  "pages_lost=3 restored=0 recoveries=1",
+                  "global: dead=0 fenced=0 unfenced=0 reclaimed=0 "
+                  "pages_lost=0 restored=0 recoveries=0"}));
+    EXPECT_EQ(out.onlineViolations, 0u);
+    EXPECT_EQ(out.ownersSweep, 0u);
+    EXPECT_EQ(system.faultInjector()
+                  ->injected(fault::FaultKind::ActionTableStuck)
+                  .value(),
+              1u);
+    EXPECT_EQ(system.faultInjector()
+                  ->injected(fault::FaultKind::SlowBoard)
+                  .value(),
+              1u);
 }
 
 // -------------------- false suspicions across arbitration disciplines

@@ -19,6 +19,7 @@
 
 #include "core/hier_system.hh"
 #include "core/system.hh"
+#include "fault/injector.hh"
 #include "obs/event_tracer.hh"
 #include "obs/export.hh"
 #include "obs/gauges.hh"
@@ -391,6 +392,57 @@ TEST(Gauges, HierCollectCarriesBudgetGrants)
     EXPECT_TRUE(doc.contains("c1.ibc"));
     EXPECT_TRUE(doc.contains("budget"));
     EXPECT_TRUE(doc.get("budget").contains("clients"));
+}
+
+TEST(Gauges, HierBusGaugesCarryFencedDrops)
+{
+    // A wedged inter-bus board is fenced by the global recovery
+    // manager, whose bus then drops the quarantined board's requests.
+    core::HierConfig cfg;
+    cfg.clusters = 2;
+    cfg.cpusPerCluster = 2;
+    cfg.cache = cache::CacheConfig{256, 2, 16, true};
+    cfg.memBytes = MiB(1);
+    cfg.swTiming.deadOwnerTimeoutNs = msec(1);
+    core::HierVmpSystem system(cfg);
+    fault::FaultSchedule s;
+    s.wedgeInterBus(1, msec(1)).clearAt(msec(3));
+    system.enableFaultInjection(s);
+    recover::RecoveryConfig rc;
+    rc.detector.sweepPeriod = 32;
+    rc.detector.deadlineNs = 20'000;
+    rc.detector.unfenceCheckNs = 500'000;
+    rc.detector.unfenceChecks = 8;
+    system.enableRecovery(rc);
+    std::vector<std::unique_ptr<trace::SyntheticGen>> gens;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        auto workload = trace::workloadConfig("atum3");
+        workload.totalRefs = 20'000;
+        workload.seed = 17'000 + i;
+        gens.push_back(std::make_unique<trace::SyntheticGen>(workload));
+    }
+    auto raw = rawSources(gens);
+    system.runTraces(raw);
+
+    const std::uint64_t drops = system.globalBus().fencedDrops().value();
+    ASSERT_GT(drops, 0u);
+    const Json gauges = telemetry::collectGauges(system).toJson();
+    EXPECT_EQ(gauges.get("global_bus").get("fenced_drops").asUint(),
+              drops);
+    const Json snapshot = telemetry::inspectSystem(system);
+    EXPECT_EQ(snapshot.get("global_bus").get("fenced_drops").asUint(),
+              drops);
+    EXPECT_TRUE(snapshot.get("global_bus").contains("busy"));
+    for (std::size_t k = 0; k < system.clusters(); ++k) {
+        const std::uint64_t local =
+            system.localBus(k).fencedDrops().value();
+        const std::string group = "c" + std::to_string(k) + ".bus";
+        EXPECT_EQ(gauges.get(group).get("fenced_drops").asUint(), local);
+        const Json &bus =
+            snapshot.get("cluster_state").at(k).get("bus");
+        EXPECT_EQ(bus.get("fenced_drops").asUint(), local);
+        EXPECT_TRUE(bus.contains("busy"));
+    }
 }
 
 TEST(Gauges, SinkSamplesGaugesOnFlushIntoJsonl)

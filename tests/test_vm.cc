@@ -11,6 +11,7 @@
 
 #include <memory>
 
+#include "backing/page_store.hh"
 #include "cache/cache.hh"
 #include "mem/phys_mem.hh"
 #include "mem/vme_bus.hh"
@@ -18,7 +19,6 @@
 #include "proto/controller.hh"
 #include "sim/event.hh"
 #include "sim/logging.hh"
-#include "vm/backing_store.hh"
 #include "vm/page_table.hh"
 #include "vm/vm_system.hh"
 
@@ -187,7 +187,7 @@ TEST(FrameAllocator, ExhaustionReturnsNothing)
 
 TEST(BackingStore, StoreFetchDrop)
 {
-    BackingStore store(usec(100));
+    backing::PageStore store(usec(100));
     EXPECT_EQ(store.latency(), usec(100));
     std::vector<std::uint8_t> page(vmPageBytes, 0xaa);
     store.store(3, 7, page);
