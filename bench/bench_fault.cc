@@ -241,19 +241,12 @@ main(int argc, char **argv)
     table.print(std::cout);
 
     // ------------------------------------------------- acceptance
-    bool pass = true;
-    const auto fail = [&pass](const std::string &what) {
-        std::cout << "[acceptance] FAIL: " << what << "\n";
-        pass = false;
-    };
-
+    bench::Gate gate;
     for (const Point &point : curve) {
-        if (point.violations != 0)
-            fail("coherence violations at rate " +
-                 std::to_string(point.faultRate));
-        if (point.watchdogTrips != 0)
-            fail("watchdog tripped at rate " +
-                 std::to_string(point.faultRate));
+        const std::string at =
+            " at rate " + std::to_string(point.faultRate);
+        gate.check(point.violations == 0, "zero coherence violations" + at);
+        gate.check(point.watchdogTrips == 0, "watchdog never tripped" + at);
     }
     // Degradation over the abort sweep, robust to seed choice: at low
     // rates the signal is smaller than seed noise (about 3% on this
@@ -261,36 +254,30 @@ main(int argc, char **argv)
     // point beats the fault-free baseline by more than 5% and that
     // the highest rate clearly degrades.
     for (std::size_t i = 1; i < abortRates.size(); ++i) {
-        if (curve[i].refsPerSimSec >
-            curve.front().refsPerSimSec * 1.05)
-            fail("throughput above fault-free at abort rate " +
-                 std::to_string(abortRates[i]));
+        gate.check(curve[i].refsPerSimSec <=
+                       curve.front().refsPerSimSec * 1.05,
+                   "throughput at most 5% above fault-free at abort "
+                   "rate " + std::to_string(abortRates[i]));
     }
-    if (curve.back().refsPerSimSec >
-        curve.front().refsPerSimSec * 0.98)
-        fail("no visible degradation at abort rate " +
-             std::to_string(abortRates.back()));
+    gate.check(curve.back().refsPerSimSec <=
+                   curve.front().refsPerSimSec * 0.98,
+               "visible degradation at abort rate " +
+                   std::to_string(abortRates.back()));
     const double baseline = curve.front().refsPerSimSec;
     double at1pct = 0.0;
     for (std::size_t i = 0; i < abortRates.size(); ++i) {
         if (abortRates[i] == 0.01)
             at1pct = curve[i].refsPerSimSec;
     }
-    if (baseline <= 0.0) {
-        fail("fault-free throughput is zero");
-    } else if (at1pct < 0.5 * baseline) {
-        fail("throughput at 1% aborts below 50% of fault-free (" +
-             std::to_string(at1pct / baseline * 100) + "%)");
-    } else {
-        std::cout << "[acceptance] throughput at 1% aborts: "
-                  << at1pct / baseline * 100
-                  << "% of fault-free\n";
+    if (gate.check(baseline > 0.0, "fault-free throughput is nonzero")) {
+        gate.check(at1pct >= 0.5 * baseline,
+                   "throughput at 1% aborts >= 50% of fault-free (" +
+                       bench::percent(at1pct / baseline) + ")");
     }
 
     artifact.note("acceptance: zero violations, monotone degradation, "
                   ">=50% fault-free throughput at 1% aborts");
-    artifact.note(pass ? "acceptance: PASS" : "acceptance: FAIL");
+    artifact.note(gate.verdict());
     artifact.write();
-    std::cout << (pass ? "[acceptance] PASS\n" : "[acceptance] FAIL\n");
-    return pass ? 0 : 1;
+    return gate.exitCode();
 }

@@ -61,7 +61,7 @@ main(int argc, char **argv)
 
     const analytic::MvaModel mva(opts.arbitration.discipline,
                                  opts.arbitration.priorityLevels);
-    bool gate_ok = true;
+    bench::Gate gate;
     TableWriter validation(
         "Event-simulator validation (256B pages, atum2 mix)");
     validation.columns({"Cache", "Measured miss %", "Measured bus %",
@@ -97,11 +97,10 @@ main(int argc, char **argv)
             ? 0.0
             : (mva_p.busUtilization - result.busUtilization) /
                 result.busUtilization;
-        if (!mva_p.domain.inDomain() || std::abs(err) > 0.15) {
-            gate_ok = false;
-            std::cerr << "MVA utilization off by " << err * 100
-                      << "% at " << size / 1024 << "K\n";
-        }
+        gate.check(mva_p.domain.inDomain() && std::abs(err) <= 0.15,
+                   "MVA bus utilization in domain and within 15% at " +
+                       std::to_string(size / 1024) + "K (" +
+                       bench::percent(err) + ")");
     }
     validation.print(std::cout);
 
@@ -113,5 +112,5 @@ main(int argc, char **argv)
                   "demand); at one CPU with the paper profile it "
                   "coincides with the Figure 5 curve");
     artifact.write();
-    return gate_ok ? 0 : 1;
+    return gate.exitCode();
 }

@@ -359,20 +359,17 @@ main(int argc, char **argv)
                 std::max(worst_mva_dev, std::abs(r.mvaDeviation));
     }
     const double speedup = flat16 == 0.0 ? 0.0 : hier16 / flat16;
-    std::cout << "16-CPU hierarchy vs flat single bus (partitioned): "
-              << speedup << "x aggregate refs/s ("
-              << (speedup >= 2.0 ? "PASS" : "FAIL")
-              << " >= 2x)\n"
-              << "Worst HierQueuingModel deviation (model domain): "
-              << worst_dev * 100 << "% ("
-              << (worst_dev <= 0.15 ? "PASS" : "FAIL")
-              << " <= 15%)\n"
-              << "Worst MVA deviation (contention-free, "
-                 "cascade-free cells; saturated flat buses "
-                 "included): "
-              << worst_mva_dev * 100 << "% ("
-              << (worst_mva_dev <= 0.15 ? "PASS" : "FAIL")
-              << " <= 15%)\n\n";
+    bench::Gate gate;
+    gate.check(speedup >= 2.0,
+               "16-CPU hierarchy >= 2x flat single bus aggregate refs/s "
+               "(partitioned): " + std::to_string(speedup) + "x");
+    gate.check(worst_dev <= 0.15,
+               "worst HierQueuingModel deviation (model domain) <= 15%: " +
+                   bench::percent(worst_dev));
+    gate.check(worst_mva_dev <= 0.15,
+               "worst MVA deviation (contention-free, cascade-free "
+               "cells; saturated flat buses included) <= 15%: " +
+                   bench::percent(worst_mva_dev));
 
     artifact.note("Flat vs 2/4/8-cluster hierarchy, 4-32 CPUs, "
                   "partitioned and shared workloads (atum2 mix, "
@@ -392,8 +389,5 @@ main(int argc, char **argv)
                   "predicted retry loops quantize against the IBC "
                   "busy period (mva_retry_cascade) are excluded");
     artifact.write();
-    return (speedup >= 2.0 && worst_dev <= 0.15 &&
-            worst_mva_dev <= 0.15)
-        ? 0
-        : 1;
+    return gate.exitCode();
 }

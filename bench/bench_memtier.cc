@@ -18,8 +18,8 @@
  *     grant arbiter: epochs must run and grants must adapt toward the
  *     faulting space.
  *
- * Exit status is the number of failed gates (0 = all green), so CI
- * can run the binary directly.
+ * Gates report through bench::Gate: exit status 0 when every gate
+ * passed, 1 otherwise, so CI can run the binary directly.
  */
 
 #include <iostream>
@@ -144,9 +144,9 @@ runProbe(const vm::VmConfig &vm_cfg)
     fp.faults = rig.vm.pageFaults().value();
     fp.pageIns = rig.vm.pageIns().value();
     fp.pageOuts = rig.vm.pageOuts().value();
-    fp.imageStores = rig.vm.backingStore().stores().value();
-    fp.imageFetches = rig.vm.backingStore().fetches().value();
-    fp.pagesHeld = rig.vm.backingStore().pagesHeld();
+    fp.imageStores = rig.vm.tier().images().stores().value();
+    fp.imageFetches = rig.vm.tier().images().fetches().value();
+    fp.pagesHeld = rig.vm.tier().images().pagesHeld();
     fp.busTx = rig.bus.transactions().value();
     return fp;
 }
@@ -220,14 +220,7 @@ main(int argc, char **argv)
     setInformEnabled(false);
     const auto opts = bench::parseBenchOptions("memtier", argc, argv);
     bench::Artifact artifact("memtier", opts);
-    int failures = 0;
-    const auto gate = [&failures](bool pass, const std::string &what) {
-        std::cout << (pass ? "[gate PASS] " : "[gate FAIL] ") << what
-                  << "\n";
-        if (!pass)
-            ++failures;
-        return pass;
-    };
+    bench::Gate gate;
 
     bench::banner("Memory tier",
                   "Far-memory backing tier: mirror identity, async "
@@ -259,8 +252,8 @@ main(int argc, char **argv)
     identical &= idrow("bus_transactions", kBaseline.busTx,
                        mirror.busTx);
     identity.print(std::cout);
-    gate(identical, "mirror mode reproduces the pre-tier fingerprint "
-                    "bit for bit");
+    gate.check(identical, "mirror mode reproduces the pre-tier "
+                          "fingerprint bit for bit");
     {
         Json config = Json::object();
         config["mode"] = Json(std::string("mirror"));
@@ -307,13 +300,12 @@ main(int argc, char **argv)
         .cell(async_run.storeStalls)
         .cell(async_run.drainBatches);
     stall.print(std::cout);
-    std::cout << "Eviction-stall reduction: " << (reduction * 100.0)
-              << "% (gate: >= 40%)\n\n";
-    gate(reduction >= 0.40,
-         "async pipeline cuts miss-path eviction stall by >= 40%");
-    gate(async_run.pagesDrained >= async_run.pageOuts &&
-             async_run.drainBatches > 0,
-         "async reclaim engine drained every page-out in batches");
+    gate.check(reduction >= 0.40,
+               "async pipeline cuts miss-path eviction stall by >= 40% (" +
+                   bench::percent(reduction) + ")");
+    gate.check(async_run.pagesDrained >= async_run.pageOuts &&
+                   async_run.drainBatches > 0,
+               "async reclaim engine drained every page-out in batches");
     for (const bool is_async : {false, true}) {
         const auto &r = is_async ? async_run : sync_run;
         Json config = Json::object();
@@ -447,9 +439,10 @@ main(int argc, char **argv)
         .cell(std::uint64_t{hog_grant})
         .cell(std::uint64_t{small_grant});
     budget_table.print(std::cout);
-    gate(epochs > 0, "budget controller epochs ran during the sweep");
-    gate(grant_changes > 0 && hog_grant > small_grant,
-         "grants adapted toward the faulting space");
+    gate.check(epochs > 0,
+               "budget controller epochs ran during the sweep");
+    gate.check(grant_changes > 0 && hog_grant > small_grant,
+               "grants adapted toward the faulting space");
     {
         Json config = Json::object();
         config["total_frames"] =
@@ -472,9 +465,5 @@ main(int argc, char **argv)
                   "full drain, budget epochs+adaptation");
     artifact.write();
 
-    std::cout << "\n"
-              << (failures == 0 ? "ALL GATES PASSED"
-                                : "GATE FAILURES PRESENT")
-              << " (" << failures << " failed)\n";
-    return failures;
+    return gate.exitCode();
 }

@@ -51,16 +51,6 @@ namespace
 
 using namespace vmp;
 
-int failures = 0;
-
-void
-expect(bool ok, const std::string &what)
-{
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what.c_str());
-    if (!ok)
-        ++failures;
-}
-
 /** One profiled single-miss measurement on the bench_table1 rig. */
 struct ProfiledMiss
 {
@@ -235,6 +225,7 @@ main(int argc, char **argv)
     setInformEnabled(false);
     const auto opts = bench::parseBenchOptions("obs", argc, argv);
     bench::Artifact artifact("obs", opts);
+    bench::Gate gate;
 
     bench::banner("Observability",
                   "event tracing, per-miss phase profiling, exports");
@@ -279,15 +270,15 @@ main(int argc, char **argv)
                     ? 0.0
                     : (run.profElapsedUs - cost.elapsedUs) /
                           cost.elapsedUs;
-            expect(run.misses == 1 && run.mismatches == 0,
-                  std::string(label) +
-                      ": one profiled miss, phase sum exact");
-            expect(run.phaseSumUs == run.profElapsedUs &&
-                      run.profElapsedUs == run.simElapsedUs,
-                  std::string(label) +
-                      ": profiled == tick-measured elapsed");
-            expect(model_err > -0.02 && model_err < 0.02,
-                  std::string(label) + ": within 2% of Table 1");
+            gate.check(run.misses == 1 && run.mismatches == 0,
+                       std::string(label) +
+                           ": one profiled miss, phase sum exact");
+            gate.check(run.phaseSumUs == run.profElapsedUs &&
+                           run.profElapsedUs == run.simElapsedUs,
+                       std::string(label) +
+                           ": profiled == tick-measured elapsed");
+            gate.check(model_err > -0.02 && model_err < 0.02,
+                       std::string(label) + ": within 2% of Table 1");
 
             Json config = Json::object();
             config["page_bytes"] = Json(std::uint64_t{page});
@@ -322,21 +313,21 @@ main(int argc, char **argv)
     std::unique_ptr<core::VmpSystem> traced_system;
     const auto traced = runWorkload(true, opts.seedBase,
                                     kIdentityRefs, &traced_system);
-    expect(untraced_a == untraced_b,
-          "untraced runs are deterministic");
-    expect(untraced_a == traced,
-          "traced run is simulation-identical to untraced");
+    gate.check(untraced_a == untraced_b,
+               "untraced runs are deterministic");
+    gate.check(untraced_a == traced,
+               "traced run is simulation-identical to untraced");
     std::cout << "  untraced: " << untraced_a.result.toString() << "\n"
               << "  traced:   " << traced.result.toString() << "\n";
 
     const obs::EventTracer &tracer = *traced_system->tracer();
     const obs::MissProfiler &profiler =
         *traced_system->missProfiler();
-    expect(tracer.recorded() > 0, "traced run recorded events");
-    expect(profiler.misses() == traced.result.totalMisses,
-          "profiler folded every miss");
-    expect(profiler.phaseSumMismatches() == 0,
-          "no phase-sum mismatch across the whole run");
+    gate.check(tracer.recorded() > 0, "traced run recorded events");
+    gate.check(profiler.misses() == traced.result.totalMisses,
+               "profiler folded every miss");
+    gate.check(profiler.phaseSumMismatches() == 0,
+               "no phase-sum mismatch across the whole run");
 
     // --- 3. Wall-clock overhead -----------------------------------
     std::printf("== Enabled-tracer overhead (min of %d interleaved "
@@ -363,8 +354,8 @@ main(int argc, char **argv)
                             : traced_min / untraced_min - 1.0;
     std::printf("  untraced %.3fs, traced %.3fs -> %+.1f%%\n",
                 untraced_min, traced_min, slowdown * 100.0);
-    expect(traced_min <= untraced_min * 1.05 + 0.010,
-          "tracing overhead within 5%");
+    gate.check(traced_min <= untraced_min * 1.05 + 0.010,
+               "tracing overhead within 5%");
 
     Json identity_cfg = Json::object();
     identity_cfg["processors"] = Json(std::uint64_t{kIdentityCpus});
@@ -411,10 +402,5 @@ main(int argc, char **argv)
                   "phase sums within 2% of Table 1");
     artifact.write();
 
-    if (failures != 0) {
-        std::cout << "\n" << failures << " CHECK(S) FAILED\n";
-        return 1;
-    }
-    std::cout << "\nall checks passed\n";
-    return 0;
+    return gate.exitCode();
 }

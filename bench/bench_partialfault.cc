@@ -409,63 +409,51 @@ main(int argc, char **argv)
     table.print(std::cout);
 
     // ------------------------------------------------- acceptance
-    bool pass = true;
-    const auto fail = [&pass](const std::string &what) {
-        std::cout << "[acceptance] FAIL: " << what << "\n";
-        pass = false;
-    };
-
+    bench::Gate gate;
     const Point &baseline = points[0];
     for (std::size_t i = 0; i < severities.size(); ++i) {
         const Severity &sev = severities[i];
         const Point &p = points[i];
         const std::string at = " at " + sev.label();
-        if (p.violations != 0 || p.sweepViolations != 0)
-            fail("invariant violations" + at);
-        if (p.watchdogTrips != 0)
-            fail("watchdog tripped" + at);
-        if (p.boardsDead != 0)
-            fail("partial failure escalated to a failstop "
-                 "declaration" + at);
+        gate.check(p.violations == 0 && p.sweepViolations == 0,
+                   "zero invariant violations" + at);
+        gate.check(p.watchdogTrips == 0, "watchdog never tripped" + at);
+        gate.check(p.boardsDead == 0,
+                   "no escalation to a failstop declaration" + at);
         if (!sev.faulted())
             continue;
         // Zero missed detections: each of the 3 seeds injected the
         // fault and fenced the sick board — and only it.
-        if (p.injected == 0)
-            fail("schedule never fired" + at);
-        if (p.fencedBoards != 3 || p.victimFenced != 3)
-            fail("missed detection (" +
-                 std::to_string(p.victimFenced) +
-                 "/3 seeds fenced the sick board)" + at);
-        if (p.detectMaxNs > sev.detectBudget())
-            fail("detection latency " +
-                 std::to_string(toUsec(p.detectMaxNs)) +
-                 " us over the " +
-                 std::to_string(toUsec(sev.detectBudget())) +
-                 " us budget" + at);
+        gate.check(p.injected != 0, "schedule fired" + at);
+        gate.check(p.fencedBoards == 3 && p.victimFenced == 3,
+                   "sick board fenced on 3/3 seeds (" +
+                       std::to_string(p.victimFenced) + "/3)" + at);
+        gate.check(p.detectMaxNs <= sev.detectBudget(),
+                   "detection latency " +
+                       std::to_string(p.detectMaxNs / 1000) +
+                       " us within the " +
+                       std::to_string(sev.detectBudget() / 1000) +
+                       " us budget" + at);
     }
-    if (baseline.fencedBoards != 0)
-        fail("baseline fenced a healthy board");
+    gate.check(baseline.fencedBoards == 0,
+               "baseline fenced no healthy board");
 
     // Fenced-mode throughput: survivors behind the fence sustain at
     // least 70% of the fault-free per-board rate.
     const double perBoardBaseline =
         baseline.survivorRefsPerSimSec / (kCpus - 1);
-    if (perBoardBaseline <= 0.0) {
-        fail("fault-free throughput is zero");
-    } else {
+    if (gate.check(perBoardBaseline > 0.0,
+                   "fault-free throughput is nonzero")) {
         for (std::size_t i = 0; i < severities.size(); ++i) {
             if (!severities[i].faulted())
                 continue;
             const double perBoard =
                 points[i].fencedRefsPerSimSec / (kCpus - 1);
             const double frac = perBoard / perBoardBaseline;
-            std::cout << "[acceptance] " << severities[i].label()
-                      << " fenced-mode throughput: " << frac * 100
-                      << "% of fault-free per board\n";
-            if (frac < 0.70)
-                fail("fenced-mode throughput below 70% of "
-                     "fault-free at " + severities[i].label());
+            gate.check(frac >= 0.70,
+                       "fenced-mode throughput >= 70% of fault-free "
+                       "per board (" + bench::percent(frac) + ") at " +
+                           severities[i].label());
         }
     }
 
@@ -476,8 +464,7 @@ main(int argc, char **argv)
                   "throughput >=70% of fault-free per board");
     artifact.note("seed_base " + std::to_string(gSeedBase) +
                   " (--seed-base; seed_sweep.py aggregates)");
-    artifact.note(pass ? "acceptance: PASS" : "acceptance: FAIL");
+    artifact.note(gate.verdict());
     artifact.write();
-    std::cout << (pass ? "[acceptance] PASS\n" : "[acceptance] FAIL\n");
-    return pass ? 0 : 1;
+    return gate.exitCode();
 }

@@ -138,8 +138,7 @@ main(int argc, char **argv)
     // excessive"). Private workloads run through the 16/32-CPU rows
     // that saturate the bus: the open estimate leaves its domain there
     // while the measured-profile MVA prediction must stay within 15%.
-    bool gate_ok = true;
-    std::ostringstream gate_log;
+    bench::Gate gate;
     for (const bool share_kernel : {false, true}) {
         TableWriter measured(
             std::string("Event-simulator measurement (64K caches, "
@@ -209,18 +208,14 @@ main(int argc, char **argv)
             // and the 16/32-CPU rows that broke the open model must
             // carry its saturated flag.
             if (!share_kernel) {
-                if (!mva_p.domain.inDomain() ||
-                    std::abs(mva_err) > 0.15) {
-                    gate_ok = false;
-                    gate_log << "  MVA off by "
-                             << mva_err * 100 << "% at n=" << n
-                             << "\n";
-                }
-                if (n >= 16 && !open_p.domain.saturated) {
-                    gate_ok = false;
-                    gate_log << "  open model not flagged saturated "
-                                "at n=" << n << "\n";
-                }
+                const std::string at = " at n=" + std::to_string(n);
+                gate.check(mva_p.domain.inDomain() &&
+                               std::abs(mva_err) <= 0.15,
+                           "MVA in domain and within 15%" + at + " (" +
+                               bench::percent(mva_err) + ")");
+                if (n >= 16)
+                    gate.check(open_p.domain.saturated,
+                               "open model flagged saturated" + at);
             }
         }
         measured.print(std::cout);
@@ -238,13 +233,5 @@ main(int argc, char **argv)
                   "two-level HierQueuingModel prediction (4 CPUs per "
                   "cluster) at cluster-miss fractions g = 0.05, 0.2");
     artifact.write();
-
-    if (!gate_ok) {
-        std::cerr << "MODEL GATE FAILED:\n" << gate_log.str();
-        return 1;
-    }
-    std::cout << "Model gate: MVA within 15% on every private row; "
-                 "open model correctly flagged saturated at 16/32 "
-                 "CPUs.\n";
-    return 0;
+    return gate.exitCode();
 }

@@ -319,73 +319,67 @@ main(int argc, char **argv)
     }
 
     // ------------------------------------------------- acceptance
-    bool pass = true;
-    const auto fail = [&pass](const std::string &what) {
-        std::cout << "[acceptance] FAIL: " << what << "\n";
-        pass = false;
-    };
-
+    bench::Gate gate;
     const Point &baseline = points[0];
     const Point &kill = points[1];
     const Point &rejoin = points[2];
 
+    std::uint64_t violations = 0;
+    std::uint64_t trips = 0;
     for (const Point *p : {&points[0], &points[1], &points[2],
                            &sweep[0], &sweep[1], &sweep[2]}) {
-        if (p->violations != 0)
-            fail("coherence violations (" +
-                 std::to_string(p->violations) + ")");
-        if (p->watchdogTrips != 0)
-            fail("watchdog tripped (" +
-                 std::to_string(p->watchdogTrips) + ")");
+        violations += p->violations;
+        trips += p->watchdogTrips;
     }
-    if (baseline.boardsDead != 0)
-        fail("baseline declared a board dead");
-    if (kill.boardsDead != 3) // one per averaged seed
-        fail("kill mode declared " +
-             std::to_string(kill.boardsDead) +
-             " boards dead over 3 seeds (want 3)");
+    gate.check(violations == 0, "zero coherence violations (" +
+                                    std::to_string(violations) + ")");
+    gate.check(trips == 0, "watchdog never tripped (" +
+                               std::to_string(trips) + ")");
+    gate.check(baseline.boardsDead == 0,
+               "baseline declared no board dead");
+    gate.check(kill.boardsDead == 3, // one per averaged seed
+               "kill mode declared 3 boards dead over 3 seeds (" +
+                   std::to_string(kill.boardsDead) + ")");
     for (const Point &p : sweep) {
-        if (p.boardsDead != 1)
-            fail("cache sweep point missed the dead board");
-        if (p.pagesLost > 2ull * 256) // never above the largest cache
-            fail("pages_lost above cache capacity");
+        gate.check(p.boardsDead == 1,
+                   "cache sweep point found the dead board");
+        gate.check(p.pagesLost <= 2ull * 256, // the largest cache
+                   "pages_lost within cache capacity");
     }
-    if (ckpt.boardsDead != 3) // one per averaged seed
-        fail("checkpointed kill missed a dead board");
-    if (ckpt.violations != 0 || ckpt.watchdogTrips != 0)
-        fail("checkpointed kill tripped checker or watchdog");
-    if (ckpt.pagesLost != 0)
-        fail("frame checkpoint lost " +
-             std::to_string(ckpt.pagesLost) +
-             " pages (want 0 by construction)");
+    gate.check(ckpt.boardsDead == 3, // one per averaged seed
+               "checkpointed kill declared every dead board");
+    gate.check(ckpt.violations == 0 && ckpt.watchdogTrips == 0,
+               "checkpointed kill tripped neither checker nor "
+               "watchdog");
+    gate.check(ckpt.pagesLost == 0,
+               "frame checkpoint lost 0 pages by construction (" +
+                   std::to_string(ckpt.pagesLost) + ")");
 
-    if (baseline.refsPerSimSec <= 0.0) {
-        fail("fault-free throughput is zero");
-    } else {
+    if (gate.check(baseline.refsPerSimSec > 0.0,
+                   "fault-free throughput is nonzero")) {
         const double degraded =
             kill.refsPerSimSec / baseline.refsPerSimSec;
-        std::cout << "[acceptance] degraded (7-of-8) aggregate: "
-                  << degraded * 100 << "% of fault-free\n";
-        if (degraded < 0.70)
-            fail("degraded throughput below 70% of fault-free");
+        gate.check(degraded >= 0.70,
+                   "degraded (7-of-8) aggregate >= 70% of fault-free "
+                   "(" + bench::percent(degraded) + ")");
     }
 
     // The rejoined board finished its whole trace...
-    if (rejoin.run.totalRefs !=
-        std::uint64_t{kCpus} * kRefsPerCpu)
-        fail("rejoin run did not retire every reference");
+    gate.check(rejoin.run.totalRefs ==
+                   std::uint64_t{kCpus} * kRefsPerCpu,
+               "rejoin run retired every reference");
     // ...and its end-to-end hit ratio is within 5% of the boards
     // that never died (the cold restart is amortized).
     double survivors = 0.0;
     for (std::uint32_t cpu = 0; cpu < kCpus - 1; ++cpu)
         survivors += rejoin.hitRatio[cpu] / (kCpus - 1);
     const double victim = rejoin.hitRatio[kVictim];
-    std::cout << "[acceptance] rejoined board hit ratio: " << victim
-              << " vs survivor mean " << survivors << "\n";
-    if (survivors <= 0.0)
-        fail("survivor hit ratio is zero");
-    else if (victim < 0.95 * survivors)
-        fail("rejoined board hit ratio more than 5% below survivors");
+    if (gate.check(survivors > 0.0, "survivor hit ratio is nonzero")) {
+        gate.check(victim >= 0.95 * survivors,
+                   "rejoined board hit ratio within 5% of survivors (" +
+                       std::to_string(victim) + " vs " +
+                       std::to_string(survivors) + ")");
+    }
 
     artifact.note("acceptance: zero violations; one declared-dead "
                   "board per kill; degraded >=70% of fault-free; "
@@ -393,8 +387,7 @@ main(int argc, char **argv)
                   "checkpointed kill loses zero pages");
     artifact.note("seed_base " + std::to_string(gSeedBase) +
                   " (--seed-base; seed_sweep.py aggregates)");
-    artifact.note(pass ? "acceptance: PASS" : "acceptance: FAIL");
+    artifact.note(gate.verdict());
     artifact.write();
-    std::cout << (pass ? "[acceptance] PASS\n" : "[acceptance] FAIL\n");
-    return pass ? 0 : 1;
+    return gate.exitCode();
 }

@@ -55,16 +55,6 @@ namespace
 
 using namespace vmp;
 
-int failures = 0;
-
-void
-expect(bool ok, const std::string &what)
-{
-    std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what.c_str());
-    if (!ok)
-        ++failures;
-}
-
 /** Simulated-outcome fingerprint of one multi-CPU workload run. */
 struct RunFingerprint
 {
@@ -209,7 +199,7 @@ writeFile(const std::string &path, const std::string &content)
  * reconstructed owners must read 0, 1, 0.
  */
 void
-replayPingPong(bench::Artifact &artifact)
+replayPingPong(bench::Artifact &artifact, bench::Gate &gate)
 {
     constexpr std::uint32_t kPage = 256;
     constexpr Addr va = 0x10000;
@@ -259,7 +249,7 @@ replayPingPong(bench::Artifact &artifact)
         std::snprintf(label, sizeof label,
                       "replay/probe@t%d: owner is board %u", i,
                       expected[i]);
-        expect(verdict.owned && verdict.board == expected[i], label);
+        gate.check(verdict.owned && verdict.board == expected[i], label);
         std::cout << "    t=" << probes[i]
                   << "ns: " << verdict.toString() << "\n";
         Json row = Json::object();
@@ -272,8 +262,8 @@ replayPingPong(bench::Artifact &artifact)
     // The chain at the last probe must show the full handoff
     // history: acquire, release, acquire, release, acquire.
     const auto last = session.ownerAt(pa, t2);
-    expect(last.chain.size() >= 5,
-          "replay/chain shows the Protect/Reclaim handoff history");
+    gate.check(last.chain.size() >= 5,
+               "replay/chain shows the Protect/Reclaim handoff history");
 
     Json config = Json::object();
     config["boards"] = Json(2);
@@ -294,7 +284,8 @@ replayPingPong(bench::Artifact &artifact)
  */
 std::size_t
 crossCheckInspection(const core::VmpSystem &system,
-                     const telemetry::ReplaySession &session)
+                     const telemetry::ReplaySession &session,
+                     bench::Gate &gate)
 {
     const Json snapshot = telemetry::inspectSystem(system);
     const std::uint64_t page = system.memory().pageBytes();
@@ -328,9 +319,9 @@ crossCheckInspection(const core::VmpSystem &system,
                 ++wrong;
         }
     }
-    expect(checked > 0 && wrong == 0,
-          "replay agrees with inspection for all " +
-              std::to_string(checked) + " Protect entries");
+    gate.check(checked > 0 && wrong == 0,
+               "replay agrees with inspection for all " +
+                   std::to_string(checked) + " Protect entries");
     return checked;
 }
 
@@ -343,6 +334,7 @@ main(int argc, char **argv)
     setInformEnabled(false);
     const auto opts = bench::parseBenchOptions("telemetry", argc, argv);
     bench::Artifact artifact("telemetry", opts);
+    bench::Gate gate;
 
     bench::banner("Telemetry",
                   "streaming sink, live inspection, trace replay");
@@ -358,31 +350,33 @@ main(int argc, char **argv)
     const auto with_sink =
         runWorkload(Mode::TracedWithSink, opts.seedBase,
                     kIdentityRefs, &stream, &gauge_stream, &sink_run);
-    expect(untraced == with_sink,
-          "sink-attached run is simulation-identical to untraced");
+    gate.check(untraced == with_sink,
+               "sink-attached run is simulation-identical to untraced");
     std::cout << "  untraced: " << untraced.result.toString() << "\n"
               << "  streamed: " << with_sink.result.toString()
               << "\n";
 
     const obs::EventTracer &tracer = *sink_run.system->tracer();
     const telemetry::StreamingSink &sink = *sink_run.sink;
-    expect(tracer.recorded() > 0, "run recorded events");
-    expect(tracer.droppedOldest() == 0,
-          "zero ring overwrites at default ring sizes");
-    expect(sink.droppedTotal() == 0,
-          "zero sink drops at default staging bounds");
-    expect(sink.eventsStreamed() == tracer.recorded(),
-          "sink streamed every recorded event");
+    gate.check(tracer.recorded() > 0, "run recorded events");
+    gate.check(tracer.droppedOldest() == 0,
+               "zero ring overwrites at default ring sizes");
+    gate.check(sink.droppedTotal() == 0,
+               "zero sink drops at default staging bounds");
+    gate.check(sink.eventsStreamed() == tracer.recorded(),
+               "sink streamed every recorded event");
 
     const std::string streamed_text = stream.str();
     const Json streamed = Json::parse(streamed_text);
     const auto streamed_records = sortedRecords(streamed);
+    std::ostringstream posthoc;
+    obs::writeChromeTrace(tracer, posthoc);
     const auto posthoc_records =
-        sortedRecords(obs::chromeTraceJson(tracer));
-    expect(streamed_records == posthoc_records,
-          "streamed output matches post-hoc exporter "
-          "event-for-event (" +
-              std::to_string(streamed_records.size()) + " records)");
+        sortedRecords(Json::parse(posthoc.str()));
+    gate.check(streamed_records == posthoc_records,
+               "streamed output matches post-hoc exporter "
+               "event-for-event (" +
+                   std::to_string(streamed_records.size()) + " records)");
 
     // A mid-run cut must recover to a parseable prefix document.
     {
@@ -391,10 +385,10 @@ main(int argc, char **argv)
                 streamed_text.substr(0,
                                      streamed_text.size() * 2 / 3));
         const Json recovered = Json::parse(cut);
-        expect(recovered.get("traceEvents").size() > 0 &&
-                  recovered.get("traceEvents").size() <
-                      streamed.get("traceEvents").size(),
-              "truncated stream recovers to a parseable prefix");
+        gate.check(recovered.get("traceEvents").size() > 0 &&
+                       recovered.get("traceEvents").size() <
+                           streamed.get("traceEvents").size(),
+                   "truncated stream recovers to a parseable prefix");
     }
 
     // Gauge side channel: one JSONL object per flush, carrying the
@@ -414,9 +408,9 @@ main(int argc, char **argv)
                         sample.get("gauges").contains("bus");
         }
     }
-    expect(gauge_lines > 0 && gauges_ok,
-          "gauge snapshots parse and carry sink+system groups (" +
-              std::to_string(gauge_lines) + " samples)");
+    gate.check(gauge_lines > 0 && gauges_ok,
+               "gauge snapshots parse and carry sink+system groups (" +
+                   std::to_string(gauge_lines) + " samples)");
 
     Json equiv_cfg = Json::object();
     equiv_cfg["processors"] = Json(std::uint64_t{kCpus});
@@ -438,17 +432,17 @@ main(int argc, char **argv)
     std::cout << "== Live inspection (end-of-run quiescence) ==\n";
     const Json snapshot =
         telemetry::inspectSystem(*sink_run.system);
-    expect(snapshot.get("boards").size() == kCpus &&
-              snapshot.get("t_ns").asUint() ==
-                  sink_run.system->events().now(),
-          "inspection snapshot covers every board at the current "
-          "tick");
+    gate.check(snapshot.get("boards").size() == kCpus &&
+                   snapshot.get("t_ns").asUint() ==
+                       sink_run.system->events().now(),
+               "inspection snapshot covers every board at the current "
+               "tick");
     const obs::GaugeSet gauges =
         telemetry::collectGauges(*sink_run.system);
     const std::string rendered = obs::metricsSnapshot(
         tracer, sink_run.system->missProfiler(), &gauges);
-    expect(rendered.find("bus.utilization") != std::string::npos,
-          "metricsSnapshot renders the live gauges");
+    gate.check(rendered.find("bus.utilization") != std::string::npos,
+               "metricsSnapshot renders the live gauges");
 
     // --- 3. Wall-clock overhead -----------------------------------
     std::printf("== Attached-sink overhead (min of %d interleaved "
@@ -492,8 +486,8 @@ main(int argc, char **argv)
     std::printf("  best pair: traced %.3fs, traced+sink %.3fs "
                 "-> %+.1f%%\n",
                 traced_best, sinked_best, pair_slowdown * 100.0);
-    expect(sinked_best <= traced_best * 1.05 + 0.010,
-          "attached-sink overhead within 5%");
+    gate.check(sinked_best <= traced_best * 1.05 + 0.010,
+               "attached-sink overhead within 5%");
 
     Json overhead_cfg = Json::object();
     overhead_cfg["refs_per_cpu"] = Json(kOverheadRefs);
@@ -507,12 +501,12 @@ main(int argc, char **argv)
 
     // --- 4. Replay ------------------------------------------------
     std::cout << "== Trace-driven ownership replay ==\n";
-    replayPingPong(artifact);
+    replayPingPong(artifact, gate);
 
     const auto torture_session =
         telemetry::ReplaySession::fromText(streamed_text);
     const std::size_t cross_checked =
-        crossCheckInspection(*sink_run.system, torture_session);
+        crossCheckInspection(*sink_run.system, torture_session, gate);
 
     Json torture_cfg = Json::object();
     torture_cfg["refs_per_cpu"] = Json(kIdentityRefs);
@@ -539,10 +533,5 @@ main(int argc, char **argv)
                   "consistent with live inspection");
     artifact.write();
 
-    if (failures != 0) {
-        std::cout << "\n" << failures << " CHECK(S) FAILED\n";
-        return 1;
-    }
-    std::cout << "\nall checks passed\n";
-    return 0;
+    return gate.exitCode();
 }

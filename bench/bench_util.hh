@@ -413,6 +413,58 @@ banner(const std::string &artifact, const std::string &description)
                  "==\n\n";
 }
 
+/** @p fraction as a percentage with one decimal, e.g. "77.2%". */
+inline std::string
+percent(double fraction)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.1f%%", fraction * 100);
+    return buf;
+}
+
+/**
+ * The one way a bench reports its acceptance gates. check() prints one
+ * "[gate PASS] what" or "[gate FAIL] what" line and counts failures;
+ * exitCode() prints the tally and is the bench's exit status: 0 when
+ * every gate passed, 1 otherwise.
+ */
+class Gate
+{
+  public:
+    /** Report one gate; returns @p pass. */
+    bool
+    check(bool pass, const std::string &what)
+    {
+        std::cout << (pass ? "[gate PASS] " : "[gate FAIL] ") << what
+                  << "\n";
+        ++checked_;
+        if (!pass)
+            ++failed_;
+        return pass;
+    }
+
+    bool passed() const { return failed_ == 0; }
+
+    /** Artifact note recording the overall verdict. */
+    std::string
+    verdict() const
+    {
+        return passed() ? "acceptance: PASS" : "acceptance: FAIL";
+    }
+
+    int
+    exitCode() const
+    {
+        std::cout << "[gates] " << checked_ - failed_ << " of "
+                  << checked_ << " passed\n";
+        return passed() ? 0 : 1;
+    }
+
+  private:
+    int checked_ = 0;
+    int failed_ = 0;
+};
+
 /** Average Figure 4 style miss ratio over the four ATUM-like traces. */
 inline core::FastSimResult
 runFig4Point(std::uint64_t cache_bytes, std::uint32_t page_bytes,

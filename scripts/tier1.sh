@@ -23,7 +23,7 @@ echo "== tier1: sanitizer build ($sanitize) =="
 cmake -B "$sanitize" -S "$repo" -DVMP_SANITIZE=address,undefined
 cmake --build "$sanitize" -j "$jobs" \
     --target test_sim test_mem test_artifact test_core test_hier \
-    test_recover bench_table1
+    test_recover test_obs test_telemetry bench_table1
 
 echo "== tier1: sanitized core tests =="
 "$sanitize/tests/test_sim"
@@ -34,5 +34,9 @@ echo "== tier1: sanitized core tests =="
 "$sanitize/tests/test_core"
 "$sanitize/tests/test_hier"
 "$sanitize/tests/test_recover" --gtest_filter=-*Torture*
+# Trace serializer: putChromeRecord writes into a fixed kMaxRecordBytes
+# buffer for both the post-hoc export and the streaming sink.
+"$sanitize/tests/test_obs"
+"$sanitize/tests/test_telemetry"
 
 echo "== tier1: OK =="

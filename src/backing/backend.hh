@@ -78,7 +78,7 @@ struct BackendModel
 
     /**
      * Default model per medium. @p disk_latency_ns preserves the
-     * legacy flat disk stamp (vm::VmConfig::diskLatencyNs).
+     * legacy flat disk stamp (TierConfig::diskLatencyNs).
      */
     static BackendModel
     forKind(BackendKind kind, Tick disk_latency_ns)

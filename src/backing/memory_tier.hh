@@ -62,7 +62,7 @@ struct TierConfig
 {
     TierMode mode = TierMode::Mirror;
     /** Flat per-page latency of the Disk backend (and the entire
-     *  Mirror mode) — mirrors vm::VmConfig::diskLatencyNs. */
+     *  Mirror mode). */
     Tick diskLatencyNs = usec(500);
     /** Page-image granule. */
     std::uint32_t pageBytes = kDefaultPageBytes;

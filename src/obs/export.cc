@@ -6,7 +6,9 @@
 #include "obs/export.hh"
 
 #include <array>
+#include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -24,89 +26,147 @@ usec(Tick ns)
     return static_cast<double>(ns) / 1000.0;
 }
 
-/** One Chrome-trace event skeleton with the common fields filled. */
-Json
-chromeEvent(const char *ph, const char *name, const TraceEvent &event)
+/** Copy a string literal without a runtime strlen. */
+#define VMP_LIT(p, s)                                                 \
+    (std::memcpy(p, s, sizeof(s) - 1), (p) += sizeof(s) - 1)
+
+inline char *
+putUint(char *p, std::uint64_t v)
 {
-    Json j = Json::object();
-    j["name"] = Json(name);
-    j["ph"] = Json(ph);
-    j["pid"] = Json(0);
-    j["tid"] = Json(std::uint64_t{event.track});
-    j["ts"] = Json(usec(event.at));
-    return j;
+    return std::to_chars(p, p + 20, v).ptr;
 }
 
-Json
-spanArgs(const TraceEvent &event)
+/**
+ * Nanoseconds as a microsecond decimal with up to three exact
+ * fractional digits. It parses back to the correctly rounded double
+ * of ns / 1000.
+ */
+inline char *
+putUsec(char *p, std::uint64_t ns)
 {
-    Json args = Json::object();
-    switch (event.kind) {
-      case EventKind::BusTx:
-      case EventKind::Copy:
-        args["addr"] = Json(event.addr);
-        args["tx_type"] = Json(std::uint64_t{event.aux & 0x7fu});
-        args["aborted"] = Json((event.aux & 0x80u) != 0);
-        args["master"] = Json(std::uint64_t{event.master});
-        if (event.kind == EventKind::BusTx)
-            args["queue_delay_ns"] = Json(event.arg1);
-        else
-            args["bus_time_ns"] = Json(event.arg1);
-        break;
-      case EventKind::Miss:
-        args["addr"] = Json(event.addr);
-        args["dirty"] = Json((event.aux & 1u) != 0);
-        args["kind"] = Json(std::string(missKindName(
-            static_cast<MissKind>(event.aux >> 1))));
-        args["retries"] = Json(event.arg1);
-        break;
-      case EventKind::Service:
-        args["words"] = Json(event.arg1);
-        break;
-      case EventKind::IbcFetch:
-        args["addr"] = Json(event.addr);
-        args["exclusive"] = Json((event.aux & 1u) != 0);
-        args["upgrade"] = Json((event.aux & 2u) != 0);
-        break;
-      case EventKind::Recovery:
-        args["dead_board"] = Json(std::uint64_t{event.master});
-        break;
-      default:
-        break;
+    p = putUint(p, ns / 1000);
+    const unsigned frac = static_cast<unsigned>(ns % 1000);
+    if (frac != 0) {
+        *p++ = '.';
+        *p++ = static_cast<char>('0' + frac / 100);
+        *p++ = static_cast<char>('0' + frac / 10 % 10);
+        *p++ = static_cast<char>('0' + frac % 10);
     }
-    return args;
+    return p;
+}
+
+inline char *
+putBool(char *p, bool v)
+{
+    if (v)
+        VMP_LIT(p, "true");
+    else
+        VMP_LIT(p, "false");
+    return p;
+}
+
+/** Copy a name from the fixed identifier tables (no escaping
+ *  needed). */
+inline char *
+putName(char *p, const char *s)
+{
+    while (*s != '\0')
+        *p++ = *s++;
+    return p;
 }
 
 } // namespace
 
-Json
-chromeTraceEvent(const TraceEvent &event)
+char *
+putChromeRecord(char *p, const TraceEvent &event)
 {
+    VMP_LIT(p, "{\"name\":\"");
     if (isSpan(event.kind)) {
-        const char *name =
-            event.kind == EventKind::MissPhase
-                ? missPhaseName(static_cast<MissPhase>(event.aux))
-                : eventKindName(event.kind);
-        Json j = chromeEvent("X", name, event);
-        j["dur"] = Json(usec(event.arg0));
-        j["args"] = spanArgs(event);
-        return j;
+        p = putName(p, event.kind == EventKind::MissPhase
+                           ? missPhaseName(
+                                 static_cast<MissPhase>(event.aux))
+                           : eventKindName(event.kind));
+        VMP_LIT(p, "\",\"ph\":\"X\",\"pid\":0,\"tid\":");
+        p = putUint(p, event.track);
+        VMP_LIT(p, ",\"ts\":");
+        p = putUsec(p, event.at);
+        VMP_LIT(p, ",\"dur\":");
+        p = putUsec(p, event.arg0);
+        VMP_LIT(p, ",\"args\":{");
+        switch (event.kind) {
+          case EventKind::BusTx:
+          case EventKind::Copy:
+            VMP_LIT(p, "\"addr\":");
+            p = putUint(p, event.addr);
+            VMP_LIT(p, ",\"tx_type\":");
+            p = putUint(p, event.aux & 0x7fu);
+            VMP_LIT(p, ",\"aborted\":");
+            p = putBool(p, (event.aux & 0x80u) != 0);
+            VMP_LIT(p, ",\"master\":");
+            p = putUint(p, event.master);
+            if (event.kind == EventKind::BusTx)
+                VMP_LIT(p, ",\"queue_delay_ns\":");
+            else
+                VMP_LIT(p, ",\"bus_time_ns\":");
+            p = putUint(p, event.arg1);
+            break;
+          case EventKind::Miss:
+            VMP_LIT(p, "\"addr\":");
+            p = putUint(p, event.addr);
+            VMP_LIT(p, ",\"dirty\":");
+            p = putBool(p, (event.aux & 1u) != 0);
+            VMP_LIT(p, ",\"kind\":\"");
+            p = putName(p, missKindName(
+                               static_cast<MissKind>(event.aux >> 1)));
+            VMP_LIT(p, "\",\"retries\":");
+            p = putUint(p, event.arg1);
+            break;
+          case EventKind::Service:
+            VMP_LIT(p, "\"words\":");
+            p = putUint(p, event.arg1);
+            break;
+          case EventKind::IbcFetch:
+            VMP_LIT(p, "\"addr\":");
+            p = putUint(p, event.addr);
+            VMP_LIT(p, ",\"exclusive\":");
+            p = putBool(p, (event.aux & 1u) != 0);
+            VMP_LIT(p, ",\"upgrade\":");
+            p = putBool(p, (event.aux & 2u) != 0);
+            break;
+          case EventKind::Recovery:
+            VMP_LIT(p, "\"dead_board\":");
+            p = putUint(p, event.master);
+            break;
+          default:
+            break;
+        }
+        VMP_LIT(p, "}}");
+        return p;
     }
     if (event.kind == EventKind::FifoDepth) {
-        Json j = chromeEvent("C", "fifo_depth", event);
-        Json args = Json::object();
-        args["depth"] = Json(event.arg0);
-        j["args"] = std::move(args);
-        return j;
+        VMP_LIT(p, "fifo_depth\",\"ph\":\"C\",\"pid\":0,\"tid\":");
+        p = putUint(p, event.track);
+        VMP_LIT(p, ",\"ts\":");
+        p = putUsec(p, event.at);
+        VMP_LIT(p, ",\"args\":{\"depth\":");
+        p = putUint(p, event.arg0);
+        VMP_LIT(p, "}}");
+        return p;
     }
-    Json j = chromeEvent("i", eventKindName(event.kind), event);
-    j["s"] = Json("t");
-    Json args = Json::object();
-    args["addr"] = Json(event.addr);
-    args["master"] = Json(std::uint64_t{event.master});
-    j["args"] = std::move(args);
-    return j;
+    p = putName(p, eventKindName(event.kind));
+    VMP_LIT(p, "\",\"ph\":\"i\",\"pid\":0,\"tid\":");
+    p = putUint(p, event.track);
+    VMP_LIT(p, ",\"ts\":");
+    p = putUsec(p, event.at);
+    VMP_LIT(p, ",\"s\":\"t\",\"args\":{\"addr\":");
+    p = putUint(p, event.addr);
+    VMP_LIT(p, ",\"master\":");
+    p = putUint(p, event.master);
+    VMP_LIT(p, "}}");
+    return p;
 }
+
+#undef VMP_LIT
 
 Json
 chromeTrackMetadata(std::uint16_t track, const std::string &name)
@@ -122,27 +182,23 @@ chromeTrackMetadata(std::uint16_t track, const std::string &name)
     return meta;
 }
 
-Json
-chromeTraceJson(const EventTracer &tracer)
-{
-    Json events = Json::array();
-    // Track-name metadata first, one per track, in track order.
-    for (std::uint16_t t = 0;
-         t < static_cast<std::uint16_t>(tracer.trackCount()); ++t)
-        events.push(chromeTrackMetadata(t, tracer.trackName(t)));
-    for (const TraceEvent &event : tracer.allEvents())
-        events.push(chromeTraceEvent(event));
-    Json doc = Json::object();
-    doc["displayTimeUnit"] = Json("ns");
-    doc["traceEvents"] = std::move(events);
-    return doc;
-}
-
 void
 writeChromeTrace(const EventTracer &tracer, std::ostream &os)
 {
-    chromeTraceJson(tracer).write(os, 2);
-    os << '\n';
+    os << kChromeTraceHeader;
+    const char *sep = "\n";
+    for (std::uint16_t t = 0;
+         t < static_cast<std::uint16_t>(tracer.trackCount()); ++t) {
+        os << sep << chromeTrackMetadata(t, tracer.trackName(t)).dump(0);
+        sep = ",\n";
+    }
+    char record[kMaxRecordBytes];
+    for (const TraceEvent &event : tracer.allEvents()) {
+        os << sep;
+        os.write(record, putChromeRecord(record, event) - record);
+        sep = ",\n";
+    }
+    os << kChromeTraceFooter;
 }
 
 std::string

@@ -6,13 +6,15 @@
  * depth), and a human-readable metrics snapshot.
  *
  * All exporters are deterministic: events are emitted in (tick, track)
- * order and floating-point values go through Json::numberToString, so
- * two runs with the same seeds produce byte-identical exports.
+ * order, trace timestamps are exact decimal microseconds and other
+ * floating-point values go through Json::numberToString, so two runs
+ * with the same seeds produce byte-identical exports.
  */
 
 #ifndef VMP_OBS_EXPORT_HH
 #define VMP_OBS_EXPORT_HH
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
@@ -24,27 +26,39 @@
 namespace vmp::obs
 {
 
-/**
- * Chrome-trace JSON document: "M" thread_name metadata naming each
- * track, "X" complete events for spans (ts/dur in microseconds), "i"
- * instants, and "C" counter samples for FIFO depth. pid is always 0;
- * tid is the tracer's track id.
- */
-Json chromeTraceJson(const EventTracer &tracer);
+/** Upper bound on one serialized event record (fixed text + name +
+ *  eight 20-digit numbers, with headroom). */
+inline constexpr std::size_t kMaxRecordBytes = 384;
 
 /**
- * One TraceEvent as its Chrome-trace JSON object — the exact record
- * chromeTraceJson() emits for it. Public so the telemetry streaming
- * sink serializes events identically to the post-hoc exporter (the
- * streamed-vs-post-hoc equivalence gate depends on this being the
- * single source of truth).
+ * Serialize @p event as one compact Chrome-trace record at @p p (the
+ * caller guarantees kMaxRecordBytes of room) and return the end
+ * pointer. This is the only TraceEvent-to-record serializer: the
+ * post-hoc writeChromeTrace and the live telemetry::StreamingSink
+ * both call it, so the two views agree by construction. Spans are "X"
+ * complete events (ts/dur in microseconds, kind-specific args),
+ * FifoDepth is a "C" counter sample, every other kind an "i"
+ * instant; pid is always 0 and tid is the tracer's track id.
  */
-Json chromeTraceEvent(const TraceEvent &event);
+char *putChromeRecord(char *p, const TraceEvent &event);
+
+/** Chrome-trace document header; records follow one per line, each
+ *  after a "\n" (first) or ",\n" separator. */
+inline constexpr char kChromeTraceHeader[] =
+    "{\"displayTimeUnit\": \"ns\", \"traceEvents\": [";
+/** Chrome-trace document footer, closing the record array. */
+inline constexpr char kChromeTraceFooter[] = "\n]}\n";
 
 /** The "M" thread_name metadata record naming @p track. */
 Json chromeTrackMetadata(std::uint16_t track, const std::string &name);
 
-/** Write chromeTraceJson to @p os (2-space indent, trailing \n). */
+/**
+ * Write @p tracer's retained events as a Chrome-trace document:
+ * kChromeTraceHeader, one thread_name metadata record per track in
+ * track order, every event in (tick, track) order through
+ * putChromeRecord, then kChromeTraceFooter — the line layout the
+ * streaming sink writes.
+ */
 void writeChromeTrace(const EventTracer &tracer, std::ostream &os);
 
 /**

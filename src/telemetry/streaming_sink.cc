@@ -7,8 +7,6 @@
 
 #include "telemetry/streaming_sink.hh"
 
-#include <charconv>
-#include <cstring>
 #include <ostream>
 
 #include "obs/export.hh"
@@ -17,167 +15,6 @@
 
 namespace vmp::telemetry
 {
-
-namespace
-{
-
-/** Copy a string literal without a runtime strlen. */
-#define VMP_LIT(p, s)                                                 \
-    (std::memcpy(p, s, sizeof(s) - 1), (p) += sizeof(s) - 1)
-
-inline char *
-putUint(char *p, std::uint64_t v)
-{
-    return std::to_chars(p, p + 20, v).ptr;
-}
-
-/**
- * Nanoseconds as a microsecond decimal. Three exact fractional digits
- * parse back to the same double that obs::chromeTraceEvent computes
- * as ns / 1000.0: both IEEE division and decimal parsing round
- * correctly to the nearest representable value.
- */
-inline char *
-putUsec(char *p, std::uint64_t ns)
-{
-    p = putUint(p, ns / 1000);
-    const unsigned frac = static_cast<unsigned>(ns % 1000);
-    if (frac != 0) {
-        *p++ = '.';
-        *p++ = static_cast<char>('0' + frac / 100);
-        *p++ = static_cast<char>('0' + frac / 10 % 10);
-        *p++ = static_cast<char>('0' + frac % 10);
-    }
-    return p;
-}
-
-inline char *
-putBool(char *p, bool v)
-{
-    if (v)
-        VMP_LIT(p, "true");
-    else
-        VMP_LIT(p, "false");
-    return p;
-}
-
-inline char *
-putName(char *p, const char *s)
-{
-    while (*s != '\0')
-        *p++ = *s++;
-    return p;
-}
-
-/** Upper bound on one serialized record (fixed text + name + eight
- *  20-digit numbers, with headroom). */
-constexpr std::size_t kMaxRecordBytes = 384;
-
-/**
- * Serialize one Chrome-trace record into @p p (caller guarantees
- * kMaxRecordBytes of room) and return the end pointer. Field set,
- * key order and values mirror obs::chromeTraceEvent exactly (key
- * order matters: Json objects keep insertion order through a
- * parse/dump round trip); the streamed-vs-post-hoc equivalence tests
- * in test_telemetry hold the two serializers in lockstep
- * record-for-record. All name strings come from fixed identifier
- * tables, so no escaping is needed.
- */
-char *
-putRecord(char *p, const obs::TraceEvent &event)
-{
-    using obs::EventKind;
-    VMP_LIT(p, "{\"name\":\"");
-    if (obs::isSpan(event.kind)) {
-        p = putName(p,
-                    event.kind == EventKind::MissPhase
-                        ? obs::missPhaseName(
-                              static_cast<obs::MissPhase>(event.aux))
-                        : obs::eventKindName(event.kind));
-        VMP_LIT(p, "\",\"ph\":\"X\",\"pid\":0,\"tid\":");
-        p = putUint(p, event.track);
-        VMP_LIT(p, ",\"ts\":");
-        p = putUsec(p, event.at);
-        VMP_LIT(p, ",\"dur\":");
-        p = putUsec(p, event.arg0);
-        VMP_LIT(p, ",\"args\":{");
-        switch (event.kind) {
-          case EventKind::BusTx:
-          case EventKind::Copy:
-            VMP_LIT(p, "\"addr\":");
-            p = putUint(p, event.addr);
-            VMP_LIT(p, ",\"tx_type\":");
-            p = putUint(p, event.aux & 0x7fu);
-            VMP_LIT(p, ",\"aborted\":");
-            p = putBool(p, (event.aux & 0x80u) != 0);
-            VMP_LIT(p, ",\"master\":");
-            p = putUint(p, event.master);
-            if (event.kind == EventKind::BusTx)
-                VMP_LIT(p, ",\"queue_delay_ns\":");
-            else
-                VMP_LIT(p, ",\"bus_time_ns\":");
-            p = putUint(p, event.arg1);
-            break;
-          case EventKind::Miss:
-            VMP_LIT(p, "\"addr\":");
-            p = putUint(p, event.addr);
-            VMP_LIT(p, ",\"dirty\":");
-            p = putBool(p, (event.aux & 1u) != 0);
-            VMP_LIT(p, ",\"kind\":\"");
-            p = putName(p, obs::missKindName(
-                               static_cast<obs::MissKind>(
-                                   event.aux >> 1)));
-            VMP_LIT(p, "\",\"retries\":");
-            p = putUint(p, event.arg1);
-            break;
-          case EventKind::Service:
-            VMP_LIT(p, "\"words\":");
-            p = putUint(p, event.arg1);
-            break;
-          case EventKind::IbcFetch:
-            VMP_LIT(p, "\"addr\":");
-            p = putUint(p, event.addr);
-            VMP_LIT(p, ",\"exclusive\":");
-            p = putBool(p, (event.aux & 1u) != 0);
-            VMP_LIT(p, ",\"upgrade\":");
-            p = putBool(p, (event.aux & 2u) != 0);
-            break;
-          case EventKind::Recovery:
-            VMP_LIT(p, "\"dead_board\":");
-            p = putUint(p, event.master);
-            break;
-          default:
-            break;
-        }
-        VMP_LIT(p, "}}");
-        return p;
-    }
-    if (event.kind == EventKind::FifoDepth) {
-        VMP_LIT(p, "fifo_depth\",\"ph\":\"C\",\"pid\":0,\"tid\":");
-        p = putUint(p, event.track);
-        VMP_LIT(p, ",\"ts\":");
-        p = putUsec(p, event.at);
-        VMP_LIT(p, ",\"args\":{\"depth\":");
-        p = putUint(p, event.arg0);
-        VMP_LIT(p, "}}");
-        return p;
-    }
-    p = putName(p, obs::eventKindName(event.kind));
-    VMP_LIT(p, "\",\"ph\":\"i\",\"pid\":0,\"tid\":");
-    p = putUint(p, event.track);
-    VMP_LIT(p, ",\"ts\":");
-    p = putUsec(p, event.at);
-    VMP_LIT(p, ",\"s\":\"t\",\"args\":{\"addr\":");
-    p = putUint(p, event.addr);
-    VMP_LIT(p, ",\"master\":");
-    p = putUint(p, event.master);
-    VMP_LIT(p, "}}");
-    return p;
-}
-
-#undef VMP_LIT
-
-} // namespace
 
 StreamingSink::StreamingSink(std::ostream &events_out,
                              StreamConfig config)
@@ -204,7 +41,7 @@ StreamingSink::attach(obs::EventTracer &tracer,
         panic("StreamingSink: attached twice");
     tracer_ = &tracer;
     events_ = &events;
-    out_ << "{\"displayTimeUnit\": \"ns\", \"traceEvents\": [";
+    out_ << obs::kChromeTraceHeader;
     for (std::uint16_t t = 0;
          t < static_cast<std::uint16_t>(tracer.trackCount()); ++t)
         announceTrack(t);
@@ -246,12 +83,12 @@ StreamingSink::onEvent(const obs::TraceEvent &event)
 void
 StreamingSink::writeEvent(const obs::TraceEvent &event)
 {
-    char buf[kMaxRecordBytes + 2];
+    char buf[obs::kMaxRecordBytes + 2];
     char *p = buf;
     if (wroteFirst_)
         *p++ = ',';
     *p++ = '\n';
-    p = putRecord(p, event);
+    p = obs::putChromeRecord(p, event);
     wbuf_.append(buf, static_cast<std::size_t>(p - buf));
     wroteFirst_ = true;
 }
@@ -322,7 +159,7 @@ StreamingSink::close()
             announceTrack(t);
     }
     drainBuffer();
-    out_ << "\n]}\n";
+    out_ << obs::kChromeTraceFooter;
     out_.flush();
     closed_ = true;
 }
@@ -421,9 +258,8 @@ completeObject(const std::string &line)
 std::string
 StreamingSink::recoverTruncated(std::string text)
 {
-    // Already a closed document? Balance the whole text so both the
-    // sink's line-oriented form and a pretty-printed writeChromeTrace
-    // file pass through unchanged.
+    // Already a closed document (a closed stream or a writeChromeTrace
+    // file)? Then it passes through unchanged.
     std::size_t end = text.find_last_not_of(" \t\r\n");
     if (end != std::string::npos && text[end] == '}' &&
         completeObject(text.substr(0, end + 1)))
@@ -431,8 +267,8 @@ StreamingSink::recoverTruncated(std::string text)
     // Cut inside the header (before the first record separator):
     // nothing recoverable was written — canonical empty document.
     if (text.find('\n') == std::string::npos)
-        return "{\"displayTimeUnit\": \"ns\", \"traceEvents\": "
-               "[\n]}\n";
+        return std::string(obs::kChromeTraceHeader) +
+               obs::kChromeTraceFooter;
     // Trim a partial trailing line: keep the last '\n'-terminated
     // prefix, then keep the final line only if it is one complete
     // record.
@@ -452,7 +288,7 @@ StreamingSink::recoverTruncated(std::string text)
         text.erase(end);
     else
         text.erase(end + 1);
-    text += "\n]}\n";
+    text += obs::kChromeTraceFooter;
     return text;
 }
 

@@ -20,15 +20,11 @@
  * Every flush leaves the output at a line boundary, so a stream cut
  * off mid-run (crashed consumer, truncated file) is recovered by
  * recoverTruncated(): trim to the last complete line and close the
- * document. A cleanly close()d stream is a complete document that
- * parses to exactly the records obs::writeChromeTrace() would emit
- * for the same run, modulo order: the post-hoc exporter sorts by
- * (tick, track), the stream is in record order. The per-event
- * serializer is a hand-rolled appender (building a Json tree per
- * event costs ~20x the wall clock); obs::chromeTraceEvent remains
- * the vocabulary source of truth, and test_telemetry's
- * streamed-vs-post-hoc equivalence tests hold the two in lockstep
- * record-for-record.
+ * document. Records come from obs::putChromeRecord, the same
+ * serializer obs::writeChromeTrace() uses, so a cleanly close()d
+ * stream holds exactly the records the post-hoc file holds for the
+ * same run, modulo order: the post-hoc exporter sorts by (tick,
+ * track), the stream is in record order.
  *
  * Backpressure: the staging buffer is bounded per track. When the
  * consumer falls behind — autoFlush disabled and flush() not called

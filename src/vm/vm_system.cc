@@ -20,14 +20,14 @@ breakLoop(EventQueue &events,
     events.scheduleIn(0, [loop] { *loop = nullptr; }, "vm-loop-gc");
 }
 
-/** Tier config with the legacy VmConfig knobs folded in. */
-backing::TierConfig
-tierConfigOf(const VmConfig &config)
+/** @p config's tier, whose image granule must be the vm page. */
+const backing::TierConfig &
+checkedTier(const VmConfig &config)
 {
-    backing::TierConfig tier = config.tier;
-    tier.diskLatencyNs = config.diskLatencyNs;
-    tier.pageBytes = vmPageBytes;
-    return tier;
+    if (config.tier.pageBytes != vmPageBytes)
+        fatal("vm: tier.pageBytes ", config.tier.pageBytes,
+              " is not the ", vmPageBytes, "-byte vm page");
+    return config.tier;
 }
 
 } // namespace
@@ -102,7 +102,7 @@ VmSystem::VmSystem(EventQueue &events, mem::PhysMem &memory,
                    const VmConfig &config)
     : events_(events), memory_(memory), cfg_(config),
       allocator_(memory.size(), config.reservedFrames),
-      tier_(events, tierConfigOf(config))
+      tier_(events, checkedTier(config))
 {
 }
 

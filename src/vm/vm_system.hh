@@ -51,14 +51,12 @@ struct VmConfig
 {
     /** Low frames reserved for uncached use (locks, mailboxes). */
     std::uint32_t reservedFrames = 4;
-    /** Backing-store latency per page transfer. Overrides
-     *  tier.diskLatencyNs (legacy knob; keeps old configs working). */
-    Tick diskLatencyNs = usec(500);
     /** Pageout stops once this many frames are free. */
     std::uint32_t freeTarget = 8;
-    /** Memory-tier behavior. The default (Mirror mode) reproduces the
-     *  legacy passive store bit-for-bit; tier.pageBytes and
-     *  tier.diskLatencyNs are overridden from this config. */
+    /** Memory-tier behavior, used as given: tier.diskLatencyNs is the
+     *  backing-store latency per page transfer, and tier.pageBytes
+     *  must be vmPageBytes. The default (Mirror mode) reproduces the
+     *  legacy passive store bit-for-bit. */
     backing::TierConfig tier;
 };
 
@@ -129,8 +127,6 @@ class VmSystem
 
     const VmConfig &config() const { return cfg_; }
     FrameAllocator &allocator() { return allocator_; }
-    /** The tier's durable image plane (legacy accessor). */
-    backing::PageStore &backingStore() { return tier_.images(); }
     /** The modeled memory-tier node behind demand paging. */
     backing::MemoryTier &tier() { return tier_; }
     AddressSpace &space(Asid asid);

@@ -348,7 +348,7 @@ TEST(PagedSystem, TraceRunUnderMemoryPressure)
     cfg.cache = cache::CacheConfig{256, 4, 32, true};
     cfg.memBytes = MiB(4);
     vm::VmConfig vm_cfg;
-    vm_cfg.diskLatencyNs = usec(50); // keep the run fast
+    vm_cfg.tier.diskLatencyNs = usec(50); // keep the run fast
     core::PagedVmpSystem paged(cfg, vm_cfg);
 
     // Artificially shrink memory: grab frames until ~48 remain.
@@ -367,7 +367,7 @@ TEST(PagedSystem, TraceRunUnderMemoryPressure)
     EXPECT_EQ(result.totalRefs, 80'000u);
     // The pageout daemon ran and pages cycled through the store.
     EXPECT_GT(paged.vm().pageOuts().value(), 0u);
-    EXPECT_GT(paged.vm().backingStore().stores().value(), 0u);
+    EXPECT_GT(paged.vm().tier().images().stores().value(), 0u);
 
     for (const auto frame : grabbed)
         paged.vm().allocator().free(frame);

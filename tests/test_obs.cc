@@ -275,7 +275,189 @@ TEST(TracedHierSystem, NullTracerIsBitIdenticalAndTracksNamed)
     EXPECT_TRUE(system.statsJson().contains("obs"));
 }
 
+// -------------------------------------------------- record vocabulary
+
+/** Every field of a TraceEvent, for the vocabulary table. */
+obs::TraceEvent
+fullEvent(obs::EventKind kind, Tick at, std::uint64_t arg0,
+          std::uint8_t aux = 0, std::uint64_t addr = 0,
+          std::uint64_t arg1 = 0, std::uint32_t master = 0)
+{
+    obs::TraceEvent event = makeEvent(at, kind, 1, arg0, aux);
+    event.addr = addr;
+    event.arg1 = arg1;
+    event.master = master;
+    return event;
+}
+
+/** writeChromeTrace's whole document for a tracer holding @p events
+ *  on two tracks named @p track0 and "t1". */
+Json
+exportedDocument(const std::vector<obs::TraceEvent> &events,
+                 const std::string &track0 = "t0")
+{
+    obs::EventTracer tracer;
+    tracer.registerTrack(track0);
+    tracer.registerTrack("t1");
+    for (const obs::TraceEvent &event : events)
+        tracer.record(event);
+    std::ostringstream os;
+    obs::writeChromeTrace(tracer, os);
+    return Json::parse(os.str());
+}
+
+/** One event and the exact record the exporter must write for it. */
+struct VocabularyCase
+{
+    obs::TraceEvent event;
+    const char *expected;
+};
+
+TEST(ChromeRecord, VocabularyTable)
+{
+    using K = obs::EventKind;
+    const auto phase = [](obs::MissPhase p) {
+        return static_cast<std::uint8_t>(p);
+    };
+    const std::vector<VocabularyCase> cases = {
+        {fullEvent(K::BusTx, 1500, 2250, 3, 16384, 300, 2),
+         R"({"name":"bus_tx","ph":"X","pid":0,"tid":1,"ts":1.5,
+             "dur":2.25,"args":{"addr":16384,"tx_type":3,
+             "aborted":false,"master":2,"queue_delay_ns":300}})"},
+        {fullEvent(K::BusTx, 123456789, 1000, 0x81, 4294967295u, 0,
+                   7),
+         R"({"name":"bus_tx","ph":"X","pid":0,"tid":1,
+             "ts":123456.789,"dur":1,"args":{"addr":4294967295,
+             "tx_type":1,"aborted":true,"master":7,
+             "queue_delay_ns":0}})"},
+        {fullEvent(K::Copy, 2000, 12800, 2, 8192, 6400, 1),
+         R"({"name":"copy","ph":"X","pid":0,"tid":1,"ts":2,
+             "dur":12.8,"args":{"addr":8192,"tx_type":2,
+             "aborted":false,"master":1,"bus_time_ns":6400}})"},
+        {fullEvent(K::Miss, 1234, 40000, 0, 4096, 0),
+         R"({"name":"miss","ph":"X","pid":0,"tid":1,"ts":1.234,
+             "dur":40,"args":{"addr":4096,"dirty":false,
+             "kind":"full","retries":0}})"},
+        {fullEvent(K::Miss, 1234, 40001, 1u << 1, 4096, 2),
+         R"({"name":"miss","ph":"X","pid":0,"tid":1,"ts":1.234,
+             "dur":40.001,"args":{"addr":4096,"dirty":false,
+             "kind":"ownership","retries":2}})"},
+        {fullEvent(K::Miss, 5, 61500, (2u << 1) | 1u, 256, 1),
+         R"({"name":"miss","ph":"X","pid":0,"tid":1,"ts":0.005,
+             "dur":61.5,"args":{"addr":256,"dirty":true,
+             "kind":"protection","retries":1}})"},
+        {fullEvent(K::MissPhase, 10, 2000, phase(obs::MissPhase::Trap)),
+         R"({"name":"trap","ph":"X","pid":0,"tid":1,"ts":0.01,
+             "dur":2,"args":{}})"},
+        {fullEvent(K::MissPhase, 20, 8100,
+                   phase(obs::MissPhase::TableLookup)),
+         R"({"name":"table_lookup","ph":"X","pid":0,"tid":1,
+             "ts":0.02,"dur":8.1,"args":{}})"},
+        {fullEvent(K::MissPhase, 30, 12800,
+                   phase(obs::MissPhase::VictimWriteback)),
+         R"({"name":"victim_writeback","ph":"X","pid":0,"tid":1,
+             "ts":0.03,"dur":12.8,"args":{}})"},
+        {fullEvent(K::MissPhase, 40, 6600,
+                   phase(obs::MissPhase::BlockCopy)),
+         R"({"name":"block_copy","ph":"X","pid":0,"tid":1,
+             "ts":0.04,"dur":6.6,"args":{}})"},
+        {fullEvent(K::MissPhase, 50, 0,
+                   phase(obs::MissPhase::ConsistencyWait)),
+         R"({"name":"consistency_wait","ph":"X","pid":0,"tid":1,
+             "ts":0.05,"dur":0,"args":{}})"},
+        {fullEvent(K::Service, 3000, 4500, 0, 0, 7),
+         R"({"name":"service","ph":"X","pid":0,"tid":1,"ts":3,
+             "dur":4.5,"args":{"words":7}})"},
+        {fullEvent(K::IbcFetch, 4000, 9000, 1, 65536),
+         R"({"name":"ibc_fetch","ph":"X","pid":0,"tid":1,"ts":4,
+             "dur":9,"args":{"addr":65536,"exclusive":true,
+             "upgrade":false}})"},
+        {fullEvent(K::IbcFetch, 4000, 9000, 2, 65536),
+         R"({"name":"ibc_fetch","ph":"X","pid":0,"tid":1,"ts":4,
+             "dur":9,"args":{"addr":65536,"exclusive":false,
+             "upgrade":true}})"},
+        {fullEvent(K::Recovery, 7000, 100000, 0, 0, 0, 3),
+         R"({"name":"recovery","ph":"X","pid":0,"tid":1,"ts":7,
+             "dur":100,"args":{"dead_board":3}})"},
+        {fullEvent(K::TierFetch, 8000, 500000, 1, 0, 9, 4),
+         R"({"name":"tier_fetch","ph":"X","pid":0,"tid":1,"ts":8,
+             "dur":500,"args":{}})"},
+        {fullEvent(K::TierStore, 8000, 250, 1, 0, 9, 4),
+         R"({"name":"tier_store","ph":"X","pid":0,"tid":1,"ts":8,
+             "dur":0.25,"args":{}})"},
+        {fullEvent(K::TierEvict, 8000, 750, 2, 0, 9, 4),
+         R"({"name":"tier_evict","ph":"X","pid":0,"tid":1,"ts":8,
+             "dur":0.75,"args":{}})"},
+        {fullEvent(K::IrqWord, 500, 0, 0x82, 12288, 0, 5),
+         R"({"name":"irq_word","ph":"i","pid":0,"tid":1,"ts":0.5,
+             "s":"t","args":{"addr":12288,"master":5}})"},
+        {fullEvent(K::FifoDepth, 3000, 5, 1),
+         R"({"name":"fifo_depth","ph":"C","pid":0,"tid":1,"ts":3,
+             "args":{"depth":5}})"},
+        {fullEvent(K::IbcRecall, 1, 0, 0, 512, 0, 6),
+         R"({"name":"ibc_recall","ph":"i","pid":0,"tid":1,"ts":0.001,
+             "s":"t","args":{"addr":512,"master":6}})"},
+        {fullEvent(K::IbcWriteBack, 2, 0, 0, 1024, 0, 6),
+         R"({"name":"ibc_writeback","ph":"i","pid":0,"tid":1,
+             "ts":0.002,"s":"t","args":{"addr":1024,"master":6}})"},
+        {fullEvent(K::RecoveryBegin, 9000, 0, 0, 0, 0, 3),
+         R"({"name":"recovery_begin","ph":"i","pid":0,"tid":1,"ts":9,
+             "s":"t","args":{"addr":0,"master":3}})"},
+        {fullEvent(K::Reclaim, 9001, 0, 0, 2048, 0, 3),
+         R"({"name":"reclaim","ph":"i","pid":0,"tid":1,"ts":9.001,
+             "s":"t","args":{"addr":2048,"master":3}})"},
+        {fullEvent(K::TierPrefetch, 9500, 0, 0, 0, 11, 4),
+         R"({"name":"tier_prefetch","ph":"i","pid":0,"tid":1,
+             "ts":9.5,"s":"t","args":{"addr":0,"master":4}})"},
+        {fullEvent(K::BudgetEpoch, 10000, 3, 0, 0, 1),
+         R"({"name":"budget_epoch","ph":"i","pid":0,"tid":1,"ts":10,
+             "s":"t","args":{"addr":0,"master":0}})"},
+    };
+
+    // Every kind and every miss phase appears in the table.
+    std::vector<bool> kinds(obs::kEventKinds, false);
+    std::vector<bool> phases(obs::kMissPhases, false);
+    for (const VocabularyCase &c : cases) {
+        kinds[static_cast<std::size_t>(c.event.kind)] = true;
+        if (c.event.kind == K::MissPhase)
+            phases[c.event.aux] = true;
+    }
+    EXPECT_EQ(std::count(kinds.begin(), kinds.end(), false), 0);
+    EXPECT_EQ(std::count(phases.begin(), phases.end(), false), 0);
+
+    for (const VocabularyCase &c : cases) {
+        const Json doc = exportedDocument({c.event});
+        const Json &records = doc.get("traceEvents");
+        ASSERT_EQ(records.size(), 3u) << c.expected;
+        EXPECT_EQ(records.at(2), Json::parse(c.expected))
+            << records.at(2).dump(0);
+    }
+}
+
+TEST(ChromeRecord, TrackNamesAreEscapedInMetadata)
+{
+    const Json doc = exportedDocument({}, "say \"hi\" \\ bye");
+    EXPECT_EQ(doc.get("displayTimeUnit").asString(), "ns");
+    const Json &records = doc.get("traceEvents");
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records.at(0),
+              Json::parse(R"({"name":"thread_name","ph":"M","pid":0,
+                  "tid":0,"args":{"name":"say \"hi\" \\ bye"}})"));
+    EXPECT_EQ(records.at(1),
+              Json::parse(R"({"name":"thread_name","ph":"M","pid":0,
+                  "tid":1,"args":{"name":"t1"}})"));
+}
+
 // ------------------------------------------------------------ exports
+
+/** writeChromeTrace's output for @p tracer, parsed. */
+Json
+chromeTraceDoc(const obs::EventTracer &tracer)
+{
+    std::ostringstream os;
+    obs::writeChromeTrace(tracer, os);
+    return Json::parse(os.str());
+}
 
 /** A small traced run whose exports the schema tests inspect. */
 class ExportTest : public ::testing::Test
@@ -297,7 +479,7 @@ class ExportTest : public ::testing::Test
 TEST_F(ExportTest, ChromeTraceSchemaAndRoundTrip)
 {
     const obs::EventTracer &tracer = *system_->tracer();
-    const Json doc = obs::chromeTraceJson(tracer);
+    const Json doc = chromeTraceDoc(tracer);
     EXPECT_EQ(doc.get("displayTimeUnit").asString(), "ns");
     const Json &events = doc.get("traceEvents");
     ASSERT_TRUE(events.isArray());
@@ -327,16 +509,11 @@ TEST_F(ExportTest, ChromeTraceSchemaAndRoundTrip)
     // Round-trip through the repo's own parser.
     const Json reparsed = Json::parse(doc.dump(2));
     EXPECT_EQ(reparsed, doc);
-
-    // writeChromeTrace streams the same document.
-    std::ostringstream os;
-    obs::writeChromeTrace(tracer, os);
-    EXPECT_EQ(Json::parse(os.str()), doc);
 }
 
 TEST_F(ExportTest, ChromeTraceEventsAreTimeOrdered)
 {
-    const Json doc = obs::chromeTraceJson(*system_->tracer());
+    const Json doc = chromeTraceDoc(*system_->tracer());
     const Json &events = doc.get("traceEvents");
     double last_ts = -1.0;
     for (std::size_t i = 0; i < events.size(); ++i) {

@@ -82,6 +82,15 @@ sortedRecords(const Json &doc)
     return out;
 }
 
+/** writeChromeTrace's output for @p tracer, parsed. */
+Json
+postHocDoc(const obs::EventTracer &tracer)
+{
+    std::ostringstream os;
+    obs::writeChromeTrace(tracer, os);
+    return Json::parse(os.str());
+}
+
 obs::TraceEvent
 makeEvent(Tick at, obs::EventKind kind, std::uint16_t track,
           std::uint64_t arg0 = 0, std::uint8_t aux = 0)
@@ -123,7 +132,7 @@ TEST(StreamingSink, ChunkedStreamEqualsPostHocExportFlat)
     const Json streamed = Json::parse(stream.str());
     EXPECT_EQ(streamed.get("displayTimeUnit").asString(), "ns");
     EXPECT_EQ(sortedRecords(streamed),
-              sortedRecords(obs::chromeTraceJson(tracer)));
+              sortedRecords(postHocDoc(tracer)));
 }
 
 TEST(StreamingSink, ChunkedStreamEqualsPostHocExportHier)
@@ -152,7 +161,7 @@ TEST(StreamingSink, ChunkedStreamEqualsPostHocExportHier)
     EXPECT_EQ(sink.droppedTotal(), 0u);
     const Json streamed = Json::parse(stream.str());
     EXPECT_EQ(sortedRecords(streamed),
-              sortedRecords(obs::chromeTraceJson(tracer)));
+              sortedRecords(postHocDoc(tracer)));
 }
 
 TEST(StreamingSink, AttachTwiceIsFatal)
@@ -485,19 +494,18 @@ TEST(Gauges, SinkSamplesGaugesOnFlushIntoJsonl)
 // ------------------------------------------------------------ replay
 
 /** Build a synthetic Chrome-trace doc from TraceEvents, using the
- *  production serializer so the vocabulary always matches. */
+ *  production exporter so the vocabulary always matches. */
 std::string
 syntheticTrace(const std::vector<obs::TraceEvent> &events)
 {
-    Json records = Json::array();
-    records.push(obs::chromeTrackMetadata(0, "bus"));
-    records.push(obs::chromeTrackMetadata(1, "c1.bus"));
+    obs::EventTracer tracer;
+    tracer.registerTrack("bus");
+    tracer.registerTrack("c1.bus");
     for (const obs::TraceEvent &event : events)
-        records.push(obs::chromeTraceEvent(event));
-    Json doc = Json::object();
-    doc["displayTimeUnit"] = Json("ns");
-    doc["traceEvents"] = std::move(records);
-    return doc.dump(2);
+        tracer.record(event);
+    std::ostringstream os;
+    obs::writeChromeTrace(tracer, os);
+    return os.str();
 }
 
 obs::TraceEvent

@@ -207,6 +207,32 @@ TEST(BackingStore, StoreFetchDrop)
     EXPECT_FALSE(store.contains(3, 7));
 }
 
+TEST(VmTier, TierDiskLatencyTimesThePageIn)
+{
+    EventQueue events;
+    mem::PhysMem memory(memBytes, pageBytes);
+    VmConfig cfg;
+    cfg.tier.diskLatencyNs = usec(50);
+    VmSystem vm(events, memory, cfg);
+    EXPECT_EQ(vm.tier().config().diskLatencyNs, usec(50));
+    Tick done_at = 0;
+    vm.tier().fetchPage(1, 3, 0,
+                        [&](const std::vector<std::uint8_t> *) {
+                            done_at = events.now();
+                        });
+    events.run();
+    EXPECT_EQ(done_at, usec(50));
+}
+
+TEST(VmTier, TierPageBytesMustBeTheVmPage)
+{
+    EventQueue events;
+    mem::PhysMem memory(memBytes, pageBytes);
+    VmConfig cfg;
+    cfg.tier.pageBytes = vmPageBytes / 2;
+    EXPECT_THROW(VmSystem(events, memory, cfg), FatalError);
+}
+
 // ------------------------------------------------------ demand paging
 
 TEST_F(VmFixture, DemandZeroFillPage)
@@ -375,7 +401,7 @@ TEST_F(VmFixture, PageOutOneEvictsUnreferenced)
     }
     EXPECT_TRUE(vm.residentPages().empty());
     EXPECT_EQ(vm.pageOuts().value(), 1u);
-    EXPECT_EQ(vm.backingStore().pagesHeld(), 1u);
+    EXPECT_EQ(vm.tier().images().pagesHeld(), 1u);
 }
 
 TEST_F(VmFixture, DataSurvivesEvictionAndReload)
@@ -394,7 +420,7 @@ TEST_F(VmFixture, DataSurvivesEvictionAndReload)
     // Touching the page again faults it back in with its contents.
     EXPECT_EQ(doRead(0, 1, userBase + 0x10), 0xabcdu);
     EXPECT_EQ(vm.pageIns().value(), 2u);
-    EXPECT_EQ(vm.backingStore().fetches().value(), 1u);
+    EXPECT_EQ(vm.tier().images().fetches().value(), 1u);
 }
 
 TEST_F(VmFixture, MemoryPressureTriggersPageout)
@@ -499,7 +525,7 @@ TEST_F(VmFixture, DestroySpaceFlushesDirtyPagesToNowhere)
     events.run();
     ASSERT_TRUE(done);
     // The backing store holds nothing for the destroyed space.
-    EXPECT_EQ(vm.backingStore().fetch(1, vpnOf(userBase)), nullptr);
+    EXPECT_EQ(vm.tier().images().fetch(1, vpnOf(userBase)), nullptr);
     // No cache still owns the old frame (two-state invariant).
     EXPECT_EQ(ctl(0).frameInfo(0x0), nullptr);
 }
