@@ -126,8 +126,8 @@ parseFlagNumber(const std::string &bench_name, const std::string &flag,
  *   --priority-levels N                 bus-request levels (priority)
  *   --help | -h                         print usage and exit
  * A missing or malformed value prints the problem to stderr and exits
- * 1. Unrecognized arguments are left in argv (bench_simperf forwards
- * them to google-benchmark); @p argc is adjusted accordingly.
+ * 1. Unrecognized arguments are left in argv for the caller (no bench
+ * consumes any); @p argc is adjusted accordingly.
  */
 inline BenchOptions
 parseBenchOptions(const std::string &bench_name, int &argc, char **argv)
@@ -189,8 +189,7 @@ parseBenchOptions(const std::string &bench_name, int &argc, char **argv)
                 << "  --priority-levels N bus-request levels "
                    "1..8 (priority; default 4)\n"
                 << "  --help, -h       this message\n"
-                << "Unrecognized arguments are forwarded (only "
-                   "bench_simperf consumes them).\n";
+                << "Unrecognized arguments are ignored.\n";
             std::exit(0);
         } else {
             argv[out++] = argv[i];

@@ -504,61 +504,62 @@ void
 InterBusBoard::recallLocal(Addr base, Done done)
 {
     ++recalls_;
-    auto attempt = std::make_shared<std::function<void()>>();
-    *attempt = [this, base, done = std::move(done), attempt] {
-        mem::BusTransaction tx;
-        tx.type = TxType::AssertOwnership;
-        tx.requester = localId_;
-        tx.paddr = base;
-        localBus_.request(tx, [this, base, done, attempt](
-                                  const mem::TxResult &result) {
-            if (result.aborted) {
-                // A local cache still owns the frame; it relinquishes
-                // (writing dirty data back to the image) when it
-                // services the interrupt this attempt queued.
-                ++retries_;
-                events_.scheduleIn(retryDelay(),
-                                   [attempt] { (*attempt)(); },
-                                   "ibc-recall-retry");
-                return;
-            }
-            *attempt = [] {}; // break the closure cycle
-            traceInstant(obs::EventKind::IbcRecall, base);
-            done();
-        });
-    };
-    (*attempt)();
+    recallAttempt(base, std::move(done));
+}
+
+void
+InterBusBoard::recallAttempt(Addr base, Done done)
+{
+    mem::BusTransaction tx;
+    tx.type = TxType::AssertOwnership;
+    tx.requester = localId_;
+    tx.paddr = base;
+    localBus_.request(tx, [this, base, done = std::move(done)](
+                              const mem::TxResult &result) {
+        if (result.aborted) {
+            // A local cache still owns the frame; it relinquishes
+            // (writing dirty data back to the image) when it services
+            // the interrupt this attempt queued.
+            ++retries_;
+            events_.scheduleIn(retryDelay(),
+                               [this, base, done] {
+                                   recallAttempt(base, done);
+                               },
+                               "ibc-recall-retry");
+            return;
+        }
+        traceInstant(obs::EventKind::IbcRecall, base);
+        done();
+    });
 }
 
 void
 InterBusBoard::writeBackGlobal(Addr base, ActionEntry after, Done done)
 {
-    auto attempt = std::make_shared<std::function<void()>>();
-    *attempt = [this, base, after, done = std::move(done), attempt] {
-        // Re-read the image on every attempt: cheap, and immune to any
-        // staging reuse between retries.
-        image_.readBlock(base, staging_.data(), pageBytes_);
-        globalCopier_.writeBackPage(
-            base, staging_.data(), pageBytes_, after,
-            [this, base, done, attempt](const mem::TxResult &result) {
-                if (result.aborted) {
-                    // Only a stale Shared entry in another cluster's
-                    // monitor can abort our write-back; it clears
-                    // autonomously, so a plain jittered retry (no
-                    // drain mid-transition) converges.
-                    ++retries_;
-                    events_.scheduleIn(retryDelay(),
-                                       [attempt] { (*attempt)(); },
-                                       "ibc-wb-retry");
-                    return;
-                }
-                ++globalWriteBacks_;
-                *attempt = [] {};
-                traceInstant(obs::EventKind::IbcWriteBack, base);
-                done();
-            });
-    };
-    (*attempt)();
+    // Re-read the image on every attempt: cheap, and immune to any
+    // staging reuse between retries.
+    image_.readBlock(base, staging_.data(), pageBytes_);
+    globalCopier_.writeBackPage(
+        base, staging_.data(), pageBytes_, after,
+        [this, base, after,
+         done = std::move(done)](const mem::TxResult &result) {
+            if (result.aborted) {
+                // Only a stale Shared entry in another cluster's
+                // monitor can abort our write-back; it clears
+                // autonomously, so a plain jittered retry (no drain
+                // mid-transition) converges.
+                ++retries_;
+                events_.scheduleIn(retryDelay(),
+                                   [this, base, after, done] {
+                                       writeBackGlobal(base, after, done);
+                                   },
+                                   "ibc-wb-retry");
+                return;
+            }
+            ++globalWriteBacks_;
+            traceInstant(obs::EventKind::IbcWriteBack, base);
+            done();
+        });
 }
 
 void

@@ -258,6 +258,8 @@ class InterBusBoard : public mem::BusWatcher
     /** Force every local cache to give up the frame (local
      *  assert-ownership, retried until unaborted). */
     void recallLocal(Addr base, Done done);
+    /** One recall attempt; an abort re-enters it after a retry delay. */
+    void recallAttempt(Addr base, Done done);
     /** Write the image copy of @p base back to main memory; the global
      *  entry becomes @p after. Retries on abort. */
     void writeBackGlobal(Addr base, mem::ActionEntry after, Done done);

@@ -83,8 +83,8 @@ putChromeRecord(char *p, const TraceEvent &event)
     VMP_LIT(p, "{\"name\":\"");
     if (isSpan(event.kind)) {
         p = putName(p, event.kind == EventKind::MissPhase
-                           ? missPhaseName(
-                                 static_cast<MissPhase>(event.aux))
+                           ? missPhaseName(static_cast<MissPhase>(
+                                 event.aux & ~kNestedMissBit))
                            : eventKindName(event.kind));
         VMP_LIT(p, "\",\"ph\":\"X\",\"pid\":0,\"tid\":");
         p = putUint(p, event.track);
@@ -116,8 +116,8 @@ putChromeRecord(char *p, const TraceEvent &event)
             VMP_LIT(p, ",\"dirty\":");
             p = putBool(p, (event.aux & 1u) != 0);
             VMP_LIT(p, ",\"kind\":\"");
-            p = putName(p, missKindName(
-                               static_cast<MissKind>(event.aux >> 1)));
+            p = putName(p, missKindName(static_cast<MissKind>(
+                               (event.aux & ~kNestedMissBit) >> 1)));
             VMP_LIT(p, "\",\"retries\":");
             p = putUint(p, event.arg1);
             break;

@@ -16,20 +16,25 @@ MissProfiler::observe(const TraceEvent &event)
         event.kind != EventKind::Miss) {
         return;
     }
-    if (pending_.size() <= event.track)
-        pending_.resize(event.track + 1);
-    Pending &pending = pending_[event.track];
+    // A nested miss's phases interleave with its outer miss's on the
+    // same track: accumulate each nesting level separately.
+    const bool nested = (event.aux & kNestedMissBit) != 0;
+    const std::size_t slot = std::size_t{event.track} * 2 + nested;
+    if (pending_.size() <= slot)
+        pending_.resize(slot + 1);
+    Pending &pending = pending_[slot];
+    const std::uint8_t aux = event.aux & ~kNestedMissBit;
 
     if (event.kind == EventKind::MissPhase) {
-        const auto phase = static_cast<std::size_t>(event.aux);
+        const auto phase = static_cast<std::size_t>(aux);
         if (phase < kMissPhases)
             pending.phaseNs[phase] += event.arg0;
         return;
     }
 
     // Closing Miss span: fold the pending phases into the class.
-    const bool dirty = (event.aux & 1u) != 0;
-    const auto kind_raw = static_cast<std::size_t>(event.aux >> 1);
+    const bool dirty = (aux & 1u) != 0;
+    const auto kind_raw = static_cast<std::size_t>(aux >> 1);
     const auto kind = static_cast<MissKind>(
         kind_raw < kMissKinds ? kind_raw : 0);
     MissBreakdown &cls = classes_[classIndex(kind, dirty)];

@@ -96,8 +96,9 @@ struct MissBreakdown
 
 /**
  * Folds MissPhase/Miss trace events into MissBreakdowns. One
- * instance serves a whole tracer: per-track pending accumulators keep
- * concurrent misses on different boards separate.
+ * instance serves a whole tracer: pending accumulators per track and
+ * nesting level (kNestedMissBit) keep concurrent misses on different
+ * boards, and a PTE miss nested inside its outer miss, separate.
  */
 class MissProfiler
 {
@@ -151,6 +152,7 @@ class MissProfiler
     };
 
     std::array<MissBreakdown, kMissKinds * 2> classes_{};
+    /** Indexed track * 2 + nested. */
     std::vector<Pending> pending_;
     Counter misses_;
     Counter mismatches_;

@@ -38,10 +38,11 @@ enum class EventKind : std::uint8_t
      *  queueing delay ns, aux = TxType | (aborted ? 0x80 : 0). */
     BusTx = 0,
     /** [span] One complete cache miss, trap to restart: arg1 = retries
-     *  consumed, aux bit0 = dirty victim, bits1.. = miss kind
-     *  (0 full, 1 ownership, 2 protection). */
+     *  consumed, aux bit0 = dirty victim, bits1-2 = miss kind
+     *  (0 full, 1 ownership, 2 protection), bit7 = kNestedMissBit. */
     Miss,
-    /** [span] One phase inside a miss; aux = MissPhase. */
+    /** [span] One phase inside a miss; aux bits0-6 = MissPhase,
+     *  bit7 = kNestedMissBit. */
     MissPhase,
     /** [span] One monitor-interrupt service burst; arg1 = words. */
     Service,
@@ -107,6 +108,16 @@ enum class MissPhase : std::uint8_t
 /** Number of miss phases (array-sizing constant). */
 inline constexpr std::size_t kMissPhases =
     static_cast<std::size_t>(MissPhase::ConsistencyWait) + 1;
+
+/**
+ * Miss/MissPhase aux bit 7: the span belongs to a miss taken inside
+ * another miss on the same track. The VM page-table walk reads PTEs
+ * through the cache, so a PTE miss nests inside the miss that needed
+ * the translation (Section 2); kernel translations never walk tables,
+ * which bounds nesting at one level. Outer and nested misses' phase
+ * spans interleave on one track, and this bit keeps them apart.
+ */
+inline constexpr std::uint8_t kNestedMissBit = 0x80;
 
 /** Stable lower-case name for an event kind (export identifiers). */
 inline const char *

@@ -12,9 +12,6 @@ namespace vmp::proto
 namespace
 {
 
-/** Sentinel owningSlot for ownership acquired without a cache copy. */
-constexpr cache::SlotIndex noSlot = 0xffffffff;
-
 /** Does a protection flag set permit this access? (Mirrors the cache.) */
 bool
 protPermits(cache::SlotFlags prot, bool write, bool supervisor)
@@ -24,6 +21,18 @@ protPermits(cache::SlotFlags prot, bool write, bool supervisor)
         return !write || (prot & FlagSupWritable);
     return write ? (prot & FlagUserWritable) != 0
                  : (prot & FlagUserReadable) != 0;
+}
+
+/** A continuation running @p done on its second call: the join of two
+ *  overlapped branches. */
+CacheController::Done
+joinOfTwo(CacheController::Done done)
+{
+    auto remaining = std::make_shared<int>(2);
+    return [remaining, done = std::move(done)] {
+        if (--*remaining == 0)
+            done();
+    };
 }
 
 } // namespace
@@ -55,6 +64,7 @@ CacheController::CacheController(CpuId cpu, EventQueue &events,
       bus_(bus), copier_(cpu, bus), translator_(translator),
       timing_(timing), rng_(0x9E3779B9u * (cpu + 1) + 0x1234)
 {
+    misses_.reserve(4);
 }
 
 Tick
@@ -98,7 +108,10 @@ CacheController::setTracer(obs::EventTracer *tracer,
 {
     tracer_ = tracer;
     traceTrack_ = track;
-    missOpen_ = false;
+    // A miss in flight stays untraced: its earlier phases were never
+    // emitted.
+    for (MissRecord &m : misses_)
+        m.traced = false;
     copier_.setTracer(tracer, track);
 }
 
@@ -107,61 +120,48 @@ CacheController::setTracer(obs::EventTracer *tracer,
 // --------------------------------------------------------------------
 
 void
-CacheController::traceMissBegin(Tick started, std::uint8_t kind)
-{
-    if (tracer_ == nullptr)
-        return;
-    missOpen_ = true;
-    missDirty_ = false;
-    missKindAux_ = kind;
-    missStartedAt_ = started;
-    phase_ = obs::MissPhase::Trap;
-    phaseStartedAt_ = started;
-}
-
-void
-CacheController::traceClosePhase()
+CacheController::traceClosePhase(const MissRecord &m)
 {
     const Tick now = events_.now();
-    if (now == phaseStartedAt_)
+    if (now == m.phaseStartedAt)
         return; // empty phase: contributes nothing
     obs::TraceEvent event;
     event.kind = obs::EventKind::MissPhase;
-    event.at = phaseStartedAt_;
-    event.arg0 = now - phaseStartedAt_;
+    event.at = m.phaseStartedAt;
+    event.arg0 = now - m.phaseStartedAt;
     event.master = cpuId_;
     event.track = traceTrack_;
-    event.aux = static_cast<std::uint8_t>(phase_);
+    event.aux = static_cast<std::uint8_t>(
+        static_cast<std::uint8_t>(m.phase) | nestedAux());
     tracer_->record(event);
 }
 
 void
 CacheController::tracePhase(obs::MissPhase phase)
 {
-    if (tracer_ == nullptr || !missOpen_ || phase_ == phase)
+    MissRecord &m = misses_.back();
+    if (m.phase == phase)
         return;
-    traceClosePhase();
-    phase_ = phase;
-    phaseStartedAt_ = events_.now();
+    if (m.traced)
+        traceClosePhase(m);
+    m.phase = phase;
+    m.phaseStartedAt = events_.now();
 }
 
 void
-CacheController::traceMissEnd()
+CacheController::traceMissEnd(const MissRecord &m)
 {
-    if (tracer_ == nullptr || !missOpen_)
-        return;
-    traceClosePhase();
+    traceClosePhase(m);
     obs::TraceEvent event;
     event.kind = obs::EventKind::Miss;
-    event.at = missStartedAt_;
-    event.arg0 = events_.now() - missStartedAt_;
-    event.arg1 = liveRetries_;
+    event.at = m.started;
+    event.arg0 = events_.now() - m.started;
+    event.arg1 = m.retries;
     event.master = cpuId_;
     event.track = traceTrack_;
-    event.aux = static_cast<std::uint8_t>((missDirty_ ? 1u : 0u) |
-                                          (missKindAux_ << 1));
+    event.aux = static_cast<std::uint8_t>((m.dirty ? 1u : 0u) |
+                                          (m.kind << 1) | nestedAux());
     tracer_->record(event);
-    missOpen_ = false;
 }
 
 void
@@ -246,7 +246,9 @@ CacheController::failstop()
     frames_.clear();
     slotFrame_.clear();
     shadow_.clear();
-    liveRetries_ = 0;
+    // The in-flight reference's retry count is software state too.
+    for (MissRecord &m : misses_)
+        m.retries = 0;
     VMP_DTRACE(debug::Recover, events_.now(), "cpu", cpuId_,
                " failstop: local state wiped");
 }
@@ -255,7 +257,8 @@ void
 CacheController::rejoin()
 {
     dead_ = false;
-    liveRetries_ = 0;
+    for (MissRecord &m : misses_)
+        m.retries = 0;
     // Cold software restart also clears partial-failure seam state:
     // the restarted service loop is neither wedged nor slow.
     wedged_ = false;
@@ -273,11 +276,16 @@ CacheController::setServiceSlowdown(std::uint64_t factor)
 }
 
 void
-CacheController::finishMiss(Tick started, const AccessDone &done)
+CacheController::finishMiss()
 {
-    missStall_ += events_.now() - started;
-    retryHistogram_.sample(static_cast<double>(liveRetries_));
-    traceMissEnd();
+    MissRecord &m = misses_.back();
+    missStall_ += events_.now() - m.started;
+    retryHistogram_.sample(static_cast<double>(m.retries));
+    if (m.traced)
+        traceMissEnd(m);
+    // Pop before continuing: the continuation may trap the next miss.
+    const AccessDone done = std::move(m.done);
+    misses_.pop_back();
     done(AccessOutcome::MissCompleted);
 }
 
@@ -305,19 +313,6 @@ CacheController::afterSoftware(Tick delay, Done fn)
     events_.scheduleIn(delay, std::move(fn), "sw");
 }
 
-void
-CacheController::releaseLoop(
-    const std::shared_ptr<std::function<void()>> &loop)
-{
-    // Looping operations (retry-until-success, FIFO drains) are closures
-    // that capture a shared_ptr to themselves so they stay alive across
-    // asynchronous steps. Once the loop terminates, that self-reference
-    // must be broken or the closure leaks; clearing is deferred one
-    // event so the currently executing target is never destroyed
-    // mid-run.
-    events_.scheduleIn(0, [loop] { *loop = nullptr; }, "loop-gc");
-}
-
 // --------------------------------------------------------------------
 // Reference entry point
 // --------------------------------------------------------------------
@@ -340,73 +335,121 @@ CacheController::miss(const cache::AccessResult &res, Asid asid,
                       AccessDone done)
 {
     ++missCount_;
-    liveRetries_ = 0;
     VMP_DTRACE(debug::Proto, events_.now(), "cpu", cpuId_, " miss ",
                (write ? "W" : "R"), " va=0x", std::hex, vaddr,
                std::dec, " asid=", unsigned{asid});
-    const TranslateRequest req{asid, vaddr, write, supervisor};
-    const Tick started = events_.now();
+    MissRecord &m = misses_.emplace_back();
+    m.req = TranslateRequest{asid, vaddr, write, supervisor};
+    m.started = events_.now();
+    m.done = std::move(done);
+    m.phaseStartedAt = m.started;
+    m.traced = tracer_ != nullptr;
     switch (res.miss) {
-      case cache::MissKind::NoMatch:
-        traceMissBegin(started, 0);
-        handleFullMiss(req, started, std::move(done));
-        break;
       case cache::MissKind::WriteShared:
         ++ownershipCount_;
-        traceMissBegin(started, 1);
-        handleOwnershipMiss(req, *res.slot, started, std::move(done));
+        m.kind = 1;
         break;
       case cache::MissKind::Protection:
-        traceMissBegin(started, 2);
-        handleProtectionMiss(req, *res.slot, started, std::move(done));
+        m.kind = 2;
         break;
-      case cache::MissKind::None:
-        panic("miss dispatch with MissKind::None");
+      default:
+        break;
     }
+    dispatchMiss(res);
 }
 
 void
-CacheController::retryAccess(const TranslateRequest &req, Tick started,
-                             AccessDone done)
+CacheController::dispatchMiss(const cache::AccessResult &res)
+{
+    switch (res.miss) {
+      case cache::MissKind::NoMatch:
+        trapAndTranslate([this](const TranslateResult &result) {
+            missWithTranslation(result);
+        });
+        return;
+      case cache::MissKind::WriteShared: {
+        const cache::SlotIndex slot = *res.slot;
+        const auto frame_it = slotFrame_.find(slot);
+        if (frame_it == slotFrame_.end())
+            panic("cpu", cpuId_, ": ownership miss on untracked slot");
+        // The handler consults the page tables before granting write
+        // access: this re-validates protection against a concurrent
+        // mapping change and lets the VM system maintain the PTE
+        // modified bit (Section 3.4).
+        trapAndTranslate([this, slot, frame = frame_it->second](
+                             const TranslateResult &result) {
+            upgradeOwnership(slot, frame, result);
+        });
+        return;
+      }
+      case cache::MissKind::Protection:
+        trapAndTranslate([this, slot = *res.slot](
+                             const TranslateResult &result) {
+            refreshProtection(slot, result);
+        });
+        return;
+      case cache::MissKind::None:
+        break;
+    }
+    panic("miss dispatch with MissKind::None");
+}
+
+void
+CacheController::trapAndTranslate(TranslateDone next)
+{
+    tracePhase(obs::MissPhase::Trap);
+    afterSoftware(timing_.trapEntryNs, [this, next = std::move(next)] {
+        // A copy: the walk may push a nested miss onto misses_.
+        const TranslateRequest req = misses_.back().req;
+        translator_.translate(
+            req, *this,
+            [this, req, next](const TranslateResult &result) {
+                if (result.ok &&
+                    protPermits(result.prot, req.write, req.supervisor)) {
+                    next(result);
+                    return;
+                }
+                if (!faultHandler_)
+                    fatal(result.ok ? "protection" : "page",
+                          " fault at 0x", std::hex, req.vaddr, std::dec,
+                          " (asid ", unsigned{req.asid},
+                          ") with no fault handler installed");
+                faultHandler_(req, [this] { retryAccess(); });
+            });
+    });
+}
+
+void
+CacheController::retryAccess()
 {
     // The processor re-traps on the retried instruction; pending
     // monitor interrupts are taken first, which is what resolves the
     // self-competition (alias) aborts.
+    MissRecord &m = misses_.back();
     ++retryCount_;
-    ++liveRetries_;
+    const std::uint64_t retries = ++m.retries;
+    const TranslateRequest req = m.req;
+    const Tick started = m.started;
     tracePhase(obs::MissPhase::ConsistencyWait);
-    watchdogCheck("access", req.asid, req.vaddr, 0, liveRetries_,
-                  started);
-    if (deadOwnerCheck("access", req.vaddr, 0, liveRetries_, started)) {
+    watchdogCheck("access", req.asid, req.vaddr, 0, retries, started);
+    if (deadOwnerCheck("access", req.vaddr, 0, retries, started)) {
         // Timed wait expired: the board that must release the page is
         // not answering. Abandon the access — the reference completes
         // *without* a cache fill (the caller sees MissCompleted and a
         // DeadOwnerError); readWord/writeWord must not be used against
         // potentially-stranded frames for this reason.
-        finishMiss(started, done);
+        finishMiss();
         return;
     }
-    serviceInterrupts([this, req, started, done = std::move(done)] {
-        afterSoftware(retryDelay(), [this, req, started, done] {
+    serviceInterrupts([this] {
+        afterSoftware(retryDelay(), [this] {
+            const TranslateRequest &req = misses_.back().req;
             const auto res = cache_.access(req.asid, req.vaddr,
                                            req.write, req.supervisor);
-            if (res.hit) {
-                finishMiss(started, done);
-                return;
-            }
-            switch (res.miss) {
-              case cache::MissKind::NoMatch:
-                handleFullMiss(req, started, done);
-                break;
-              case cache::MissKind::WriteShared:
-                handleOwnershipMiss(req, *res.slot, started, done);
-                break;
-              case cache::MissKind::Protection:
-                handleProtectionMiss(req, *res.slot, started, done);
-                break;
-              case cache::MissKind::None:
-                panic("retry dispatch with MissKind::None");
-            }
+            if (res.hit)
+                finishMiss();
+            else
+                dispatchMiss(res);
         });
     });
 }
@@ -416,55 +459,16 @@ CacheController::retryAccess(const TranslateRequest &req, Tick started,
 // --------------------------------------------------------------------
 
 void
-CacheController::handleFullMiss(TranslateRequest req, Tick started,
-                                AccessDone done)
+CacheController::missWithTranslation(const TranslateResult &result)
 {
-    tracePhase(obs::MissPhase::Trap);
-    afterSoftware(timing_.trapEntryNs, [this, req, started,
-                                        done = std::move(done)] {
-        translator_.translate(
-            req, *this,
-            [this, req, started, done](const TranslateResult &result) {
-                if (!result.ok) {
-                    if (!faultHandler_)
-                        fatal("page fault at 0x", std::hex, req.vaddr,
-                              std::dec, " (asid ",
-                              unsigned{req.asid},
-                              ") with no fault handler installed");
-                    faultHandler_(req, [this, req, started, done] {
-                        retryAccess(req, started, done);
-                    });
-                    return;
-                }
-                if (!protPermits(result.prot, req.write,
-                                 req.supervisor)) {
-                    if (!faultHandler_)
-                        fatal("protection violation at 0x", std::hex,
-                              req.vaddr, std::dec);
-                    faultHandler_(req, [this, req, started, done] {
-                        retryAccess(req, started, done);
-                    });
-                    return;
-                }
-                missWithTranslation(req, result, started, done);
-            });
-    });
-}
-
-void
-CacheController::missWithTranslation(const TranslateRequest &req,
-                                     const TranslateResult &result,
-                                     Tick started, AccessDone done)
-{
-    const cache::SlotIndex victim = cache_.victimFor(req.vaddr);
+    const cache::SlotIndex victim =
+        cache_.victimFor(misses_.back().req.vaddr);
     tracePhase(obs::MissPhase::VictimWriteback);
-    retireVictim(victim, [this, req, result, victim, started,
-                          done = std::move(done)] {
+    retireVictim(victim, [this, result, victim] {
         tracePhase(obs::MissPhase::TableLookup);
-        afterSoftware(timing_.postNs,
-                      [this, req, result, victim, started, done] {
-                          issueFill(req, result, victim, started, done);
-                      });
+        afterSoftware(timing_.postNs, [this, result, victim] {
+            issueFill(result, victim);
+        });
     });
 }
 
@@ -484,6 +488,27 @@ CacheController::forgetSlot(cache::SlotIndex slot)
         frames_.erase(frame);
 }
 
+CacheController::PageBuffer
+CacheController::dropFrameSlots(std::uint64_t frame,
+                                cache::SlotIndex keep)
+{
+    std::vector<cache::SlotIndex> drop;
+    for (const auto &[slot, f] : slotFrame_) {
+        if (f == frame && slot != keep)
+            drop.push_back(slot);
+    }
+    PageBuffer dirty;
+    for (const auto slot : drop) {
+        const cache::Slot &s = cache_.slot(slot);
+        if (s.valid() && s.modified())
+            dirty = std::make_shared<const std::vector<std::uint8_t>>(
+                s.data);
+        cache_.invalidate(slot);
+        forgetSlot(slot);
+    }
+    return dirty;
+}
+
 void
 CacheController::retireVictim(cache::SlotIndex victim, Done done)
 {
@@ -498,63 +523,19 @@ CacheController::retireVictim(cache::SlotIndex victim, Done done)
         panic("cpu", cpuId_, ": valid victim slot ", victim,
               " has no frame bookkeeping");
     const std::uint64_t frame = frame_it->second;
-    const Addr base = frame * pageBytes();
 
     if (slot.modified()) {
         // Dirty implies privately owned: write the page back,
         // releasing ownership (entry -> 00), overlapped with up to
         // overlapNs of bookkeeping.
-        missDirty_ = true; // observed by the tracer only
-        auto buffer = std::make_shared<std::vector<std::uint8_t>>(
-            slot.data);
+        misses_.back().dirty = true;
+        auto buffer =
+            std::make_shared<const std::vector<std::uint8_t>>(slot.data);
         forgetSlot(victim);
         cache_.invalidate(victim);
-        ++writeBackCount_;
-
-        auto remaining = std::make_shared<int>(2);
-        auto join = [remaining, done = std::move(done)] {
-            if (--*remaining == 0)
-                done();
-        };
-
-        // Write-back retries until it succeeds; an abort can only come
-        // from another monitor's stale entry and resolves once that
-        // processor services its interrupt.
-        auto tries = std::make_shared<std::uint64_t>(0);
-        const Tick loop_started = events_.now();
-        auto attempt = std::make_shared<std::function<void()>>();
-        *attempt = [this, base, buffer, frame, join, attempt, tries,
-                    loop_started] {
-            copier_.writeBackPage(
-                base, buffer->data(), pageBytes(),
-                mem::ActionEntry::Ignore,
-                [this, base, frame, join, attempt, tries,
-                 loop_started](const mem::TxResult &res) {
-                    if (res.aborted) {
-                        ++violationCount_;
-                        watchdogCheck("write-back", 0, 0, base,
-                                      ++*tries, loop_started);
-                        if (deadOwnerCheck("write-back", 0, base,
-                                           *tries, loop_started)) {
-                            // The aborting board is dead: the dirty
-                            // page cannot be written back (its data is
-                            // lost) but our own Protect entry must not
-                            // stay stale. writeActionTable is never
-                            // aborted, so this always completes.
-                            releaseLoop(attempt);
-                            writeActionTable(
-                                base, mem::ActionEntry::Ignore, join);
-                            return;
-                        }
-                        afterSoftware(retryDelay(), *attempt);
-                        return;
-                    }
-                    shadow_[frame] = mem::ActionEntry::Ignore;
-                    releaseLoop(attempt);
-                    join();
-                });
-        };
-        (*attempt)();
+        const Done join = joinOfTwo(std::move(done));
+        writeBack(frame, std::move(buffer), mem::ActionEntry::Ignore,
+                  join);
         afterSoftware(timing_.overlapNs, join);
         return;
     }
@@ -571,12 +552,9 @@ CacheController::retireVictim(cache::SlotIndex victim, Done done)
         // Protect entry must not go stale or it would abort every
         // other master's access to the frame forever. Release it with
         // an explicit action-table write, overlapped with bookkeeping.
-        auto remaining = std::make_shared<int>(2);
-        auto join = [remaining, done = std::move(done)] {
-            if (--*remaining == 0)
-                done();
-        };
-        writeActionTable(base, mem::ActionEntry::Ignore, join);
+        const Done join = joinOfTwo(std::move(done));
+        writeActionTable(frame * pageBytes(), mem::ActionEntry::Ignore,
+                         join);
         afterSoftware(timing_.overlapNs, join);
     } else {
         // Shared (or still-aliased) victim: leave the 01 entry stale;
@@ -587,10 +565,8 @@ CacheController::retireVictim(cache::SlotIndex victim, Done done)
 }
 
 void
-CacheController::issueFill(const TranslateRequest &req,
-                           const TranslateResult &result,
-                           cache::SlotIndex victim, Tick started,
-                           AccessDone done)
+CacheController::issueFill(const TranslateResult &result,
+                           cache::SlotIndex victim)
 {
     const Addr base = frameBase(result.paddr);
     const std::uint64_t frame = frameOf(result.paddr);
@@ -601,19 +577,21 @@ CacheController::issueFill(const TranslateRequest &req,
     // Non-shared memory (Section 5.4 hint) is fetched with
     // read-private even on a read miss, pre-empting the later
     // assert-ownership upgrade on the first write.
-    const bool exclusive = req.write || result.privateHint;
-    if (!req.write && result.privateHint)
+    const bool write = misses_.back().req.write;
+    const bool exclusive = write || result.privateHint;
+    if (!write && result.privateHint)
         ++hintedPrivateFills_;
     copier_.readPage(
         base, staging->data(), pageBytes(), exclusive,
-        [this, req, result, victim, started, done = std::move(done),
-         staging, base, frame, exclusive](const mem::TxResult &res) {
+        [this, result, victim, staging, frame,
+         exclusive](const mem::TxResult &res) {
             if (res.aborted) {
                 // The instruction re-traps and retries (Section 2):
                 // cache flags were left unchanged.
-                retryAccess(req, started, done);
+                retryAccess();
                 return;
             }
+            const TranslateRequest &req = misses_.back().req;
             cache::SlotFlags flags = result.prot;
             if (exclusive)
                 flags = static_cast<cache::SlotFlags>(
@@ -632,11 +610,11 @@ CacheController::issueFill(const TranslateRequest &req,
                 // Shared fill. (A private state here is impossible:
                 // our own monitor would have aborted the read-shared.)
                 info.state = FrameState::Shared;
-                info.owningSlot = 0xffffffff;
+                info.owningSlot = noSlot;
             }
             shadow_[frame] = exclusive ? mem::ActionEntry::Protect
                                        : mem::ActionEntry::Shared;
-            finishMiss(started, done);
+            finishMiss();
         });
 }
 
@@ -645,127 +623,66 @@ CacheController::issueFill(const TranslateRequest &req,
 // --------------------------------------------------------------------
 
 void
-CacheController::handleOwnershipMiss(TranslateRequest req,
-                                     cache::SlotIndex slot,
-                                     Tick started, AccessDone done)
+CacheController::upgradeOwnership(cache::SlotIndex slot,
+                                  std::uint64_t frame,
+                                  const TranslateResult &result)
 {
-    const auto frame_it = slotFrame_.find(slot);
-    if (frame_it == slotFrame_.end())
-        panic("cpu", cpuId_, ": ownership miss on untracked slot");
-    const std::uint64_t frame = frame_it->second;
-    const Addr base = frame * pageBytes();
-
-    // The handler consults the page tables before granting write
-    // access: this re-validates protection against a concurrent
-    // mapping change and lets the VM system maintain the PTE modified
-    // bit (Section 3.4).
-    tracePhase(obs::MissPhase::Trap);
-    afterSoftware(timing_.trapEntryNs, [this, req, slot, frame, base,
-                                        started,
-                                        done = std::move(done)] {
-        translator_.translate(
-            req, *this,
-            [this, req, slot, frame, base, started,
-             done](const TranslateResult &result) {
-                if (!result.ok ||
-                    !protPermits(result.prot, req.write,
-                                 req.supervisor)) {
-                    if (!faultHandler_)
-                        fatal("write fault at 0x", std::hex, req.vaddr,
-                              std::dec, " during ownership upgrade");
-                    faultHandler_(req, [this, req, started, done] {
-                        retryAccess(req, started, done);
-                    });
-                    return;
-                }
-                if (frameOf(result.paddr) != frame) {
-                    // The mapping changed under us: drop the stale
-                    // slot and redo the access from scratch.
-                    cache_.invalidate(slot);
-                    forgetSlot(slot);
-                    retryAccess(req, started, done);
-                    return;
-                }
-                tracePhase(obs::MissPhase::TableLookup);
-                afterSoftware(timing_.ownershipNs, [this, req, slot,
-                                                    frame, base,
-                                                    started, done] {
-                    mem::BusTransaction tx;
-                    tx.type = mem::TxType::AssertOwnership;
-                    tx.requester = cpuId_;
-                    tx.paddr = base;
-                    tx.newEntry = mem::ActionEntry::Protect;
-                    tx.updatesTable = true;
-                    tracePhase(obs::MissPhase::ConsistencyWait);
-                    bus_.request(tx, [this, req, slot, frame, started,
-                                      done](const mem::TxResult &res) {
-                        if (res.aborted) {
-                            retryAccess(req, started, done);
-                            return;
-                        }
-                        // We now own the frame exclusively. Other
-                        // caches (and our own aliases, via the
-                        // self-echo interrupt word) discard their
-                        // copies in parallel.
-                        cache::Slot &s = cache_.slot(slot);
-                        if (s.valid()) {
-                            cache_.setFlags(
-                                slot, static_cast<cache::SlotFlags>(
+    if (frameOf(result.paddr) != frame) {
+        // The mapping changed under us: drop the stale slot and redo
+        // the access from scratch.
+        cache_.invalidate(slot);
+        forgetSlot(slot);
+        retryAccess();
+        return;
+    }
+    tracePhase(obs::MissPhase::TableLookup);
+    afterSoftware(timing_.ownershipNs, [this, slot, frame] {
+        mem::BusTransaction tx;
+        tx.type = mem::TxType::AssertOwnership;
+        tx.requester = cpuId_;
+        tx.paddr = frame * pageBytes();
+        tx.newEntry = mem::ActionEntry::Protect;
+        tx.updatesTable = true;
+        tracePhase(obs::MissPhase::ConsistencyWait);
+        bus_.request(tx, [this, slot, frame](const mem::TxResult &res) {
+            if (res.aborted) {
+                retryAccess();
+                return;
+            }
+            // We now own the frame exclusively. Other caches (and our
+            // own aliases, via the self-echo interrupt word) discard
+            // their copies in parallel.
+            cache::Slot &s = cache_.slot(slot);
+            if (s.valid()) {
+                cache_.setFlags(slot, static_cast<cache::SlotFlags>(
                                           s.flags |
                                           cache::FlagExclusive));
-                        }
-                        FrameInfo &info = frames_[frame];
-                        info.state = FrameState::Private;
-                        info.owningSlot = slot;
-                        shadow_[frame] = mem::ActionEntry::Protect;
-                        finishMiss(started, done);
-                    });
-                });
-            });
+            }
+            FrameInfo &info = frames_[frame];
+            info.state = FrameState::Private;
+            info.owningSlot = slot;
+            shadow_[frame] = mem::ActionEntry::Protect;
+            finishMiss();
+        });
     });
 }
 
 void
-CacheController::handleProtectionMiss(TranslateRequest req,
-                                      cache::SlotIndex slot,
-                                      Tick started, AccessDone done)
+CacheController::refreshProtection(cache::SlotIndex slot,
+                                   const TranslateResult &result)
 {
-    tracePhase(obs::MissPhase::Trap);
-    afterSoftware(timing_.trapEntryNs, [this, req, slot, started,
-                                        done = std::move(done)] {
-        translator_.translate(
-            req, *this,
-            [this, req, slot, started,
-             done](const TranslateResult &result) {
-                if (!result.ok ||
-                    !protPermits(result.prot, req.write,
-                                 req.supervisor)) {
-                    if (!faultHandler_)
-                        fatal("protection fault at 0x", std::hex,
-                              req.vaddr, std::dec, " (asid ",
-                              unsigned{req.asid}, ")");
-                    faultHandler_(req, [this, req, started, done] {
-                        retryAccess(req, started, done);
-                    });
-                    return;
-                }
-                // The page tables grant the access: refresh the slot's
-                // protection flags and retry (the retry resolves any
-                // remaining ownership requirement).
-                cache::Slot &s = cache_.slot(slot);
-                if (s.valid()) {
-                    const cache::SlotFlags keep =
-                        static_cast<cache::SlotFlags>(
-                            s.flags & (cache::FlagModified |
-                                       cache::FlagExclusive));
-                    cache_.setFlags(
-                        slot, static_cast<cache::SlotFlags>(
+    // The page tables grant the access: refresh the slot's protection
+    // flags and retry (the retry resolves any remaining ownership
+    // requirement).
+    cache::Slot &s = cache_.slot(slot);
+    if (s.valid()) {
+        const cache::SlotFlags keep = static_cast<cache::SlotFlags>(
+            s.flags & (cache::FlagModified | cache::FlagExclusive));
+        cache_.setFlags(slot, static_cast<cache::SlotFlags>(
                                   cache::FlagValid | result.prot |
                                   keep));
-                }
-                retryAccess(req, started, done);
-            });
-    });
+    }
+    retryAccess();
 }
 
 // --------------------------------------------------------------------
@@ -852,55 +769,57 @@ CacheController::serviceInterrupts(Done done)
         done();
         return;
     }
+    // Each call drains on its own: an interrupt-line poke and a miss
+    // retry may both be draining this FIFO at once.
     const Tick started = events_.now();
     const std::uint64_t words_before = serviceCount_.value();
-    auto finish = [this, started, words_before,
-                   done = std::move(done)] {
-        serviceStall_ += events_.now() - started;
-        if (tracer_ != nullptr) {
-            obs::TraceEvent event;
-            event.kind = obs::EventKind::Service;
-            event.at = started;
-            event.arg0 = events_.now() - started;
-            event.arg1 = serviceCount_.value() - words_before;
-            event.master = cpuId_;
-            event.track = traceTrack_;
-            tracer_->record(event);
-        }
-        done();
-    };
+    drainInterrupts(std::make_shared<const Done>(
+        [this, started, words_before, done = std::move(done)] {
+            serviceStall_ += events_.now() - started;
+            if (tracer_ != nullptr) {
+                obs::TraceEvent event;
+                event.kind = obs::EventKind::Service;
+                event.at = started;
+                event.arg0 = events_.now() - started;
+                event.arg1 = serviceCount_.value() - words_before;
+                event.master = cpuId_;
+                event.track = traceTrack_;
+                tracer_->record(event);
+            }
+            done();
+        }));
+}
 
-    auto drain = std::make_shared<std::function<void()>>();
-    *drain = [this, drain, finish = std::move(finish)] {
-        if (monitor_.fifo().overflowed()) {
-            monitor_.fifo().clearOverflow();
-            ++serviceEpoch_;
-            recoverFromOverflow(*drain);
-            return;
-        }
-        const auto word = monitor_.fifo().pop();
-        if (!word) {
-            releaseLoop(drain);
-            ++serviceEpoch_;
-            finish();
-            return;
-        }
-        ++serviceCount_;
+void
+CacheController::drainInterrupts(std::shared_ptr<const Done> finish)
+{
+    if (monitor_.fifo().overflowed()) {
+        monitor_.fifo().clearOverflow();
         ++serviceEpoch_;
-        VMP_DTRACE(debug::Monitor, events_.now(), "cpu", cpuId_,
-                   " service word ", mem::txTypeName(word->type),
-                   " pa=0x", std::hex, word->paddr, std::dec,
-                   " from=", word->requester,
-                   word->aborted ? " (aborted)" : "");
-        // slowFactor_ is 1 on a healthy board — multiplying the charge
-        // by one keeps the unfaulted run bit-identical.
-        serviceCpuNs_ += timing_.serviceNs * slowFactor_;
-        afterSoftware(timing_.serviceNs * slowFactor_,
-                      [this, w = *word, drain] {
-            serviceWord(w, *drain);
-        });
-    };
-    (*drain)();
+        recoverFromOverflow([this, finish] { drainInterrupts(finish); });
+        return;
+    }
+    const auto word = monitor_.fifo().pop();
+    if (!word) {
+        ++serviceEpoch_;
+        (*finish)();
+        return;
+    }
+    ++serviceCount_;
+    ++serviceEpoch_;
+    VMP_DTRACE(debug::Monitor, events_.now(), "cpu", cpuId_,
+               " service word ", mem::txTypeName(word->type), " pa=0x",
+               std::hex, word->paddr, std::dec, " from=",
+               word->requester, word->aborted ? " (aborted)" : "");
+    // slowFactor_ is 1 on a healthy board — multiplying the charge by
+    // one keeps the unfaulted run bit-identical.
+    serviceCpuNs_ += timing_.serviceNs * slowFactor_;
+    afterSoftware(timing_.serviceNs * slowFactor_,
+                  [this, w = *word, finish] {
+                      serviceWord(w, [this, finish] {
+                          drainInterrupts(finish);
+                      });
+                  });
 }
 
 void
@@ -924,70 +843,34 @@ CacheController::serviceWord(const monitor::InterruptWord &word,
         // — typically a lazily-left 01 from a clean replacement. Clear
         // it so the writer's retry can succeed; a dirty copy of our
         // own here would be a genuine protocol violation.
-        {
-            bool genuine = false;
-            std::vector<cache::SlotIndex> drop;
-            for (const auto &[slot, f] : slotFrame_) {
-                if (f == frame)
-                    drop.push_back(slot);
-            }
-            for (const auto slot : drop) {
-                genuine = genuine || cache_.slot(slot).modified();
-                cache_.invalidate(slot);
-                forgetSlot(slot);
-            }
-            frames_.erase(frame);
-            if (genuine)
-                ++violationCount_;
-            if (shadowEntry(word.paddr) != mem::ActionEntry::Ignore) {
-                ++spuriousCount_;
-                writeActionTable(base, mem::ActionEntry::Ignore, next);
-                return;
-            }
-        }
-        next();
+        if (dropFrameSlots(frame))
+            ++violationCount_;
+        frames_.erase(frame);
+        if (shadowEntry(base) != mem::ActionEntry::Ignore)
+            ++spuriousCount_;
+        releaseEntry(base, std::move(next));
         return;
 
       case mem::TxType::ReadShared:
-        // Only queued when we aborted it: we hold the frame privately
-        // (possibly via an alias of our own). Downgrade to shared.
-        if (info_it == frames_.end()) {
-            // Stale Protect entry with no bookkeeping: clean it up.
-            ++spuriousCount_;
-            if (shadowEntry(word.paddr) != mem::ActionEntry::Ignore) {
-                writeActionTable(base, mem::ActionEntry::Ignore, next);
-            } else {
-                next();
-            }
-            return;
-        }
-        downgradeFrame(frame, std::move(next));
-        return;
-
       case mem::TxType::ReadPrivate:
       case mem::TxType::AssertOwnership:
         if (info_it == frames_.end()) {
+            // Stale entry with no bookkeeping: clean it up.
             ++spuriousCount_;
-            if (shadowEntry(word.paddr) != mem::ActionEntry::Ignore) {
-                writeActionTable(base, mem::ActionEntry::Ignore, next);
-            } else {
-                next();
-            }
+            releaseEntry(base, std::move(next));
+            return;
+        }
+        if (word.type == mem::TxType::ReadShared) {
+            // Only queued when we aborted it: we hold the frame
+            // privately (possibly via an alias of our own). Downgrade
+            // to shared.
+            downgradeFrame(frame, std::move(next));
             return;
         }
         if (word.requester == cpuId_ && !word.aborted) {
             // Echo of our own successful acquisition: discard our other
             // (alias) copies of the frame, keeping the acquiring slot.
-            const cache::SlotIndex keep = info_it->second.owningSlot;
-            std::vector<cache::SlotIndex> drop;
-            for (const auto &[slot, f] : slotFrame_) {
-                if (f == frame && slot != keep)
-                    drop.push_back(slot);
-            }
-            for (const auto slot : drop) {
-                cache_.invalidate(slot);
-                forgetSlot(slot);
-            }
+            dropFrameSlots(frame, info_it->second.owningSlot);
             next();
             return;
         }
@@ -1005,75 +888,22 @@ CacheController::serviceWord(const monitor::InterruptWord &word,
 void
 CacheController::relinquishFrame(std::uint64_t frame, Done next)
 {
-    const Addr base = frame * pageBytes();
-    const auto info_it = frames_.find(frame);
-    if (info_it == frames_.end()) {
+    if (frames_.find(frame) == frames_.end()) {
         next();
         return;
     }
-    const FrameState state = info_it->second.state;
-
-    // Collect and drop every slot caching this frame, remembering any
-    // dirty contents for the write-back.
-    std::shared_ptr<std::vector<std::uint8_t>> dirty;
-    std::vector<cache::SlotIndex> drop;
-    for (const auto &[slot, f] : slotFrame_) {
-        if (f == frame)
-            drop.push_back(slot);
-    }
-    for (const auto slot : drop) {
-        cache::Slot &s = cache_.slot(slot);
-        if (s.valid() && s.modified())
-            dirty = std::make_shared<std::vector<std::uint8_t>>(s.data);
-        cache_.invalidate(slot);
-        forgetSlot(slot);
-    }
+    // Drop every slot caching this frame, keeping any dirty contents
+    // for the write-back.
+    PageBuffer dirty = dropFrameSlots(frame);
     frames_.erase(frame);
-
     if (dirty) {
-        ++writeBackCount_;
-        auto tries = std::make_shared<std::uint64_t>(0);
-        const Tick loop_started = events_.now();
-        auto attempt = std::make_shared<std::function<void()>>();
-        *attempt = [this, base, frame, dirty, next = std::move(next),
-                    attempt, tries, loop_started] {
-            copier_.writeBackPage(
-                base, dirty->data(), pageBytes(),
-                mem::ActionEntry::Ignore,
-                [this, base, frame, next, attempt, tries,
-                 loop_started](const mem::TxResult &res) {
-                    if (res.aborted) {
-                        ++violationCount_;
-                        watchdogCheck("write-back", 0, 0, base,
-                                      ++*tries, loop_started);
-                        if (deadOwnerCheck("write-back", 0, base,
-                                           *tries, loop_started)) {
-                            releaseLoop(attempt);
-                            writeActionTable(
-                                base, mem::ActionEntry::Ignore, next);
-                            return;
-                        }
-                        afterSoftware(retryDelay(), *attempt);
-                        return;
-                    }
-                    shadow_[frame] = mem::ActionEntry::Ignore;
-                    releaseLoop(attempt);
-                    next();
-                });
-        };
-        (*attempt)();
+        writeBack(frame, std::move(dirty), mem::ActionEntry::Ignore,
+                  std::move(next));
         return;
     }
-
     // Clean: release via an explicit action-table write when the entry
     // could be non-00 (shared copies or clean private).
-    (void)state;
-    if (shadowEntry(base) != mem::ActionEntry::Ignore) {
-        writeActionTable(base, mem::ActionEntry::Ignore,
-                         std::move(next));
-    } else {
-        next();
-    }
+    releaseEntry(frame * pageBytes(), std::move(next));
 }
 
 void
@@ -1086,7 +916,7 @@ CacheController::downgradeFrame(std::uint64_t frame, Done next)
         return;
     }
     // Clear exclusive/modified on our copies, capturing dirty data.
-    std::shared_ptr<std::vector<std::uint8_t>> dirty;
+    PageBuffer dirty;
     bool any_slot = false;
     for (const auto &[slot, f] : slotFrame_) {
         if (f != frame)
@@ -1096,10 +926,10 @@ CacheController::downgradeFrame(std::uint64_t frame, Done next)
             continue;
         any_slot = true;
         if (s.modified())
-            dirty = std::make_shared<std::vector<std::uint8_t>>(s.data);
+            dirty = std::make_shared<const std::vector<std::uint8_t>>(
+                s.data);
         s.flags = static_cast<cache::SlotFlags>(
-            s.flags &
-            ~(cache::FlagExclusive | cache::FlagModified));
+            s.flags & ~(cache::FlagExclusive | cache::FlagModified));
     }
 
     if (!any_slot) {
@@ -1116,42 +946,10 @@ CacheController::downgradeFrame(std::uint64_t frame, Done next)
     info.owningSlot = noSlot;
 
     if (dirty) {
-        ++writeBackCount_;
-        auto tries = std::make_shared<std::uint64_t>(0);
-        const Tick loop_started = events_.now();
-        auto attempt = std::make_shared<std::function<void()>>();
-        *attempt = [this, base, frame, dirty, next = std::move(next),
-                    attempt, tries, loop_started] {
-            copier_.writeBackPage(
-                base, dirty->data(), pageBytes(),
-                mem::ActionEntry::Shared,
-                [this, base, frame, next, attempt, tries,
-                 loop_started](const mem::TxResult &res) {
-                    if (res.aborted) {
-                        ++violationCount_;
-                        watchdogCheck("write-back", 0, 0, base,
-                                      ++*tries, loop_started);
-                        if (deadOwnerCheck("write-back", 0, base,
-                                           *tries, loop_started)) {
-                            // Downgrade abandoned: keep the (clean
-                            // from memory's view, lost) page shared.
-                            releaseLoop(attempt);
-                            writeActionTable(
-                                base, mem::ActionEntry::Shared, next);
-                            return;
-                        }
-                        afterSoftware(retryDelay(), *attempt);
-                        return;
-                    }
-                    shadow_[frame] = mem::ActionEntry::Shared;
-                    releaseLoop(attempt);
-                    next();
-                });
-        };
-        (*attempt)();
+        writeBack(frame, std::move(dirty), mem::ActionEntry::Shared,
+                  std::move(next));
         return;
     }
-
     // Clean private copy: memory is already current; just move the
     // entry from 10 to 01.
     writeActionTable(base, mem::ActionEntry::Shared, std::move(next));
@@ -1165,45 +963,99 @@ CacheController::recoverFromOverflow(Done done)
     // and clear the matching action-table entries. Privately owned
     // pages are safe — requests against them are aborted and retried,
     // so their interrupt words regenerate.
-    std::vector<std::uint64_t> shared_frames;
+    auto shared_frames = std::make_shared<std::vector<std::uint64_t>>();
     for (const auto &[frame, info] : frames_) {
         if (info.state == FrameState::Shared)
-            shared_frames.push_back(frame);
+            shared_frames->push_back(frame);
     }
-    for (const auto frame : shared_frames) {
-        std::vector<cache::SlotIndex> drop;
-        for (const auto &[slot, f] : slotFrame_) {
-            if (f == frame)
-                drop.push_back(slot);
-        }
-        for (const auto slot : drop) {
-            cache_.invalidate(slot);
-            forgetSlot(slot);
-        }
+    for (const auto frame : *shared_frames) {
+        dropFrameSlots(frame);
         frames_.erase(frame);
     }
-
     // Clear the table entries one bus write at a time.
-    auto remaining =
-        std::make_shared<std::vector<std::uint64_t>>(shared_frames);
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [this, remaining, done = std::move(done), step] {
-        while (!remaining->empty() &&
-               shadowEntry(remaining->back() * pageBytes()) ==
-                   mem::ActionEntry::Ignore) {
-            remaining->pop_back();
-        }
-        if (remaining->empty()) {
-            releaseLoop(step);
-            done();
-            return;
-        }
-        const std::uint64_t frame = remaining->back();
-        remaining->pop_back();
-        writeActionTable(frame * pageBytes(), mem::ActionEntry::Ignore,
-                         *step);
-    };
-    (*step)();
+    releaseEntries(std::move(shared_frames), std::move(done));
+}
+
+void
+CacheController::releaseEntry(Addr base, Done done)
+{
+    if (shadowEntry(base) != mem::ActionEntry::Ignore)
+        writeActionTable(base, mem::ActionEntry::Ignore, std::move(done));
+    else
+        done();
+}
+
+void
+CacheController::releaseEntries(
+    std::shared_ptr<std::vector<std::uint64_t>> frames, Done done)
+{
+    if (frames->empty()) {
+        done();
+        return;
+    }
+    const Addr base = frames->back() * pageBytes();
+    frames->pop_back();
+    releaseEntry(base, [this, frames, done = std::move(done)] {
+        releaseEntries(frames, done);
+    });
+}
+
+// --------------------------------------------------------------------
+// Bus retry loops
+// --------------------------------------------------------------------
+
+bool
+CacheController::retryAbandoned(const char *operation, Addr base,
+                                RetryLoop &loop)
+{
+    ++loop.tries;
+    watchdogCheck(operation, 0, 0, base, loop.tries, loop.started);
+    return deadOwnerCheck(operation, 0, base, loop.tries, loop.started);
+}
+
+void
+CacheController::writeBack(std::uint64_t frame, PageBuffer data,
+                           mem::ActionEntry after, Done done)
+{
+    ++writeBackCount_;
+    writeBackAttempt(frame, std::move(data), after, std::move(done),
+                     RetryLoop{0, events_.now()});
+}
+
+void
+CacheController::writeBackAttempt(std::uint64_t frame, PageBuffer data,
+                                  mem::ActionEntry after, Done done,
+                                  RetryLoop loop)
+{
+    const Addr base = frame * pageBytes();
+    const std::uint8_t *bytes = data->data();
+    copier_.writeBackPage(
+        base, bytes, pageBytes(), after,
+        [this, frame, base, data = std::move(data), after,
+         done = std::move(done), loop](const mem::TxResult &res) mutable {
+            if (!res.aborted) {
+                shadow_[frame] = after;
+                done();
+                return;
+            }
+            // An abort can only come from another monitor's stale entry
+            // and resolves once that processor services its interrupt.
+            ++violationCount_;
+            if (retryAbandoned("write-back", base, loop)) {
+                // The aborting board is dead: the page's data is lost,
+                // but our own entry must not stay stale. The table write
+                // is never aborted, so this always completes.
+                if (after == mem::ActionEntry::Protect)
+                    done();
+                else
+                    writeActionTable(base, after, std::move(done));
+                return;
+            }
+            afterSoftware(retryDelay(), [this, frame, data, after, done,
+                                         loop] {
+                writeBackAttempt(frame, data, after, done, loop);
+            });
+        });
 }
 
 // --------------------------------------------------------------------
@@ -1213,57 +1065,53 @@ CacheController::recoverFromOverflow(Done done)
 void
 CacheController::assertOwnership(Addr paddr, Done done)
 {
-    const std::uint64_t frame = frameOf(paddr);
-    const auto info_it = frames_.find(frame);
+    const auto info_it = frames_.find(frameOf(paddr));
     if (info_it != frames_.end() &&
         info_it->second.state == FrameState::Private) {
         done();
         return;
     }
+    assertOwnershipAttempt(frameBase(paddr), std::move(done),
+                           RetryLoop{0, events_.now()});
+}
 
-    auto tries = std::make_shared<std::uint64_t>(0);
-    const Tick loop_started = events_.now();
-    auto attempt = std::make_shared<std::function<void()>>();
-    *attempt = [this, paddr, frame, done = std::move(done), attempt,
-                tries, loop_started] {
-        mem::BusTransaction tx;
-        tx.type = mem::TxType::AssertOwnership;
-        tx.requester = cpuId_;
-        tx.paddr = frameBase(paddr);
-        tx.newEntry = mem::ActionEntry::Protect;
-        tx.updatesTable = true;
-        bus_.request(tx, [this, paddr, frame, done, attempt, tries,
-                          loop_started](const mem::TxResult &res) {
-            if (res.aborted) {
-                ++retryCount_;
-                watchdogCheck("assert-ownership", 0, 0,
-                              frameBase(paddr), ++*tries, loop_started);
-                if (deadOwnerCheck("assert-ownership", 0,
-                                   frameBase(paddr), *tries,
-                                   loop_started)) {
-                    // Abandoned: the caller continues *without*
-                    // ownership and must consult deadOwnerErrors()
-                    // before relying on exclusivity.
-                    releaseLoop(attempt);
-                    done();
-                    return;
-                }
-                // Service our own words first: the abort may be our
-                // own monitor protecting an alias we hold.
-                serviceInterrupts([this, attempt] {
-                    afterSoftware(retryDelay(), *attempt);
-                });
+void
+CacheController::assertOwnershipAttempt(Addr base, Done done,
+                                        RetryLoop loop)
+{
+    mem::BusTransaction tx;
+    tx.type = mem::TxType::AssertOwnership;
+    tx.requester = cpuId_;
+    tx.paddr = base;
+    tx.newEntry = mem::ActionEntry::Protect;
+    tx.updatesTable = true;
+    bus_.request(tx, [this, base, done = std::move(done),
+                      loop](const mem::TxResult &res) mutable {
+        if (res.aborted) {
+            ++retryCount_;
+            if (retryAbandoned("assert-ownership", base, loop)) {
+                // Abandoned: the caller continues *without* ownership
+                // and must consult deadOwnerErrors() before relying on
+                // exclusivity.
+                done();
                 return;
             }
-            FrameInfo &info = frames_[frame];
-            info.state = FrameState::Private;
-            info.owningSlot = noSlot;
-            shadow_[frame] = mem::ActionEntry::Protect;
-            releaseLoop(attempt);
-            done();
-        });
-    };
-    (*attempt)();
+            // Service our own words first: the abort may be our own
+            // monitor protecting an alias we hold.
+            serviceInterrupts([this, base, done, loop] {
+                afterSoftware(retryDelay(), [this, base, done, loop] {
+                    assertOwnershipAttempt(base, done, loop);
+                });
+            });
+            return;
+        }
+        const std::uint64_t frame = frameOf(base);
+        FrameInfo &info = frames_[frame];
+        info.state = FrameState::Private;
+        info.owningSlot = noSlot;
+        shadow_[frame] = mem::ActionEntry::Protect;
+        done();
+    });
 }
 
 void
@@ -1292,35 +1140,28 @@ CacheController::releaseProtection(Addr paddr, Done done)
 void
 CacheController::notifyFrame(Addr paddr, Done done)
 {
-    auto tries = std::make_shared<std::uint64_t>(0);
-    const Tick loop_started = events_.now();
-    auto attempt = std::make_shared<std::function<void()>>();
-    *attempt = [this, paddr, done = std::move(done), attempt, tries,
-                loop_started] {
-        mem::BusTransaction tx;
-        tx.type = mem::TxType::Notify;
-        tx.requester = cpuId_;
-        tx.paddr = frameBase(paddr);
-        bus_.request(tx, [this, paddr, done, attempt, tries,
-                          loop_started](const mem::TxResult &r) {
-            if (r.aborted) {
-                watchdogCheck("notify", 0, 0, frameBase(paddr),
-                              ++*tries, loop_started);
-                if (deadOwnerCheck("notify", 0, frameBase(paddr),
-                                   *tries, loop_started)) {
-                    // Notification abandoned (best-effort semantics).
-                    releaseLoop(attempt);
-                    done();
-                    return;
-                }
-                afterSoftware(retryDelay(), *attempt);
-                return;
-            }
-            releaseLoop(attempt);
+    notifyAttempt(frameBase(paddr), std::move(done),
+                  RetryLoop{0, events_.now()});
+}
+
+void
+CacheController::notifyAttempt(Addr base, Done done, RetryLoop loop)
+{
+    mem::BusTransaction tx;
+    tx.type = mem::TxType::Notify;
+    tx.requester = cpuId_;
+    tx.paddr = base;
+    bus_.request(tx, [this, base, done = std::move(done),
+                      loop](const mem::TxResult &res) mutable {
+        // An abandoned notification just completes (best-effort).
+        if (!res.aborted || retryAbandoned("notify", base, loop)) {
             done();
+            return;
+        }
+        afterSoftware(retryDelay(), [this, base, done, loop] {
+            notifyAttempt(base, done, loop);
         });
-    };
-    (*attempt)();
+    });
 }
 
 void
@@ -1398,76 +1239,24 @@ void
 CacheController::flushFrame(Addr paddr, Done done)
 {
     const std::uint64_t frame = frameOf(paddr);
-    const Addr base = frame * pageBytes();
-
-    std::shared_ptr<std::vector<std::uint8_t>> dirty;
-    std::vector<cache::SlotIndex> drop;
-    for (const auto &[slot, f] : slotFrame_) {
-        if (f == frame)
-            drop.push_back(slot);
-    }
-    for (const auto slot : drop) {
-        cache::Slot &s = cache_.slot(slot);
-        if (s.valid() && s.modified())
-            dirty = std::make_shared<std::vector<std::uint8_t>>(s.data);
-        cache_.invalidate(slot);
-        forgetSlot(slot);
-    }
+    PageBuffer dirty = dropFrameSlots(frame);
     // We still own the frame (protection retained for the caller).
     FrameInfo &info = frames_[frame];
     info.state = FrameState::Private;
     info.owningSlot = noSlot;
-
     if (!dirty) {
         done();
         return;
     }
-    ++writeBackCount_;
-    auto tries = std::make_shared<std::uint64_t>(0);
-    const Tick loop_started = events_.now();
-    auto attempt = std::make_shared<std::function<void()>>();
-    *attempt = [this, base, frame, dirty, done = std::move(done),
-                attempt, tries, loop_started] {
-        copier_.writeBackPage(
-            base, dirty->data(), pageBytes(), mem::ActionEntry::Protect,
-            [this, base, frame, done, attempt, tries,
-             loop_started](const mem::TxResult &res) {
-                if (res.aborted) {
-                    ++violationCount_;
-                    watchdogCheck("write-back", 0, 0, base, ++*tries,
-                                  loop_started);
-                    if (deadOwnerCheck("write-back", 0, base, *tries,
-                                       loop_started)) {
-                        // Flush abandoned: ownership (and the Protect
-                        // entry) is retained, the dirty data is lost.
-                        releaseLoop(attempt);
-                        done();
-                        return;
-                    }
-                    afterSoftware(retryDelay(), *attempt);
-                    return;
-                }
-                shadow_[frame] = mem::ActionEntry::Protect;
-                releaseLoop(attempt);
-                done();
-            });
-    };
-    (*attempt)();
+    writeBack(frame, std::move(dirty), mem::ActionEntry::Protect,
+              std::move(done));
 }
 
 void
 CacheController::invalidateFrame(Addr paddr)
 {
     const std::uint64_t frame = frameOf(paddr);
-    std::vector<cache::SlotIndex> drop;
-    for (const auto &[slot, f] : slotFrame_) {
-        if (f == frame)
-            drop.push_back(slot);
-    }
-    for (const auto slot : drop) {
-        cache_.invalidate(slot);
-        forgetSlot(slot);
-    }
+    dropFrameSlots(frame);
     frames_.erase(frame);
 }
 

@@ -155,7 +155,9 @@ class CacheController
      * MissPhase spans forming a gapless serial partition of it (trap,
      * action-table lookup, victim writeback, block copy, consistency
      * wait), one Service span per interrupt-service burst, and the
-     * block copier's Copy spans. A null tracer costs one untaken
+     * block copier's Copy spans. A nested (PTE) miss's spans carry
+     * obs::kNestedMissBit. Misses already in flight when the tracer
+     * is attached stay untraced. A null tracer costs one untaken
      * branch per potential event; a non-null tracer only observes —
      * the simulated timeline is bit-identical either way.
      */
@@ -399,6 +401,45 @@ class CacheController
     void registerStats(StatGroup &group) const;
 
   private:
+    /** Page contents captured for a write-back. */
+    using PageBuffer = std::shared_ptr<const std::vector<std::uint8_t>>;
+
+    /** owningSlot of ownership acquired without a cache copy. */
+    static constexpr cache::SlotIndex noSlot = 0xffffffff;
+
+    /**
+     * One in-flight miss: the software handler's state for one trapped
+     * reference, from trap to restart. A page-table read of the VM walk
+     * misses through this same cache inside the miss that needed the
+     * translation, so the records form a LIFO stack (misses_) and every
+     * miss-path step runs the innermost one (DESIGN.md, "Miss records").
+     */
+    struct MissRecord
+    {
+        TranslateRequest req;
+        Tick started = 0;
+        AccessDone done;
+        /** Access retries this miss has consumed. */
+        std::uint64_t retries = 0;
+        /** Handler phase now running, and the tick it began. */
+        obs::MissPhase phase = obs::MissPhase::Trap;
+        Tick phaseStartedAt = 0;
+        /** Trace miss kind: 0 full, 1 ownership, 2 protection. */
+        std::uint8_t kind = 0;
+        /** The victim was dirty (observed by the tracer only). */
+        bool dirty = false;
+        /** A tracer was attached at the trap: emit this miss's spans. */
+        bool traced = false;
+    };
+
+    /** Progress of one bus retry loop, for the watchdog and the
+     *  dead-owner timed wait. */
+    struct RetryLoop
+    {
+        std::uint64_t tries = 0;
+        Tick started = 0;
+    };
+
     std::uint64_t frameOf(Addr paddr) const;
     Addr frameBase(Addr paddr) const;
     std::uint32_t pageBytes() const;
@@ -406,32 +447,30 @@ class CacheController
     /** Schedule @p fn after @p delay of software execution. */
     void afterSoftware(Tick delay, Done fn);
 
-    /** Break a looping closure's self-reference once it terminates. */
-    void releaseLoop(const std::shared_ptr<std::function<void()>> &loop);
+    // --- the miss handler; each step runs the innermost miss record ---
 
-    /** Full (no-match) miss path. */
-    void handleFullMiss(TranslateRequest req, Tick started,
-                        AccessDone done);
-    /** Phase 2 of the full miss: after successful translation. */
-    void missWithTranslation(const TranslateRequest &req,
-                             const TranslateResult &result, Tick started,
-                             AccessDone done);
-    /** Phase 3: victim retired, issue the page read. */
-    void issueFill(const TranslateRequest &req,
-                   const TranslateResult &result,
-                   cache::SlotIndex victim, Tick started,
-                   AccessDone done);
-    /** Ownership (write-to-shared) miss path. */
-    void handleOwnershipMiss(TranslateRequest req,
-                             cache::SlotIndex slot, Tick started,
-                             AccessDone done);
-    /** Protection miss path (flags deny the access). */
-    void handleProtectionMiss(TranslateRequest req,
-                              cache::SlotIndex slot, Tick started,
-                              AccessDone done);
+    /** Route the innermost miss by the cache's non-hit verdict. */
+    void dispatchMiss(const cache::AccessResult &res);
+    /**
+     * Trap entry, then translation. A missing or insufficient mapping
+     * upcalls the fault handler and retries the access; otherwise
+     * @p next continues with the translation.
+     */
+    void trapAndTranslate(TranslateDone next);
+    /** Full miss: retire the victim, then block-copy the page in. */
+    void missWithTranslation(const TranslateResult &result);
+    void issueFill(const TranslateResult &result, cache::SlotIndex victim);
+    /** Ownership (write-to-shared) miss: assert ownership on the bus. */
+    void upgradeOwnership(cache::SlotIndex slot, std::uint64_t frame,
+                          const TranslateResult &result);
+    /** Protection miss: refresh the slot's flags and retry. */
+    void refreshProtection(cache::SlotIndex slot,
+                           const TranslateResult &result);
     /** Abort recovery: service own words, re-trap, redo the access. */
-    void retryAccess(const TranslateRequest &req, Tick started,
-                     AccessDone done);
+    void retryAccess();
+    /** Complete the innermost miss: charge the stall, sample its retry
+     *  count, pop its record and invoke its continuation. */
+    void finishMiss();
 
     /** Retire the victim slot: write back / release as needed. The
      *  continuation receives no arguments; bookkeeping is updated. */
@@ -439,29 +478,62 @@ class CacheController
 
     /** Remove @p slot from its frame's bookkeeping (if tracked). */
     void forgetSlot(cache::SlotIndex slot);
+    /**
+     * Invalidate every slot caching @p frame except @p keep. Yields the
+     * contents of a modified one, or null when all were clean.
+     */
+    PageBuffer dropFrameSlots(std::uint64_t frame,
+                              cache::SlotIndex keep = noSlot);
 
+    /**
+     * Write @p data back to @p frame, leaving its table entry @p after;
+     * aborts retry until the write-back succeeds. A dead-owner timeout
+     * abandons the data: the entry is then set to @p after by an
+     * explicit table write, unless @p after is Protect (ownership is
+     * kept).
+     */
+    void writeBack(std::uint64_t frame, PageBuffer data,
+                   mem::ActionEntry after, Done done);
+    void writeBackAttempt(std::uint64_t frame, PageBuffer data,
+                          mem::ActionEntry after, Done done,
+                          RetryLoop loop);
+    void assertOwnershipAttempt(Addr base, Done done, RetryLoop loop);
+    void notifyAttempt(Addr base, Done done, RetryLoop loop);
+    /**
+     * Count one aborted attempt of @p loop and run the watchdog. True
+     * when the timed wait has expired and the loop must be abandoned.
+     */
+    bool retryAbandoned(const char *operation, Addr base,
+                        RetryLoop &loop);
+
+    /** Set the entry of @p base to 00 unless the shadow says it is. */
+    void releaseEntry(Addr base, Done done);
+    /** releaseEntry() each of @p frames in turn, last first. */
+    void releaseEntries(std::shared_ptr<std::vector<std::uint64_t>> frames,
+                        Done done);
+
+    /** One step of an interrupt drain; @p finish ends this drain. */
+    void drainInterrupts(std::shared_ptr<const Done> finish);
     /** Service one interrupt word, then continue with @p next. */
     void serviceWord(const monitor::InterruptWord &word, Done next);
     void relinquishFrame(std::uint64_t frame, Done next);
     void downgradeFrame(std::uint64_t frame, Done next);
     void recoverFromOverflow(Done done);
 
-    /** Complete a miss: charge the stall, sample the per-miss retry
-     *  count into the histogram, and invoke the continuation. */
-    void finishMiss(Tick started, const AccessDone &done);
+    // --- phases and spans of the innermost miss ---
 
-    // --- tracing (no-ops while tracer_ is null) ---
-
-    /** Open the Miss span and its first (Trap) phase at @p started.
-     *  @p kind: 0 full, 1 ownership, 2 protection. */
-    void traceMissBegin(Tick started, std::uint8_t kind);
-    /** Transition to @p phase: emit the span of the phase ending now
-     *  (no-op when @p phase is already current or no miss is open). */
+    /** Enter @p phase; a traced miss emits the span of the phase
+     *  ending now. */
     void tracePhase(obs::MissPhase phase);
     /** Emit the current phase's span ending now, if non-empty. */
-    void traceClosePhase();
-    /** Close the open miss: final phase span + the Miss span. */
-    void traceMissEnd();
+    void traceClosePhase(const MissRecord &m);
+    /** Close the miss: final phase span + the Miss span. */
+    void traceMissEnd(const MissRecord &m);
+    /** Miss/MissPhase aux bit of the innermost miss's spans. */
+    std::uint8_t nestedAux() const
+    {
+        return misses_.size() > 1 ? obs::kNestedMissBit : 0;
+    }
 
     /**
      * Watchdog check for one retry loop: trips (once per starving
@@ -490,13 +562,8 @@ class CacheController
     Rng rng_;
     obs::EventTracer *tracer_ = nullptr;
     std::uint16_t traceTrack_ = 0;
-    /** True while a traced miss is open (between begin and finish). */
-    bool missOpen_ = false;
-    bool missDirty_ = false;
-    std::uint8_t missKindAux_ = 0;
-    Tick missStartedAt_ = 0;
-    obs::MissPhase phase_ = obs::MissPhase::Trap;
-    Tick phaseStartedAt_ = 0;
+    /** In-flight misses, innermost last (see MissRecord). */
+    std::vector<MissRecord> misses_;
     FaultHandler faultHandler_;
     NotifyHandler notifyHandler_;
 
@@ -541,8 +608,6 @@ class CacheController
     std::uint64_t slowFactor_ = 1;
     /** Service-loop progress epoch (see serviceEpoch()). */
     std::uint64_t serviceEpoch_ = 0;
-    /** Retries of the in-flight access (one CPU => one at a time). */
-    std::uint64_t liveRetries_ = 0;
     /** Retries per completed miss; bucket n = n retries, last bucket
      *  collects everything >= 32. */
     Histogram retryHistogram_{33, 1.0};

@@ -1,7 +1,5 @@
 #include "sync/mailbox.hh"
 
-#include <memory>
-
 #include "sim/logging.hh"
 
 namespace vmp::sync
@@ -51,42 +49,36 @@ MailboxReceiver::drain()
     if (draining_)
         return;
     draining_ = true;
+    drainNext();
+}
 
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [this, step] {
-        owner_.uncachedRead(
-            base_ + MailboxLayout::headOffset,
-            [this, step](std::uint32_t head) {
-                owner_.uncachedRead(
-                    base_ + MailboxLayout::tailOffset,
-                    [this, step, head](std::uint32_t tail) {
-                        if (head == tail) {
-                            draining_ = false;
-                            // Break the loop's self-reference.
-                            *step = nullptr;
-                            return;
-                        }
-                        const Addr slot_addr = base_ +
-                            MailboxLayout::slotsOffset +
-                            (head % slots_) * 4;
-                        owner_.uncachedRead(
-                            slot_addr,
-                            [this, step, head](std::uint32_t message) {
-                                owner_.uncachedWrite(
-                                    base_ +
-                                        MailboxLayout::headOffset,
-                                    head + 1,
-                                    [this, step, message] {
-                                        ++received_;
-                                        if (handler_)
-                                            handler_(message);
-                                        (*step)();
-                                    });
-                            });
-                    });
-            });
-    };
-    (*step)();
+void
+MailboxReceiver::drainNext()
+{
+    owner_.uncachedRead(
+        base_ + MailboxLayout::headOffset, [this](std::uint32_t head) {
+            owner_.uncachedRead(
+                base_ + MailboxLayout::tailOffset,
+                [this, head](std::uint32_t tail) {
+                    if (head == tail) {
+                        draining_ = false;
+                        return;
+                    }
+                    const Addr slot_addr = base_ +
+                        MailboxLayout::slotsOffset + (head % slots_) * 4;
+                    owner_.uncachedRead(
+                        slot_addr, [this, head](std::uint32_t message) {
+                            owner_.uncachedWrite(
+                                base_ + MailboxLayout::headOffset,
+                                head + 1, [this, message] {
+                                    ++received_;
+                                    if (handler_)
+                                        handler_(message);
+                                    drainNext();
+                                });
+                        });
+                });
+        });
 }
 
 void
@@ -99,75 +91,57 @@ mailboxSend(proto::CacheController &sender, Addr base,
 
     // Acquire the mailbox spin word (senders only; the receiver's
     // head update is a single racing-safe word advance).
-    auto acquire = std::make_shared<std::function<void()>>();
-    *acquire = [&sender, base, slots, message,
-                done = std::move(done), acquire] {
-        sender.uncachedTas(
-            base + MailboxLayout::lockOffset,
-            [&sender, base, slots, message, done,
-             acquire](std::uint32_t old) {
-                if (old != 0) {
-                    // Brief backoff, then retry the spin word.
-                    (*acquire)();
-                    return;
-                }
-                sender.uncachedRead(
-                    base + MailboxLayout::headOffset,
-                    [&sender, base, slots, message, done,
-                     acquire](std::uint32_t head) {
-                        sender.uncachedRead(
-                            base + MailboxLayout::tailOffset,
-                            [&sender, base, slots, message, done,
-                             acquire, head](std::uint32_t tail) {
-                                const bool full =
-                                    tail - head >= slots;
-                                auto finish =
-                                    [&sender, base, done, acquire,
-                                     full](bool notify) {
-                                        sender.uncachedWrite(
-                                            base +
-                                                MailboxLayout::
-                                                    lockOffset,
-                                            0,
-                                            [&sender, base, done,
-                                             acquire, full, notify] {
-                                                *acquire = nullptr;
-                                                if (!notify) {
-                                                    done(!full);
-                                                    return;
-                                                }
-                                                sender.notifyFrame(
-                                                    base,
-                                                    [done, full] {
-                                                        done(!full);
-                                                    });
-                                            });
-                                    };
-                                if (full) {
-                                    finish(false);
-                                    return;
-                                }
-                                const Addr slot_addr = base +
-                                    MailboxLayout::slotsOffset +
-                                    (tail % slots) * 4;
+    sender.uncachedTas(
+        base + MailboxLayout::lockOffset,
+        [&sender, base, slots, message,
+         done = std::move(done)](std::uint32_t old) {
+            if (old != 0) {
+                // Spin word held: retry the whole send.
+                mailboxSend(sender, base, slots, message, done);
+                return;
+            }
+            sender.uncachedRead(
+                base + MailboxLayout::headOffset,
+                [&sender, base, slots, message,
+                 done](std::uint32_t head) {
+                    sender.uncachedRead(
+                        base + MailboxLayout::tailOffset,
+                        [&sender, base, slots, message, done,
+                         head](std::uint32_t tail) {
+                            const bool full = tail - head >= slots;
+                            auto finish = [&sender, base, done,
+                                           full](bool notify) {
                                 sender.uncachedWrite(
-                                    slot_addr, message,
-                                    [&sender, base, tail,
-                                     finish = std::move(finish)] {
-                                        sender.uncachedWrite(
-                                            base +
-                                                MailboxLayout::
-                                                    tailOffset,
-                                            tail + 1,
-                                            [finish] {
-                                                finish(true);
-                                            });
+                                    base + MailboxLayout::lockOffset, 0,
+                                    [&sender, base, done, full, notify] {
+                                        if (!notify) {
+                                            done(!full);
+                                            return;
+                                        }
+                                        sender.notifyFrame(
+                                            base,
+                                            [done, full] { done(!full); });
                                     });
-                            });
-                    });
-            });
-    };
-    (*acquire)();
+                            };
+                            if (full) {
+                                finish(false);
+                                return;
+                            }
+                            const Addr slot_addr = base +
+                                MailboxLayout::slotsOffset +
+                                (tail % slots) * 4;
+                            sender.uncachedWrite(
+                                slot_addr, message,
+                                [&sender, base, tail,
+                                 finish = std::move(finish)] {
+                                    sender.uncachedWrite(
+                                        base + MailboxLayout::tailOffset,
+                                        tail + 1,
+                                        [finish] { finish(true); });
+                                });
+                        });
+                });
+        });
 }
 
 } // namespace vmp::sync

@@ -77,6 +77,8 @@ class MailboxReceiver
   private:
     /** Drain all queued messages, then idle. */
     void drain();
+    /** Receive the next queued message, if any, and re-enter. */
+    void drainNext();
 
     proto::CacheController &owner_;
     Addr base_;

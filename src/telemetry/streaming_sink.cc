@@ -56,9 +56,10 @@ StreamingSink::onEvent(const obs::TraceEvent &event)
 {
     if (closed_)
         return;
+    const std::uint8_t phase = event.aux & ~obs::kNestedMissBit;
     if (event.kind == obs::EventKind::MissPhase &&
-        event.aux < obs::kMissPhases) {
-        double &ewma = phaseEwmaNs_[event.aux];
+        phase < obs::kMissPhases) {
+        double &ewma = phaseEwmaNs_[phase];
         const double sample = static_cast<double>(event.arg0);
         ewma = ewma < 0.0 ? sample
                           : cfg_.ewmaAlpha * sample +

@@ -12,14 +12,6 @@ namespace vmp::vm
 namespace
 {
 
-/** Break a looping closure's self-reference once it terminates. */
-void
-breakLoop(EventQueue &events,
-          const std::shared_ptr<std::function<void()>> &loop)
-{
-    events.scheduleIn(0, [loop] { *loop = nullptr; }, "vm-loop-gc");
-}
-
 /** @p config's tier, whose image granule must be the vm page. */
 const backing::TierConfig &
 checkedTier(const VmConfig &config)
@@ -311,33 +303,29 @@ VmSystem::writePte(proto::CacheController &ctl, Addr pte_paddr,
 
 void
 VmSystem::flushVmFrame(proto::CacheController &ctl,
-                       std::uint32_t frame, Done done)
+                       std::uint32_t frame, Done done,
+                       std::uint32_t first)
 {
     const std::uint32_t cache_page = memory_.pageBytes();
-    const Addr base = static_cast<Addr>(frame) * vmPageBytes;
-    const std::uint32_t count = vmPageBytes / cache_page;
-
-    auto index = std::make_shared<std::uint32_t>(0);
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [this, &ctl, base, cache_page, count, index, step,
-             done = std::move(done)] {
-        if (*index >= count) {
-            breakLoop(events_, step);
-            done();
-            return;
-        }
-        const Addr paddr = base + (*index)++ * cache_page;
-        // assert-ownership forces every other cache to discard or
-        // write back its copy; our own copy (possibly dirty) is
-        // flushed through the cache-control interface; then the
-        // temporary Protect entry is released.
-        ctl.assertOwnership(paddr, [this, &ctl, paddr, step] {
-            ctl.flushFrame(paddr, [&ctl, paddr, step] {
-                ctl.releaseProtection(paddr, *step);
+    if (first >= vmPageBytes / cache_page) {
+        done();
+        return;
+    }
+    const Addr paddr =
+        static_cast<Addr>(frame) * vmPageBytes + first * cache_page;
+    // assert-ownership forces every other cache to discard or write
+    // back its copy; our own copy (possibly dirty) is flushed through
+    // the cache-control interface; then the temporary Protect entry is
+    // released.
+    ctl.assertOwnership(paddr, [this, &ctl, frame, first, paddr,
+                                done = std::move(done)] {
+        ctl.flushFrame(paddr, [this, &ctl, frame, first, paddr, done] {
+            ctl.releaseProtection(paddr, [this, &ctl, frame, first,
+                                          done] {
+                flushVmFrame(ctl, frame, done, first + 1);
             });
         });
-    };
-    (*step)();
+    });
 }
 
 void
@@ -452,31 +440,34 @@ VmSystem::destroySpace(proto::CacheController &ctl, Asid asid,
         if (page.asid == asid)
             victims->push_back(page);
     }
+    destroyPages(ctl, asid, std::move(victims), std::move(done));
+}
 
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [this, &ctl, asid, victims, step, done = std::move(done)] {
-        if (victims->empty()) {
-            // Release the page-table pages and disk images.
-            auto &root = space(asid).root;
-            for (const auto &[dir, frame] : root)
-                allocator_.free(frame);
-            root.clear();
-            spaces_.erase(asid);
-            tier_.dropSpace(asid);
-            breakLoop(events_, step);
-            done();
-            return;
-        }
-        const ResidentPage page = victims->front();
-        victims->pop_front();
-        unmapPage(ctl, asid, page.vpn * vmPageBytes,
-                  [this, step](std::optional<std::uint32_t> frame) {
-                      if (frame)
-                          allocator_.free(*frame);
-                      (*step)();
-                  });
-    };
-    (*step)();
+void
+VmSystem::destroyPages(proto::CacheController &ctl, Asid asid,
+                       std::shared_ptr<std::deque<ResidentPage>> victims,
+                       Done done)
+{
+    if (victims->empty()) {
+        // Release the page-table pages and disk images.
+        auto &root = space(asid).root;
+        for (const auto &[dir, frame] : root)
+            allocator_.free(frame);
+        root.clear();
+        spaces_.erase(asid);
+        tier_.dropSpace(asid);
+        done();
+        return;
+    }
+    const ResidentPage page = victims->front();
+    victims->pop_front();
+    unmapPage(ctl, asid, page.vpn * vmPageBytes,
+              [this, &ctl, asid, victims,
+               done = std::move(done)](std::optional<std::uint32_t> frame) {
+                  if (frame)
+                      allocator_.free(*frame);
+                  destroyPages(ctl, asid, victims, done);
+              });
 }
 
 void
@@ -534,72 +525,62 @@ VmSystem::pageOutOne(proto::CacheController &ctl,
         }
     }
 
+    clockScan(ctl, 0, std::move(done));
+}
+
+void
+VmSystem::clockScan(proto::CacheController &ctl, std::size_t scanned,
+                    std::function<void(bool)> done)
+{
     // Clock algorithm over the resident list: skip-and-clear
     // referenced pages for at most two sweeps, then give up.
-    auto scanned = std::make_shared<std::size_t>(0);
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [this, &ctl, scanned, step, done = std::move(done)] {
-        if (resident_.empty() || *scanned >= 2 * resident_.size()) {
-            breakLoop(events_, step);
-            done(false);
-            return;
-        }
-        ++*scanned;
-        const ResidentPage page = resident_.front();
-        resident_.pop_front();
-        const auto pte_paddr =
-            pteAddr(page.asid, page.vpn * vmPageBytes);
-        if (!pte_paddr) {
-            // Should not happen; treat as already gone.
-            (*step)();
-            return;
-        }
-        ctl.readWord(
-            kernelAsid, kvaOf(*pte_paddr), true,
-            [this, &ctl, page, pte_paddr = *pte_paddr, step,
-             done](std::uint32_t raw) {
-                Pte pte{raw};
-                if (!pte.valid()) {
-                    (*step)();
-                    return;
-                }
-                if (pte.referenced()) {
-                    // Second chance: clear the bit, move to the back.
-                    pte.clearReferenced();
-                    resident_.push_back(page);
-                    writePte(ctl, pte_paddr, pte, *step);
-                    return;
-                }
-                evictPage(ctl, page, pte_paddr,
-                          [this, step, done](bool evicted) {
-                              breakLoop(events_, step);
-                              done(evicted);
-                          });
-            });
-    };
-    (*step)();
+    if (resident_.empty() || scanned >= 2 * resident_.size()) {
+        done(false);
+        return;
+    }
+    const ResidentPage page = resident_.front();
+    resident_.pop_front();
+    const auto pte_paddr = pteAddr(page.asid, page.vpn * vmPageBytes);
+    if (!pte_paddr) {
+        // Should not happen; treat as already gone.
+        clockScan(ctl, scanned + 1, std::move(done));
+        return;
+    }
+    ctl.readWord(
+        kernelAsid, kvaOf(*pte_paddr), true,
+        [this, &ctl, page, pte_paddr = *pte_paddr, scanned,
+         done = std::move(done)](std::uint32_t raw) {
+            Pte pte{raw};
+            if (!pte.valid()) {
+                clockScan(ctl, scanned + 1, done);
+                return;
+            }
+            if (pte.referenced()) {
+                // Second chance: clear the bit, move to the back.
+                pte.clearReferenced();
+                resident_.push_back(page);
+                writePte(ctl, pte_paddr, pte, [this, &ctl, scanned, done] {
+                    clockScan(ctl, scanned + 1, done);
+                });
+                return;
+            }
+            evictPage(ctl, page, pte_paddr, done);
+        });
 }
 
 void
 VmSystem::pageOutUntilTarget(proto::CacheController &ctl, Done done)
 {
-    auto loop = std::make_shared<std::function<void()>>();
-    *loop = [this, &ctl, loop, done = std::move(done)] {
-        if (allocator_.freeFrames() >= cfg_.freeTarget) {
-            breakLoop(events_, loop);
+    if (allocator_.freeFrames() >= cfg_.freeTarget) {
+        done();
+        return;
+    }
+    pageOutOne(ctl, [this, &ctl, done = std::move(done)](bool evicted) {
+        if (evicted)
+            pageOutUntilTarget(ctl, done);
+        else
             done();
-            return;
-        }
-        pageOutOne(ctl, [this, loop, done](bool evicted) {
-            if (!evicted) {
-                breakLoop(events_, loop);
-                done();
-                return;
-            }
-            (*loop)();
-        });
-    };
-    (*loop)();
+    });
 }
 
 std::uint32_t

@@ -21,6 +21,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -248,9 +249,18 @@ class VmSystem
     void noteBudgetUse(Asid asid, std::int32_t delta);
     /** Ensure the page-table page for <asid, vaddr> exists. */
     std::uint32_t ensurePtPage(Asid asid, Addr vaddr);
-    /** Flush all cache frames of vm frame @p frame from all caches. */
+    /** Flush all cache frames of vm frame @p frame from all caches,
+     *  cache page @p first onwards. */
     void flushVmFrame(proto::CacheController &ctl, std::uint32_t frame,
+                      Done done, std::uint32_t first = 0);
+    /** Unmap and free @p victims in turn, then release @p asid's
+     *  page-table pages and images (the body of destroySpace). */
+    void destroyPages(proto::CacheController &ctl, Asid asid,
+                      std::shared_ptr<std::deque<ResidentPage>> victims,
                       Done done);
+    /** One clock-algorithm step of pageOutOne, @p scanned pages in. */
+    void clockScan(proto::CacheController &ctl, std::size_t scanned,
+                   std::function<void(bool)> done);
     /** Write a PTE through the cache with ownership. */
     void writePte(proto::CacheController &ctl, Addr pte_paddr,
                   Pte pte, Done done);

@@ -14,7 +14,6 @@
 #include <map>
 #include <memory>
 
-#include "core/paged_system.hh"
 #include "core/system.hh"
 #include "mem/dma.hh"
 #include "sim/logging.hh"
@@ -22,6 +21,7 @@
 #include "sync/locks.hh"
 #include "trace/synthetic.hh"
 #include "trace/workloads.hh"
+#include "vm/vm_system.hh"
 
 namespace vmp
 {
@@ -323,22 +323,42 @@ userOnlyWorkload(std::uint64_t refs, std::uint64_t seed)
     return workload;
 }
 
+/** The full software stack: a VmpSystem whose translations walk the
+ *  real page tables of vm::VmSystem, every controller faulting into
+ *  it (demand paging, nested PTE misses, pageout under pressure). */
+struct PagedMachine
+{
+    explicit PagedMachine(const core::VmpConfig &config,
+                          const vm::VmConfig &vm_config = {})
+        : machine(config, &translator),
+          vm(machine.events(), machine.memory(), vm_config)
+    {
+        translator.bind(vm);
+        for (std::size_t i = 0; i < machine.processors(); ++i)
+            vm.attach(machine.controller(i));
+    }
+
+    vm::VmTranslator translator;
+    core::VmpSystem machine;
+    vm::VmSystem vm;
+};
+
 TEST(PagedSystem, TraceRunWithDemandPaging)
 {
     core::VmpConfig cfg;
     cfg.processors = 1;
     cfg.cache = cache::CacheConfig{256, 4, 32, true};
     cfg.memBytes = MiB(4);
-    core::PagedVmpSystem paged(cfg);
+    PagedMachine paged(cfg);
 
     trace::SyntheticGen gen(userOnlyWorkload(60'000, 7));
-    const auto result = paged.runTraces({&gen});
+    const auto result = paged.machine.runTraces({&gen});
     EXPECT_EQ(result.totalRefs, 60'000u);
     // Demand paging happened, and page-table walks nested through the
     // cache (more misses than faults).
-    EXPECT_GT(paged.vm().pageFaults().value(), 10u);
-    EXPECT_GT(result.totalMisses, paged.vm().pageFaults().value());
-    EXPECT_EQ(paged.vm().pageOuts().value(), 0u); // no pressure yet
+    EXPECT_GT(paged.vm.pageFaults().value(), 10u);
+    EXPECT_GT(result.totalMisses, paged.vm.pageFaults().value());
+    EXPECT_EQ(paged.vm.pageOuts().value(), 0u); // no pressure yet
 }
 
 TEST(PagedSystem, TraceRunUnderMemoryPressure)
@@ -349,12 +369,12 @@ TEST(PagedSystem, TraceRunUnderMemoryPressure)
     cfg.memBytes = MiB(4);
     vm::VmConfig vm_cfg;
     vm_cfg.tier.diskLatencyNs = usec(50); // keep the run fast
-    core::PagedVmpSystem paged(cfg, vm_cfg);
+    PagedMachine paged(cfg, vm_cfg);
 
     // Artificially shrink memory: grab frames until ~48 remain.
     std::vector<std::uint32_t> grabbed;
-    while (paged.vm().allocator().freeFrames() > 48) {
-        const auto frame = paged.vm().allocator().alloc();
+    while (paged.vm.allocator().freeFrames() > 48) {
+        const auto frame = paged.vm.allocator().alloc();
         ASSERT_TRUE(frame.has_value());
         grabbed.push_back(*frame);
     }
@@ -363,14 +383,14 @@ TEST(PagedSystem, TraceRunUnderMemoryPressure)
     auto workload1 = userOnlyWorkload(40'000, 12);
     workload1.asidBase = 10;
     trace::SyntheticGen gen1(workload1);
-    const auto result = paged.runTraces({&gen0, &gen1});
+    const auto result = paged.machine.runTraces({&gen0, &gen1});
     EXPECT_EQ(result.totalRefs, 80'000u);
     // The pageout daemon ran and pages cycled through the store.
-    EXPECT_GT(paged.vm().pageOuts().value(), 0u);
-    EXPECT_GT(paged.vm().tier().images().stores().value(), 0u);
+    EXPECT_GT(paged.vm.pageOuts().value(), 0u);
+    EXPECT_GT(paged.vm.tier().images().stores().value(), 0u);
 
     for (const auto frame : grabbed)
-        paged.vm().allocator().free(frame);
+        paged.vm.allocator().free(frame);
 }
 
 TEST(PagedSystem, TwoCpusShareOneAddressSpace)
@@ -383,16 +403,15 @@ TEST(PagedSystem, TwoCpusShareOneAddressSpace)
     cfg.processors = 2;
     cfg.cache = cache::CacheConfig{256, 4, 32, true};
     cfg.memBytes = MiB(4);
-    core::PagedVmpSystem paged(cfg);
+    PagedMachine paged(cfg);
 
     trace::SyntheticGen gen0(userOnlyWorkload(30'000, 21));
     trace::SyntheticGen gen1(userOnlyWorkload(30'000, 22));
-    const auto result = paged.runTraces({&gen0, &gen1});
+    const auto result = paged.machine.runTraces({&gen0, &gen1});
     EXPECT_EQ(result.totalRefs, 60'000u);
     // Real sharing: consistency transactions occurred.
-    EXPECT_GT(paged.machine().bus().aborts().value() +
-                  paged.machine()
-                      .bus()
+    EXPECT_GT(paged.machine.bus().aborts().value() +
+                  paged.machine.bus()
                       .countOf(mem::TxType::AssertOwnership)
                       .value(),
               0u);

@@ -18,13 +18,18 @@
 
 #include "core/hier_system.hh"
 #include "core/system.hh"
+#include "mem/phys_mem.hh"
+#include "mem/vme_bus.hh"
+#include "monitor/bus_monitor.hh"
 #include "obs/event_tracer.hh"
 #include "obs/export.hh"
 #include "obs/miss_profiler.hh"
+#include "proto/controller.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "trace/synthetic.hh"
 #include "trace/workloads.hh"
+#include "vm/vm_system.hh"
 
 namespace vmp
 {
@@ -164,6 +169,37 @@ TEST(MissProfiler, TracksKeepConcurrentMissesSeparate)
     EXPECT_EQ(profiler.phaseSumMismatches(), 0u);
 }
 
+TEST(MissProfiler, NestedMissesFoldSeparately)
+{
+    // The outer miss's trap and consistency-wait spans close before a
+    // PTE miss nests inside it on the same track; the nested miss must
+    // not fold them.
+    constexpr std::uint8_t nested = obs::kNestedMissBit;
+    obs::MissProfiler profiler;
+    profiler.observe(makeEvent(
+        0, obs::EventKind::MissPhase, 0, 2000,
+        static_cast<std::uint8_t>(obs::MissPhase::Trap)));
+    profiler.observe(makeEvent(
+        2000, obs::EventKind::MissPhase, 0, 500,
+        static_cast<std::uint8_t>(obs::MissPhase::ConsistencyWait)));
+    profiler.observe(makeEvent(
+        2500, obs::EventKind::MissPhase, 0, 300,
+        static_cast<std::uint8_t>(obs::MissPhase::Trap) | nested));
+    profiler.observe(
+        makeEvent(2500, obs::EventKind::Miss, 0, 300, nested));
+    profiler.observe(makeEvent(
+        2500, obs::EventKind::MissPhase, 0, 700,
+        static_cast<std::uint8_t>(obs::MissPhase::Trap)));
+    profiler.observe(makeEvent(0, obs::EventKind::Miss, 0, 3200, 0));
+    EXPECT_EQ(profiler.misses(), 2u);
+    EXPECT_EQ(profiler.phaseSumMismatches(), 0u);
+    const auto &full = profiler.breakdown(obs::MissKind::Full, false);
+    EXPECT_EQ(full.elapsedNs, 3500u);
+    EXPECT_EQ(full.phaseNs[static_cast<std::size_t>(
+                  obs::MissPhase::Trap)],
+              3000u);
+}
+
 // ------------------------------------------------------- full systems
 
 std::vector<std::unique_ptr<trace::SyntheticGen>>
@@ -242,6 +278,140 @@ TEST(TracedSystem, EnableTwiceIsFatal)
     core::VmpSystem system(smallConfig(1));
     system.enableTracing();
     EXPECT_THROW(system.enableTracing(), FatalError);
+}
+
+// ------------------------------------------- nested (page-table) misses
+
+TEST(TracedNestedMiss, EveryMissOfADemandPagedRunIsTraced)
+{
+    // PagedSystem.TraceRunWithDemandPaging's machine: the page-table
+    // walk reads PTEs through the cache, so PTE misses nest inside the
+    // user misses that needed the translation.
+    core::VmpConfig cfg;
+    cfg.processors = 1;
+    cfg.cache = cache::CacheConfig{256, 4, 32, true};
+    cfg.memBytes = MiB(4);
+    vm::VmTranslator translator;
+    core::VmpSystem system(cfg, &translator);
+    vm::VmSystem vm(system.events(), system.memory());
+    translator.bind(vm);
+    vm.attach(system.controller(0));
+
+    obs::EventTracer &tracer = system.enableTracing();
+    std::uint64_t miss_spans = 0;
+    std::uint64_t nested_spans = 0;
+    tracer.addSink([&](const obs::TraceEvent &event) {
+        if (event.kind != obs::EventKind::Miss)
+            return;
+        ++miss_spans;
+        if ((event.aux & obs::kNestedMissBit) != 0)
+            ++nested_spans;
+    });
+    auto workload = trace::workloadConfig("atum2");
+    workload.totalRefs = 60'000;
+    workload.seed = 7;
+    workload.osRefFrac = 0.0;
+    trace::SyntheticGen gen(workload);
+    system.runTraces({&gen});
+
+    const std::uint64_t misses = system.controller(0).misses().value();
+    EXPECT_GT(nested_spans, 0u);
+    EXPECT_EQ(miss_spans, misses);
+    ASSERT_NE(system.missProfiler(), nullptr);
+    EXPECT_EQ(system.missProfiler()->misses(), misses);
+    EXPECT_EQ(system.missProfiler()->phaseSumMismatches(), 0u);
+}
+
+/**
+ * Translator walking a "page table" through the cache, as
+ * vm::VmTranslator does: each user walk reads a word of a fresh
+ * supervisor page, so the read misses inside the user miss. The first
+ * walk reports a page fault. Supervisor references translate to the
+ * same address without a walk.
+ */
+class FaultingWalkTranslator : public proto::Translator
+{
+  public:
+    static constexpr std::uint32_t pageBytes = 512;
+    static constexpr Addr tableBase = 0x40000;
+
+    void
+    translate(const proto::TranslateRequest &req,
+              proto::CacheController &controller,
+              proto::TranslateDone done) override
+    {
+        proto::TranslateResult mapped;
+        mapped.ok = true;
+        mapped.paddr = req.vaddr;
+        mapped.prot = static_cast<cache::SlotFlags>(
+            cache::FlagUserReadable | cache::FlagUserWritable |
+            cache::FlagSupWritable);
+        if (req.supervisor) {
+            done(mapped);
+            return;
+        }
+        const bool fault = walks_ == 0;
+        const Addr pte = tableBase + walks_++ * pageBytes;
+        controller.readWord(0, pte, true,
+                            [done, mapped, fault](std::uint32_t) {
+                                done(fault ? proto::TranslateResult{}
+                                           : mapped);
+                            });
+    }
+
+  private:
+    unsigned walks_ = 0;
+};
+
+TEST(TracedNestedMiss, NestedPteMissKeepsTheOuterRetryCount)
+{
+    constexpr std::uint32_t page = FaultingWalkTranslator::pageBytes;
+    EventQueue events;
+    mem::PhysMem memory(MiB(1), page);
+    mem::VmeBus bus(events, memory);
+    cache::Cache cache(cache::CacheConfig{page, 2, 8, true});
+    monitor::BusMonitor monitor(0, MiB(1), page);
+    bus.attachWatcher(0, monitor);
+    FaultingWalkTranslator translator;
+    proto::CacheController ctl(0, events, cache, monitor, bus,
+                               translator);
+    ctl.setFaultHandler([](const proto::TranslateRequest &,
+                           proto::CacheController::Done retry) {
+        retry();
+    });
+
+    obs::EventTracer tracer;
+    obs::MissProfiler profiler;
+    tracer.addSink(profiler.sink());
+    std::vector<obs::TraceEvent> miss_spans;
+    tracer.addSink([&](const obs::TraceEvent &event) {
+        if (event.kind == obs::EventKind::Miss)
+            miss_spans.push_back(event);
+    });
+    ctl.setTracer(&tracer, tracer.registerTrack("cpu0"));
+
+    bool done = false;
+    ctl.access(1, 0x10000, false, false,
+               [&](proto::AccessOutcome) { done = true; });
+    events.run();
+    ASSERT_TRUE(done);
+
+    // One user miss, retried once after its fault, with a PTE miss
+    // nested in each of its two walks; the second nests after the
+    // retry and must not reset the outer miss's count.
+    EXPECT_EQ(ctl.misses().value(), 3u);
+    EXPECT_EQ(ctl.retries().value(), 1u);
+    const auto &per_miss = ctl.retriesPerMiss().buckets();
+    EXPECT_EQ(per_miss[0], 2u);
+    EXPECT_EQ(per_miss[1], 1u);
+    ASSERT_EQ(miss_spans.size(), 3u);
+    for (std::size_t i = 0; i < 2; ++i)
+        EXPECT_NE(miss_spans[i].aux & obs::kNestedMissBit, 0);
+    EXPECT_EQ(miss_spans[2].aux & obs::kNestedMissBit, 0);
+    EXPECT_EQ(miss_spans[2].arg1, 1u);
+    EXPECT_EQ(profiler.misses(), 3u);
+    EXPECT_EQ(profiler.total().retries, 1u);
+    EXPECT_EQ(profiler.phaseSumMismatches(), 0u);
 }
 
 TEST(TracedHierSystem, NullTracerIsBitIdenticalAndTracksNamed)
