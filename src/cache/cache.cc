@@ -71,30 +71,13 @@ flagsToString(SlotFlags flags)
 Cache::Cache(const CacheConfig &config) : cfg_(config)
 {
     cfg_.check();
+    pageShift_ = log2i(cfg_.pageBytes);
+    setMask_ = cfg_.sets - 1;
     slots_.resize(cfg_.totalSlots());
     if (cfg_.storeData) {
         for (auto &s : slots_)
             s.data.assign(cfg_.pageBytes, 0);
     }
-}
-
-CacheTag
-Cache::tagFor(Asid asid, Addr vaddr) const
-{
-    return CacheTag{asid, vaddr / cfg_.pageBytes};
-}
-
-std::uint32_t
-Cache::setOf(Addr vaddr) const
-{
-    return static_cast<std::uint32_t>((vaddr / cfg_.pageBytes) %
-                                      cfg_.sets);
-}
-
-std::uint32_t
-Cache::offsetOf(Addr vaddr) const
-{
-    return static_cast<std::uint32_t>(vaddr % cfg_.pageBytes);
 }
 
 SlotIndex
@@ -196,7 +179,7 @@ Cache::fill(SlotIndex slot_index, const CacheTag &tag, SlotFlags flags)
     if (slot_index >= slots_.size())
         panic("cache fill: slot ", slot_index, " out of range");
     // The tag must land in the set the hardware indexes it into.
-    if (tag.vpn % cfg_.sets != slot_index / cfg_.ways)
+    if ((tag.vpn & setMask_) != slot_index / cfg_.ways)
         panic("cache fill: tag vpn ", tag.vpn, " does not map to set ",
               slot_index / cfg_.ways);
     Slot &s = slots_[slot_index];
@@ -248,8 +231,7 @@ Cache::findAll(const CacheTag &tag) const
     // A given <asid, vpn> can only live in one set, but aliases (same
     // physical page under different virtual addresses) are found by the
     // software physical-to-slot tables, not here.
-    const std::uint32_t set =
-        static_cast<std::uint32_t>(tag.vpn % cfg_.sets);
+    const std::uint32_t set = static_cast<std::uint32_t>(tag.vpn & setMask_);
     for (std::uint32_t way = 0; way < cfg_.ways; ++way) {
         const SlotIndex idx = indexOf(set, way);
         const Slot &s = slots_[idx];

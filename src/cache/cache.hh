@@ -80,12 +80,30 @@ class Cache
 
     const CacheConfig &config() const { return cfg_; }
 
+    // Page size and set count are powers of two (CacheConfig::check),
+    // so indexing shifts and masks instead of dividing.
+
     /** Tag for a given <asid, vaddr>. */
-    CacheTag tagFor(Asid asid, Addr vaddr) const;
+    CacheTag
+    tagFor(Asid asid, Addr vaddr) const
+    {
+        return CacheTag{asid, vaddr >> pageShift_};
+    }
+
     /** Set index a virtual address maps to. */
-    std::uint32_t setOf(Addr vaddr) const;
+    std::uint32_t
+    setOf(Addr vaddr) const
+    {
+        return static_cast<std::uint32_t>((vaddr >> pageShift_) &
+                                          setMask_);
+    }
+
     /** Byte offset of @p vaddr within its cache page. */
-    std::uint32_t offsetOf(Addr vaddr) const;
+    std::uint32_t
+    offsetOf(Addr vaddr) const
+    {
+        return static_cast<std::uint32_t>(vaddr & (cfg_.pageBytes - 1));
+    }
 
     /**
      * Present one reference. Updates LRU on hit. @p write requests write
@@ -142,6 +160,10 @@ class Cache
     SlotIndex lruOf(std::uint32_t set) const;
 
     CacheConfig cfg_;
+    /** log2(pageBytes). */
+    unsigned pageShift_;
+    /** sets - 1. */
+    std::uint64_t setMask_;
     std::vector<Slot> slots_;
     std::uint64_t useClock_ = 1;
 

@@ -9,7 +9,10 @@ TraceCpu::TraceCpu(CpuId id, EventQueue &events,
                    proto::CacheController &controller,
                    trace::RefSource &refs, const M68020Timing &timing)
     : id_(id), events_(events), controller_(controller), source_(refs),
-      timing_(timing)
+      timing_(timing), refNs_(timing.refNs()),
+      lane_(events.addLane(
+          [](void *cpu) { static_cast<TraceCpu *>(cpu)->present(); },
+          this))
 {
     // While executing, interrupts are polled between references; once
     // the trace is exhausted the processor sits in the idle loop and
@@ -22,6 +25,9 @@ TraceCpu::TraceCpu(CpuId id, EventQueue &events,
 TraceCpu::~TraceCpu()
 {
     controller_.busMonitor().setInterruptLine(nullptr);
+    // Cancels a pending step too, which matters when an exception
+    // unwinds out of the run loop and destroys the CPU mid-trace.
+    events_.removeLane(lane_);
 }
 
 void
@@ -128,14 +134,13 @@ TraceCpu::step()
     // Full-speed execution charge for this reference, then present it
     // to the cache.
     if (fetch())
-        events_.scheduleIn(timing_.refNs(), [this] { present(); },
-                           "cpu-step");
+        events_.scheduleLane(lane_, events_.now() + refNs_);
 }
 
 void
 TraceCpu::present()
 {
-    // This runs as the CPU's own event, and after a hit nothing else
+    // This runs as the CPU's lane step, and after a hit nothing else
     // is left to do in it. So when no other event (and no run() limit)
     // falls before the next reference's presentation tick, that event
     // would be the very next dispatch: retire it here instead, by
@@ -160,9 +165,9 @@ TraceCpu::present()
         ++refs_;
         if (!fetch())
             return;
-        const Tick at = events_.now() + timing_.refNs();
+        const Tick at = events_.now() + refNs_;
         if (at >= events_.nextTick()) {
-            events_.schedule(at, [this] { present(); }, "cpu-step");
+            events_.scheduleLane(lane_, at);
             return;
         }
         events_.advanceTo(at);
@@ -179,7 +184,7 @@ TraceCpu::elapsed() const
 Tick
 TraceCpu::idealTicks() const
 {
-    return refs_.value() * timing_.refNs();
+    return refs_.value() * refNs_;
 }
 
 double

@@ -85,9 +85,10 @@ class TraceCpu
      * service or the end of the trace and return false.
      */
     bool fetch();
-    /** fetch(), then schedule the reference's presentation. */
+    /** fetch(), then schedule the reference's presentation as the
+     *  CPU's lane step. */
     void step();
-    /** Event body: present ref_ to the cache, retiring hits inline
+    /** Lane step: present ref_ to the cache, retiring hits inline
      *  while no other event is due before the next reference. */
     void present();
     void onInterruptLine();
@@ -97,6 +98,10 @@ class TraceCpu
     proto::CacheController &controller_;
     trace::RefSource &source_;
     M68020Timing timing_;
+    /** timing_.refNs(), computed once. */
+    Tick refNs_;
+    /** This CPU's lane in events_: at most one presentation pending. */
+    std::uint32_t lane_;
     Done done_;
     /** The reference being presented (held between step() and
      *  present(), and across a miss). */

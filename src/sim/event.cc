@@ -66,11 +66,88 @@ EventQueue::dropCancelled()
     }
 }
 
-bool
-EventQueue::step()
+std::uint32_t
+EventQueue::addLane(LaneFn fn, void *ctx)
 {
-    if (heap_.empty())
-        return false;
+    if (!fn)
+        panic("registering a lane with no function");
+    if (freeLanes_.empty()) {
+        lanes_.push_back(Lane{fn, ctx});
+        laneAt_.emplace_back();
+        return static_cast<std::uint32_t>(lanes_.size() - 1);
+    }
+    const std::uint32_t lane = freeLanes_.back();
+    freeLanes_.pop_back();
+    lanes_[lane] = Lane{fn, ctx};
+    return lane;
+}
+
+void
+EventQueue::removeLane(std::uint32_t lane)
+{
+    if (lane >= lanes_.size() || !lanes_[lane].fn)
+        return;
+    lanes_[lane] = Lane{nullptr, nullptr};
+    freeLanes_.push_back(lane);
+    if (!laneAt_[lane].valid())
+        return;
+    laneAt_[lane].invalidate();
+    --pendingLanes_;
+    if (firstLane_ == lane)
+        findFirstLane();
+}
+
+void
+EventQueue::findFirstLane()
+{
+    firstLane_ = noLane;
+    if (pendingLanes_ == 0)
+        return;
+    // An invalid id has when == maxTick, so it never beats a pending one.
+    std::uint32_t first = 0;
+    for (std::uint32_t i = 1; i < laneAt_.size(); ++i) {
+        if (laneAt_[i] < laneAt_[first])
+            first = i;
+    }
+    firstLane_ = first;
+}
+
+void
+EventQueue::stepLane()
+{
+    const std::uint32_t lane = firstLane_;
+    now_ = laneAt_[lane].when;
+    laneAt_[lane].invalidate();
+    --pendingLanes_;
+    findFirstLane();
+    ++dispatched_;
+    // A copy: the step may register lanes and reallocate lanes_.
+    const Lane l = lanes_[lane];
+    l.fn(l.ctx);
+}
+
+void
+EventQueue::badLaneSchedule(std::uint32_t lane, Tick when) const
+{
+    if (lane >= lanes_.size() || !lanes_[lane].fn)
+        panic("scheduling unregistered lane ", lane);
+    if (laneAt_[lane].valid())
+        panic("scheduling lane ", lane, " at ", when,
+              " while its step at ", laneAt_[lane].when, " is pending");
+    panic("scheduling lane ", lane, " at ", when,
+          " outside [now ", now_, ", maxTick)");
+}
+
+void
+EventQueue::badAdvance(Tick when) const
+{
+    panic("advancing the clock to ", when, " outside [now ", now_,
+          ", next event ", nextTick(), ")");
+}
+
+void
+EventQueue::stepTop()
+{
     const Entry top = heap_.front();
     popTop();
     dropCancelled();
@@ -83,6 +160,17 @@ EventQueue::step()
     freeSlots_.push_back(top.slot);
     ++dispatched_;
     cb();
+}
+
+bool
+EventQueue::step()
+{
+    if (laneFirst())
+        stepLane();
+    else if (!heap_.empty())
+        stepTop();
+    else
+        return false;
     return true;
 }
 
@@ -97,20 +185,20 @@ EventQueue::run(Tick limit)
         ~LimitGuard() { limit = saved; }
     } guard{limit_, limit_};
     limit_ = limit;
-    while (!heap_.empty() && heap_.front().id.when <= limit)
-        step();
+    for (;;) {
+        if (laneFirst()) {
+            if (laneAt_[firstLane_].when > limit)
+                break;
+            stepLane();
+        } else if (!heap_.empty() && heap_.front().id.when <= limit) {
+            stepTop();
+        } else {
+            break;
+        }
+    }
     if (now_ < limit && limit != maxTick)
         now_ = limit;
     return now_;
-}
-
-void
-EventQueue::advanceTo(Tick when)
-{
-    if (when < now_ || when >= nextTick())
-        panic("advancing the clock to ", when, " outside [now ", now_,
-              ", next event ", nextTick(), ")");
-    now_ = when;
 }
 
 void
@@ -120,6 +208,10 @@ EventQueue::reset()
     slots_.clear();
     freeSlots_.clear();
     cancelled_ = 0;
+    for (auto &at : laneAt_)
+        at.invalidate();
+    firstLane_ = noLane;
+    pendingLanes_ = 0;
     limit_ = maxTick;
     now_ = 0;
     nextSeq_ = 0;

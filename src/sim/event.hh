@@ -3,6 +3,9 @@
  * Minimal discrete-event simulation kernel. Components schedule callbacks
  * at absolute ticks; the queue dispatches them in (tick, insertion-order)
  * order, which makes simulations deterministic for a given seed.
+ * Recurring per-component steps (a trace CPU's next reference) go
+ * through lanes, which share that order without a heap entry or a
+ * std::function per step.
  */
 
 #ifndef VMP_SIM_EVENT_HH
@@ -49,19 +52,34 @@ struct EventId
  * Cancellation is lazy: deschedule() empties the slot and the entry is
  * dropped when it reaches the top. The top of the heap is never a
  * cancelled entry between calls.
+ *
+ * Beside the heap sit lanes: registered {function, context} pairs with
+ * at most one pending step each. A lane step draws its seq from the
+ * same counter as schedule(), and every dispatch takes whichever of
+ * the heap top and the earliest lane comes first in (tick, seq), so
+ * moving a component from closures to a lane changes no dispatch
+ * order. The earliest lane is cached as an index: scheduling a lane
+ * updates it with one compare, and only dispatching or removing that
+ * lane rescans the registry.
  */
 class EventQueue
 {
   public:
     using Callback = std::function<void()>;
+    /** Body of a lane step; receives the context given to addLane(). */
+    using LaneFn = void (*)(void *);
 
     /** Current simulated time. */
     Tick now() const { return now_; }
 
-    /** Number of pending (not cancelled) events. */
-    std::size_t pending() const { return heap_.size() - cancelled_; }
+    /** Number of pending (not cancelled) events, lane steps included. */
+    std::size_t
+    pending() const
+    {
+        return heap_.size() - cancelled_ + pendingLanes_;
+    }
 
-    /** Total number of events dispatched so far. */
+    /** Total number of events dispatched so far, lane steps included. */
     std::uint64_t dispatched() const { return dispatched_; }
 
     /**
@@ -85,6 +103,40 @@ class EventQueue
     bool deschedule(EventId &id);
 
     /**
+     * Register a lane that runs @p fn(@p ctx) at each of its steps.
+     * Returns its index; indices of removed lanes are reused.
+     */
+    std::uint32_t addLane(LaneFn fn, void *ctx);
+
+    /**
+     * Schedule @p lane's next step at absolute time @p when, in
+     * [now, maxTick). Panics if the lane already has a step pending.
+     */
+    void
+    scheduleLane(std::uint32_t lane, Tick when)
+    {
+        if (lane >= laneAt_.size() || laneAt_[lane].valid() ||
+            when < now_ || when == maxTick || !lanes_[lane].fn)
+            badLaneSchedule(lane, when);
+        const EventId id{when, nextSeq_++};
+        laneAt_[lane] = id;
+        ++pendingLanes_;
+        if (firstLane_ == noLane || id < laneAt_[firstLane_])
+            firstLane_ = lane;
+    }
+
+    /**
+     * Unregister @p lane, cancelling its pending step if it has one.
+     * Never panics (an unregistered index is ignored), so an owner may
+     * call it from a destructor while an exception unwinds out of
+     * run().
+     */
+    void removeLane(std::uint32_t lane);
+
+    /** Size of the lane registry (registered and free indices). */
+    std::size_t laneCapacity() const { return lanes_.size(); }
+
+    /**
      * Run events until the queue is empty or @p limit is reached.
      * @return the tick at which the run stopped.
      */
@@ -101,7 +153,9 @@ class EventQueue
     Tick
     nextTick() const
     {
-        const Tick next = heap_.empty() ? maxTick : heap_.front().id.when;
+        Tick next = heap_.empty() ? maxTick : heap_.front().id.when;
+        if (firstLane_ != noLane && laneAt_[firstLane_].when < next)
+            next = laneAt_[firstLane_].when;
         return limit_ < next ? limit_ + 1 : next;
     }
 
@@ -110,9 +164,19 @@ class EventQueue
      * caller that would otherwise schedule itself there as the very
      * next event. Panics unless now() <= @p when < nextTick().
      */
-    void advanceTo(Tick when);
+    void
+    advanceTo(Tick when)
+    {
+        if (when < now_ || when >= nextTick())
+            badAdvance(when);
+        now_ = when;
+    }
 
-    /** Drop all pending events and reset time to zero. */
+    /**
+     * Drop all pending events and lane steps and reset time to zero.
+     * Lane registrations survive, so their owners may still schedule
+     * or remove them.
+     */
     void reset();
 
   private:
@@ -129,9 +193,33 @@ class EventQueue
         return b.id < a.id;
     }
 
+    /** A registered lane; fn is null for a free index. */
+    struct Lane
+    {
+        LaneFn fn;
+        void *ctx;
+    };
+
+    static constexpr std::uint32_t noLane = ~std::uint32_t{0};
+
     void popTop();
     /** Pop cancelled entries off the top, recycling their slots. */
     void dropCancelled();
+    /** True if the earliest lane step precedes the heap top. */
+    bool
+    laneFirst() const
+    {
+        return firstLane_ != noLane &&
+            (heap_.empty() || laneAt_[firstLane_] < heap_.front().id);
+    }
+    /** Dispatch the heap top (not cancelled, by the invariant). */
+    void stepTop();
+    /** Dispatch the earliest lane step. */
+    void stepLane();
+    /** Recompute firstLane_ by scanning every lane. */
+    void findFirstLane();
+    [[noreturn]] void badLaneSchedule(std::uint32_t lane, Tick when) const;
+    [[noreturn]] void badAdvance(Tick when) const;
 
     Tick now_ = 0;
     /** Limit of the run() in progress (maxTick outside run()). */
@@ -144,6 +232,13 @@ class EventQueue
     std::vector<std::uint32_t> freeSlots_;
     /** Cancelled entries still in the heap. */
     std::size_t cancelled_ = 0;
+    std::vector<Lane> lanes_;
+    /** Pending step per lane; invalid when none is pending. */
+    std::vector<EventId> laneAt_;
+    std::vector<std::uint32_t> freeLanes_;
+    /** Lane holding the earliest pending step, or noLane. */
+    std::uint32_t firstLane_ = noLane;
+    std::size_t pendingLanes_ = 0;
 };
 
 } // namespace vmp

@@ -12,6 +12,7 @@
 #include <tuple>
 
 #include <algorithm>
+#include <array>
 #include <deque>
 
 #include "cache/cache.hh"
@@ -323,6 +324,47 @@ TEST(Cache, ResetStats)
     cache.resetStats();
     EXPECT_EQ(cache.misses().value(), 0u);
     EXPECT_DOUBLE_EQ(cache.missRatio(), 0.0);
+}
+
+TEST(Cache, ShiftIndexingMatchesDivision)
+{
+    // Indexing shifts and masks; both must agree with the / and %
+    // definitions for every legal page size and a range of set counts,
+    // on addresses of every width (above 2^32 and 2^48 included).
+    Rng rng(41);
+    for (std::uint32_t page = 32; page <= 4096; page *= 2) {
+        for (std::uint32_t sets = 16; sets <= 2048; sets *= 4) {
+            const Cache cache(CacheConfig{page, 2, sets, false});
+            Cache filled(CacheConfig{page, 2, sets, false});
+            for (int i = 0; i < 200; ++i) {
+                const unsigned width =
+                    std::array<unsigned, 6>{20, 32, 33, 48, 49, 64}[i % 6];
+                Addr va = width == 64
+                    ? rng.next()
+                    : rng.next() & ((Addr{1} << width) - 1);
+                if (i == 0)
+                    va = ~Addr{0};
+                const auto asid = static_cast<Asid>(rng.below(256));
+                const CacheTag tag = cache.tagFor(asid, va);
+                EXPECT_EQ(tag.asid, asid);
+                ASSERT_EQ(tag.vpn, va / page) << page << " " << va;
+                ASSERT_EQ(cache.setOf(va), (va / page) % sets)
+                    << page << " " << sets << " " << va;
+                ASSERT_EQ(cache.offsetOf(va), va % page) << page << va;
+
+                const auto set =
+                    static_cast<SlotIndex>((va / page) % sets);
+                const SlotIndex slot =
+                    set * 2 + static_cast<SlotIndex>(i % 2);
+                filled.fill(slot, tag, FlagUserReadable);
+                const auto found = filled.findAll(tag);
+                EXPECT_NE(std::find(found.begin(), found.end(), slot),
+                          found.end())
+                    << page << " " << sets << " " << va;
+                EXPECT_TRUE(filled.probe(asid, va, false, false).hit);
+            }
+        }
+    }
 }
 
 // ------------------------------------------- parameterized properties

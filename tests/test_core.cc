@@ -323,6 +323,19 @@ TEST(InlineHits, EveryHierCpuStartsAtTickZero)
     EXPECT_EQ(result.elapsed, 9'882'733u);
 }
 
+TEST(TraceCpuLanes, RepeatedRunsReuseTheRegistry)
+{
+    // Each run's TraceCpus register one lane apiece and remove it when
+    // they are destroyed, so back-to-back runs reuse the same indices.
+    VmpSystem system(smallConfig(4));
+    for (int run = 0; run < 3; ++run) {
+        ProbedSources sources(system.events(), 4, 1'000);
+        EXPECT_EQ(system.runTraces(sources.raw).totalRefs, 4'000u);
+        EXPECT_EQ(system.events().laneCapacity(), 4u);
+        EXPECT_EQ(system.events().pending(), 0u);
+    }
+}
+
 TEST(InlineHits, KilledBoardHaltsAtTheSameReference)
 {
     // A failstop requested by another event lands at the same

@@ -177,6 +177,74 @@ TEST_F(CpuFixture, CpuCannotBeStartedTwiceWhileRunning)
     EXPECT_THROW(cpu.run(nullptr), PanicError);
 }
 
+TEST(TraceCpuUnwind, FatalErrorCancelsTheOtherCpusPendingStep)
+{
+    // One CPU takes a page fault with no fault handler installed. The
+    // FatalError leaves run() while the other CPU's next reference is
+    // a pending lane step, and both CPUs are destroyed as it unwinds
+    // to the caller: that must cancel the step, not std::terminate
+    // from a destructor or leave the step to run on a dead CPU.
+    constexpr auto prot = static_cast<cache::SlotFlags>(
+        cache::FlagSupWritable | cache::FlagUserReadable |
+        cache::FlagUserWritable);
+    EventQueue events;
+    mem::PhysMem memory(memBytes, pageBytes);
+    mem::VmeBus bus(events, memory);
+    proto::FixedTranslator translator(pageBytes);
+    translator.map(1, trace::userBase, 0x4000, prot);
+    translator.map(2, trace::userBase, 0x4100, prot);
+    struct Board
+    {
+        Board(CpuId id, EventQueue &events, mem::VmeBus &bus,
+              proto::Translator &translator)
+            : cache(cache::CacheConfig{pageBytes, 4, 16, true}),
+              monitor(id, memBytes, pageBytes),
+              controller(id, events, cache, monitor, bus, translator)
+        {
+            bus.attachWatcher(id, monitor);
+        }
+
+        cache::Cache cache;
+        monitor::BusMonitor monitor;
+        proto::CacheController controller;
+    };
+    Board faulting(0, events, bus, translator);
+    Board hitting(1, events, bus, translator);
+
+    // 200 hits on a mapped page, then a reference to an unmapped one.
+    std::vector<trace::MemRef> refs(201);
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+        refs[i].asid = 2;
+        refs[i].vaddr = trace::userBase + 4 * (i % 64);
+        refs[i].type = trace::RefType::DataRead;
+    }
+    refs.back().vaddr = trace::userBase + 0x10'0000;
+    trace::VectorRefSource faulting_refs(std::move(refs));
+    OnePageSource hitting_refs(1'000'000);
+
+    std::size_t pending_at_throw = 0;
+    const auto run_both = [&] {
+        TraceCpu a(0, events, faulting.controller, faulting_refs);
+        TraceCpu b(1, events, hitting.controller, hitting_refs);
+        a.run(nullptr);
+        b.run(nullptr);
+        try {
+            events.run();
+        } catch (const FatalError &) {
+            pending_at_throw = events.pending();
+            throw;
+        }
+    };
+    EXPECT_THROW(run_both(), FatalError);
+    EXPECT_EQ(faulting.controller.misses().value(), 2u);
+    EXPECT_EQ(hitting.controller.misses().value(), 1u);
+    // The hitting CPU's step was pending; destroying it cancelled it.
+    ASSERT_GE(pending_at_throw, 1u);
+    EXPECT_EQ(events.pending(), pending_at_throw - 1);
+    events.run();
+    EXPECT_EQ(events.pending(), 0u);
+}
+
 // ---------------------------------------------------------- ProgramCpu
 
 Program

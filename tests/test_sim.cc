@@ -10,6 +10,7 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -397,9 +398,13 @@ TEST(EventQueue, RandomizedStressAgainstReferenceModel)
     // Drive the queue with random schedules, heavy cancellation, many
     // same-tick ties, and events scheduled or cancelled from inside
     // dispatched callbacks (which reuse the slot the dispatch just
-    // freed). Every dispatch is checked against a reference model:
-    // the live set ordered by (tick, insertion order). Ids grow with
-    // insertion, so (when, id) orders like (when, seq).
+    // freed). A few lanes run beside the closures: closures schedule
+    // them, their steps schedule and cancel closures and reschedule
+    // themselves, and lanes are removed (pending or not) and
+    // re-registered. Every dispatch is checked against a reference
+    // model: the live set ordered by (tick, insertion order), lane
+    // steps included. Ids grow with insertion, so (when, id) orders
+    // like (when, seq).
     Rng rng(2024);
     EventQueue eq;
     std::set<std::pair<Tick, int>> model;
@@ -408,12 +413,83 @@ TEST(EventQueue, RandomizedStressAgainstReferenceModel)
         Tick when;
         EventId handle;
         bool live;
+        /** A lane step (cancelled only by removeLane). */
+        bool lane;
     };
     std::vector<Planned> planned;
     std::size_t fired = 0;
     std::size_t cancelled = 0;
+    std::size_t laneFired = 0;
+    std::size_t laneRemovedPending = 0;
+    /** Limit of the run() in progress, maxTick outside one. */
+    Tick limit = maxTick;
+
+    const auto check_queue = [&] {
+        EXPECT_EQ(eq.pending(), model.size());
+        const Tick first = model.empty() ? maxTick : model.begin()->first;
+        EXPECT_EQ(eq.nextTick(), limit < first ? limit + 1 : first);
+    };
+    // Expect the model's first entry to be dispatching now.
+    const auto dispatch = [&](int id) {
+        ASSERT_FALSE(model.empty());
+        EXPECT_EQ(model.begin()->second, id);
+        EXPECT_EQ(model.begin()->first, eq.now());
+        model.erase(model.begin());
+        planned[static_cast<std::size_t>(id)].live = false;
+        ++fired;
+    };
+
+    struct Lane
+    {
+        std::uint32_t index;
+        /** Planned id of the pending step, -1 when idle. */
+        int pending;
+        std::function<void(Lane &)> *body;
+    };
+    std::function<void(Lane &)> lane_body;
+    std::vector<std::unique_ptr<Lane>> lanes;
+    const EventQueue::LaneFn lane_fn = [](void *ctx) {
+        auto &lane = *static_cast<Lane *>(ctx);
+        (*lane.body)(lane);
+    };
+    for (int i = 0; i < 4; ++i) {
+        lanes.push_back(std::make_unique<Lane>(Lane{0, -1, &lane_body}));
+        lanes.back()->index = eq.addLane(lane_fn, lanes.back().get());
+    }
+    const auto schedule_lane = [&](Lane &lane, Tick when) {
+        const auto id = static_cast<int>(planned.size());
+        planned.push_back({when, {}, true, true});
+        eq.scheduleLane(lane.index, when);
+        lane.pending = id;
+        model.insert({when, id});
+    };
+    // Schedule a random idle lane, if any, within a few ticks of now.
+    const auto kick_lane = [&] {
+        Lane &lane = *lanes[rng.below(lanes.size())];
+        if (lane.pending < 0)
+            schedule_lane(lane, eq.now() + rng.below(3));
+    };
+    // Unregister a random lane, cancelling its step if one is
+    // pending, and register it again: the freed index comes back.
+    const auto replace_lane = [&] {
+        Lane &lane = *lanes[rng.below(lanes.size())];
+        if (lane.pending >= 0) {
+            auto &p = planned[static_cast<std::size_t>(lane.pending)];
+            model.erase({p.when, lane.pending});
+            p.live = false;
+            lane.pending = -1;
+            ++cancelled;
+            ++laneRemovedPending;
+        }
+        const std::uint32_t old = lane.index;
+        eq.removeLane(old);
+        lane.index = eq.addLane(lane_fn, &lane);
+        EXPECT_EQ(lane.index, old);
+        EXPECT_EQ(eq.laneCapacity(), lanes.size());
+    };
 
     // Cancel a live event, or (half the time) any event ever planned.
+    // Lane steps are not EventIds, so picking one cancels nothing.
     const auto cancel_random = [&] {
         if (planned.empty())
             return;
@@ -426,6 +502,8 @@ TEST(EventQueue, RandomizedStressAgainstReferenceModel)
             id = static_cast<int>(rng.below(planned.size()));
         }
         auto &p = planned[static_cast<std::size_t>(id)];
+        if (p.lane)
+            return;
         // A copy, so the stored handle survives for repeat attempts:
         // already-dispatched and already-cancelled ids answer false.
         EventId handle = p.handle;
@@ -439,21 +517,33 @@ TEST(EventQueue, RandomizedStressAgainstReferenceModel)
     };
     std::function<void(Tick)> schedule_at = [&](Tick when) {
         const auto id = static_cast<int>(planned.size());
-        planned.push_back({when, {}, true});
+        planned.push_back({when, {}, true, false});
         planned.back().handle = eq.schedule(when, [&, id] {
-            ASSERT_FALSE(model.empty());
-            EXPECT_EQ(model.begin()->second, id);
-            EXPECT_EQ(model.begin()->first, eq.now());
-            model.erase(model.begin());
-            planned[static_cast<std::size_t>(id)].live = false;
-            ++fired;
+            dispatch(id);
             if (rng.chance(0.3))
                 schedule_at(eq.now() + rng.below(3));
             if (rng.chance(0.3))
                 cancel_random();
-            EXPECT_EQ(eq.pending(), model.size());
+            if (rng.chance(0.3))
+                kick_lane();
+            if (rng.chance(0.05))
+                replace_lane();
+            check_queue();
         });
         model.insert({when, id});
+    };
+    lane_body = [&](Lane &lane) {
+        dispatch(lane.pending);
+        lane.pending = -1;
+        ++laneFired;
+        if (rng.chance(0.4))
+            schedule_at(eq.now() + rng.below(3));
+        if (rng.chance(0.3))
+            cancel_random();
+        // Ties with the closures just scheduled, and with other lanes.
+        if (rng.chance(0.5))
+            schedule_lane(lane, eq.now() + rng.below(3));
+        check_queue();
     };
 
     for (int round = 0; round < 3000; ++round) {
@@ -462,23 +552,110 @@ TEST(EventQueue, RandomizedStressAgainstReferenceModel)
                     (rng.chance(0.5) ? rng.below(4) : rng.below(1000)));
         while (rng.chance(0.6))
             cancel_random();
-        EXPECT_EQ(eq.pending(), model.size());
+        if (rng.chance(0.3))
+            kick_lane();
+        if (rng.chance(0.05))
+            replace_lane();
+        check_queue();
         if (rng.chance(0.2)) {
-            const Tick limit = eq.now() + rng.below(300);
+            limit = eq.now() + rng.below(300);
             eq.run(limit);
             EXPECT_EQ(eq.now(), limit);
-        } else if (rng.chance(0.2)) {
+            limit = maxTick;
+        } else if (rng.chance(0.3)) {
             eq.step();
         }
-        EXPECT_EQ(eq.pending(), model.size());
+        check_queue();
     }
     eq.run();
+    check_queue();
 
     EXPECT_TRUE(model.empty());
     EXPECT_EQ(eq.pending(), 0u);
     EXPECT_EQ(eq.dispatched(), fired);
     EXPECT_EQ(fired + cancelled, planned.size());
     EXPECT_GT(cancelled, planned.size() / 5);
+    EXPECT_GT(laneFired, planned.size() / 10);
+    EXPECT_GT(laneRemovedPending, 0u);
+    EXPECT_EQ(eq.laneCapacity(), lanes.size());
+}
+
+TEST(EventQueue, LaneContract)
+{
+    EventQueue eq;
+    struct Ctx
+    {
+        EventQueue &eq;
+        std::vector<Tick> steps;
+    } ctx{eq, {}};
+    const EventQueue::LaneFn record = [](void *p) {
+        auto &c = *static_cast<Ctx *>(p);
+        c.steps.push_back(c.eq.now());
+    };
+    const std::uint32_t lane = eq.addLane(record, &ctx);
+    EXPECT_EQ(eq.laneCapacity(), 1u);
+
+    // A pending lane counts in pending() and nextTick(), and may not
+    // be scheduled again until its step has run.
+    eq.scheduleLane(lane, 10);
+    EXPECT_EQ(eq.pending(), 1u);
+    EXPECT_EQ(eq.nextTick(), 10u);
+    EXPECT_THROW(eq.scheduleLane(lane, 20), PanicError);
+    eq.run();
+    EXPECT_EQ(ctx.steps, (std::vector<Tick>{10}));
+    EXPECT_EQ(eq.dispatched(), 1u);
+    EXPECT_EQ(eq.pending(), 0u);
+
+    // Scheduling in the past (or at maxTick) panics.
+    EXPECT_THROW(eq.scheduleLane(lane, 9), PanicError);
+    EXPECT_THROW(eq.scheduleLane(lane, maxTick), PanicError);
+
+    // Same-tick ties dispatch in scheduling order, across the heap
+    // and the lanes: each closure records how many lane steps ran
+    // before it.
+    std::vector<std::size_t> order;
+    eq.schedule(20, [&] { order.push_back(ctx.steps.size()); });
+    eq.scheduleLane(lane, 20);
+    eq.schedule(20, [&] { order.push_back(ctx.steps.size()); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<std::size_t>{1, 2}));
+    EXPECT_EQ(ctx.steps, (std::vector<Tick>{10, 20}));
+    EXPECT_EQ(eq.dispatched(), 4u);
+
+    // removeLane cancels a pending step silently; removing an
+    // unregistered index does nothing, scheduling one panics.
+    eq.scheduleLane(lane, 30);
+    EXPECT_NO_THROW(eq.removeLane(lane));
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_EQ(eq.nextTick(), maxTick);
+    eq.run();
+    EXPECT_EQ(ctx.steps.size(), 2u);
+    EXPECT_NO_THROW(eq.removeLane(lane));
+    EXPECT_NO_THROW(eq.removeLane(lane + 7));
+    EXPECT_THROW(eq.scheduleLane(lane, 40), PanicError);
+
+    // A freed index is reused, so the registry does not grow.
+    const std::uint32_t again = eq.addLane(record, &ctx);
+    EXPECT_EQ(again, lane);
+    EXPECT_EQ(eq.laneCapacity(), 1u);
+    const std::uint32_t other = eq.addLane(record, &ctx);
+    EXPECT_NE(other, again);
+    EXPECT_EQ(eq.laneCapacity(), 2u);
+
+    // reset() drops pending lane steps; registrations survive.
+    eq.scheduleLane(again, 50);
+    eq.scheduleLane(other, 60);
+    eq.reset();
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_EQ(eq.nextTick(), maxTick);
+    EXPECT_EQ(eq.dispatched(), 0u);
+    eq.run();
+    EXPECT_EQ(ctx.steps.size(), 2u);
+    eq.scheduleLane(other, 5);
+    eq.scheduleLane(again, 5);
+    eq.run();
+    EXPECT_EQ(ctx.steps, (std::vector<Tick>{10, 20, 5, 5}));
+    EXPECT_EQ(eq.dispatched(), 2u);
 }
 
 TEST(EventQueue, SameTickTiesSurviveCancellation)
