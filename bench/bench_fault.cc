@@ -122,11 +122,7 @@ runPoint(fault::FaultKind kind, double rate, std::uint64_t seed)
     point.injected = injector.totalInjected();
 
     // Quiesce (idle-processor service) so the full sweep is legal.
-    system.attachIdleServicers();
-    for (std::uint32_t cpu = 0; cpu < kCpus; ++cpu) {
-        system.controller(cpu).serviceInterrupts([] {});
-        system.events().run();
-    }
+    system.quiesce();
     checker.checkFull();
     point.violations = checker.violations().value();
     return point;

@@ -280,11 +280,7 @@ runPoint(const Severity &sev, std::uint64_t seed)
         // single-owner invariant over the surviving boards.
         point.sweepViolations = checker.checkOwnersSweep();
     } else {
-        system.attachIdleServicers();
-        for (std::uint32_t cpu = 0; cpu < kCpus; ++cpu) {
-            system.controller(cpu).serviceInterrupts([] {});
-            system.events().run();
-        }
+        system.quiesce();
         point.sweepViolations = checker.checkFull();
     }
     point.violations = checker.violations().value();

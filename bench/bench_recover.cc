@@ -157,12 +157,8 @@ runPoint(Mode mode, std::uint64_t seed, std::uint32_t sets = 64,
     point.recoveryStats = system.statsJson()["recover"];
 
     // Quiesce the live boards so the full sweep is legal (a dead
-    // board's serviceInterrupts is a no-op by design).
-    system.attachIdleServicers();
-    for (std::uint32_t cpu = 0; cpu < kCpus; ++cpu) {
-        system.controller(cpu).serviceInterrupts([] {});
-        system.events().run();
-    }
+    // board's words wait for recovery).
+    system.quiesce();
     checker.checkFull();
     point.violations = checker.violations().value();
     return point;

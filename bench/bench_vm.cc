@@ -43,14 +43,7 @@ struct VmRig
                     translator));
             bus.attachWatcher(id, *monitors[id]);
             vm.attach(*controllers[id]);
-        }
-        for (auto &c : controllers) {
-            auto *ctl = c.get();
-            ctl->busMonitor().setInterruptLine([this, ctl] {
-                events.scheduleIn(1, [ctl] {
-                    ctl->serviceInterrupts([] {});
-                });
-            });
+            controllers[id]->setIrqService(proto::IrqService::Idle);
         }
     }
 

@@ -23,7 +23,8 @@ echo "== tier1: sanitizer build ($sanitize) =="
 cmake -B "$sanitize" -S "$repo" -DVMP_SANITIZE=address,undefined
 cmake --build "$sanitize" -j "$jobs" \
     --target test_sim test_mem test_artifact test_core test_hier \
-    test_recover test_obs test_telemetry bench_table1
+    test_recover test_obs test_telemetry test_proto test_cpu test_vm \
+    test_sync bench_table1
 
 echo "== tier1: sanitized core tests =="
 "$sanitize/tests/test_sim"
@@ -38,5 +39,11 @@ echo "== tier1: sanitized core tests =="
 # buffer for both the post-hoc export and the streaming sink.
 "$sanitize/tests/test_obs"
 "$sanitize/tests/test_telemetry"
+# Interrupt service: the controller's interrupt line and its pending
+# idle-service pass capture the controller; CPUs switch its mode.
+"$sanitize/tests/test_proto"
+"$sanitize/tests/test_cpu"
+"$sanitize/tests/test_vm"
+"$sanitize/tests/test_sync"
 
 echo "== tier1: OK =="

@@ -1,5 +1,6 @@
 #include "core/bus_domain.hh"
 
+#include <algorithm>
 #include <ostream>
 
 #include "core/system.hh"
@@ -349,14 +350,24 @@ Machine::runPrograms(const std::vector<cpu::Program> &programs)
 void
 Machine::attachIdleServicers()
 {
-    for (auto &slot : boards_) {
-        auto *controller = &slot.board->controller;
-        controller->busMonitor().setInterruptLine([this, controller] {
-            events_.scheduleIn(1, [controller] {
-                controller->serviceInterrupts([] {});
-            }, "idle-service");
-        });
+    for (auto &slot : boards_)
+        slot.board->controller.setIrqService(proto::IrqService::Idle);
+}
+
+bool
+Machine::quiesce()
+{
+    attachIdleServicers();
+    events_.run();
+    for (const auto &slot : boards_) {
+        const auto &controller = slot.board->controller;
+        if (!controller.dead() && controller.interruptPending())
+            return false;
     }
+    return std::all_of(domains_.begin(), domains_.end(),
+                       [](const auto &d) {
+                           return !d->bridge || d->bridge->idle();
+                       });
 }
 
 fault::FaultInjector &

@@ -129,12 +129,19 @@ class Machine
     runPrograms(const std::vector<cpu::Program> &programs);
 
     /**
-     * Make every board behave like an idle processor: whenever its
-     * bus-monitor interrupt line rises, a service pass is scheduled.
-     * Use when driving controllers directly (no CPU models attached);
-     * TraceCpu/ProgramCpu objects override these hooks while running.
+     * Make every board an idle processor (proto::IrqService::Idle).
+     * Use when driving controllers directly; TraceCpu/ProgramCpu set
+     * their board's mode themselves and turn it Off when destroyed.
      */
     void attachIdleServicers();
+
+    /**
+     * attachIdleServicers(), run the queue dry, and report whether
+     * every live board's FIFO is empty and every inter-bus board idle.
+     * An idle board re-polls a wedged service loop until the wedge
+     * clears.
+     */
+    bool quiesce();
 
     /**
      * Arm a fault injector over the whole machine: every bus, every

@@ -16,32 +16,14 @@ ProgramCpu::ProgramCpu(CpuId id, EventQueue &events,
         [this](Addr paddr) { onNotify(paddr); });
     // A halted (or notify-waiting) processor still takes bus-monitor
     // interrupts: it may own pages other processors need.
-    controller_.busMonitor().setInterruptLine(
-        [this] { onInterruptLine(); });
+    controller_.setIrqService(proto::IrqService::Idle);
 }
 
 ProgramCpu::~ProgramCpu()
 {
     // Unhook callbacks that point into this object.
     controller_.setNotifyHandler(nullptr);
-    controller_.busMonitor().setInterruptLine(nullptr);
-}
-
-void
-ProgramCpu::onInterruptLine()
-{
-    if ((running_ && !waitingNotify_) || idleServicing_)
-        return;
-    idleServicing_ = true;
-    events_.scheduleIn(1, [this] {
-        controller_.serviceInterrupts([this] {
-            idleServicing_ = false;
-            if ((!running_ || waitingNotify_) &&
-                controller_.interruptPending()) {
-                onInterruptLine();
-            }
-        });
-    }, "idle-service");
+    controller_.setIrqService(proto::IrqService::Off);
 }
 
 void
@@ -52,6 +34,7 @@ ProgramCpu::run(Done done)
     running_ = true;
     done_ = std::move(done);
     startedAt_ = events_.now();
+    controller_.setIrqService(proto::IrqService::Polled);
     step();
 }
 
@@ -84,6 +67,7 @@ ProgramCpu::onNotify(Addr)
     if (!waitingNotify_)
         return;
     waitingNotify_ = false;
+    controller_.setIrqService(proto::IrqService::Polled);
     events_.deschedule(notifyTimeout_);
     events_.scheduleIn(timing_.instrNs(), [this] { finishOp(); },
                        "notify-wake");
@@ -94,6 +78,17 @@ ProgramCpu::finishOp()
 {
     ++ops_;
     step();
+}
+
+void
+ProgramCpu::halt()
+{
+    halted_ = true;
+    running_ = false;
+    finishedAt_ = events_.now();
+    if (done_)
+        done_();
+    controller_.setIrqService(proto::IrqService::Idle);
 }
 
 void
@@ -110,13 +105,7 @@ ProgramCpu::step()
     }
 
     if (pc_ >= program_.size()) {
-        halted_ = true;
-        running_ = false;
-        finishedAt_ = events_.now();
-        if (done_)
-            done_();
-        if (controller_.interruptPending())
-            onInterruptLine();
+        halt();
         return;
     }
 
@@ -257,11 +246,13 @@ ProgramCpu::step()
 
       case OpKind::WaitNotify:
         waitingNotify_ = true;
+        controller_.setIrqService(proto::IrqService::Idle);
         notifyTimeout_ = events_.scheduleIn(
             op.imm == 0 ? msec(1) : Tick{op.imm},
             [this] {
                 if (waitingNotify_) {
                     waitingNotify_ = false;
+                    controller_.setIrqService(proto::IrqService::Polled);
                     finishOp();
                 }
             },
@@ -273,13 +264,7 @@ ProgramCpu::step()
         return;
 
       case OpKind::Halt:
-        halted_ = true;
-        running_ = false;
-        finishedAt_ = events_.now();
-        if (done_)
-            done_();
-        if (controller_.interruptPending())
-            onInterruptLine();
+        halt();
         return;
     }
     panic("program cpu", id_, ": unknown op kind");

@@ -55,8 +55,9 @@ class ProgramCpu
   private:
     void step();
     void finishOp();
+    /** Stop at Halt or the program's end; idle-service from then on. */
+    void halt();
     void onNotify(Addr paddr);
-    void onInterruptLine();
 
     CpuId id_;
     EventQueue &events_;
@@ -72,7 +73,6 @@ class ProgramCpu
     bool running_ = false;
     bool halted_ = false;
     bool waitingNotify_ = false;
-    bool idleServicing_ = false;
     EventId notifyTimeout_{};
     Counter ops_;
     Tick startedAt_ = 0;

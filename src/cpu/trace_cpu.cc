@@ -14,42 +14,17 @@ TraceCpu::TraceCpu(CpuId id, EventQueue &events,
           [](void *cpu) { static_cast<TraceCpu *>(cpu)->present(); },
           this))
 {
-    // While executing, interrupts are polled between references; once
-    // the trace is exhausted the processor sits in the idle loop and
-    // must still take bus-monitor interrupts (it may own pages other
-    // processors need).
-    controller_.busMonitor().setInterruptLine(
-        [this] { onInterruptLine(); });
+    // Polled while executing; idle before and after, when it must
+    // still take interrupts (it may own pages others need).
+    controller_.setIrqService(proto::IrqService::Idle);
 }
 
 TraceCpu::~TraceCpu()
 {
-    controller_.busMonitor().setInterruptLine(nullptr);
+    controller_.setIrqService(proto::IrqService::Off);
     // Cancels a pending step too, which matters when an exception
     // unwinds out of the run loop and destroys the CPU mid-trace.
     events_.removeLane(lane_);
-}
-
-void
-TraceCpu::onInterruptLine()
-{
-    // A halted (failstopped) processor takes no interrupts; its
-    // monitor keeps queueing words, which is exactly the wedge the
-    // recovery subsystem exists to break.
-    if (running_ || idleServicing_ || halted_)
-        return;
-    idleServicing_ = true;
-    events_.scheduleIn(1, [this] {
-        if (halted_) {
-            idleServicing_ = false;
-            return;
-        }
-        controller_.serviceInterrupts([this] {
-            idleServicing_ = false;
-            if (!running_ && !halted_ && controller_.interruptPending())
-                onInterruptLine();
-        });
-    }, "idle-service");
 }
 
 void
@@ -63,6 +38,7 @@ TraceCpu::requestFailstop()
         return;
     }
     halted_ = true;
+    controller_.setIrqService(proto::IrqService::Off);
 }
 
 void
@@ -73,13 +49,13 @@ TraceCpu::resume()
     halted_ = false;
     pendingFailstop_ = false;
     if (exhausted_ || done_ == nullptr) {
-        // Nothing left to replay (or never started): back to idle;
-        // pick up any interrupt words that queued while dead.
-        if (controller_.interruptPending())
-            onInterruptLine();
+        // Nothing left to replay (or never started): back to idle,
+        // which picks up any interrupt words that queued while dead.
+        controller_.setIrqService(proto::IrqService::Idle);
         return;
     }
     running_ = true;
+    controller_.setIrqService(proto::IrqService::Polled);
     step();
 }
 
@@ -91,6 +67,7 @@ TraceCpu::run(Done done)
     running_ = true;
     done_ = std::move(done);
     startedAt_ = events_.now();
+    controller_.setIrqService(proto::IrqService::Polled);
     step();
 }
 
@@ -98,12 +75,15 @@ bool
 TraceCpu::fetch()
 {
     // Failstop lands at the instruction boundary: halt without firing
-    // done_ (a dead board never reports completion).
+    // done_ (a dead board never reports completion). A halted processor
+    // takes no interrupts; its monitor keeps queueing words, which is
+    // exactly the wedge the recovery subsystem exists to break.
     if (pendingFailstop_ || halted_) {
         pendingFailstop_ = false;
         halted_ = true;
         running_ = false;
         finishedAt_ = events_.now();
+        controller_.setIrqService(proto::IrqService::Off);
         return false;
     }
 
@@ -121,8 +101,7 @@ TraceCpu::fetch()
             done_();
         // Words that arrived exactly at the boundary are picked up by
         // the idle loop.
-        if (controller_.interruptPending())
-            onInterruptLine();
+        controller_.setIrqService(proto::IrqService::Idle);
         return false;
     }
     return true;

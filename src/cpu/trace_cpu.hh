@@ -91,7 +91,6 @@ class TraceCpu
     /** Lane step: present ref_ to the cache, retiring hits inline
      *  while no other event is due before the next reference. */
     void present();
-    void onInterruptLine();
 
     CpuId id_;
     EventQueue &events_;
@@ -107,7 +106,6 @@ class TraceCpu
      *  present(), and across a miss). */
     trace::MemRef ref_;
     bool running_ = false;
-    bool idleServicing_ = false;
     bool pendingFailstop_ = false;
     bool halted_ = false;
     /** Trace fully replayed (distinguishes idle from halted-mid-run). */

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "sim/debug.hh"
 #include "sim/logging.hh"
@@ -65,6 +66,15 @@ CacheController::CacheController(CpuId cpu, EventQueue &events,
       timing_(timing), rng_(0x9E3779B9u * (cpu + 1) + 0x1234)
 {
     misses_.reserve(4);
+    // The board's service software takes its own interrupt line; the
+    // IrqService mode says whether the line starts an idle pass.
+    monitor_.setInterruptLine([this] { pokeIdle(); });
+}
+
+CacheController::~CacheController()
+{
+    monitor_.setInterruptLine(nullptr);
+    events_.deschedule(idlePass_);
 }
 
 Tick
@@ -733,20 +743,13 @@ CacheController::writeWord(Asid asid, Addr vaddr, std::uint32_t value,
 // Interrupt service
 // --------------------------------------------------------------------
 
-bool
-CacheController::interruptPending() const
-{
-    return !monitor_.fifo().empty() || monitor_.fifo().overflowed();
-}
-
 void
 CacheController::serviceInterrupts(Done done)
 {
     if (dead_) {
         // Failstopped: the service software is gone. Words rot in the
         // FIFO until the recovery coordinator drains them (or a rejoin
-        // clears them) — an idle-servicer poke must not resurrect the
-        // board.
+        // clears them) — an idle pass must not resurrect the board.
         done();
         return;
     }
@@ -769,40 +772,44 @@ CacheController::serviceInterrupts(Done done)
         done();
         return;
     }
-    // Each call drains on its own: an interrupt-line poke and a miss
-    // retry may both be draining this FIFO at once.
-    const Tick started = events_.now();
-    const std::uint64_t words_before = serviceCount_.value();
-    drainInterrupts(std::make_shared<const Done>(
-        [this, started, words_before, done = std::move(done)] {
-            serviceStall_ += events_.now() - started;
-            if (tracer_ != nullptr) {
-                obs::TraceEvent event;
-                event.kind = obs::EventKind::Service;
-                event.at = started;
-                event.arg0 = events_.now() - started;
-                event.arg1 = serviceCount_.value() - words_before;
-                event.master = cpuId_;
-                event.track = traceTrack_;
-                tracer_->record(event);
-            }
-            done();
-        }));
+    // One drain per controller: a call while it runs joins it.
+    service_.waiters.push_back(std::move(done));
+    if (service_.waiters.size() > 1)
+        return;
+    service_.started = events_.now();
+    service_.wordsBefore = serviceCount_.value();
+    drainInterrupts();
 }
 
 void
-CacheController::drainInterrupts(std::shared_ptr<const Done> finish)
+CacheController::drainInterrupts()
 {
     if (monitor_.fifo().overflowed()) {
         monitor_.fifo().clearOverflow();
         ++serviceEpoch_;
-        recoverFromOverflow([this, finish] { drainInterrupts(finish); });
+        recoverFromOverflow([this] { drainInterrupts(); });
         return;
     }
     const auto word = monitor_.fifo().pop();
     if (!word) {
+        // Drained: one span and one stall charge for the whole record.
         ++serviceEpoch_;
-        (*finish)();
+        serviceStall_ += events_.now() - service_.started;
+        if (tracer_ != nullptr) {
+            obs::TraceEvent event;
+            event.kind = obs::EventKind::Service;
+            event.at = service_.started;
+            event.arg0 = events_.now() - service_.started;
+            event.arg1 = serviceCount_.value() - service_.wordsBefore;
+            event.master = cpuId_;
+            event.track = traceTrack_;
+            tracer_->record(event);
+        }
+        // Close the record before continuing: a waiter may start the
+        // next drain.
+        const auto waiters = std::exchange(service_.waiters, {});
+        for (const Done &waiter : waiters)
+            waiter();
         return;
     }
     ++serviceCount_;
@@ -814,12 +821,42 @@ CacheController::drainInterrupts(std::shared_ptr<const Done> finish)
     // slowFactor_ is 1 on a healthy board — multiplying the charge by
     // one keeps the unfaulted run bit-identical.
     serviceCpuNs_ += timing_.serviceNs * slowFactor_;
-    afterSoftware(timing_.serviceNs * slowFactor_,
-                  [this, w = *word, finish] {
-                      serviceWord(w, [this, finish] {
-                          drainInterrupts(finish);
-                      });
-                  });
+    afterSoftware(timing_.serviceNs * slowFactor_, [this, w = *word] {
+        serviceWord(w, [this] { drainInterrupts(); });
+    });
+}
+
+void
+CacheController::setIrqService(IrqService mode)
+{
+    irqService_ = mode;
+    if (mode == IrqService::Idle && interruptPending())
+        pokeIdle();
+}
+
+void
+CacheController::pokeIdle()
+{
+    // One pass per burst: lines raised while a pass is scheduled or
+    // draining are picked up by its re-poke.
+    if (irqService_ != IrqService::Idle || idlePassLive_)
+        return;
+    idlePassLive_ = true;
+    idlePass_ = events_.scheduleIn(1, [this] {
+        if (irqService_ == IrqService::Off) {
+            // The board went Off (its CPU halted) after the line rose.
+            idlePassLive_ = false;
+            return;
+        }
+        serviceInterrupts([this] {
+            idlePassLive_ = false;
+            // A dead board's words wait for recovery or a rejoin;
+            // polling them would spin.
+            if (irqService_ == IrqService::Idle && !dead_ &&
+                interruptPending())
+                pokeIdle();
+        });
+    }, "idle-service");
 }
 
 void

@@ -63,6 +63,14 @@ enum class FrameState : std::uint8_t
     Private,
 };
 
+/** What runs a board's interrupt-service software (setIrqService). */
+enum class IrqService : std::uint8_t
+{
+    Off,    //!< nobody: words wait (bare rig, halted or destroyed CPU)
+    Polled, //!< a running CPU calls serviceInterrupts between instructions
+    Idle,   //!< the controller runs one idle-service pass per burst
+};
+
 /**
  * Software bookkeeping for one physical frame held in (or protected
  * by) this cache. The slots caching a frame are found through the
@@ -122,10 +130,13 @@ class CacheController
                     monitor::BusMonitor &busMonitor, mem::VmeBus &bus,
                     Translator &translator,
                     const SoftwareTiming &timing = {});
+    /** Releases the interrupt line and cancels a pending idle pass. */
+    ~CacheController();
+    CacheController(const CacheController &) = delete;
+    CacheController &operator=(const CacheController &) = delete;
 
     CpuId cpuId() const { return cpuId_; }
     cache::Cache &cache() { return cache_; }
-    monitor::BusMonitor &busMonitor() { return monitor_; }
     const SoftwareTiming &timing() const { return timing_; }
 
     void setFaultHandler(FaultHandler handler);
@@ -278,12 +289,27 @@ class CacheController
     /**
      * Service all pending bus-monitor interrupt words (called by the
      * CPU model between instructions). Runs overflow recovery first if
-     * the FIFO dropped a word.
+     * the FIFO dropped a word. A call made while a drain is live joins
+     * it: the drain emits one Service span and one stall charge, then
+     * runs every joined @p done in call order.
      */
     void serviceInterrupts(Done done);
 
-    /** True if any interrupt word (or the overflow flag) is pending. */
-    bool interruptPending() const;
+    /**
+     * Choose who takes this board's interrupts (default Off). In Idle
+     * a raised line schedules one "idle-service" pass at +1 per burst,
+     * repeated while words stay pending; switching to Idle with words
+     * pending starts one. A pass finding the board Off does nothing.
+     */
+    void setIrqService(IrqService mode);
+    IrqService irqService() const { return irqService_; }
+
+    /** True if any interrupt word (or the overflow flag) is pending.
+     *  Inline: a running CPU asks before every reference. */
+    bool interruptPending() const
+    {
+        return !monitor_.fifo().empty() || monitor_.fifo().overflowed();
+    }
 
     // --- operations used by the VM system and synchronization code ---
 
@@ -512,8 +538,10 @@ class CacheController
     void releaseEntries(std::shared_ptr<std::vector<std::uint64_t>> frames,
                         Done done);
 
-    /** One step of an interrupt drain; @p finish ends this drain. */
-    void drainInterrupts(std::shared_ptr<const Done> finish);
+    /** Interrupt line: schedule an idle pass if Idle and none is live. */
+    void pokeIdle();
+    /** One step of the live drain; an empty FIFO closes it. */
+    void drainInterrupts();
     /** Service one interrupt word, then continue with @p next. */
     void serviceWord(const monitor::InterruptWord &word, Done next);
     void relinquishFrame(std::uint64_t frame, Done next);
@@ -587,6 +615,22 @@ class CacheController
     Tick serviceStall_ = 0;
     /** Service-software CPU time (see serviceCpuTicks). */
     Tick serviceCpuNs_ = 0;
+
+    // --- interrupt service (DESIGN.md, "One service record") ---
+    /** The live drain; later serviceInterrupts() calls join it. */
+    struct ServiceRecord
+    {
+        Tick started = 0;
+        std::uint64_t wordsBefore = 0;
+        /** Continuations in call order; empty when no drain is live. */
+        std::vector<Done> waiters;
+    };
+    ServiceRecord service_;
+    IrqService irqService_ = IrqService::Off;
+    /** An idle pass is scheduled or its drain is running. */
+    bool idlePassLive_ = false;
+    /** The last idle pass scheduled (the destructor cancels it). */
+    EventId idlePass_;
 
     // --- livelock watchdog ---
     /** Retry cap per logical operation (0 = watchdog disabled). */

@@ -44,38 +44,6 @@ smallConfig(std::uint32_t cpus, std::uint32_t page_bytes,
     return cfg;
 }
 
-/** Drain every board's FIFO so the system is quiescent. */
-void
-quiesce(core::VmpSystem &system)
-{
-    for (int round = 0; round < 4; ++round) {
-        for (std::size_t cpu = 0; cpu < system.processors(); ++cpu) {
-            bool done = false;
-            system.controller(cpu).serviceInterrupts(
-                [&] { done = true; });
-            system.events().run();
-            ASSERT_TRUE(done);
-        }
-    }
-}
-
-void
-quiesce(core::HierVmpSystem &system)
-{
-    for (int round = 0; round < 6; ++round) {
-        for (std::uint32_t cpu = 0; cpu < system.totalCpus(); ++cpu) {
-            bool done = false;
-            system.controller(cpu).serviceInterrupts(
-                [&] { done = true; });
-            system.events().run();
-            ASSERT_TRUE(done);
-        }
-    }
-    for (std::uint32_t k = 0; k < system.clusters(); ++k)
-        EXPECT_TRUE(system.interBusBoard(k).idle())
-            << "cluster " << k << " board not idle at quiescence";
-}
-
 /** Shared-kernel trace sources: heavy consistency traffic. */
 std::vector<std::unique_ptr<trace::SyntheticGen>>
 makeSources(const std::string &workload, std::uint32_t cpus,
@@ -271,7 +239,7 @@ TEST(FaultInjector, SpuriousAbortsAreRecovered)
     EXPECT_GT(system.controller(0).retries().value() +
                   system.controller(1).retries().value(),
               0u);
-    quiesce(system);
+    EXPECT_TRUE(system.quiesce());
     EXPECT_EQ(checker.checkFull(), 0u) << reportsOf(checker);
     EXPECT_EQ(checker.violations().value(), 0u) << reportsOf(checker);
 }
@@ -297,7 +265,7 @@ TEST(FaultInjector, AllKindsFireAndInvariantsHold)
     auto gens = makeSources("atum3", 2, 20'000, 21);
     auto raw = rawSources(gens);
     system.runTraces(raw);
-    quiesce(system);
+    EXPECT_TRUE(system.quiesce());
     EXPECT_EQ(checker.checkFull(), 0u) << reportsOf(checker);
 
     // Partial-failure kinds are board-targeted schedules with their
@@ -404,7 +372,7 @@ TEST(PartialFault, WedgeFreezesServiceThenClearRecovers)
               1u);
     EXPECT_FALSE(system.controller(0).wedged());
     EXPECT_GT(system.controller(0).serviceEpoch(), 0u);
-    quiesce(system);
+    EXPECT_TRUE(system.quiesce());
     EXPECT_EQ(checker.checkFull(), 0u) << reportsOf(checker);
 }
 
@@ -426,7 +394,7 @@ TEST(PartialFault, BabbleWordsAreSpuriousAndHarmless)
               0u);
     EXPECT_GT(system.board(0).monitor.babbleWords().value(), 0u);
     EXPECT_GT(system.controller(0).spuriousWords().value(), 0u);
-    quiesce(system);
+    EXPECT_TRUE(system.quiesce());
     EXPECT_EQ(checker.checkFull(), 0u) << reportsOf(checker);
 }
 
@@ -497,7 +465,7 @@ TEST(CoherenceChecker, CleanRunHasNoViolations)
     auto raw = rawSources(gens);
     system.runTraces(raw);
     EXPECT_GT(checker.transactionsObserved().value(), 0u);
-    quiesce(system);
+    EXPECT_TRUE(system.quiesce());
     EXPECT_EQ(checker.checkFull(), 0u) << reportsOf(checker);
     EXPECT_EQ(checker.violations().value(), 0u) << reportsOf(checker);
 }
@@ -697,7 +665,7 @@ TEST(TinyFifo, ForcedDropsTriggerOverflowRecovery)
         system.controller(0).overflowRecoveries().value() +
         system.controller(1).overflowRecoveries().value();
     EXPECT_GT(recoveries, 0u);
-    quiesce(system);
+    EXPECT_TRUE(system.quiesce());
     EXPECT_EQ(checker.checkFull(), 0u) << reportsOf(checker);
 }
 
@@ -773,7 +741,7 @@ tortureRun(const TortureParams &p, std::uint64_t seed,
     auto raw = rawSources(gens);
     const auto result = system.runTraces(raw);
     EXPECT_EQ(result.totalRefs, 12'000u);
-    quiesce(system);
+    EXPECT_TRUE(system.quiesce());
     EXPECT_EQ(checker.checkFull(), 0u)
         << p.workload << " p=" << p.pageBytes << " s=" << p.schedule
         << " seed=" << seed << "\n" << reportsOf(checker);
@@ -864,7 +832,7 @@ TEST_P(TortureHier, TwoLevelFourEntryFifosStayCoherent)
         auto raw = rawSources(gens);
         const auto result = system.runTraces(raw);
         EXPECT_EQ(result.totalRefs, 16'000u);
-        quiesce(system);
+        EXPECT_TRUE(system.quiesce());
         EXPECT_EQ(system.checkFullAll(), 0u)
             << "p=" << p.pageBytes << " s=" << p.schedule
             << " seed=" << seed;

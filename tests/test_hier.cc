@@ -29,24 +29,6 @@ namespace vmp
 namespace
 {
 
-/** Drain every processor FIFO and let the inter-bus boards settle. */
-void
-quiesce(core::HierVmpSystem &system)
-{
-    for (int round = 0; round < 6; ++round) {
-        for (std::uint32_t cpu = 0; cpu < system.totalCpus(); ++cpu) {
-            bool done = false;
-            system.controller(cpu).serviceInterrupts(
-                [&] { done = true; });
-            system.events().run();
-            ASSERT_TRUE(done);
-        }
-    }
-    for (std::uint32_t k = 0; k < system.clusters(); ++k)
-        EXPECT_TRUE(system.interBusBoard(k).idle())
-            << "cluster " << k << " board not idle at quiescence";
-}
-
 /**
  * Two-state legality per level, checked frame by frame:
  *  - within each cluster, at most one processor Private;
@@ -189,7 +171,7 @@ TEST(HierSystem, SharedKernelTracesKeepInvariants)
     EXPECT_GT(result.globalFetches, 0u);
     EXPECT_GT(result.globalWriteBacks, 0u);
 
-    quiesce(system);
+    EXPECT_TRUE(system.quiesce());
     expectTwoLevelInvariant(system);
     expectTwoLevelWriteInvariant(system);
 }
@@ -227,7 +209,7 @@ TEST(HierSystem, PartitionedWorkloadsStayMostlyLocal)
     }
     EXPECT_LT(result.busUtilization, result.meanLocalBusUtilization);
 
-    quiesce(system);
+    EXPECT_TRUE(system.quiesce());
     expectTwoLevelInvariant(system);
     expectTwoLevelWriteInvariant(system);
 }
@@ -267,7 +249,7 @@ TEST(HierSystem, FalseSharingAcrossClustersIsExact)
             frame_base + Addr(cpu) * 4, kRounds));
 
     const auto cpus = system.runPrograms(programs);
-    quiesce(system);
+    EXPECT_TRUE(system.quiesce());
 
     for (std::uint32_t cpu = 0; cpu < 4; ++cpu) {
         std::uint32_t value = 0;
@@ -316,7 +298,7 @@ TEST(HierSystem, TinyFifosStillCompleteAndStayCoherent)
     // lost wakeup or cross-cluster wait cycle would leave the event
     // queue empty with CPUs stalled, and runPrograms would panic.
     const auto cpus = system.runPrograms(programs);
-    quiesce(system);
+    EXPECT_TRUE(system.quiesce());
 
     for (std::uint32_t cpu = 0; cpu < 6; ++cpu) {
         std::uint32_t value = 0;

@@ -57,21 +57,6 @@ expectWriteInvariant(core::VmpSystem &system)
     EXPECT_EQ(system.memory().writes().value(), expected);
 }
 
-/** Drain every board's FIFO so the system is quiescent. */
-void
-quiesce(core::VmpSystem &system)
-{
-    for (int round = 0; round < 4; ++round) {
-        for (std::size_t cpu = 0; cpu < system.processors(); ++cpu) {
-            bool done = false;
-            system.controller(cpu).serviceInterrupts(
-                [&] { done = true; });
-            system.events().run();
-            ASSERT_TRUE(done);
-        }
-    }
-}
-
 // ------------------------------------------------- randomized programs
 
 /**
@@ -142,7 +127,7 @@ TEST_P(RandomDrfTest, LockProtectedCountersAreExact)
             randomWorker(rng, counters, lock_pa, 12, expected));
 
     const auto cpu_objs = system.runPrograms(programs);
-    quiesce(system);
+    EXPECT_TRUE(system.quiesce());
 
     for (const auto &[counter, want] : expected) {
         std::uint32_t value = 0;
@@ -231,7 +216,7 @@ TEST(Integration, SharedTraceWorkloadsKeepInvariants)
     }
     const auto result = system.runTraces(sources);
     EXPECT_EQ(result.totalRefs, 100'000u);
-    quiesce(system);
+    EXPECT_TRUE(system.quiesce());
     expectTwoStateInvariant(system);
     expectWriteInvariant(system);
 }

@@ -18,6 +18,7 @@
 #include "mem/phys_mem.hh"
 #include "mem/vme_bus.hh"
 #include "monitor/bus_monitor.hh"
+#include "obs/event_tracer.hh"
 #include "proto/controller.hh"
 #include "proto/translator.hh"
 #include "sim/event.hh"
@@ -39,41 +40,6 @@ constexpr cache::SlotFlags rwProt = static_cast<cache::SlotFlags>(
     FlagSupWritable | FlagUserReadable | FlagUserWritable);
 constexpr cache::SlotFlags roProt =
     static_cast<cache::SlotFlags>(FlagSupWritable | FlagUserReadable);
-
-/**
- * Emulates an otherwise idle processor that services its bus-monitor
- * interrupts "between instructions": whenever the line is raised, a
- * service pass is scheduled for the next event slot.
- */
-class IdleServicer
-{
-  public:
-    IdleServicer(EventQueue &events, CacheController &controller)
-        : events_(events), controller_(controller)
-    {
-        controller_.busMonitor().setInterruptLine([this] { poke(); });
-    }
-
-    void
-    poke()
-    {
-        if (busy_)
-            return;
-        busy_ = true;
-        events_.scheduleIn(1, [this] {
-            controller_.serviceInterrupts([this] {
-                busy_ = false;
-                if (controller_.interruptPending())
-                    poke();
-            });
-        });
-    }
-
-  private:
-    EventQueue &events_;
-    CacheController &controller_;
-    bool busy_ = false;
-};
 
 /** One processor board. */
 struct Board
@@ -290,14 +256,14 @@ TEST_F(ProtoTest, WriterInvalidatesRemoteSharedCopies)
     EXPECT_EQ(sys.boards[0]->monitor.table().entryFor(paA),
               ActionEntry::Ignore);
     // cpu0's next access misses and must wait for cpu1 to relinquish.
-    IdleServicer servicer1(sys.events, sys.ctl(1));
+    sys.ctl(1).setIrqService(IrqService::Idle);
     EXPECT_EQ(sys.doRead(0, 1, vaA), 99u);
 }
 
 TEST_F(ProtoTest, ReadFromOwnedPageForcesWriteBackAndDowngrade)
 {
     sys.doWrite(0, 1, vaA, 1234); // cpu0 owns dirty
-    IdleServicer servicer0(sys.events, sys.ctl(0));
+    sys.ctl(0).setIrqService(IrqService::Idle);
 
     // cpu1's read-shared is aborted, cpu0 downgrades with write-back,
     // cpu1 retries and succeeds.
@@ -318,8 +284,8 @@ TEST_F(ProtoTest, ReadFromOwnedPageForcesWriteBackAndDowngrade)
 
 TEST_F(ProtoTest, OwnershipMigrationPingPong)
 {
-    IdleServicer s0(sys.events, sys.ctl(0));
-    IdleServicer s1(sys.events, sys.ctl(1));
+    sys.ctl(0).setIrqService(IrqService::Idle);
+    sys.ctl(1).setIrqService(IrqService::Idle);
 
     // Alternating writers to the same page; each transfer must both
     // terminate (deadlock freedom) and preserve the last write.
@@ -335,8 +301,8 @@ TEST_F(ProtoTest, OwnershipMigrationPingPong)
 
 TEST_F(ProtoTest, SequentialConsistencyForDataRaceFreeSum)
 {
-    IdleServicer s0(sys.events, sys.ctl(0));
-    IdleServicer s1(sys.events, sys.ctl(1));
+    sys.ctl(0).setIrqService(IrqService::Idle);
+    sys.ctl(1).setIrqService(IrqService::Idle);
 
     // Two CPUs increment the same counter alternately (externally
     // serialized, as a lock would): the final value is exact.
@@ -399,7 +365,7 @@ TEST_F(ProtoTest, AliasWriteAfterWriteStaysCoherent)
     sys.doService(0);
     EXPECT_EQ(sys.doRead(0, 1, vaAlias), 20u);
     // After flushing and re-fetching, vaA sees the same frame.
-    IdleServicer s0(sys.events, sys.ctl(0));
+    sys.ctl(0).setIrqService(IrqService::Idle);
     EXPECT_EQ(sys.doRead(0, 1, vaA), 20u);
 }
 
@@ -550,7 +516,7 @@ TEST_F(ProtoTest, ProtectedFrameAbortsRemoteAccess)
     ASSERT_TRUE(done);
 
     // cpu1's read is aborted until cpu0 releases.
-    IdleServicer s0(sys.events, sys.ctl(0));
+    sys.ctl(0).setIrqService(IrqService::Idle);
     EXPECT_EQ(sys.doRead(1, 2, vaA), 0u);
     EXPECT_GE(sys.ctl(1).retries().value(), 1u);
     // cpu0's service relinquished the protection.
@@ -639,8 +605,8 @@ TEST_F(ProtoTest, PrivateHintFetchesReadPrivate)
 
 TEST_F(ProtoTest, OnlyWriteBacksMutateMemoryDuringCachedWork)
 {
-    IdleServicer s0(sys.events, sys.ctl(0));
-    IdleServicer s1(sys.events, sys.ctl(1));
+    sys.ctl(0).setIrqService(IrqService::Idle);
+    sys.ctl(1).setIrqService(IrqService::Idle);
     for (std::uint32_t i = 0; i < 12; ++i) {
         const std::size_t cpu = i % 2;
         const Asid asid = static_cast<Asid>(cpu + 1);
@@ -654,8 +620,8 @@ TEST_F(ProtoTest, OnlyWriteBacksMutateMemoryDuringCachedWork)
 
 TEST_F(ProtoTest, TwoStateInvariantAfterQuiescence)
 {
-    IdleServicer s0(sys.events, sys.ctl(0));
-    IdleServicer s1(sys.events, sys.ctl(1));
+    sys.ctl(0).setIrqService(IrqService::Idle);
+    sys.ctl(1).setIrqService(IrqService::Idle);
     for (std::uint32_t i = 0; i < 8; ++i) {
         sys.doWrite(i % 2, static_cast<Asid>(i % 2 + 1), vaA, i);
         sys.doRead((i + 1) % 2, static_cast<Asid>((i + 1) % 2 + 1), vaA);
@@ -686,6 +652,101 @@ TEST_F(ProtoTest, TwoStateInvariantAfterQuiescence)
             }
         }
     }
+}
+
+// -------------------------------------------------- interrupt service
+
+/** Queue @p words Notify words on cpu0's monitor, raising its line per
+ *  word: each costs one service quantum and no bus traffic. */
+void
+raiseNotifies(MiniSystem &sys, int words)
+{
+    sys.boards[0]->monitor.table().setFor(paA, ActionEntry::Notify);
+    mem::BusTransaction tx;
+    tx.type = mem::TxType::Notify;
+    tx.requester = 1;
+    tx.paddr = paA;
+    for (int i = 0; i < words; ++i)
+        sys.boards[0]->monitor.observe(tx);
+}
+
+TEST(ServiceRecord, OverlappingCallsJoinOneDrain)
+{
+    MiniSystem sys{1};
+    obs::EventTracer tracer;
+    int spans = 0;
+    tracer.addSink([&](const obs::TraceEvent &event) {
+        spans += event.kind == obs::EventKind::Service;
+    });
+    sys.ctl(0).setTracer(&tracer, tracer.registerTrack("cpu0"));
+    raiseNotifies(sys, 3);
+    std::vector<int> order;
+    sys.ctl(0).serviceInterrupts([&] { order.push_back(1); });
+    sys.ctl(0).serviceInterrupts([&] { order.push_back(2); });
+    sys.events.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(spans, 1);
+    EXPECT_EQ(sys.ctl(0).wordsServiced().value(), 3u);
+    EXPECT_EQ(sys.ctl(0).serviceStallTicks(),
+              3 * sys.ctl(0).timing().serviceNs);
+}
+
+TEST(IrqService, OffLeavesWordsPending)
+{
+    MiniSystem sys{1};
+    EXPECT_EQ(sys.ctl(0).irqService(), IrqService::Off);
+    raiseNotifies(sys, 2);
+    sys.events.run();
+    EXPECT_EQ(sys.events.dispatched(), 0u);
+    EXPECT_TRUE(sys.ctl(0).interruptPending());
+}
+
+TEST(IrqService, IdleServicesABurstWithOnePass)
+{
+    MiniSystem sys{1};
+    sys.ctl(0).setIrqService(IrqService::Idle);
+    raiseNotifies(sys, 3);
+    sys.events.run();
+    // One idle-service pass, then one software quantum per word.
+    EXPECT_EQ(sys.events.dispatched(), 1u + 3u);
+    EXPECT_EQ(sys.ctl(0).wordsServiced().value(), 3u);
+}
+
+TEST(IrqService, SwitchFromPolledToIdleServicesPendingWords)
+{
+    MiniSystem sys{1};
+    sys.ctl(0).setIrqService(IrqService::Polled);
+    raiseNotifies(sys, 2);
+    sys.events.run();
+    EXPECT_TRUE(sys.ctl(0).interruptPending());
+    sys.ctl(0).setIrqService(IrqService::Idle);
+    sys.events.run();
+    EXPECT_EQ(sys.ctl(0).wordsServiced().value(), 2u);
+}
+
+TEST(IrqService, PassScheduledBeforeOffDoesNothing)
+{
+    MiniSystem sys{1};
+    sys.ctl(0).setIrqService(IrqService::Idle);
+    raiseNotifies(sys, 1);
+    sys.ctl(0).setIrqService(IrqService::Off);
+    sys.events.run();
+    EXPECT_EQ(sys.events.dispatched(), 1u);
+    EXPECT_TRUE(sys.ctl(0).interruptPending());
+    // The skipped pass left nothing stale behind.
+    sys.ctl(0).setIrqService(IrqService::Idle);
+    sys.events.run();
+    EXPECT_FALSE(sys.ctl(0).interruptPending());
+}
+
+TEST(IrqService, DestroyingTheControllerCancelsItsPendingPass)
+{
+    MiniSystem sys{1};
+    sys.ctl(0).setIrqService(IrqService::Idle);
+    raiseNotifies(sys, 1);
+    ASSERT_EQ(sys.events.pending(), 1u);
+    sys.boards[0].reset();
+    EXPECT_EQ(sys.events.pending(), 0u);
 }
 
 } // namespace

@@ -64,22 +64,6 @@ smallConfig(std::uint32_t cpus, std::uint32_t page_bytes,
     return cfg;
 }
 
-/** Drain every live board's FIFO so the system is quiescent (a dead
- *  board's serviceInterrupts is a no-op by design). */
-void
-quiesce(core::VmpSystem &system)
-{
-    for (int round = 0; round < 4; ++round) {
-        for (std::size_t cpu = 0; cpu < system.processors(); ++cpu) {
-            bool done = false;
-            system.controller(cpu).serviceInterrupts(
-                [&] { done = true; });
-            system.events().run();
-            ASSERT_TRUE(done);
-        }
-    }
-}
-
 std::vector<std::unique_ptr<trace::SyntheticGen>>
 makeSources(const std::string &workload, std::uint32_t cpus,
             std::uint64_t refs_per_cpu, std::uint64_t seed)
@@ -782,7 +766,7 @@ TEST(Recovery, KillOneBoardReclaimsAndRunCompletes)
                   manager.sharedDropped().value(),
               1u);
 
-    quiesce(system);
+    EXPECT_TRUE(system.quiesce());
     EXPECT_EQ(checker.checkFull(), 0u) << reportsOf(checker);
     EXPECT_EQ(checker.violations().value(), 0u) << reportsOf(checker);
 }
@@ -808,7 +792,7 @@ TEST(Recovery, KilledBoardRejoinsAndFinishesItsTrace)
     EXPECT_FALSE(manager.detector().declaredDead(1));
     EXPECT_FALSE(manager.recovering());
 
-    quiesce(system);
+    EXPECT_TRUE(system.quiesce());
     EXPECT_EQ(checker.checkFull(), 0u) << reportsOf(checker);
     EXPECT_EQ(checker.violations().value(), 0u) << reportsOf(checker);
 }
@@ -983,7 +967,7 @@ TEST(Recovery, ClearedWedgeIsUnfencedAndBoardResumes)
     EXPECT_FALSE(system.board(0).monitor.masked());
     EXPECT_EQ(result.totalRefs, 4u * 20'000u);
 
-    quiesce(system);
+    EXPECT_TRUE(system.quiesce());
     EXPECT_EQ(checker.checkFull(), 0u) << reportsOf(checker);
     EXPECT_EQ(checker.violations().value(), 0u) << reportsOf(checker);
 }
@@ -1255,7 +1239,7 @@ TEST_P(ArbitrationFalseSuspicion, LiveOwnersNeverDeclaredOrFenced)
         EXPECT_EQ(manager.detector().fences().value(), 0u);
         EXPECT_EQ(manager.boardsDeclaredDead().value(), 0u);
         EXPECT_EQ(manager.fencedBoards(), 0u);
-        quiesce(system);
+        EXPECT_TRUE(system.quiesce());
         EXPECT_EQ(checker.checkFull(), 0u) << reportsOf(checker);
         EXPECT_EQ(checker.violations().value(), 0u)
             << reportsOf(checker);
@@ -1344,7 +1328,7 @@ TEST_P(TortureBoardCrash, ZeroViolationsBoundedLoss)
         EXPECT_LE(manager.pagesLost().value(), frames)
             << "p=" << p.pageBytes << " seed=" << seed;
 
-        quiesce(system);
+        EXPECT_TRUE(system.quiesce());
         EXPECT_EQ(checker.checkFull(), 0u)
             << "p=" << p.pageBytes << " rejoin=" << p.rejoin
             << " seed=" << seed << "\n" << reportsOf(checker);

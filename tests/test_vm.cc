@@ -38,21 +38,13 @@ struct VmFixture : public ::testing::Test
           vm(events, memory, VmConfig{})
     {
         translator.bind(vm);
-        for (CpuId id = 0; id < 2; ++id) {
-            boards.push_back(std::make_unique<Board>(id, *this));
-            vm.attach(boards[id]->controller);
-        }
         // Each board behaves like an idle CPU: it services its bus
         // monitor whenever the interrupt line rises, so cross-CPU
         // ownership transfers resolve.
-        for (auto &board : boards) {
-            auto &controller = board->controller;
-            controller.busMonitor().setInterruptLine(
-                [this, &controller] {
-                    events.scheduleIn(1, [&controller] {
-                        controller.serviceInterrupts([] {});
-                    });
-                });
+        for (CpuId id = 0; id < 2; ++id) {
+            boards.push_back(std::make_unique<Board>(id, *this));
+            vm.attach(boards[id]->controller);
+            boards[id]->controller.setIrqService(proto::IrqService::Idle);
         }
     }
 
@@ -97,15 +89,6 @@ struct VmFixture : public ::testing::Test
     {
         bool done = false;
         ctl(cpu).writeWord(asid, va, value, sup, [&] { done = true; });
-        events.run();
-        EXPECT_TRUE(done);
-    }
-
-    void
-    doService(std::size_t cpu)
-    {
-        bool done = false;
-        ctl(cpu).serviceInterrupts([&] { done = true; });
         events.run();
         EXPECT_TRUE(done);
     }
@@ -363,7 +346,8 @@ TEST_F(VmFixture, RemapFlushesRemoteCaches)
                [&] { done = true; });
     events.run();
     ASSERT_TRUE(done);
-    doService(1);
+    // cpu1 idles, so it has already serviced the invalidations.
+    EXPECT_FALSE(ctl(1).interruptPending());
 
     const Addr old_pa = static_cast<Addr>(old_frame) * vmPageBytes;
     EXPECT_EQ(ctl(1).frameInfo(old_pa), nullptr);
