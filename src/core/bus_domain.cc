@@ -88,14 +88,11 @@ BusDomain::enableRecovery(const recover::RecoveryConfig &options,
         const auto cpu = static_cast<std::uint32_t>(firstCpu + i);
         auto *controller = &boards[i]->controller;
         auto *monitor = &boards[i]->monitor;
-        recovery->addBoard(cpu, *monitor,
-                           [controller] { return !controller->dead(); });
-        controller->setDeadOwnerOracle(recovery.get());
-        // Health witness: the probe channel the detector's partial-
-        // failure witnesses read. A wedged service loop still answers
-        // alive (the hazard) but stops being responsive and freezes
-        // its progress epoch.
-        recovery->detector().setHealthFn(cpu, [controller, monitor] {
+        // The one probe channel the detector's sweeps, probes and
+        // partial-failure witnesses read. A wedged service loop still
+        // answers alive (the hazard) but stops being responsive and
+        // freezes its progress epoch.
+        recovery->addBoard(cpu, monitor, [controller, monitor] {
             recover::HealthReport report;
             report.alive = !controller->dead();
             report.responsive = !controller->dead() && !controller->wedged();
@@ -108,22 +105,26 @@ BusDomain::enableRecovery(const recover::RecoveryConfig &options,
             report.fifoPushed = monitor->fifo().pushed().value();
             return report;
         });
+        controller->setDeadOwnerOracle(recovery.get());
     }
     // A bridge is liveness-only on its cluster bus (a dead bridge
-    // strands every remote frame); its global-side frames are
+    // strands every remote frame): its report carries `alive` alone,
+    // which no witness can fire on. Its global-side frames are
     // reclaimed by the global bus's manager, where it is a client.
     if (bridge) {
         auto *ibc = bridge.get();
-        recovery->addBridge(ibc->localMasterId(),
-                            [ibc] { return !ibc->dead(); });
+        recovery->addBoard(ibc->localMasterId(), nullptr, [ibc] {
+            recover::HealthReport report;
+            report.alive = !ibc->dead();
+            return report;
+        });
     }
     for (hier::InterBusBoard *ibc : globalClients) {
-        recovery->addBoard(ibc->clusterIndex(), ibc->globalMonitor(),
-                           [ibc] { return !ibc->dead(); });
         // Wedged-IBC witness: a wedged pump answers alive but its
         // progress epoch freezes while words pend. No latency or
         // babble witness for bridges (serviceBusyNs stays 0).
-        recovery->detector().setHealthFn(ibc->clusterIndex(), [ibc] {
+        recovery->addBoard(ibc->clusterIndex(), &ibc->globalMonitor(),
+                           [ibc] {
             recover::HealthReport report;
             report.alive = !ibc->dead();
             report.responsive = !ibc->dead() && !ibc->wedged();

@@ -40,6 +40,8 @@ FailureDetector::FailureDetector(EventQueue &events, mem::VmeBus &bus,
         fatal("failure detector needs a nonzero probe deadline");
     if (config_.wedgeSweeps == 0)
         fatal("failure detector needs at least one wedge sweep");
+    if (config_.babbleMinWords == 0)
+        fatal("babble witness needs a nonzero minimum word sample");
     if (config_.babbleFraction <= 0.0 || config_.babbleFraction > 1.0)
         fatal("babble fraction must be in (0, 1]");
     if (config_.babbleSweeps == 0)
@@ -55,29 +57,18 @@ FailureDetector::FailureDetector(EventQueue &events, mem::VmeBus &bus,
 void
 FailureDetector::addBoard(std::uint32_t master,
                           const monitor::BusMonitor *monitor,
-                          AliveFn alive)
+                          HealthFn health)
 {
     if (find(master) != nullptr)
         fatal("master ", master, " registered twice with the detector");
-    if (!alive)
-        fatal("master ", master, " registered without an AliveFn");
+    if (!health)
+        fatal("master ", master, " registered without a HealthFn");
     Board board;
     board.master = master;
     board.monitor = monitor;
-    board.alive = std::move(alive);
+    board.health = std::move(health);
+    resetWitness(board);
     boards_.push_back(std::move(board));
-}
-
-void
-FailureDetector::setHealthFn(std::uint32_t master, HealthFn health)
-{
-    Board *board = find(master);
-    if (board == nullptr)
-        fatal("setHealthFn for unknown master ", master);
-    if (!health)
-        fatal("master ", master, " given a null HealthFn");
-    board->health = std::move(health);
-    resetWitness(*board);
 }
 
 void
@@ -85,6 +76,9 @@ FailureDetector::install()
 {
     if (installed_)
         fatal("failure detector installed twice on one bus");
+    if (!onDead_ || !onFence_ || !onUnfence_)
+        fatal("failure detector installed without its dead, fence and "
+              "unfence hooks");
     installed_ = true;
     bus_.addTxObserver(
         [this](const mem::BusTransaction &tx,
@@ -205,10 +199,10 @@ FailureDetector::onTransaction(const mem::BusTransaction &tx,
     }
 
     // Periodic sweep, clocked by bus traffic rather than a standing
-    // timer so an idle event queue still drains. Binary liveness first
-    // (a dead board that owns nothing is caught here), then the health
-    // witnesses of every non-quarantined board that supplied a
-    // HealthFn. Suspect boards are swept too — not just FailSlow ones:
+    // timer so an idle event queue still drains. Each non-quarantined
+    // board is probed once: liveness first (a dead board that owns
+    // nothing is caught here), then the health witnesses read the same
+    // report. Suspect boards are swept too — not just FailSlow ones:
     // a sick-but-alive board (say, fail-slow) draws a steady stream of
     // abort-streak Failstop suspicions from its stranded peers, each
     // cleared by the next probe, and skipping sweeps during those
@@ -219,15 +213,14 @@ FailureDetector::onTransaction(const mem::BusTransaction &tx,
     if (config_.sweepPeriod != 0 &&
         observed_ % config_.sweepPeriod == 0) {
         for (Board &board : boards_) {
-            if (board.state == BoardState::Live && !board.alive()) {
-                suspect(board, SuspicionKind::Failstop, false);
+            if (board.state != BoardState::Live &&
+                board.state != BoardState::Suspect)
                 continue;
-            }
-            if (board.health &&
-                (board.state == BoardState::Live ||
-                 board.state == BoardState::Suspect)) {
-                witnessSweep(board);
-            }
+            const HealthReport r = board.health();
+            if (board.state == BoardState::Live && !r.alive)
+                suspect(board, SuspicionKind::Failstop, false);
+            else
+                witnessSweep(board, r);
         }
     }
 }
@@ -254,9 +247,8 @@ FailureDetector::suspectOwnerOf(std::uint64_t frame, mem::TxType type)
 }
 
 void
-FailureDetector::witnessSweep(Board &board)
+FailureDetector::witnessSweep(Board &board, const HealthReport &r)
 {
-    const HealthReport r = board.health();
     const std::uint64_t d_serviced =
         r.wordsServiced - board.lastServiced;
     const std::uint64_t d_spurious =
@@ -334,12 +326,10 @@ FailureDetector::suspect(Board &board, SuspicionKind kind,
     board.streakProtect = streak_protect;
     board.probeAttempt = 0;
     board.probeDelay = config_.deadlineNs;
-    if (board.health) {
-        const HealthReport r = board.health();
-        board.suspectEpoch = r.progressEpoch;
-        board.suspectServiced = r.wordsServiced;
-        board.suspectSpurious = r.spuriousWords;
-    }
+    const HealthReport r = board.health();
+    board.suspectEpoch = r.progressEpoch;
+    board.suspectServiced = r.wordsServiced;
+    board.suspectSpurious = r.spuriousWords;
     ++suspicions_;
     switch (kind) {
       case SuspicionKind::Wedge:
@@ -366,19 +356,18 @@ FailureDetector::suspect(Board &board, SuspicionKind kind,
 bool
 FailureDetector::probeAnswered(Board &board)
 {
+    // Every kind is alive-gated: a dead board answers no probe (its
+    // FIFO is quiet and its EWMA merely froze).
+    const HealthReport r = board.health();
+    if (!r.alive)
+        return false;
     switch (board.kind) {
-      case SuspicionKind::Wedge: {
+      case SuspicionKind::Wedge:
         // Answered if the service loop responds — or demonstrably made
         // progress since the suspicion (a loop can be momentarily
         // unresponsive while grinding through a storm).
-        const HealthReport r = board.health();
-        return r.alive &&
-            (r.responsive || r.progressEpoch != board.suspectEpoch);
-      }
+        return r.responsive || r.progressEpoch != board.suspectEpoch;
       case SuspicionKind::Babble: {
-        const HealthReport r = board.health();
-        if (!r.alive)
-            return false;
         const std::uint64_t d_spurious =
             r.spuriousWords - board.suspectSpurious;
         if (d_spurious == 0)
@@ -391,12 +380,10 @@ FailureDetector::probeAnswered(Board &board)
       case SuspicionKind::FailSlow:
         // The EWMA keeps updating at sweeps while this suspicion is
         // pending; answered once it falls back under the threshold.
-        // Alive-gated: a dead board's EWMA merely froze.
-        return board.health().alive &&
-            board.latencyEwma <=
-                static_cast<double>(config_.slowLatencyNs);
+        return board.latencyEwma <=
+            static_cast<double>(config_.slowLatencyNs);
       default:
-        return board.alive();
+        return true;
     }
 }
 
@@ -435,7 +422,7 @@ FailureDetector::probe(Board &board)
         // Protect aborts are new ownership, not a dropped write. (A
         // wedged board never issues the write at all — the wedge
         // witness owns that case.)
-        if (streak && onFence_ && board.monitor != nullptr) {
+        if (streak && board.monitor != nullptr) {
             if (board.streakFrame == board.stuckFrame &&
                 board.stuckWriteSeen && board.streakProtect) {
                 // Post-release aborts on the tracked frame: hard
@@ -480,14 +467,12 @@ void
 FailureDetector::declare(Board &board)
 {
     // Partial failures are quarantined, not buried: the board is sick,
-    // its frames are reclaimed, and it may yet be unfenced. Without a
-    // fence hook wired the legacy declare-dead path handles all kinds.
-    // Liveness trumps the suspicion kind: a board that died while
-    // under a witness suspicion is a failstop, whatever first drew
-    // attention to it — fencing a corpse just sets up a futile
-    // unfence/refence cycle (its FIFO is quiet because it is dead).
-    if (board.kind != SuspicionKind::Failstop && onFence_ &&
-        board.alive()) {
+    // its frames are reclaimed, and it may yet be unfenced. Liveness
+    // trumps the suspicion kind: a board that died while under a
+    // witness suspicion is a failstop, whatever first drew attention
+    // to it — fencing a corpse just sets up a futile unfence/refence
+    // cycle (its FIFO is quiet because it is dead).
+    if (board.kind != SuspicionKind::Failstop && board.health().alive) {
         fence(board, board.kind);
         return;
     }
@@ -496,23 +481,12 @@ FailureDetector::declare(Board &board)
     VMP_DTRACE(debug::Recover, events_.now(), "master ", board.master,
                " declared failstopped after ", config_.maxProbes,
                " probes");
-    if (onDead_)
-        onDead_(board.master);
+    onDead_(board.master);
 }
 
 void
 FailureDetector::fence(Board &board, SuspicionKind kind)
 {
-    if (!onFence_) {
-        // No quarantine path wired: fall back to a full declaration so
-        // the hazard is still cleared.
-        board.kind = kind;
-        board.state = BoardState::Dead;
-        ++declarations_;
-        if (onDead_)
-            onDead_(board.master);
-        return;
-    }
     board.state = BoardState::Fenced;
     board.kind = kind;
     ++fences_;
@@ -522,12 +496,10 @@ FailureDetector::fence(Board &board, SuspicionKind kind)
     // The push counter is cumulative, so the post-fence baseline reads
     // correctly even after the recovery flow drained the FIFO.
     board.recheckCount = 0;
-    board.recheckPushedBase =
-        board.health ? board.health().fifoPushed : 0;
+    board.recheckPushedBase = board.health().fifoPushed;
     // Wedge and babble fences recheck for recovery; fail-slow and
     // stuck-table boards stay fenced until operator action (rejoin).
-    if (onUnfence_ &&
-        (kind == SuspicionKind::Wedge || kind == SuspicionKind::Babble))
+    if (kind == SuspicionKind::Wedge || kind == SuspicionKind::Babble)
         scheduleRecheck(board);
 }
 
@@ -546,25 +518,22 @@ FailureDetector::recheck(Board &board)
     if (board.state != BoardState::Fenced)
         return;
     bool clear = false;
-    if (board.health) {
-        const HealthReport r = board.health();
-        switch (board.kind) {
-          case SuspicionKind::Wedge:
-            // A formerly wedged loop that answers again recovered (or
-            // never was wedged — the false-positive path).
-            clear = r.alive && r.responsive;
-            break;
-          case SuspicionKind::Babble:
-            // The monitor is masked, so only babble still pushes
-            // words: one silent recheck window proves the fault
-            // cleared. Alive-gated — a dead board is silent too.
-            clear = r.alive &&
-                r.fifoPushed == board.recheckPushedBase;
-            board.recheckPushedBase = r.fifoPushed;
-            break;
-          default:
-            break;
-        }
+    const HealthReport r = board.health();
+    switch (board.kind) {
+      case SuspicionKind::Wedge:
+        // A formerly wedged loop that answers again recovered (or
+        // never was wedged — the false-positive path).
+        clear = r.alive && r.responsive;
+        break;
+      case SuspicionKind::Babble:
+        // The monitor is masked, so only babble still pushes words:
+        // one silent recheck window proves the fault cleared.
+        // Alive-gated — a dead board is silent too.
+        clear = r.alive && r.fifoPushed == board.recheckPushedBase;
+        board.recheckPushedBase = r.fifoPushed;
+        break;
+      default:
+        break;
     }
     if (clear) {
         ++unfences_;
@@ -575,8 +544,7 @@ FailureDetector::recheck(Board &board)
         board.kind = SuspicionKind::None;
         board.probeAttempt = 0;
         resetWitness(board);
-        if (onUnfence_)
-            onUnfence_(board.master);
+        onUnfence_(board.master);
         return;
     }
     if (++board.recheckCount < config_.unfenceChecks) {
@@ -600,13 +568,11 @@ FailureDetector::resetWitness(Board &board)
     board.stuckWriteSeen = false;
     board.latencyEwma = 0.0;
     board.ewmaPrimed = false;
-    if (board.health) {
-        const HealthReport r = board.health();
-        board.lastEpoch = r.progressEpoch;
-        board.lastServiced = r.wordsServiced;
-        board.lastSpurious = r.spuriousWords;
-        board.lastBusyNs = r.serviceBusyNs;
-    }
+    const HealthReport r = board.health();
+    board.lastEpoch = r.progressEpoch;
+    board.lastServiced = r.wordsServiced;
+    board.lastSpurious = r.spuriousWords;
+    board.lastBusyNs = r.serviceBusyNs;
 }
 
 void

@@ -8,12 +8,12 @@
  *  - *failstop*: the software is gone. Caught by an *abort streak*
  *    (the same frame's consistency transactions keep aborting — a live
  *    owner resolves the conflict within a handful of retries, a dead
- *    one never does) or by a *liveness sweep* (every sweepPeriod
- *    observed consistency transactions, each board's AliveFn is
- *    polled).
+ *    one never does) or by a *sweep* (every sweepPeriod observed
+ *    consistency transactions, each board's HealthFn is polled once
+ *    and a report without `alive` draws a suspicion).
  *  - *wedged*: the service loop stops draining the FIFO but the board
- *    is not dead — the binary AliveFn still answers true while the
- *    monitor hardware keeps aborting against stale Protect entries.
+ *    is not dead — its report still answers alive while the monitor
+ *    hardware keeps aborting against stale Protect entries.
  *    Caught by the progress-epoch witness: backlog pending with a
  *    frozen service epoch across wedgeSweeps consecutive sweeps.
  *  - *babbling*: the FIFO delivers mostly garbage — the board stays
@@ -72,18 +72,19 @@ struct DetectorConfig
      * chains stay far below this.
      */
     std::uint64_t abortStreakThreshold = 16;
-    /** Observed consistency transactions between liveness sweeps. */
+    /** Observed consistency transactions between sweeps. */
     std::uint64_t sweepPeriod = 256;
 
-    // --- health-witness knobs (boards with a HealthFn only) ---
+    // --- health-witness knobs ---
     /** Consecutive sweeps with backlog pending and a frozen progress
      *  epoch before a wedge suspicion. */
     std::uint32_t wedgeSweeps = 3;
     /** Minimum words serviced per sweep before the babble witness
-     *  judges the spurious fraction at all. */
+     *  judges the spurious fraction at all; must be nonzero, or an
+     *  idle board (0 of 0 words spurious) would look like a babbler. */
     std::uint64_t babbleMinWords = 8;
-    /** Spurious fraction of serviced words that triggers a babble
-     *  suspicion (1.0 disables). */
+    /** Spurious fraction of serviced words, in (0, 1], that triggers
+     *  a babble suspicion. At 1.0 only an all-spurious window fires. */
     double babbleFraction = 0.6;
     /** Consecutive over-threshold sweeps before a babble suspicion.
      *  One sweep window is a handful of words — under heavy sharing a
@@ -123,10 +124,12 @@ const char *suspicionKindName(SuspicionKind kind);
  * What one health probe learns about a board. Gathered by the board's
  * HealthFn from externally observable evidence (service-loop counters
  * a watchdog kernel could read); must be cheap and side-effect free.
+ * A liveness-only client (a cluster-bus bridge) reports `alive` alone:
+ * with no pending or serviced words, no witness can fire on it.
  */
 struct HealthReport
 {
-    /** Software not failstopped (the legacy liveness bit). */
+    /** Software not failstopped. */
     bool alive = true;
     /** The service loop answered the probe request (a wedged loop
      *  cannot; a slow one still does, late). */
@@ -148,16 +151,14 @@ struct HealthReport
 };
 
 /**
- * Bus-clocked failstop detector for one bus segment. Boards register
+ * Bus-clocked failure detector for one bus segment. Boards register
  * with a bus-master id, an optional monitor (whose action table is
  * consulted to map an abort streak on a frame to the board that owns
- * it) and an AliveFn the probes poll.
+ * it) and the one HealthFn that sweeps and probes poll.
  */
 class FailureDetector
 {
   public:
-    /** Polled by probes; must be cheap and side-effect free. */
-    using AliveFn = std::function<bool()>;
     /** Fired exactly once per declaration, with the dead master id. */
     using DeadFn = std::function<void(std::uint32_t master)>;
     /** Gathers a HealthReport; must be cheap and side-effect free. */
@@ -174,22 +175,14 @@ class FailureDetector
                     DetectorConfig config = {});
 
     /**
-     * Register a board. @p monitor may be null (e.g. a bridge whose
-     * local table is not visible on this bus): such a board is only
-     * ever caught by liveness sweeps, never by abort streaks.
+     * Register a board with its probe. @p monitor may be null (e.g. a
+     * bridge whose local table is not visible on this bus): such a
+     * board is only ever caught by sweeps, never by abort streaks.
      */
     void addBoard(std::uint32_t master,
-                  const monitor::BusMonitor *monitor, AliveFn alive);
+                  const monitor::BusMonitor *monitor, HealthFn health);
 
-    /**
-     * Attach a health witness to a registered board. Boards without
-     * one are handled exactly as before (binary liveness only) — the
-     * witness sweeps, escalations and fences all require it or the
-     * fence/unfence hooks, so a system that wires neither is
-     * bit-identical to the pre-witness detector.
-     */
-    void setHealthFn(std::uint32_t master, HealthFn health);
-
+    /** The three hooks are required: install() fatals if one is unset. */
     void setOnDead(DeadFn on_dead) { onDead_ = std::move(on_dead); }
     void setOnFence(FenceFn on_fence)
     {
@@ -260,8 +253,7 @@ class FailureDetector
     {
         std::uint32_t master;
         const monitor::BusMonitor *monitor;
-        AliveFn alive;
-        HealthFn health; //!< null: binary liveness only
+        HealthFn health;
         BoardState state = BoardState::Live;
         SuspicionKind kind = SuspicionKind::None;
         /** Current suspicion came from an abort streak (vs sweep). */
@@ -313,8 +305,9 @@ class FailureDetector
     void onTransaction(const mem::BusTransaction &tx,
                        const mem::TxResult &result);
     void suspectOwnerOf(std::uint64_t frame, mem::TxType type);
-    /** Evaluate the health witnesses of one Live board (per sweep). */
-    void witnessSweep(Board &board);
+    /** Evaluate the health witnesses of one Live or Suspect board
+     *  against this sweep's report @p r. */
+    void witnessSweep(Board &board, const HealthReport &r);
     void suspect(Board &board, SuspicionKind kind, bool streak_origin,
                  std::uint64_t streak_frame = kNoFrame,
                  bool streak_protect = false);

@@ -27,30 +27,16 @@ RecoveryManager::RecoveryManager(EventQueue &events, mem::VmeBus &bus,
 
 void
 RecoveryManager::addBoard(std::uint32_t master,
-                          monitor::BusMonitor &monitor,
-                          FailureDetector::AliveFn alive)
+                          monitor::BusMonitor *monitor,
+                          FailureDetector::HealthFn health)
 {
     if (find(master) != nullptr)
         fatal("master ", master, " registered twice for recovery");
     Record record;
     record.master = master;
-    record.monitor = &monitor;
+    record.monitor = monitor;
     records_.push_back(record);
-    detector_.addBoard(master, &monitor, std::move(alive));
-}
-
-void
-RecoveryManager::addBridge(std::uint32_t master,
-                           FailureDetector::AliveFn alive)
-{
-    if (find(master) != nullptr)
-        fatal("master ", master, " registered twice for recovery");
-    Record record;
-    record.master = master;
-    record.monitor = nullptr;
-    record.bridge = true;
-    records_.push_back(record);
-    detector_.addBoard(master, nullptr, std::move(alive));
+    detector_.addBoard(master, monitor, std::move(health));
 }
 
 void
@@ -93,7 +79,6 @@ RecoveryManager::markRejoined(std::uint32_t master)
         // Operator-forced rejoin of a quarantined board: lift the
         // fence as part of trusting it again.
         record->fenced = false;
-        record->fenceKind = SuspicionKind::None;
         bus_.setMasterFenced(master, false);
         if (record->monitor != nullptr)
             record->monitor->setMasked(false);
@@ -111,7 +96,7 @@ RecoveryManager::isFrameOwnerDead(Addr paddr) const
         if (!record.dead && !record.fenced)
             continue;
         // A dead bridge strands every frame reached through it.
-        if (record.bridge)
+        if (record.monitor == nullptr)
             return true;
         if (record.monitor->table().get(frame) ==
             mem::ActionEntry::Protect) {
@@ -197,11 +182,11 @@ RecoveryManager::onDeclaredDead(std::uint32_t master)
         event.at = events_.now();
         event.master = master;
         event.track = traceTrack_;
-        event.aux = record->bridge ? 1 : 0;
+        event.aux = record->monitor == nullptr ? 1 : 0;
         tracer_->record(event);
     }
 
-    if (record->bridge) {
+    if (record->monitor == nullptr) {
         // Liveness bookkeeping only: the bridge's global-side frames
         // are reclaimed by the global bus's manager. From here on the
         // oracle answers "dead owner" for every frame on this bus.
@@ -248,7 +233,6 @@ RecoveryManager::onFenced(std::uint32_t master, SuspicionKind kind)
     if (record->dead || record->fenced)
         return;
     record->fenced = true;
-    record->fenceKind = kind;
     record->declaredAt = events_.now();
     lastFenceAt_ = events_.now();
     ++boardsFenced_;
@@ -274,7 +258,7 @@ RecoveryManager::onFenced(std::uint32_t master, SuspicionKind kind)
         parkHook_(master);
     bus_.setMasterFenced(master, true);
 
-    if (record->bridge) {
+    if (record->monitor == nullptr) {
         // Bridge fencing is liveness + bus quarantine only here; the
         // bridge's global-side frames are the global manager's
         // problem, exactly as for a dead bridge.
@@ -300,7 +284,6 @@ RecoveryManager::onUnfenced(std::uint32_t master)
         return;
     }
     record->fenced = false;
-    record->fenceKind = SuspicionKind::None;
     ++boardsUnfenced_;
     VMP_DTRACE(debug::Recover, events_.now(), "master ", master,
                " unfenced; cold rejoin");

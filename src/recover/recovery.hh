@@ -84,7 +84,7 @@ struct RecoveryConfig
  * One bus segment's recovery coordinator. Owns a FailureDetector and
  * reacts to its declarations. Boards register with their (mutable)
  * monitor so the coordinator can mask it and clear its table; bridges
- * register liveness-only — a dead bridge strands every frame reached
+ * register with no monitor — a dead bridge strands every frame reached
  * through it, so the oracle answers "dead owner" for all frames until
  * the bridge rejoins (bridge boards do not hot-rejoin in this model).
  */
@@ -94,17 +94,16 @@ class RecoveryManager final : public proto::DeadOwnerOracle
     RecoveryManager(EventQueue &events, mem::VmeBus &bus,
                     mem::PhysMem &memory, RecoveryConfig config = {});
 
-    /** Register a CPU board: full mask-and-reclaim handling. */
-    void addBoard(std::uint32_t master, monitor::BusMonitor &monitor,
-                  FailureDetector::AliveFn alive);
-
     /**
-     * Register a bridge (inter-bus cache board) on its *local* bus:
-     * liveness detection only, no reclaim — the bridge's global-side
-     * frames are reclaimed by the global bus's own manager, which
-     * registers the bridge's global monitor via addBoard().
+     * Register a board and its probe. A board with a @p monitor gets
+     * full mask-and-reclaim handling. A null @p monitor registers a
+     * bridge (inter-bus cache board) on its *local* bus: detection
+     * only, no reclaim — the bridge's global-side frames are reclaimed
+     * by the global bus's own manager, where the bridge registers with
+     * its global monitor.
      */
-    void addBridge(std::uint32_t master, FailureDetector::AliveFn alive);
+    void addBoard(std::uint32_t master, monitor::BusMonitor *monitor,
+                  FailureDetector::HealthFn health);
 
     /** Start observing the bus. */
     void install();
@@ -186,10 +185,8 @@ class RecoveryManager final : public proto::DeadOwnerOracle
     {
         std::uint32_t master;
         monitor::BusMonitor *monitor; //!< null for bridges
-        bool bridge = false;
         bool dead = false;
         bool fenced = false;
-        SuspicionKind fenceKind = SuspicionKind::None;
         bool reclaiming = false;
         Tick declaredAt = 0;
     };

@@ -211,6 +211,17 @@ TEST(BusCounters, RecoveryTxBypassesProtectAndMaskSilencesMonitor)
 
 // ----------------------------------------------------------- detector
 
+/** A liveness-only probe: the report carries `alive` and nothing else. */
+recover::FailureDetector::HealthFn
+aliveProbe(const bool &alive)
+{
+    return [&alive] {
+        recover::HealthReport report;
+        report.alive = alive;
+        return report;
+    };
+}
+
 struct DetectorRig : BusRig
 {
     explicit DetectorRig(recover::DetectorConfig cfg)
@@ -218,10 +229,12 @@ struct DetectorRig : BusRig
           detector(events, bus, 256, cfg)
     {
         bus.attachWatcher(0, monitor);
-        detector.addBoard(0, &monitor, [this] { return alive; });
+        detector.addBoard(0, &monitor, aliveProbe(alive));
         detector.setOnDead([this](std::uint32_t master) {
             deadMasters.push_back(master);
         });
+        detector.setOnFence([](std::uint32_t, recover::SuspicionKind) {});
+        detector.setOnUnfence([](std::uint32_t) {});
         detector.install();
     }
 
@@ -325,6 +338,34 @@ TEST(Detector, LivenessSweepCatchesSilentBoard)
     EXPECT_TRUE(rig.detector.declaredDead(0));
 }
 
+TEST(Detector, RejectsZeroBabbleMinWords)
+{
+    // Zero words serviced would satisfy "0 spurious >= fraction * 0":
+    // an idle, healthy board would draw babble suspicions.
+    BusRig rig;
+    recover::DetectorConfig cfg;
+    cfg.babbleMinWords = 0;
+    EXPECT_THROW(recover::FailureDetector(rig.events, rig.bus, 256, cfg),
+                 FatalError);
+}
+
+TEST(Detector, InstallWithoutHooksIsFatal)
+{
+    BusRig rig;
+    bool alive = true;
+    recover::FailureDetector detector(rig.events, rig.bus, 256);
+    detector.addBoard(0, nullptr, aliveProbe(alive));
+    EXPECT_THROW(detector.install(), FatalError);
+    // The dead hook alone is not enough: a fence or unfence with
+    // nowhere to go would leave a sick board half-handled.
+    detector.setOnDead([](std::uint32_t) {});
+    EXPECT_THROW(detector.install(), FatalError);
+    detector.setOnFence([](std::uint32_t, recover::SuspicionKind) {});
+    EXPECT_THROW(detector.install(), FatalError);
+    detector.setOnUnfence([](std::uint32_t) {});
+    EXPECT_NO_THROW(detector.install());
+}
+
 // ------------------------------------------------- health witnesses
 
 /** DetectorRig plus a mutable health report and fence/unfence logs. */
@@ -334,9 +375,7 @@ struct WitnessRig : BusRig
         : monitor(0, MiB(1), 256), detector(events, bus, 256, cfg)
     {
         bus.attachWatcher(0, monitor);
-        detector.addBoard(0, &monitor,
-                          [this] { return health.alive; });
-        detector.setHealthFn(0, [this] { return health; });
+        detector.addBoard(0, &monitor, [this] { return health; });
         detector.setOnDead([this](std::uint32_t master) {
             deadMasters.push_back(master);
         });
@@ -624,7 +663,7 @@ TEST(Reclaim, FullFlowMasksDrainsReclaimsAndRestores)
     monitor::BusMonitor monitor(0, MiB(1), page);
     rig.bus.attachWatcher(0, monitor);
     bool alive = true;
-    manager.addBoard(0, monitor, [&] { return alive; });
+    manager.addBoard(0, &monitor, aliveProbe(alive));
     manager.install();
 
     // Backing store holds a checkpoint of frame 3 under ASID 7.
@@ -690,8 +729,18 @@ TEST(Reclaim, DeadBridgeStrandsEveryFrame)
     recover::RecoveryManager manager(rig.events, rig.bus, rig.memory,
                                      rc);
     bool alive = true;
-    manager.addBridge(7, [&] { return alive; });
+    manager.addBoard(7, nullptr, aliveProbe(alive));
     manager.install();
+
+    // A live bridge's report carries `alive` alone: no pending or
+    // serviced words, so no witness can fire however long it runs.
+    const recover::DetectorConfig &dc = manager.detector().config();
+    const std::uint64_t sweeps =
+        10u * (dc.wedgeSweeps + dc.babbleSweeps);
+    for (std::uint64_t i = 0; i < sweeps * dc.sweepPeriod; ++i)
+        rig.issue(rig.shortTx(TxType::Notify, 0, 9));
+    rig.events.run();
+    EXPECT_EQ(manager.detector().suspicions().value(), 0u);
 
     EXPECT_FALSE(manager.isFrameOwnerDead(0));
     alive = false;
