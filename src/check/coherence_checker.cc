@@ -187,17 +187,25 @@ CoherenceChecker::checkFull()
 
         // I5/I7: slot maps vs cache flags, and dirty => Private.
         const cache::Cache &cache = ctl->cache();
+        const std::vector<std::uint64_t> &slot_frames = ctl->slotFrames();
         std::set<std::uint64_t> dirty_frames;
-        for (const auto &[slot, frame] : ctl->slotFrames()) {
+        for (std::size_t index = 0; index < slot_frames.size(); ++index) {
+            const auto slot = static_cast<cache::SlotIndex>(index);
+            const std::uint64_t frame = slot_frames[index];
             const cache::Slot &s = cache.slot(slot);
-            if (!s.valid()) {
+            const bool tracked = frame != proto::noFrame;
+            if (tracked != s.valid()) {
                 std::ostringstream os;
-                os << "I7: cpu" << cpu << " slot " << slot
-                   << " tracked for frame " << frame
-                   << " but invalid in the cache";
+                os << "I7: cpu" << cpu << " slot " << slot;
+                if (tracked)
+                    os << " tracked for frame " << frame
+                       << " but invalid in the cache";
+                else
+                    os << " valid in the cache but untracked";
                 report(os.str());
-                continue;
             }
+            if (!tracked || !s.valid())
+                continue;
             if (s.modified())
                 dirty_frames.insert(frame);
             if (s.modified() || s.exclusive()) {
@@ -212,26 +220,18 @@ CoherenceChecker::checkFull()
                 }
             }
         }
-        const std::uint64_t slots = cache.config().totalSlots();
-        for (std::uint64_t index = 0; index < slots; ++index) {
-            const auto slot = static_cast<cache::SlotIndex>(index);
-            if (cache.slot(slot).valid() &&
-                ctl->slotFrames().find(slot) ==
-                    ctl->slotFrames().end()) {
-                std::ostringstream os;
-                os << "I7: cpu" << cpu << " slot " << slot
-                   << " valid in the cache but untracked";
-                report(os.str());
-            }
-        }
 
         // I6: clean copies match the memory-server image. Skipped for
         // frames with a dirty slot (memory is legitimately stale).
         if (opts_.checkData && cache.config().storeData) {
             std::vector<std::uint8_t> image(page);
-            for (const auto &[slot, frame] : ctl->slotFrames()) {
+            for (std::size_t index = 0; index < slot_frames.size();
+                 ++index) {
+                const auto slot = static_cast<cache::SlotIndex>(index);
+                const std::uint64_t frame = slot_frames[index];
                 const cache::Slot &s = cache.slot(slot);
-                if (!s.valid() || dirty_frames.count(frame) != 0)
+                if (frame == proto::noFrame || !s.valid() ||
+                    dirty_frames.count(frame) != 0)
                     continue;
                 mem_.readBlock(frame * page, image.data(), page);
                 if (std::memcmp(s.data.data(), image.data(), page) !=

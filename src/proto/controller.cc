@@ -1,5 +1,6 @@
 #include "proto/controller.hh"
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -63,7 +64,9 @@ CacheController::CacheController(CpuId cpu, EventQueue &events,
                                  const SoftwareTiming &timing)
     : cpuId_(cpu), events_(events), cache_(cache), monitor_(busMonitor),
       bus_(bus), copier_(cpu, bus), translator_(translator),
-      timing_(timing), rng_(0x9E3779B9u * (cpu + 1) + 0x1234)
+      timing_(timing), rng_(0x9E3779B9u * (cpu + 1) + 0x1234),
+      slotFrame_(cache.config().totalSlots(), noFrame),
+      aliasNext_(cache.config().totalSlots(), noSlot)
 {
     misses_.reserve(4);
     // The board's service software takes its own interrupt line; the
@@ -254,7 +257,7 @@ CacheController::failstop()
     for (cache::SlotIndex s = 0; s < total; ++s)
         cache_.invalidate(s);
     frames_.clear();
-    slotFrame_.clear();
+    std::fill(slotFrame_.begin(), slotFrame_.end(), noFrame);
     shadow_.clear();
     // The in-flight reference's retry count is software state too.
     for (MissRecord &m : misses_)
@@ -379,14 +382,14 @@ CacheController::dispatchMiss(const cache::AccessResult &res)
         return;
       case cache::MissKind::WriteShared: {
         const cache::SlotIndex slot = *res.slot;
-        const auto frame_it = slotFrame_.find(slot);
-        if (frame_it == slotFrame_.end())
+        const std::uint64_t frame = slotFrame_[slot];
+        if (frame == noFrame)
             panic("cpu", cpuId_, ": ownership miss on untracked slot");
         // The handler consults the page tables before granting write
         // access: this re-validates protection against a concurrent
         // mapping change and lets the VM system maintain the PTE
         // modified bit (Section 3.4).
-        trapAndTranslate([this, slot, frame = frame_it->second](
+        trapAndTranslate([this, slot, frame](
                              const TranslateResult &result) {
             upgradeOwnership(slot, frame, result);
         });
@@ -485,30 +488,37 @@ CacheController::missWithTranslation(const TranslateResult &result)
 void
 CacheController::forgetSlot(cache::SlotIndex slot)
 {
-    const auto it = slotFrame_.find(slot);
-    if (it == slotFrame_.end())
+    const std::uint64_t frame = slotFrame_[slot];
+    if (frame == noFrame)
         return;
-    const std::uint64_t frame = it->second;
-    slotFrame_.erase(it);
+    slotFrame_[slot] = noFrame;
+    // A tracked slot always has its frame's entry (invariant I7).
+    const auto info_it = frames_.find(frame);
+    cache::SlotIndex *link = &info_it->second.firstSlot;
+    while (*link != slot)
+        link = &aliasNext_[*link];
+    *link = aliasNext_[slot];
     // Drop the frame bookkeeping once no slot caches it any more.
-    bool still_held = false;
-    for (const auto &[s, f] : slotFrame_)
-        still_held = still_held || f == frame;
-    if (!still_held)
-        frames_.erase(frame);
+    if (info_it->second.firstSlot == noSlot)
+        frames_.erase(info_it);
 }
 
 CacheController::PageBuffer
 CacheController::dropFrameSlots(std::uint64_t frame,
                                 cache::SlotIndex keep)
 {
-    std::vector<cache::SlotIndex> drop;
-    for (const auto &[slot, f] : slotFrame_) {
-        if (f == frame && slot != keep)
-            drop.push_back(slot);
-    }
     PageBuffer dirty;
-    for (const auto slot : drop) {
+    const auto info_it = frames_.find(frame);
+    if (info_it == frames_.end())
+        return dirty;
+    // Read each link before forgetSlot unlinks the slot (and, with the
+    // last one, erases the entry). At most one slot is modified:
+    // acquiring a frame discards its aliases.
+    for (cache::SlotIndex slot = info_it->second.firstSlot, next;
+         slot != noSlot; slot = next) {
+        next = aliasNext_[slot];
+        if (slot == keep)
+            continue;
         const cache::Slot &s = cache_.slot(slot);
         if (s.valid() && s.modified())
             dirty = std::make_shared<const std::vector<std::uint8_t>>(
@@ -528,11 +538,10 @@ CacheController::retireVictim(cache::SlotIndex victim, Done done)
         return;
     }
 
-    const auto frame_it = slotFrame_.find(victim);
-    if (frame_it == slotFrame_.end())
+    const std::uint64_t frame = slotFrame_[victim];
+    if (frame == noFrame)
         panic("cpu", cpuId_, ": valid victim slot ", victim,
               " has no frame bookkeeping");
-    const std::uint64_t frame = frame_it->second;
 
     if (slot.modified()) {
         // Dirty implies privately owned: write the page back,
@@ -611,8 +620,12 @@ CacheController::issueFill(const TranslateResult &result,
             if (cache_.config().storeData)
                 cache_.writeBytes(victim, 0, staging->data(),
                                   pageBytes());
-            slotFrame_[victim] = frame;
             FrameInfo &info = frames_[frame];
+            if (slotFrame_[victim] != noFrame)
+                panic("cpu", cpuId_, ": fill into tracked slot ", victim);
+            slotFrame_[victim] = frame;
+            aliasNext_[victim] = info.firstSlot;
+            info.firstSlot = victim;
             if (exclusive) {
                 info.state = FrameState::Private;
                 info.owningSlot = victim;
@@ -955,9 +968,8 @@ CacheController::downgradeFrame(std::uint64_t frame, Done next)
     // Clear exclusive/modified on our copies, capturing dirty data.
     PageBuffer dirty;
     bool any_slot = false;
-    for (const auto &[slot, f] : slotFrame_) {
-        if (f != frame)
-            continue;
+    for (cache::SlotIndex slot = info_it->second.firstSlot;
+         slot != noSlot; slot = aliasNext_[slot]) {
         cache::Slot &s = cache_.slot(slot);
         if (!s.valid())
             continue;
@@ -1154,12 +1166,9 @@ CacheController::assertOwnershipAttempt(Addr base, Done done,
 void
 CacheController::releaseProtection(Addr paddr, Done done)
 {
-    const std::uint64_t frame = frameOf(paddr);
-    bool has_slots = false;
-    for (const auto &[slot, f] : slotFrame_)
-        has_slots = has_slots || f == frame;
-
-    const auto info_it = frames_.find(frame);
+    const auto info_it = frames_.find(frameOf(paddr));
+    const bool has_slots =
+        info_it != frames_.end() && info_it->second.firstSlot != noSlot;
     if (info_it != frames_.end()) {
         if (has_slots) {
             info_it->second.state = FrameState::Shared;

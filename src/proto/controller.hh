@@ -71,16 +71,26 @@ enum class IrqService : std::uint8_t
     Idle,   //!< the controller runs one idle-service pass per burst
 };
 
+/** A slot index naming no slot (ends an alias chain). */
+inline constexpr cache::SlotIndex noSlot = 0xffffffff;
+/** The frame of an untracked slot in CacheController::slotFrames(). */
+inline constexpr std::uint64_t noFrame = ~std::uint64_t{0};
+
 /**
  * Software bookkeeping for one physical frame held in (or protected
- * by) this cache. The slots caching a frame are found through the
- * slot-to-frame map; only the ownership state lives here.
+ * by) this cache: the ownership state, and the head of the chain of
+ * slots caching the frame (linked through the controller's per-slot
+ * alias links), so finding a frame's copies is a walk over its
+ * aliases, not a search of the cache.
  */
 struct FrameInfo
 {
     FrameState state = FrameState::Shared;
-    /** The slot that acquired ownership, when state == Private. */
+    /** The slot that acquired ownership, when state == Private
+     *  (noSlot when acquired without a cache copy). */
     cache::SlotIndex owningSlot = 0;
+    /** First slot caching the frame, noSlot when none does. */
+    cache::SlotIndex firstSlot = noSlot;
 };
 
 /**
@@ -361,8 +371,9 @@ class CacheController
     {
         return frames_;
     }
-    /** Full slot -> frame map. */
-    const std::unordered_map<cache::SlotIndex, std::uint64_t> &
+    /** Frame cached in each slot, indexed by slot; noFrame when the
+     *  slot is untracked. */
+    const std::vector<std::uint64_t> &
     slotFrames() const
     {
         return slotFrame_;
@@ -429,9 +440,6 @@ class CacheController
   private:
     /** Page contents captured for a write-back. */
     using PageBuffer = std::shared_ptr<const std::vector<std::uint8_t>>;
-
-    /** owningSlot of ownership acquired without a cache copy. */
-    static constexpr cache::SlotIndex noSlot = 0xffffffff;
 
     /**
      * One in-flight miss: the software handler's state for one trapped
@@ -502,7 +510,8 @@ class CacheController
      *  continuation receives no arguments; bookkeeping is updated. */
     void retireVictim(cache::SlotIndex victim, Done done);
 
-    /** Remove @p slot from its frame's bookkeeping (if tracked). */
+    /** Remove @p slot from its frame's bookkeeping (if tracked);
+     *  the frame's entry goes once its last slot does. */
     void forgetSlot(cache::SlotIndex slot);
     /**
      * Invalidate every slot caching @p frame except @p keep. Yields the
@@ -597,8 +606,12 @@ class CacheController
 
     /** frame -> local bookkeeping. */
     std::unordered_map<std::uint64_t, FrameInfo> frames_;
-    /** slot -> frame currently cached there (parallel to cache). */
-    std::unordered_map<cache::SlotIndex, std::uint64_t> slotFrame_;
+    /** slot -> frame currently cached there, or noFrame (parallel to
+     *  the cache). */
+    std::vector<std::uint64_t> slotFrame_;
+    /** Next slot caching the same frame, noSlot at the chain's end;
+     *  meaningful only for tracked slots (see FrameInfo::firstSlot). */
+    std::vector<cache::SlotIndex> aliasNext_;
     /** Software's shadow of the monitor's action table. */
     std::unordered_map<std::uint64_t, mem::ActionEntry> shadow_;
 

@@ -30,14 +30,16 @@ DemandTranslator::translateNow(const TranslateRequest &req)
     // Kernel pages are shared across address spaces; user pages are
     // private per ASID.
     const Asid key_asid = kernel ? 0 : req.asid;
-    const std::uint64_t vpn = req.vaddr / pageBytes_;
+    const std::uint64_t key =
+        std::uint64_t{key_asid} << 56 | req.vaddr / pageBytes_;
 
-    auto [it, inserted] = map_.try_emplace({key_asid, vpn}, nextFrame_);
-    if (inserted) {
+    auto it = map_.find(key);
+    if (it == map_.end()) {
+        // Check before inserting, so a failed page stays unmapped.
         if (nextFrame_ >= frames_)
             fatal("demand translator: out of physical frames (",
                   frames_, ")");
-        ++nextFrame_;
+        it = map_.emplace(key, nextFrame_++).first;
     }
 
     TranslateResult res;

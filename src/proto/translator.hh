@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <unordered_map>
 
 #include "cache/types.hh"
 #include "sim/types.hh"
@@ -115,8 +116,8 @@ class DemandTranslator : public Translator
     Addr kernelLimit_;
     std::uint64_t nextFrame_ = 0;
     bool userPrivateHint_ = false;
-    /** <asid-or-0, vpn> -> frame */
-    std::map<std::pair<Asid, std::uint64_t>, std::uint64_t> map_;
+    /** (asid-or-0 << 56 | vpn) -> frame; a vpn stays below 2^56 */
+    std::unordered_map<std::uint64_t, std::uint64_t> map_;
 };
 
 /**

@@ -73,7 +73,8 @@ EventQueue::addLane(LaneFn fn, void *ctx)
         panic("registering a lane with no function");
     if (freeLanes_.empty()) {
         lanes_.push_back(Lane{fn, ctx});
-        laneAt_.emplace_back();
+        if (lanes_.size() > laneAt_.size())
+            rebuildLanes();
         return static_cast<std::uint32_t>(lanes_.size() - 1);
     }
     const std::uint32_t lane = freeLanes_.back();
@@ -93,33 +94,46 @@ EventQueue::removeLane(std::uint32_t lane)
         return;
     laneAt_[lane].invalidate();
     --pendingLanes_;
-    if (firstLane_ == lane)
-        findFirstLane();
+    replayLane(lane);
 }
 
 void
-EventQueue::findFirstLane()
+EventQueue::replayLane(std::uint32_t lane)
 {
-    firstLane_ = noLane;
-    if (pendingLanes_ == 0)
-        return;
     // An invalid id has when == maxTick, so it never beats a pending one.
-    std::uint32_t first = 0;
-    for (std::uint32_t i = 1; i < laneAt_.size(); ++i) {
-        if (laneAt_[i] < laneAt_[first])
-            first = i;
+    for (std::size_t node = laneAt_.size() + lane; node > 1; node /= 2) {
+        const std::uint32_t other = winner_[node ^ 1];
+        if (laneAt_[other] < laneAt_[lane])
+            lane = other;
+        winner_[node / 2] = lane;
     }
-    firstLane_ = first;
+}
+
+void
+EventQueue::rebuildLanes()
+{
+    std::size_t leaves = 1;
+    while (leaves < lanes_.size())
+        leaves *= 2;
+    laneAt_.resize(leaves);
+    winner_.resize(2 * leaves);
+    for (std::size_t lane = 0; lane < leaves; ++lane)
+        winner_[leaves + lane] = static_cast<std::uint32_t>(lane);
+    for (std::size_t node = leaves - 1; node > 0; --node) {
+        const std::uint32_t left = winner_[2 * node];
+        const std::uint32_t right = winner_[2 * node + 1];
+        winner_[node] = laneAt_[right] < laneAt_[left] ? right : left;
+    }
 }
 
 void
 EventQueue::stepLane()
 {
-    const std::uint32_t lane = firstLane_;
+    const std::uint32_t lane = winner_[1];
     now_ = laneAt_[lane].when;
     laneAt_[lane].invalidate();
     --pendingLanes_;
-    findFirstLane();
+    replayLane(lane);
     ++dispatched_;
     // A copy: the step may register lanes and reallocate lanes_.
     const Lane l = lanes_[lane];
@@ -187,7 +201,7 @@ EventQueue::run(Tick limit)
     limit_ = limit;
     for (;;) {
         if (laneFirst()) {
-            if (laneAt_[firstLane_].when > limit)
+            if (firstLaneStep().when > limit)
                 break;
             stepLane();
         } else if (!heap_.empty() && heap_.front().id.when <= limit) {
@@ -210,7 +224,7 @@ EventQueue::reset()
     cancelled_ = 0;
     for (auto &at : laneAt_)
         at.invalidate();
-    firstLane_ = noLane;
+    rebuildLanes();
     pendingLanes_ = 0;
     limit_ = maxTick;
     now_ = 0;

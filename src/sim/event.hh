@@ -58,9 +58,11 @@ struct EventId
  * same counter as schedule(), and every dispatch takes whichever of
  * the heap top and the earliest lane comes first in (tick, seq), so
  * moving a component from closures to a lane changes no dispatch
- * order. The earliest lane is cached as an index: scheduling a lane
- * updates it with one compare, and only dispatching or removing that
- * lane rescans the registry.
+ * order. The earliest lane is the root of a winner tree over the
+ * pending steps, its leaves padded to a power of two: scheduling a
+ * lane climbs from its leaf while it wins, and dispatching or
+ * removing one replays its leaf-to-root path, so no step scans the
+ * registry.
  */
 class EventQueue
 {
@@ -115,14 +117,21 @@ class EventQueue
     void
     scheduleLane(std::uint32_t lane, Tick when)
     {
-        if (lane >= laneAt_.size() || laneAt_[lane].valid() ||
+        if (lane >= lanes_.size() || laneAt_[lane].valid() ||
             when < now_ || when == maxTick || !lanes_[lane].fn)
             badLaneSchedule(lane, when);
         const EventId id{when, nextSeq_++};
         laneAt_[lane] = id;
         ++pendingLanes_;
-        if (firstLane_ == noLane || id < laneAt_[firstLane_])
-            firstLane_ = lane;
+        // The lane's key only fell, so it climbs while it wins; above
+        // the first node it loses at, nothing changes.
+        for (std::size_t node = (laneAt_.size() + lane) / 2; node != 0;
+             node /= 2) {
+            std::uint32_t &winner = winner_[node];
+            if (winner != lane && !(id < laneAt_[winner]))
+                return;
+            winner = lane;
+        }
     }
 
     /**
@@ -154,8 +163,8 @@ class EventQueue
     nextTick() const
     {
         Tick next = heap_.empty() ? maxTick : heap_.front().id.when;
-        if (firstLane_ != noLane && laneAt_[firstLane_].when < next)
-            next = laneAt_[firstLane_].when;
+        if (firstLaneStep().when < next)
+            next = firstLaneStep().when;
         return limit_ < next ? limit_ + 1 : next;
     }
 
@@ -200,24 +209,26 @@ class EventQueue
         void *ctx;
     };
 
-    static constexpr std::uint32_t noLane = ~std::uint32_t{0};
-
     void popTop();
     /** Pop cancelled entries off the top, recycling their slots. */
     void dropCancelled();
+    /** The root's step: the earliest pending lane step, or invalid. */
+    const EventId &firstLaneStep() const { return laneAt_[winner_[1]]; }
     /** True if the earliest lane step precedes the heap top. */
     bool
     laneFirst() const
     {
-        return firstLane_ != noLane &&
-            (heap_.empty() || laneAt_[firstLane_] < heap_.front().id);
+        const EventId &first = firstLaneStep();
+        return heap_.empty() ? first.valid() : first < heap_.front().id;
     }
     /** Dispatch the heap top (not cancelled, by the invariant). */
     void stepTop();
     /** Dispatch the earliest lane step. */
     void stepLane();
-    /** Recompute firstLane_ by scanning every lane. */
-    void findFirstLane();
+    /** Replay @p lane's leaf-to-root path after its key rose. */
+    void replayLane(std::uint32_t lane);
+    /** Size the leaves for the registry and recompute every node. */
+    void rebuildLanes();
     [[noreturn]] void badLaneSchedule(std::uint32_t lane, Tick when) const;
     [[noreturn]] void badAdvance(Tick when) const;
 
@@ -233,11 +244,20 @@ class EventQueue
     /** Cancelled entries still in the heap. */
     std::size_t cancelled_ = 0;
     std::vector<Lane> lanes_;
-    /** Pending step per lane; invalid when none is pending. */
-    std::vector<EventId> laneAt_;
+    /**
+     * Winner-tree leaves: the pending step per lane, invalid when none
+     * is pending, padded with invalid ids to a power of two (at least
+     * one leaf, so the root always names a lane).
+     */
+    std::vector<EventId> laneAt_ = std::vector<EventId>(1);
+    /**
+     * Winner tree over laneAt_: leaf node leaves + l holds lane l, and
+     * inner node n holds the lane with the earlier (tick, seq) of
+     * nodes 2n and 2n+1. The root, node 1, is the lane of the earliest
+     * pending step, if any step is pending. Node 0 is unused.
+     */
+    std::vector<std::uint32_t> winner_ = {0, 0};
     std::vector<std::uint32_t> freeLanes_;
-    /** Lane holding the earliest pending step, or noLane. */
-    std::uint32_t firstLane_ = noLane;
     std::size_t pendingLanes_ = 0;
 };
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cache/cache.hh"
+#include "check/coherence_checker.hh"
 #include "mem/phys_mem.hh"
 #include "mem/vme_bus.hh"
 #include "monitor/bus_monitor.hh"
@@ -328,6 +329,98 @@ TEST_F(ProtoTest, SharedAliasesCoexist)
     EXPECT_EQ(info->state, FrameState::Shared);
 }
 
+TEST_F(ProtoTest, AliasChainSurvivesDroppingItsMiddleSlot)
+{
+    // One frame under three vaddrs in three sets: the controller
+    // chains the three slots from the frame's entry. Each step below
+    // walks or edits that chain, and the invariants hold after each.
+    check::CoherenceChecker checker(sys.bus, sys.memory);
+    checker.addController(sys.ctl(0));
+    checker.addController(sys.ctl(1));
+    checker.install();
+    constexpr Addr va1 = vaA;          // set 0
+    constexpr Addr va2 = 0x30100;      // set 1
+    constexpr Addr va3 = 0x30200;      // set 2
+    for (const Addr va : {va2, va3})
+        sys.translator.map(1, va, paA, rwProt);
+    const auto cached = [&](Addr va) {
+        return sys.boards[0]->cache.probe(1, va, false, false).hit;
+    };
+    for (const Addr va : {va1, va2, va3})
+        sys.doAccess(0, 1, va, false);
+    EXPECT_EQ(sys.boards[0]->cache.validCount(), 3u);
+    EXPECT_EQ(checker.checkFull(), 0u);
+
+    // Victim replacement drops the middle of the chain: two more
+    // pages fill va2's two-way set.
+    sys.translator.map(1, 0x40100, 0x8000, rwProt);
+    sys.translator.map(1, 0x50100, 0x9000, rwProt);
+    sys.doAccess(0, 1, 0x40100, false);
+    sys.doAccess(0, 1, 0x50100, false);
+    EXPECT_FALSE(cached(va2));
+    EXPECT_TRUE(cached(va1));
+    EXPECT_TRUE(cached(va3));
+    ASSERT_NE(sys.ctl(0).frameInfo(paA), nullptr);
+    EXPECT_EQ(sys.ctl(0).frameInfo(paA)->state, FrameState::Shared);
+    EXPECT_EQ(checker.checkFull(), 0u);
+
+    // Downgrade: own and dirty the frame through va1 (the echo
+    // discards va3, the chain's head), then a remote read forces the
+    // write-back and a shared copy.
+    sys.doWrite(0, 1, va1, 5);
+    sys.doService(0);
+    EXPECT_FALSE(cached(va3));
+    sys.ctl(0).setIrqService(IrqService::Idle);
+    sys.ctl(1).setIrqService(IrqService::Idle);
+    EXPECT_EQ(sys.doRead(1, 2, vaA), 5u);
+    EXPECT_EQ(sys.ctl(0).frameInfo(paA)->state, FrameState::Shared);
+    EXPECT_TRUE(cached(va1));
+    EXPECT_EQ(sys.memory.readWord(paA), 5u);
+    EXPECT_EQ(checker.checkFull(), 0u);
+
+    // Relinquish: with va3 cached again, a remote write drops both
+    // slots of the chain and the frame's entry.
+    sys.doAccess(0, 1, va3, false);
+    sys.doWrite(1, 2, vaA, 6);
+    EXPECT_FALSE(cached(va1));
+    EXPECT_FALSE(cached(va3));
+    EXPECT_EQ(sys.ctl(0).frameInfo(paA), nullptr);
+    EXPECT_EQ(checker.checkFull(), 0u);
+
+    // DMA bracket with the aliases still cached (their echo not yet
+    // serviced): releasing the protection leaves the frame Shared.
+    EXPECT_EQ(sys.doRead(0, 1, va1), 6u);
+    sys.doAccess(0, 1, va3, false);
+    sys.ctl(0).setIrqService(IrqService::Off);
+    const auto bracket = [&](ActionEntry released) {
+        bool done = false;
+        sys.ctl(0).assertOwnership(paA, [&] { done = true; });
+        sys.events.run();
+        ASSERT_TRUE(done);
+        EXPECT_EQ(sys.boards[0]->monitor.table().entryFor(paA),
+                  ActionEntry::Protect);
+        done = false;
+        sys.ctl(0).releaseProtection(paA, [&] { done = true; });
+        sys.events.run();
+        ASSERT_TRUE(done);
+        EXPECT_EQ(sys.boards[0]->monitor.table().entryFor(paA), released);
+        EXPECT_EQ(sys.ctl(0).shadowEntry(paA), released);
+        sys.doService(0);
+    };
+    bracket(ActionEntry::Shared);
+    // The echo of the assert-ownership discarded both aliases.
+    EXPECT_FALSE(cached(va1));
+    EXPECT_FALSE(cached(va3));
+    EXPECT_EQ(sys.ctl(0).frameInfo(paA), nullptr);
+    EXPECT_EQ(checker.checkFull(), 0u);
+
+    // With no slot left, the release clears the entry.
+    bracket(ActionEntry::Ignore);
+    EXPECT_EQ(sys.ctl(0).frameInfo(paA), nullptr);
+    EXPECT_EQ(checker.checkFull(), 0u);
+    EXPECT_EQ(checker.violations().value(), 0u);
+}
+
 TEST_F(ProtoTest, AliasReadOfOwnedPageSelfCompetes)
 {
     sys.doWrite(0, 1, vaA, 77); // own privately via vaA
@@ -448,6 +541,23 @@ TEST_F(ProtoTest, StaleSharedEntryCleanedLazily)
     EXPECT_EQ(sys.ctl(0).spuriousWords().value(), 1u);
     EXPECT_EQ(sys.boards[0]->monitor.table().entryFor(paA),
               ActionEntry::Ignore);
+}
+
+TEST(DemandTranslator, OutOfFramesStaysFatal)
+{
+    // Four frames, two reserved: two pages fit, handed out in
+    // first-touch order. The third page is fatal every time it is
+    // asked for, and maps nothing past the end of memory.
+    DemandTranslator translator(4 * pageBytes, pageBytes, 0, 0, 2);
+    const auto paddr = [&](Asid asid, Addr va) {
+        return translator.translateNow({asid, va}).paddr;
+    };
+    EXPECT_EQ(paddr(1, vaB), 2 * pageBytes);
+    EXPECT_EQ(paddr(1, vaA + 4), 3 * pageBytes + 4);
+    EXPECT_EQ(paddr(1, vaB + 8), 2 * pageBytes + 8);
+    EXPECT_THROW(translator.translateNow({2, vaB}), FatalError);
+    EXPECT_THROW(translator.translateNow({2, vaB}), FatalError);
+    EXPECT_EQ(translator.allocated(), 4u);
 }
 
 TEST(ProtoFifo, OverflowRecoveryInvalidatesSharedEntries)

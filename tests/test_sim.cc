@@ -393,18 +393,24 @@ TEST(Debug, EmitFormatsTickFlagMessage)
 
 // ------------------------------------------------ event queue stress
 
-TEST(EventQueue, RandomizedStressAgainstReferenceModel)
+/**
+ * Drive the queue with random schedules, heavy cancellation, many
+ * same-tick ties, and events scheduled or cancelled from inside
+ * dispatched callbacks (which reuse the slot the dispatch just freed).
+ * @p initial_lanes lanes run beside the closures: closures schedule
+ * them, their steps schedule and cancel closures and reschedule
+ * themselves, and lanes are removed (pending or not) and
+ * re-registered. Below @p max_lanes, closures and lane steps also
+ * register new lanes, growing the winner tree while steps are
+ * pending. Every dispatch is checked against a reference model: the
+ * live set ordered by (tick, insertion order), lane steps included.
+ * Ids grow with insertion, so (when, id) orders like (when, seq).
+ */
+void
+laneStress(std::size_t initial_lanes, std::size_t max_lanes)
 {
-    // Drive the queue with random schedules, heavy cancellation, many
-    // same-tick ties, and events scheduled or cancelled from inside
-    // dispatched callbacks (which reuse the slot the dispatch just
-    // freed). A few lanes run beside the closures: closures schedule
-    // them, their steps schedule and cancel closures and reschedule
-    // themselves, and lanes are removed (pending or not) and
-    // re-registered. Every dispatch is checked against a reference
-    // model: the live set ordered by (tick, insertion order), lane
-    // steps included. Ids grow with insertion, so (when, id) orders
-    // like (when, seq).
+    SCOPED_TRACE(testing::Message() << initial_lanes << " to "
+                                    << max_lanes << " lanes");
     Rng rng(2024);
     EventQueue eq;
     std::set<std::pair<Tick, int>> model;
@@ -421,6 +427,7 @@ TEST(EventQueue, RandomizedStressAgainstReferenceModel)
     std::size_t cancelled = 0;
     std::size_t laneFired = 0;
     std::size_t laneRemovedPending = 0;
+    std::size_t grownWhilePending = 0;
     /** Limit of the run() in progress, maxTick outside one. */
     Tick limit = maxTick;
 
@@ -452,10 +459,13 @@ TEST(EventQueue, RandomizedStressAgainstReferenceModel)
         auto &lane = *static_cast<Lane *>(ctx);
         (*lane.body)(lane);
     };
-    for (int i = 0; i < 4; ++i) {
+    const auto add_lane = [&] {
         lanes.push_back(std::make_unique<Lane>(Lane{0, -1, &lane_body}));
         lanes.back()->index = eq.addLane(lane_fn, lanes.back().get());
-    }
+        EXPECT_EQ(lanes.back()->index, lanes.size() - 1);
+    };
+    while (lanes.size() < initial_lanes)
+        add_lane();
     const auto schedule_lane = [&](Lane &lane, Tick when) {
         const auto id = static_cast<int>(planned.size());
         planned.push_back({when, {}, true, true});
@@ -486,6 +496,17 @@ TEST(EventQueue, RandomizedStressAgainstReferenceModel)
         lane.index = eq.addLane(lane_fn, &lane);
         EXPECT_EQ(lane.index, old);
         EXPECT_EQ(eq.laneCapacity(), lanes.size());
+    };
+    // With probability p, while below max_lanes, register one more
+    // lane and schedule it. At max_lanes it draws no random number, so
+    // a fixed-size run does not depend on the growth rates.
+    const auto maybe_grow = [&](double p) {
+        if (lanes.size() >= max_lanes || !rng.chance(p))
+            return;
+        for (const auto &lane : lanes)
+            grownWhilePending += lane->pending >= 0 ? 1 : 0;
+        add_lane();
+        schedule_lane(*lanes.back(), eq.now() + rng.below(3));
     };
 
     // Cancel a live event, or (half the time) any event ever planned.
@@ -528,6 +549,7 @@ TEST(EventQueue, RandomizedStressAgainstReferenceModel)
                 kick_lane();
             if (rng.chance(0.05))
                 replace_lane();
+            maybe_grow(0.01);
             check_queue();
         });
         model.insert({when, id});
@@ -543,6 +565,7 @@ TEST(EventQueue, RandomizedStressAgainstReferenceModel)
         // Ties with the closures just scheduled, and with other lanes.
         if (rng.chance(0.5))
             schedule_lane(lane, eq.now() + rng.below(3));
+        maybe_grow(0.01);
         check_queue();
     };
 
@@ -556,6 +579,7 @@ TEST(EventQueue, RandomizedStressAgainstReferenceModel)
             kick_lane();
         if (rng.chance(0.05))
             replace_lane();
+        maybe_grow(0.02);
         check_queue();
         if (rng.chance(0.2)) {
             limit = eq.now() + rng.below(300);
@@ -578,6 +602,41 @@ TEST(EventQueue, RandomizedStressAgainstReferenceModel)
     EXPECT_GT(laneFired, planned.size() / 10);
     EXPECT_GT(laneRemovedPending, 0u);
     EXPECT_EQ(eq.laneCapacity(), lanes.size());
+    EXPECT_EQ(lanes.size(), max_lanes);
+    if (max_lanes > initial_lanes) {
+        EXPECT_GT(grownWhilePending, 0u);
+    }
+}
+
+TEST(EventQueue, RandomizedStressAgainstReferenceModel)
+{
+    // Powers of two and their neighbours: the winner tree's leaves
+    // are padded to a power of two, so 3, 5 and 17 lanes carry idle
+    // padding leaves and 1 lane has no inner node at all.
+    for (const std::size_t lanes : {1, 3, 4, 5, 16, 17})
+        laneStress(lanes, lanes);
+}
+
+TEST(EventQueue, LanesRegisteredMidRunGrowTheTree)
+{
+    // From 3 lanes to 33 while steps are pending: the tree is rebuilt
+    // at 5, 9, 17 and 33 lanes.
+    laneStress(3, 33);
+}
+
+TEST(EventQueue, SchedulingPaddingLanePanics)
+{
+    // Three lanes occupy four leaves; the fourth is padding, not a
+    // lane, and scheduling it panics like any unregistered index.
+    EventQueue eq;
+    const EventQueue::LaneFn nop = [](void *) {};
+    for (int i = 0; i < 3; ++i)
+        eq.addLane(nop, nullptr);
+    EXPECT_EQ(eq.laneCapacity(), 3u);
+    EXPECT_THROW(eq.scheduleLane(3, 0), PanicError);
+    EXPECT_EQ(eq.pending(), 0u);
+    eq.scheduleLane(2, 0);
+    EXPECT_EQ(eq.nextTick(), 0u);
 }
 
 TEST(EventQueue, LaneContract)
