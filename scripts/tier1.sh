@@ -22,12 +22,14 @@ ctest --test-dir "$build" --output-on-failure -j "$jobs" -LE torture
 echo "== tier1: sanitizer build ($sanitize) =="
 cmake -B "$sanitize" -S "$repo" -DVMP_SANITIZE=address,undefined
 cmake --build "$sanitize" -j "$jobs" \
-    --target test_sim test_mem test_artifact test_core test_hier \
+    --target test_sim test_cache test_mem test_artifact test_core test_hier \
     test_recover test_obs test_telemetry test_proto test_cpu test_vm \
     test_sync test_integration bench_table1
 
 echo "== tier1: sanitized core tests =="
 "$sanitize/tests/test_sim"
+# Cache data arena: every page is a pointer offset into one buffer.
+"$sanitize/tests/test_cache"
 "$sanitize/tests/test_mem"
 "$sanitize/tests/test_artifact"
 # Machine assembly: kill, fence and rejoin hooks capture the machine and

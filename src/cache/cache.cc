@@ -1,5 +1,6 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 
@@ -74,27 +75,8 @@ Cache::Cache(const CacheConfig &config) : cfg_(config)
     pageShift_ = log2i(cfg_.pageBytes);
     setMask_ = cfg_.sets - 1;
     slots_.resize(cfg_.totalSlots());
-    if (cfg_.storeData) {
-        for (auto &s : slots_)
-            s.data.assign(cfg_.pageBytes, 0);
-    }
-}
-
-SlotIndex
-Cache::indexOf(std::uint32_t set, std::uint32_t way) const
-{
-    return set * cfg_.ways + way;
-}
-
-std::optional<std::uint32_t>
-Cache::findWay(std::uint32_t set, const CacheTag &tag) const
-{
-    for (std::uint32_t way = 0; way < cfg_.ways; ++way) {
-        const Slot &s = slots_[indexOf(set, way)];
-        if (s.valid() && s.tag == tag)
-            return way;
-    }
-    return std::nullopt;
+    if (cfg_.storeData)
+        data_.assign(cfg_.totalBytes(), 0);
 }
 
 SlotIndex
@@ -119,57 +101,28 @@ Cache::lruOf(std::uint32_t set) const
 AccessResult
 Cache::probe(Asid asid, Addr vaddr, bool write, bool supervisor) const
 {
-    const CacheTag tag = tagFor(asid, vaddr);
     const std::uint32_t set = setOf(vaddr);
     AccessResult res;
-
-    // The LRU way-scan runs only on the miss returns: a hit needs no
-    // victim.
-    const auto way = findWay(set, tag);
-    if (!way) {
-        res.miss = MissKind::NoMatch;
+    res.slot = matchSlot(set, tagFor(asid, vaddr));
+    res.miss = res.slot == noSlot
+        ? MissKind::NoMatch
+        : denial(slots_[res.slot].flags, write, supervisor);
+    res.hit = res.miss == MissKind::None;
+    // The LRU way-scan runs only on a miss: a hit needs no victim.
+    if (!res.hit)
         res.suggestedVictim = lruOf(set);
-        return res;
-    }
-    const SlotIndex idx = indexOf(set, *way);
-    const Slot &s = slots_[idx];
-    res.slot = idx;
-
-    const bool perm_ok = supervisor
-        ? (!write || (s.flags & FlagSupWritable))
-        : (write ? (s.flags & FlagUserWritable) != 0
-                 : (s.flags & FlagUserReadable) != 0);
-    if (!perm_ok) {
-        res.miss = MissKind::Protection;
-        res.suggestedVictim = lruOf(set);
-        return res;
-    }
-    if (write && !s.exclusive()) {
-        res.miss = MissKind::WriteShared;
-        res.suggestedVictim = lruOf(set);
-        return res;
-    }
-    res.hit = true;
     return res;
 }
 
 AccessResult
-Cache::access(Asid asid, Addr vaddr, bool write, bool supervisor)
+Cache::accessMiss(Asid asid, Addr vaddr, bool write, bool supervisor)
 {
-    AccessResult res = probe(asid, vaddr, write, supervisor);
-    if (res.hit) {
-        Slot &s = slots_[*res.slot];
-        s.lastUse = useClock_++;
-        if (write)
-            s.flags |= FlagModified;
-        ++hits_;
-    } else {
-        ++misses_;
-        if (res.miss == MissKind::WriteShared)
-            ++writeShared_;
-        else if (res.miss == MissKind::Protection)
-            ++protection_;
-    }
+    const AccessResult res = probe(asid, vaddr, write, supervisor);
+    ++misses_;
+    if (res.miss == MissKind::WriteShared)
+        ++writeShared_;
+    else if (res.miss == MissKind::Protection)
+        ++protection_;
     return res;
 }
 
@@ -187,7 +140,7 @@ Cache::fill(SlotIndex slot_index, const CacheTag &tag, SlotFlags flags)
     s.flags = static_cast<SlotFlags>(flags | FlagValid);
     s.lastUse = useClock_++;
     if (cfg_.storeData)
-        std::fill(s.data.begin(), s.data.end(), 0);
+        std::fill_n(data_.begin() + pageBase(slot_index), cfg_.pageBytes, 0);
 }
 
 void
@@ -253,10 +206,11 @@ Cache::writeBytes(SlotIndex slot_index, std::uint32_t offset,
 {
     if (!cfg_.storeData)
         panic("cache writeBytes without data storage");
-    Slot &s = slot(slot_index);
-    if (offset + len > cfg_.pageBytes)
+    slot(slot_index); // panics on an out-of-range slot
+    // Written so it cannot wrap: offset + len may overflow 32 bits.
+    if (len > cfg_.pageBytes || offset > cfg_.pageBytes - len)
         panic("cache writeBytes: range beyond page");
-    std::memcpy(s.data.data() + offset, src, len);
+    std::memcpy(data_.data() + pageBase(slot_index) + offset, src, len);
 }
 
 void
@@ -265,10 +219,19 @@ Cache::readBytes(SlotIndex slot_index, std::uint32_t offset, void *dst,
 {
     if (!cfg_.storeData)
         panic("cache readBytes without data storage");
-    const Slot &s = slot(slot_index);
-    if (offset + len > cfg_.pageBytes)
+    const auto page = pageData(slot_index);
+    if (len > cfg_.pageBytes || offset > cfg_.pageBytes - len)
         panic("cache readBytes: range beyond page");
-    std::memcpy(dst, s.data.data() + offset, len);
+    std::memcpy(dst, page.data() + offset, len);
+}
+
+std::span<const std::uint8_t>
+Cache::pageData(SlotIndex slot_index) const
+{
+    slot(slot_index); // panics on an out-of-range slot
+    if (!cfg_.storeData)
+        return {};
+    return {data_.data() + pageBase(slot_index), cfg_.pageBytes};
 }
 
 std::uint32_t

@@ -14,7 +14,7 @@
 #define VMP_CACHE_CACHE_HH
 
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "cache/config.hh"
@@ -27,20 +27,27 @@ namespace vmp::cache
 /** Dense identifier of a slot: set * ways + way. */
 using SlotIndex = std::uint32_t;
 
-/** One cache slot: tag, flags, LRU stamp and (optionally) data. */
+/** A slot index naming no slot (a NoMatch miss, an alias chain's end). */
+inline constexpr SlotIndex noSlot = 0xffffffff;
+
+/**
+ * One cache slot: tag, flags and LRU stamp. Page contents live apart,
+ * in the cache's data arena (Cache::pageData), so the slot array a hit
+ * walks holds metadata only.
+ */
 struct Slot
 {
     CacheTag tag{};
     SlotFlags flags = 0;
     /** Monotonic last-use stamp for LRU victim suggestion. */
     std::uint64_t lastUse = 0;
-    /** Page contents when CacheConfig::storeData is set. */
-    std::vector<std::uint8_t> data;
 
     bool valid() const { return flags & FlagValid; }
     bool modified() const { return flags & FlagModified; }
     bool exclusive() const { return flags & FlagExclusive; }
 };
+
+static_assert(sizeof(Slot) <= 32, "a 4-way set must fit two 64-byte lines");
 
 /** Why an access could not be satisfied by the cache. */
 enum class MissKind : std::uint8_t
@@ -54,13 +61,17 @@ enum class MissKind : std::uint8_t
     WriteShared,
 };
 
-/** Result of presenting one reference to the cache. */
+/**
+ * Result of presenting one reference to the cache: 12 trivially
+ * copyable bytes, returned in registers.
+ */
 struct AccessResult
 {
     bool hit = false;
     MissKind miss = MissKind::None;
-    /** Matching slot on hit (or protection/ownership miss). */
-    std::optional<SlotIndex> slot;
+    /** Matching slot on hit (or protection/ownership miss); noSlot on
+     *  a NoMatch miss. */
+    SlotIndex slot = noSlot;
     /** Hardware-suggested victim slot for the referenced set; set
      *  only on a miss (0 on a hit). */
     SlotIndex suggestedVictim = 0;
@@ -108,10 +119,25 @@ class Cache
     /**
      * Present one reference. Updates LRU on hit. @p write requests write
      * access; @p supervisor selects the privilege checked against the
-     * protection flags.
+     * protection flags. The hit path (tag match, permission check, LRU
+     * stamp) is inline; a miss calls the out-of-line accessMiss().
      */
-    AccessResult access(Asid asid, Addr vaddr, bool write,
-                        bool supervisor);
+    AccessResult
+    access(Asid asid, Addr vaddr, bool write, bool supervisor)
+    {
+        const SlotIndex idx = matchSlot(setOf(vaddr), tagFor(asid, vaddr));
+        if (idx != noSlot) {
+            Slot &s = slots_[idx];
+            if (denial(s.flags, write, supervisor) == MissKind::None) {
+                s.lastUse = useClock_++;
+                if (write)
+                    s.flags |= FlagModified;
+                ++hits_;
+                return AccessResult{true, MissKind::None, idx, 0};
+            }
+        }
+        return accessMiss(asid, vaddr, write, supervisor);
+    }
 
     /** Probe without updating LRU or counting stats. */
     AccessResult probe(Asid asid, Addr vaddr, bool write,
@@ -140,6 +166,8 @@ class Cache
                     const void *src, std::uint32_t len);
     void readBytes(SlotIndex slot, std::uint32_t offset, void *dst,
                    std::uint32_t len) const;
+    /** A slot's page contents; empty without CacheConfig::storeData. */
+    std::span<const std::uint8_t> pageData(SlotIndex slot) const;
 
     /** Number of valid slots (for occupancy tests). */
     std::uint32_t validCount() const;
@@ -153,10 +181,50 @@ class Cache
     void registerStats(StatGroup &group) const;
 
   private:
-    SlotIndex indexOf(std::uint32_t set, std::uint32_t way) const;
-    /** Find the matching way in @p set, if any. */
-    std::optional<std::uint32_t> findWay(std::uint32_t set,
-                                         const CacheTag &tag) const;
+    SlotIndex indexOf(std::uint32_t set, std::uint32_t way) const
+    {
+        return set * cfg_.ways + way;
+    }
+
+    /** The valid slot in @p set matching @p tag, or noSlot. */
+    SlotIndex
+    matchSlot(std::uint32_t set, const CacheTag &tag) const
+    {
+        const SlotIndex first = indexOf(set, 0);
+        for (SlotIndex idx = first; idx < first + cfg_.ways; ++idx) {
+            const Slot &s = slots_[idx];
+            if (s.valid() && s.tag == tag)
+                return idx;
+        }
+        return noSlot;
+    }
+
+    /**
+     * Why a matching slot with @p flags cannot serve the reference:
+     * Protection, WriteShared, or None when it hits.
+     */
+    static MissKind
+    denial(SlotFlags flags, bool write, bool supervisor)
+    {
+        const bool perm_ok = supervisor
+            ? (!write || (flags & FlagSupWritable))
+            : (flags & (write ? FlagUserWritable : FlagUserReadable)) != 0;
+        if (!perm_ok)
+            return MissKind::Protection;
+        if (write && !(flags & FlagExclusive))
+            return MissKind::WriteShared;
+        return MissKind::None;
+    }
+
+    std::size_t
+    pageBase(SlotIndex slot) const
+    {
+        return std::size_t{slot} << pageShift_;
+    }
+
+    /** access() past a failed hit: probe() plus the miss counters. */
+    AccessResult accessMiss(Asid asid, Addr vaddr, bool write,
+                            bool supervisor);
     SlotIndex lruOf(std::uint32_t set) const;
 
     CacheConfig cfg_;
@@ -165,6 +233,9 @@ class Cache
     /** sets - 1. */
     std::uint64_t setMask_;
     std::vector<Slot> slots_;
+    /** Page contents, slot i at pageBase(i); empty without
+     *  CacheConfig::storeData. */
+    std::vector<std::uint8_t> data_;
     std::uint64_t useClock_ = 1;
 
     Counter hits_;

@@ -234,8 +234,8 @@ CoherenceChecker::checkFull()
                     dirty_frames.count(frame) != 0)
                     continue;
                 mem_.readBlock(frame * page, image.data(), page);
-                if (std::memcmp(s.data.data(), image.data(), page) !=
-                    0) {
+                if (std::memcmp(cache.pageData(slot).data(),
+                                image.data(), page) != 0) {
                     std::ostringstream os;
                     os << "I6: cpu" << cpu << " clean slot " << slot
                        << " differs from memory frame " << frame;

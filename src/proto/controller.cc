@@ -66,7 +66,7 @@ CacheController::CacheController(CpuId cpu, EventQueue &events,
       bus_(bus), copier_(cpu, bus), translator_(translator),
       timing_(timing), rng_(0x9E3779B9u * (cpu + 1) + 0x1234),
       slotFrame_(cache.config().totalSlots(), noFrame),
-      aliasNext_(cache.config().totalSlots(), noSlot)
+      aliasNext_(cache.config().totalSlots(), cache::noSlot)
 {
     misses_.reserve(4);
     // The board's service software takes its own interrupt line; the
@@ -381,7 +381,7 @@ CacheController::dispatchMiss(const cache::AccessResult &res)
         });
         return;
       case cache::MissKind::WriteShared: {
-        const cache::SlotIndex slot = *res.slot;
+        const cache::SlotIndex slot = res.slot;
         const std::uint64_t frame = slotFrame_[slot];
         if (frame == noFrame)
             panic("cpu", cpuId_, ": ownership miss on untracked slot");
@@ -396,7 +396,7 @@ CacheController::dispatchMiss(const cache::AccessResult &res)
         return;
       }
       case cache::MissKind::Protection:
-        trapAndTranslate([this, slot = *res.slot](
+        trapAndTranslate([this, slot = res.slot](
                              const TranslateResult &result) {
             refreshProtection(slot, result);
         });
@@ -499,8 +499,16 @@ CacheController::forgetSlot(cache::SlotIndex slot)
         link = &aliasNext_[*link];
     *link = aliasNext_[slot];
     // Drop the frame bookkeeping once no slot caches it any more.
-    if (info_it->second.firstSlot == noSlot)
+    if (info_it->second.firstSlot == cache::noSlot)
         frames_.erase(info_it);
+}
+
+CacheController::PageBuffer
+CacheController::copyPage(cache::SlotIndex slot) const
+{
+    const auto page = cache_.pageData(slot);
+    return std::make_shared<const std::vector<std::uint8_t>>(page.begin(),
+                                                             page.end());
 }
 
 CacheController::PageBuffer
@@ -515,14 +523,13 @@ CacheController::dropFrameSlots(std::uint64_t frame,
     // last one, erases the entry). At most one slot is modified:
     // acquiring a frame discards its aliases.
     for (cache::SlotIndex slot = info_it->second.firstSlot, next;
-         slot != noSlot; slot = next) {
+         slot != cache::noSlot; slot = next) {
         next = aliasNext_[slot];
         if (slot == keep)
             continue;
         const cache::Slot &s = cache_.slot(slot);
         if (s.valid() && s.modified())
-            dirty = std::make_shared<const std::vector<std::uint8_t>>(
-                s.data);
+            dirty = copyPage(slot);
         cache_.invalidate(slot);
         forgetSlot(slot);
     }
@@ -548,8 +555,7 @@ CacheController::retireVictim(cache::SlotIndex victim, Done done)
         // releasing ownership (entry -> 00), overlapped with up to
         // overlapNs of bookkeeping.
         misses_.back().dirty = true;
-        auto buffer =
-            std::make_shared<const std::vector<std::uint8_t>>(slot.data);
+        auto buffer = copyPage(victim);
         forgetSlot(victim);
         cache_.invalidate(victim);
         const Done join = joinOfTwo(std::move(done));
@@ -633,7 +639,7 @@ CacheController::issueFill(const TranslateResult &result,
                 // Shared fill. (A private state here is impossible:
                 // our own monitor would have aborted the read-shared.)
                 info.state = FrameState::Shared;
-                info.owningSlot = noSlot;
+                info.owningSlot = cache::noSlot;
             }
             shadow_[frame] = exclusive ? mem::ActionEntry::Protect
                                        : mem::ActionEntry::Shared;
@@ -725,7 +731,7 @@ CacheController::readWord(Asid asid, Addr vaddr, bool supervisor,
                    panic("cpu", cpuId_,
                          ": readWord probe missed after access");
                std::uint32_t value = 0;
-               cache_.readBytes(*res.slot, cache_.offsetOf(vaddr),
+               cache_.readBytes(res.slot, cache_.offsetOf(vaddr),
                                 &value, sizeof(value));
                done(value);
            });
@@ -743,10 +749,10 @@ CacheController::writeWord(Asid asid, Addr vaddr, std::uint32_t value,
                if (!res.hit)
                    panic("cpu", cpuId_,
                          ": writeWord probe missed after access");
-               cache::Slot &s = cache_.slot(*res.slot);
+               cache::Slot &s = cache_.slot(res.slot);
                s.flags = static_cast<cache::SlotFlags>(
                    s.flags | cache::FlagModified);
-               cache_.writeBytes(*res.slot, cache_.offsetOf(vaddr),
+               cache_.writeBytes(res.slot, cache_.offsetOf(vaddr),
                                  &value, sizeof(value));
                done();
            });
@@ -969,14 +975,13 @@ CacheController::downgradeFrame(std::uint64_t frame, Done next)
     PageBuffer dirty;
     bool any_slot = false;
     for (cache::SlotIndex slot = info_it->second.firstSlot;
-         slot != noSlot; slot = aliasNext_[slot]) {
+         slot != cache::noSlot; slot = aliasNext_[slot]) {
         cache::Slot &s = cache_.slot(slot);
         if (!s.valid())
             continue;
         any_slot = true;
         if (s.modified())
-            dirty = std::make_shared<const std::vector<std::uint8_t>>(
-                s.data);
+            dirty = copyPage(slot);
         s.flags = static_cast<cache::SlotFlags>(
             s.flags & ~(cache::FlagExclusive | cache::FlagModified));
     }
@@ -992,7 +997,7 @@ CacheController::downgradeFrame(std::uint64_t frame, Done next)
 
     FrameInfo &info = info_it->second;
     info.state = FrameState::Shared;
-    info.owningSlot = noSlot;
+    info.owningSlot = cache::noSlot;
 
     if (dirty) {
         writeBack(frame, std::move(dirty), mem::ActionEntry::Shared,
@@ -1157,7 +1162,7 @@ CacheController::assertOwnershipAttempt(Addr base, Done done,
         const std::uint64_t frame = frameOf(base);
         FrameInfo &info = frames_[frame];
         info.state = FrameState::Private;
-        info.owningSlot = noSlot;
+        info.owningSlot = cache::noSlot;
         shadow_[frame] = mem::ActionEntry::Protect;
         done();
     });
@@ -1167,12 +1172,12 @@ void
 CacheController::releaseProtection(Addr paddr, Done done)
 {
     const auto info_it = frames_.find(frameOf(paddr));
-    const bool has_slots =
-        info_it != frames_.end() && info_it->second.firstSlot != noSlot;
+    const bool has_slots = info_it != frames_.end() &&
+        info_it->second.firstSlot != cache::noSlot;
     if (info_it != frames_.end()) {
         if (has_slots) {
             info_it->second.state = FrameState::Shared;
-            info_it->second.owningSlot = noSlot;
+            info_it->second.owningSlot = cache::noSlot;
         } else {
             frames_.erase(info_it);
         }
@@ -1289,7 +1294,7 @@ CacheController::flushFrame(Addr paddr, Done done)
     // We still own the frame (protection retained for the caller).
     FrameInfo &info = frames_[frame];
     info.state = FrameState::Private;
-    info.owningSlot = noSlot;
+    info.owningSlot = cache::noSlot;
     if (!dirty) {
         done();
         return;

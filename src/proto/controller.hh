@@ -71,8 +71,6 @@ enum class IrqService : std::uint8_t
     Idle,   //!< the controller runs one idle-service pass per burst
 };
 
-/** A slot index naming no slot (ends an alias chain). */
-inline constexpr cache::SlotIndex noSlot = 0xffffffff;
 /** The frame of an untracked slot in CacheController::slotFrames(). */
 inline constexpr std::uint64_t noFrame = ~std::uint64_t{0};
 
@@ -87,10 +85,10 @@ struct FrameInfo
 {
     FrameState state = FrameState::Shared;
     /** The slot that acquired ownership, when state == Private
-     *  (noSlot when acquired without a cache copy). */
+     *  (cache::noSlot when acquired without a cache copy). */
     cache::SlotIndex owningSlot = 0;
-    /** First slot caching the frame, noSlot when none does. */
-    cache::SlotIndex firstSlot = noSlot;
+    /** First slot caching the frame, cache::noSlot when none does. */
+    cache::SlotIndex firstSlot = cache::noSlot;
 };
 
 /**
@@ -513,12 +511,15 @@ class CacheController
     /** Remove @p slot from its frame's bookkeeping (if tracked);
      *  the frame's entry goes once its last slot does. */
     void forgetSlot(cache::SlotIndex slot);
+    /** A copy of @p slot's page for a write-back (empty without
+     *  CacheConfig::storeData). */
+    PageBuffer copyPage(cache::SlotIndex slot) const;
     /**
      * Invalidate every slot caching @p frame except @p keep. Yields the
      * contents of a modified one, or null when all were clean.
      */
     PageBuffer dropFrameSlots(std::uint64_t frame,
-                              cache::SlotIndex keep = noSlot);
+                              cache::SlotIndex keep = cache::noSlot);
 
     /**
      * Write @p data back to @p frame, leaving its table entry @p after;
@@ -609,8 +610,8 @@ class CacheController
     /** slot -> frame currently cached there, or noFrame (parallel to
      *  the cache). */
     std::vector<std::uint64_t> slotFrame_;
-    /** Next slot caching the same frame, noSlot at the chain's end;
-     *  meaningful only for tracked slots (see FrameInfo::firstSlot). */
+    /** Next slot caching the same frame, cache::noSlot at the chain's
+     *  end; meaningful only for tracked slots (see FrameInfo::firstSlot). */
     std::vector<cache::SlotIndex> aliasNext_;
     /** Software's shadow of the monitor's action table. */
     std::unordered_map<std::uint64_t, mem::ActionEntry> shadow_;

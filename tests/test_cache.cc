@@ -122,7 +122,7 @@ TEST(Cache, UserWriteNeedsUserWritableFlag)
     const auto res = cache.access(1, 0x1000, true, false);
     EXPECT_FALSE(res.hit);
     EXPECT_EQ(res.miss, MissKind::Protection);
-    ASSERT_TRUE(res.slot.has_value());
+    ASSERT_NE(res.slot, noSlot);
 }
 
 TEST(Cache, UserReadNeedsUserReadableFlag)
@@ -153,7 +153,7 @@ TEST(Cache, ExclusiveWriteSetsModified)
                 static_cast<SlotFlags>(FlagUserWritable | FlagExclusive));
     const auto res = cache.access(1, 0x1000, true, false);
     ASSERT_TRUE(res.hit);
-    EXPECT_TRUE(cache.slot(*res.slot).modified());
+    EXPECT_TRUE(cache.slot(res.slot).modified());
 }
 
 TEST(Cache, SupervisorWriteNeedsSupWritable)
@@ -218,7 +218,7 @@ TEST(Cache, EveryMissKindSuggestsTheLruSlot)
     // Read-only for the user: a user write is a protection miss.
     const auto protection = cache.access(1, 4 * 128, true, false);
     EXPECT_EQ(protection.miss, MissKind::Protection);
-    EXPECT_EQ(*protection.slot, new_slot);
+    EXPECT_EQ(protection.slot, new_slot);
     EXPECT_EQ(protection.suggestedVictim, old_slot);
 
     // Writable but shared: a write needs ownership.
@@ -226,7 +226,7 @@ TEST(Cache, EveryMissKindSuggestsTheLruSlot)
                                  FlagUserWritable | FlagSupWritable);
     const auto write_shared = cache.access(1, 4 * 128, true, false);
     EXPECT_EQ(write_shared.miss, MissKind::WriteShared);
-    EXPECT_EQ(*write_shared.slot, new_slot);
+    EXPECT_EQ(write_shared.slot, new_slot);
     EXPECT_EQ(write_shared.suggestedVictim, old_slot);
 
     // Misses leave LRU alone, and probe agrees with access.
@@ -281,6 +281,50 @@ TEST(Cache, DataPlaneRoundTrip)
     EXPECT_EQ(got, value);
     EXPECT_THROW(cache.writeBytes(slot, 126, &value, sizeof(value)),
                  PanicError);
+}
+
+TEST(Cache, DataPlaneRejectsWrappingRange)
+{
+    // offset + len wraps past 2^32 here; the range check must not.
+    Cache cache(smallConfig());
+    const auto slot = installPage(cache, 1, 0x1000);
+    std::uint32_t value = 0;
+    EXPECT_THROW(cache.writeBytes(slot, 0xffffffffu, &value, sizeof(value)),
+                 PanicError);
+    EXPECT_THROW(cache.readBytes(slot, 0xffffffffu, &value, sizeof(value)),
+                 PanicError);
+}
+
+TEST(Cache, DataPlaneSlotsDoNotOverlap)
+{
+    // Every slot's page is its own stretch of the data arena: distinct
+    // first and last words all read back, and a fill zeroes one page.
+    Cache cache(smallConfig());
+    const auto &cfg = cache.config();
+    const auto slots = static_cast<SlotIndex>(cfg.totalSlots());
+    const std::uint32_t last = cfg.pageBytes - 4;
+    const auto tagOf = [&cfg](SlotIndex slot) {
+        // Way w of set s holds vpn s + w * sets.
+        return CacheTag{1, slot / cfg.ways + slot % cfg.ways * cfg.sets};
+    };
+    for (SlotIndex slot = 0; slot < slots; ++slot) {
+        cache.fill(slot, tagOf(slot), FlagUserReadable);
+        const std::uint32_t first_word = 2 * slot + 1;
+        const std::uint32_t last_word = 2 * slot + 2;
+        cache.writeBytes(slot, 0, &first_word, 4);
+        cache.writeBytes(slot, last, &last_word, 4);
+    }
+    const SlotIndex refilled = 3;
+    cache.fill(refilled, tagOf(refilled), FlagUserReadable);
+    for (SlotIndex slot = 0; slot < slots; ++slot) {
+        std::uint32_t first_word = 0;
+        std::uint32_t last_word = 0;
+        cache.readBytes(slot, 0, &first_word, 4);
+        cache.readBytes(slot, last, &last_word, 4);
+        EXPECT_EQ(first_word, slot == refilled ? 0 : 2 * slot + 1) << slot;
+        EXPECT_EQ(last_word, slot == refilled ? 0 : 2 * slot + 2) << slot;
+        EXPECT_EQ(cache.pageData(slot).size(), cfg.pageBytes);
+    }
 }
 
 TEST(Cache, FillClearsOldData)
@@ -479,6 +523,58 @@ TEST_P(CacheGeometryTest, RandomizedLruMatchesReferenceModel)
         }
         ASSERT_LE(lru.size(), cfg.ways);
     }
+}
+
+TEST_P(CacheGeometryTest, RandomizedAccessMatchesProbe)
+{
+    // access() is the inline hit path plus probe() on a miss: for every
+    // outcome it must return exactly what probe() said just before,
+    // and its counters must tally those probes.
+    Cache cache(config());
+    const auto &cfg = cache.config();
+    Rng rng(29);
+    // Probe outcomes seen, indexed by MissKind (None is a hit).
+    std::array<std::uint64_t, 4> seen{};
+    const auto randomFlags = [&rng] {
+        // Any mix of E, SW, UR and UW (bits 2-5).
+        return static_cast<SlotFlags>(rng.below(16) << 2);
+    };
+    for (int step = 0; step < 4000; ++step) {
+        const std::uint64_t vpn = rng.below(2 * cfg.totalSlots());
+        const Addr va = vpn * cfg.pageBytes + rng.below(cfg.pageBytes);
+        const auto asid = static_cast<Asid>(1 + rng.below(2));
+        const bool write = rng.below(2) != 0;
+        const bool supervisor = rng.below(2) != 0;
+
+        const AccessResult want = cache.probe(asid, va, write, supervisor);
+        const AccessResult got = cache.access(asid, va, write, supervisor);
+        ASSERT_EQ(got.hit, want.hit) << "step " << step;
+        ASSERT_EQ(got.miss, want.miss) << "step " << step;
+        ASSERT_EQ(got.slot, want.slot) << "step " << step;
+        ASSERT_EQ(got.suggestedVictim, want.suggestedVictim)
+            << "step " << step;
+        ++seen[static_cast<std::size_t>(want.miss)];
+
+        // Play the miss handler: fill on a tag miss, re-flag the
+        // matching slot on a permission or ownership miss.
+        if (want.miss == MissKind::NoMatch)
+            cache.fill(want.suggestedVictim, cache.tagFor(asid, va),
+                       randomFlags());
+        else if (!want.hit)
+            cache.setFlags(want.slot,
+                           static_cast<SlotFlags>(FlagValid | randomFlags()));
+    }
+    for (std::size_t kind = 0; kind < seen.size(); ++kind)
+        EXPECT_GT(seen[kind], 0u) << "MissKind " << kind << " never seen";
+    const auto kindCount = [&seen](MissKind kind) {
+        return seen[static_cast<std::size_t>(kind)];
+    };
+    EXPECT_EQ(cache.hits().value(), kindCount(MissKind::None));
+    EXPECT_EQ(cache.misses().value(), kindCount(MissKind::NoMatch) +
+                                          kindCount(MissKind::Protection) +
+                                          kindCount(MissKind::WriteShared));
+    EXPECT_EQ(cache.writeSharedMisses().value(),
+              kindCount(MissKind::WriteShared));
 }
 
 std::string

@@ -279,8 +279,8 @@ TEST_F(ProtoTest, ReadFromOwnedPageForcesWriteBackAndDowngrade)
     // cpu0's copy is still valid, now shared and clean.
     const auto res = sys.boards[0]->cache.probe(1, vaA, false, false);
     ASSERT_TRUE(res.hit);
-    EXPECT_FALSE(sys.boards[0]->cache.slot(*res.slot).exclusive());
-    EXPECT_FALSE(sys.boards[0]->cache.slot(*res.slot).modified());
+    EXPECT_FALSE(sys.boards[0]->cache.slot(res.slot).exclusive());
+    EXPECT_FALSE(sys.boards[0]->cache.slot(res.slot).modified());
 }
 
 TEST_F(ProtoTest, OwnershipMigrationPingPong)
@@ -756,7 +756,7 @@ TEST_F(ProtoTest, TwoStateInvariantAfterQuiescence)
             if (res.hit) {
                 std::uint32_t v = 0;
                 sys.boards[cpu]->cache.readBytes(
-                    *res.slot, sys.boards[cpu]->cache.offsetOf(vaA),
+                    res.slot, sys.boards[cpu]->cache.offsetOf(vaA),
                     &v, 4);
                 EXPECT_EQ(v, mem_val);
             }
