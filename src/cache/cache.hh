@@ -119,24 +119,36 @@ class Cache
     /**
      * Present one reference. Updates LRU on hit. @p write requests write
      * access; @p supervisor selects the privilege checked against the
-     * protection flags. The hit path (tag match, permission check, LRU
-     * stamp) is inline; a miss calls the out-of-line accessMiss().
+     * protection flags. The hit path is the inline accessHit(); a miss
+     * calls the out-of-line accessMiss().
      */
     AccessResult
     access(Asid asid, Addr vaddr, bool write, bool supervisor)
     {
+        const SlotIndex idx = accessHit(asid, vaddr, write, supervisor);
+        return idx != noSlot ? AccessResult{true, MissKind::None, idx, 0}
+                             : accessMiss(asid, vaddr, write, supervisor);
+    }
+
+    /**
+     * The hit half of access(): a hit (tag match, permission check, LRU
+     * stamp, Modified bit, hit count) returns its slot; a miss returns
+     * noSlot with no effect, so access() may present it again.
+     */
+    SlotIndex
+    accessHit(Asid asid, Addr vaddr, bool write, bool supervisor)
+    {
         const SlotIndex idx = matchSlot(setOf(vaddr), tagFor(asid, vaddr));
-        if (idx != noSlot) {
-            Slot &s = slots_[idx];
-            if (denial(s.flags, write, supervisor) == MissKind::None) {
-                s.lastUse = useClock_++;
-                if (write)
-                    s.flags |= FlagModified;
-                ++hits_;
-                return AccessResult{true, MissKind::None, idx, 0};
-            }
-        }
-        return accessMiss(asid, vaddr, write, supervisor);
+        if (idx == noSlot)
+            return noSlot;
+        Slot &s = slots_[idx];
+        if (denial(s.flags, write, supervisor) != MissKind::None)
+            return noSlot;
+        s.lastUse = useClock_++;
+        if (write)
+            s.flags |= FlagModified;
+        ++hits_;
+        return idx;
     }
 
     /** Probe without updating LRU or counting stats. */

@@ -268,8 +268,12 @@ Machine::runTraceCpus(const std::vector<trace::RefSource *> &sources)
     }
     activeCpus_ = rawCpus(cpus);
     for (auto &c : cpus)
+        c->setPeers(activeCpus_);
+    for (auto &c : cpus)
         c->run([&remaining] { --remaining; });
     events_.run();
+    for (auto &c : cpus)
+        c->setPeers({});
     // A CPU failstopped mid-trace never fires its completion callback;
     // any other shortfall is a genuine hang.
     std::size_t halted_midrun = 0;

@@ -249,7 +249,8 @@ class Machine
     void enableRecoveryAll(const recover::RecoveryConfig &options);
     void enableCheckpoints(Asid asid);
 
-    /** Run one trace CPU per source to completion; returns them. */
+    /** Run one trace CPU per source to completion, each with the others
+     *  as its lookahead peers (TraceCpu::setPeers); returns them. */
     std::vector<std::unique_ptr<cpu::TraceCpu>>
     runTraceCpus(const std::vector<trace::RefSource *> &sources);
     static std::vector<cpu::TraceCpu *>

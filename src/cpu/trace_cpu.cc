@@ -1,5 +1,8 @@
 #include "cpu/trace_cpu.hh"
 
+#include <algorithm>
+#include <utility>
+
 #include "sim/logging.hh"
 
 namespace vmp::cpu
@@ -9,7 +12,7 @@ TraceCpu::TraceCpu(CpuId id, EventQueue &events,
                    proto::CacheController &controller,
                    trace::RefSource &refs, const M68020Timing &timing)
     : id_(id), events_(events), controller_(controller), source_(refs),
-      timing_(timing), refNs_(timing.refNs()),
+      timing_(timing), refNs_(timing.refNs()), period_(refNs_),
       lane_(events.addLane(
           [](void *cpu) { static_cast<TraceCpu *>(cpu)->present(); },
           this))
@@ -25,6 +28,20 @@ TraceCpu::~TraceCpu()
     // Cancels a pending step too, which matters when an exception
     // unwinds out of the run loop and destroys the CPU mid-trace.
     events_.removeLane(lane_);
+}
+
+void
+TraceCpu::setPeers(const std::vector<TraceCpu *> &cpus)
+{
+    peers_.clear();
+    reach_ = maxTick;
+    for (const TraceCpu *cpu : cpus) {
+        if (cpu != this) {
+            peers_.push_back(Peer{cpu->lane_, &cpu->controller_});
+            reach_ = std::min(reach_,
+                              cpu->controller_.timing().trapEntryNs);
+        }
+    }
 }
 
 void
@@ -72,7 +89,7 @@ TraceCpu::run(Done done)
 }
 
 bool
-TraceCpu::fetch()
+TraceCpu::fetch(bool exhausted)
 {
     // Failstop lands at the instruction boundary: halt without firing
     // done_ (a dead board never reports completion). A halted processor
@@ -93,7 +110,7 @@ TraceCpu::fetch()
         return false;
     }
 
-    if (!source_.next(ref_)) {
+    if (exhausted || !source_.next(ref_)) {
         running_ = false;
         exhausted_ = true;
         finishedAt_ = events_.now();
@@ -111,7 +128,9 @@ void
 TraceCpu::step()
 {
     // Full-speed execution charge for this reference, then present it
-    // to the cache.
+    // to the cache. Every entry here (run(), resume(), interrupt
+    // service, a miss's done-chain) sits inside other work that may
+    // still schedule, so it never batches.
     if (fetch())
         events_.scheduleLane(lane_, events_.now() + refNs_);
 }
@@ -119,15 +138,8 @@ TraceCpu::step()
 void
 TraceCpu::present()
 {
-    // This runs as the CPU's lane step, and after a hit nothing else
-    // is left to do in it. So when no other event (and no run() limit)
-    // falls before the next reference's presentation tick, that event
-    // would be the very next dispatch: retire it here instead, by
-    // advancing the clock. Every other entry to step() (run(),
-    // resume(), interrupt service, a miss's done-chain) sits in the
-    // middle of other work that may still schedule, so it always
-    // schedules.
-    for (;;) {
+    const Pending mode = std::exchange(pending_, Pending::Present);
+    if (mode == Pending::Present) {
         const bool write = ref_.isWrite();
         const auto res = controller_.lookup(ref_.asid, ref_.vaddr, write,
                                             ref_.supervisor);
@@ -142,15 +154,54 @@ TraceCpu::present()
             return;
         }
         ++refs_;
-        if (!fetch())
-            return;
-        const Tick at = events_.now() + refNs_;
-        if (at >= events_.nextTick()) {
-            events_.scheduleLane(lane_, at);
-            return;
-        }
-        events_.advanceTo(at);
     }
+    if (!fetch(mode == Pending::End))
+        return;
+
+    // The batch: retire the references at at, at + refNs, ... without
+    // dispatching while each one and its boundary fall below the
+    // lookahead bound. The first one that is not a plain hit, a
+    // boundary with work to do, or the bound ends it with one step at
+    // its tick: below the bound, where nothing created meanwhile can
+    // land, that step sorts as one event per reference would.
+    Tick at = events_.now() + refNs_;
+    const Tick bound = lookahead(at);
+    while (at + refNs_ < bound &&
+           controller_.cache().accessHit(ref_.asid, ref_.vaddr,
+                                         ref_.isWrite(), ref_.supervisor) !=
+               cache::noSlot) {
+        ++refs_;
+        const bool busy =
+            pendingFailstop_ || halted_ || controller_.interruptPending();
+        if (busy || !source_.next(ref_)) {
+            pending_ = busy ? Pending::Boundary : Pending::End;
+            break;
+        }
+        at += refNs_;
+    }
+    events_.scheduleLane(lane_, at);
+}
+
+Tick
+TraceCpu::scanPeers(Tick at, Tick bound) const
+{
+    // A peer reaches one tick past its step if it is in phase and
+    // ahead (it wins the tie at that tick) or has an interrupt word
+    // pending (its drain may write the bus at once).
+    const Tick now = events_.now();
+    for (const Peer &peer : peers_) {
+        const Tick step = events_.laneStep(peer.lane).when;
+        if (step >= bound - 1)
+            continue;
+        const bool tie = step > now && period_.divides(step - now);
+        bound = std::min(bound, step + (tie ||
+                                        peer.controller->interruptPending()
+                                            ? 1
+                                            : reach_));
+        if (at + refNs_ >= bound)
+            break;
+    }
+    return bound;
 }
 
 Tick

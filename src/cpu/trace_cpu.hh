@@ -5,12 +5,17 @@
  * handler (the CacheController) on misses and servicing bus-monitor
  * interrupts between references. This is the workhorse of the
  * multiprocessor performance experiments (Sections 5.2, 5.3).
+ *
+ * Runs of hits retire ahead of the event queue while no other board
+ * can reach this one, bit-identically (DESIGN.md "Lookahead").
  */
 
 #ifndef VMP_CPU_TRACE_CPU_HH
 #define VMP_CPU_TRACE_CPU_HH
 
+#include <algorithm>
 #include <functional>
+#include <vector>
 
 #include "cpu/timing.hh"
 #include "proto/controller.hh"
@@ -51,6 +56,11 @@ class TraceCpu
      */
     void resume();
 
+    /** The CPUs sharing the queue for one run (core::Machine sets
+     *  them). A completion callback must not touch another board
+     *  synchronously: a peer's batch may be out. */
+    void setPeers(const std::vector<TraceCpu *> &cpus);
+
     /** True while halted by a failstop. */
     bool halted() const { return halted_; }
 
@@ -79,32 +89,74 @@ class TraceCpu
     void registerStats(StatGroup &group) const;
 
   private:
+    /** The pending step presents ref_, or takes the boundary of one
+     *  a batch retired (End: found the trace exhausted). */
+    enum class Pending : std::uint8_t { Present, Boundary, End };
+
+    struct Peer
+    {
+        std::uint32_t lane;
+        const proto::CacheController *controller;
+    };
+
     /**
      * Take the next instruction boundary: fetch the next reference
      * into ref_ and return true, or handle a failstop, interrupt
-     * service or the end of the trace and return false.
+     * service or the end of the trace (already found when
+     * @p exhausted) and return false.
      */
-    bool fetch();
+    bool fetch(bool exhausted = false);
     /** fetch(), then schedule the reference's presentation as the
      *  CPU's lane step. */
     void step();
-    /** Lane step: present ref_ to the cache, retiring hits inline
-     *  while no other event is due before the next reference. */
+    /** Lane step: present ref_ (or take a batch's boundary), then
+     *  retire the hits that follow in a batch. */
     void present();
+    /**
+     * The tick a batch whose first reference presents at @p at keeps
+     * its references and their boundaries below: nextTick(), unless
+     * that is the first lane step and the peers' reach pushes it out
+     * (DESIGN.md "Lookahead").
+     */
+    Tick
+    lookahead(Tick at) const
+    {
+        const Tick next = events_.nextTick();
+        const EventId &first = events_.firstLane();
+        if (peers_.empty() || !first.valid() || next != first.when)
+            return next;
+        // No peer reaches further than reach_ past its step. A scan
+        // costs a few ns a peer and a batched reference saves a
+        // dispatch: scan only if one more reference per four fits.
+        Tick bound = std::min(events_.heapTop(), next + reach_);
+        if (events_.runLimit() < bound)
+            bound = events_.runLimit() + 1;
+        if (bound <= at + refNs_ * (1 + peers_.size() / 4))
+            return next;
+        return scanPeers(at, bound);
+    }
+    /** Lower @p bound to the peers' reach, stopping once no reference
+     *  at @p at fits below it. */
+    Tick scanPeers(Tick at, Tick bound) const;
 
     CpuId id_;
     EventQueue &events_;
     proto::CacheController &controller_;
     trace::RefSource &source_;
     M68020Timing timing_;
-    /** timing_.refNs(), computed once. */
+    /** timing_.refNs(), computed once, and its phase test. */
     Tick refNs_;
+    Period period_;
     /** This CPU's lane in events_: at most one presentation pending. */
     std::uint32_t lane_;
     Done done_;
     /** The reference being presented (held between step() and
      *  present(), and across a miss). */
     trace::MemRef ref_;
+    Pending pending_ = Pending::Present;
+    std::vector<Peer> peers_;
+    /** The least trapEntryNs among peers_. */
+    Tick reach_ = 0;
     bool running_ = false;
     bool pendingFailstop_ = false;
     bool halted_ = false;

@@ -153,13 +153,6 @@ EventQueue::badLaneSchedule(std::uint32_t lane, Tick when) const
 }
 
 void
-EventQueue::badAdvance(Tick when) const
-{
-    panic("advancing the clock to ", when, " outside [now ", now_,
-          ", next event ", nextTick(), ")");
-}
-
-void
 EventQueue::stepTop()
 {
     const Entry top = heap_.front();
@@ -201,7 +194,7 @@ EventQueue::run(Tick limit)
     limit_ = limit;
     for (;;) {
         if (laneFirst()) {
-            if (firstLaneStep().when > limit)
+            if (firstLane().when > limit)
                 break;
             stepLane();
         } else if (!heap_.empty() && heap_.front().id.when <= limit) {

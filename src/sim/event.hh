@@ -5,12 +5,16 @@
  * order, which makes simulations deterministic for a given seed.
  * Recurring per-component steps (a trace CPU's next reference) go
  * through lanes, which share that order without a heap entry or a
- * std::function per step.
+ * std::function per step. Read-only queries (heap top, run limit,
+ * earliest lane, a lane's pending step) let a trace CPU bound how far
+ * it may retire hits ahead of the queue (cpu/trace_cpu.hh).
  */
 
 #ifndef VMP_SIM_EVENT_HH
 #define VMP_SIM_EVENT_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -41,6 +45,39 @@ struct EventId
     {
         return when == other.when && seq == other.seq;
     }
+};
+
+/**
+ * A divide-free multiple test for a fixed period = 2^k * m, m odd: d is
+ * a multiple iff rotr(d * m^-1 mod 2^64, k) <= (2^64 - 1) / period
+ * (Granlund and Montgomery, PLDI 1994), one multiply for `d % period`.
+ */
+class Period
+{
+  public:
+    explicit constexpr Period(Tick period)
+        : shift_(period == 0 ? 0 : std::countr_zero(period)),
+          limit_(period == 0 ? 0 : maxTick / period),
+          inverse_((period >> shift_) | 1)
+    {
+        // Newton's iteration doubles the correct low bits of m^-1; an
+        // odd m is its own inverse to three bits.
+        const Tick odd = inverse_;
+        for (int i = 0; i < 5; ++i)
+            inverse_ *= 2 - odd * inverse_;
+    }
+
+    /** True iff @p d is a multiple of the period (of 0: d == 0). */
+    bool
+    divides(Tick d) const
+    {
+        return std::rotr(d * inverse_, shift_) <= limit_;
+    }
+
+  private:
+    int shift_;
+    Tick limit_;
+    Tick inverse_;
 };
 
 /**
@@ -154,6 +191,23 @@ class EventQueue
     /** Dispatch exactly one event if any is pending. */
     bool step();
 
+    /** Earliest pending heap event's tick (lanes aside), or maxTick. */
+    Tick
+    heapTop() const
+    {
+        return heap_.empty() ? maxTick : heap_.front().id.when;
+    }
+
+    /** Limit of the run() in progress; maxTick outside run(). */
+    Tick runLimit() const { return limit_; }
+
+    /** The earliest pending lane step (the winner tree's root), or an
+     *  invalid id. */
+    const EventId &firstLane() const { return laneAt_[winner_[1]]; }
+
+    /** Registered @p lane's pending step, or an invalid id. */
+    const EventId &laneStep(std::uint32_t lane) const { return laneAt_[lane]; }
+
     /**
      * Earliest tick at which anything else can happen: the first
      * pending event, or one past the limit of the run() in progress,
@@ -162,23 +216,8 @@ class EventQueue
     Tick
     nextTick() const
     {
-        Tick next = heap_.empty() ? maxTick : heap_.front().id.when;
-        if (firstLaneStep().when < next)
-            next = firstLaneStep().when;
+        const Tick next = std::min(heapTop(), firstLane().when);
         return limit_ < next ? limit_ + 1 : next;
-    }
-
-    /**
-     * Move the clock to @p when without dispatching anything, for a
-     * caller that would otherwise schedule itself there as the very
-     * next event. Panics unless now() <= @p when < nextTick().
-     */
-    void
-    advanceTo(Tick when)
-    {
-        if (when < now_ || when >= nextTick())
-            badAdvance(when);
-        now_ = when;
     }
 
     /**
@@ -212,13 +251,11 @@ class EventQueue
     void popTop();
     /** Pop cancelled entries off the top, recycling their slots. */
     void dropCancelled();
-    /** The root's step: the earliest pending lane step, or invalid. */
-    const EventId &firstLaneStep() const { return laneAt_[winner_[1]]; }
     /** True if the earliest lane step precedes the heap top. */
     bool
     laneFirst() const
     {
-        const EventId &first = firstLaneStep();
+        const EventId &first = firstLane();
         return heap_.empty() ? first.valid() : first < heap_.front().id;
     }
     /** Dispatch the heap top (not cancelled, by the invariant). */
@@ -230,7 +267,6 @@ class EventQueue
     /** Size the leaves for the registry and recompute every node. */
     void rebuildLanes();
     [[noreturn]] void badLaneSchedule(std::uint32_t lane, Tick when) const;
-    [[noreturn]] void badAdvance(Tick when) const;
 
     Tick now_ = 0;
     /** Limit of the run() in progress (maxTick outside run()). */

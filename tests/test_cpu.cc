@@ -95,20 +95,29 @@ TEST_F(CpuFixture, HitsRunAtFullSpeed)
     EXPECT_GT(cpu.performance(), 0.6);
 }
 
-/** @p count reads cycling over the words of one user page. */
+/**
+ * @p count reads cycling over the words of one user page of @p asid,
+ * counting calls to next() (the one that finds the source exhausted
+ * included).
+ */
 class OnePageSource : public trace::RefSource
 {
   public:
-    explicit OnePageSource(std::uint64_t count) : left_(count) {}
+    explicit OnePageSource(std::uint64_t count, Asid asid = 1)
+        : left_(count), asid_(asid)
+    {}
+
+    std::uint64_t fetches() const { return fetches_; }
 
     bool
     next(trace::MemRef &ref) override
     {
+        ++fetches_;
         if (left_ == 0)
             return false;
         --left_;
         ref = trace::MemRef{};
-        ref.asid = 1;
+        ref.asid = asid_;
         ref.vaddr = trace::userBase + 4 * (left_ % 64);
         ref.type = trace::RefType::DataRead;
         return true;
@@ -116,12 +125,14 @@ class OnePageSource : public trace::RefSource
 
   private:
     std::uint64_t left_;
+    Asid asid_;
+    std::uint64_t fetches_ = 0;
 };
 
 TEST_F(CpuFixture, LongHitRunRetiresInlineWithoutRecursion)
 {
     // With nothing else queued, every hit after the first miss is
-    // retired inside one event by advancing the clock, in a loop: a
+    // retired inside one event by a lookahead batch, in a loop: a
     // million hits take a handful of events and no deep call stack,
     // and the elapsed time is exactly what one event per reference
     // gave.
@@ -137,6 +148,175 @@ TEST_F(CpuFixture, LongHitRunRetiresInlineWithoutRecursion)
     EXPECT_EQ(cpu.elapsed(), refs * 350 + 13'500 + 6'600);
     EXPECT_LT(events.dispatched(), refs);
     EXPECT_LT(events.dispatched(), 100u);
+}
+
+// ------------------------------------------------ lookahead batches
+//
+// With its page cached, a CPU started at t0 presents reference k at
+// t0 + 350k. Each test ends a batch one way and pins the tick against
+// that arithmetic, which one event per reference gives as well.
+
+/** Cache OnePageSource's page of @p asid on @p controller's board
+ *  with a one-reference warm-up run; returns the tick it ended. */
+Tick
+warmPage(EventQueue &events, proto::CacheController &controller,
+         Asid asid = 1)
+{
+    OnePageSource source(1, asid);
+    TraceCpu warm(0, events, controller, source);
+    warm.run(nullptr);
+    events.run();
+    return events.now();
+}
+
+TEST_F(CpuFixture, BatchEndsAtAFailstopInsideItsWindow)
+{
+    const Tick t0 = warmPage(events, controller);
+    OnePageSource source(1'000);
+    TraceCpu cpu(0, events, controller, source);
+    // Requested 100 ticks past the tenth reference, the failstop lands
+    // at the eleventh reference's boundary, as with one event each.
+    events.schedule(t0 + 10 * 350 + 100, [&] { cpu.requestFailstop(); });
+    bool done = false;
+    const auto before = events.dispatched();
+    cpu.run([&] { done = true; });
+    events.run();
+    EXPECT_FALSE(done);
+    EXPECT_TRUE(cpu.halted());
+    EXPECT_EQ(cpu.refsExecuted(), 11u);
+    EXPECT_EQ(source.fetches(), 11u);
+    EXPECT_EQ(cpu.finishedAt(), t0 + 11 * 350);
+    // The first reference's step retires 2-9 in a batch the kill
+    // event bounds; the tenth and eleventh are the steps around it.
+    EXPECT_EQ(events.dispatched() - before, 4u);
+}
+
+TEST_F(CpuFixture, WordPendingAtABoundaryIsServicedThere)
+{
+    const Tick t0 = warmPage(events, controller);
+    OnePageSource source(1'000);
+    TraceCpu cpu(0, events, controller, source);
+    std::vector<Tick> serviced;
+    std::vector<std::uint64_t> refs_then;
+    controller.setNotifyHandler([&](Addr) {
+        serviced.push_back(events.now());
+        refs_then.push_back(cpu.refsExecuted());
+    });
+    const auto raise = [&] {
+        monitor.fifo().push(monitor::InterruptWord{mem::TxType::Notify,
+                                                   0x4000, 1, false});
+    };
+    // One word is already pending when the tenth reference's step
+    // starts: it is serviced at that boundary, after serviceNs. The
+    // drain ends at t1 = t0 + 3500 + 3000; the eleventh reference
+    // presents at t1 + 350. A second word raised one tick after the
+    // twentieth reference waits for the 21st's boundary.
+    const Tick t1 = t0 + 10 * 350 + 3'000;
+    events.schedule(t0 + 10 * 350, raise);
+    events.schedule(t1 + 10 * 350 + 1, raise);
+    cpu.run(nullptr);
+    events.run();
+    EXPECT_EQ(cpu.refsExecuted(), 1'000u);
+    EXPECT_EQ(serviced, (std::vector<Tick>{t1, t1 + 11 * 350 + 3'000}));
+    EXPECT_EQ(refs_then, (std::vector<std::uint64_t>{10, 21}));
+    EXPECT_EQ(cpu.finishedAt(), t1 + 3'000 + 990 * 350);
+}
+
+TEST_F(CpuFixture, TraceEndingInABatchFinishesAtItsLastReference)
+{
+    const Tick t0 = warmPage(events, controller);
+    OnePageSource source(25);
+    TraceCpu cpu(0, events, controller, source);
+    Tick done_at = 0;
+    const auto before = events.dispatched();
+    cpu.run([&] { done_at = events.now(); });
+    events.run();
+    EXPECT_EQ(cpu.refsExecuted(), 25u);
+    EXPECT_EQ(done_at, t0 + 25 * 350);
+    EXPECT_EQ(cpu.finishedAt(), t0 + 25 * 350);
+    // The batch found the end at the 25th boundary; the step it left
+    // there reports it without asking the source again.
+    EXPECT_EQ(source.fetches(), 26u);
+    EXPECT_EQ(events.dispatched() - before, 2u);
+}
+
+TEST_F(CpuFixture, RunLimitRetiresExactlyTheReferencesPresentedByIt)
+{
+    const Tick t0 = warmPage(events, controller);
+    OnePageSource source(100);
+    TraceCpu cpu(0, events, controller, source);
+    cpu.run(nullptr);
+    // Between presentations: the tenth retires, and its boundary has
+    // fetched the eleventh.
+    events.run(t0 + 10 * 350 + 100);
+    EXPECT_EQ(cpu.refsExecuted(), 10u);
+    EXPECT_EQ(source.fetches(), 11u);
+    // Exactly at a presentation: that reference retires too.
+    events.run(t0 + 20 * 350);
+    EXPECT_EQ(cpu.refsExecuted(), 20u);
+    EXPECT_EQ(source.fetches(), 21u);
+    events.run();
+    EXPECT_EQ(cpu.refsExecuted(), 100u);
+    EXPECT_EQ(cpu.finishedAt(), t0 + 100 * 350);
+}
+
+TEST(TraceCpuLookahead, InPhaseLaneAheadWinsTheTieAtItsTick)
+{
+    // Two boards hitting in lockstep: whichever CPU started first is
+    // ahead at every shared tick, batches or not, so both finish at
+    // the same tick and report in the order they started.
+    constexpr auto prot = static_cast<cache::SlotFlags>(
+        cache::FlagSupWritable | cache::FlagUserReadable |
+        cache::FlagUserWritable);
+    for (const bool a_first : {true, false}) {
+        SCOPED_TRACE(a_first ? "a first" : "b first");
+        EventQueue events;
+        mem::PhysMem memory(memBytes, pageBytes);
+        mem::VmeBus bus(events, memory);
+        proto::FixedTranslator translator(pageBytes);
+        translator.map(1, trace::userBase, 0x4000, prot);
+        translator.map(2, trace::userBase, 0x4100, prot);
+        struct Board
+        {
+            Board(CpuId id, EventQueue &events, mem::VmeBus &bus,
+                  proto::Translator &translator)
+                : cache(cache::CacheConfig{pageBytes, 4, 16, true}),
+                  monitor(id, memBytes, pageBytes),
+                  controller(id, events, cache, monitor, bus, translator)
+            {
+                bus.attachWatcher(id, monitor);
+            }
+
+            cache::Cache cache;
+            monitor::BusMonitor monitor;
+            proto::CacheController controller;
+        };
+        Board board_a(0, events, bus, translator);
+        Board board_b(1, events, bus, translator);
+        warmPage(events, board_a.controller, 1);
+        const Tick t0 = warmPage(events, board_b.controller, 2);
+
+        constexpr std::uint64_t refs = 40;
+        OnePageSource source_a(refs, 1);
+        OnePageSource source_b(refs, 2);
+        TraceCpu a(0, events, board_a.controller, source_a);
+        TraceCpu b(1, events, board_b.controller, source_b);
+        a.setPeers({&a, &b});
+        b.setPeers({&a, &b});
+        std::vector<CpuId> order;
+        TraceCpu &first = a_first ? a : b;
+        TraceCpu &second = a_first ? b : a;
+        const auto before = events.dispatched();
+        first.run([&] { order.push_back(first.cpuId()); });
+        second.run([&] { order.push_back(second.cpuId()); });
+        events.run();
+        EXPECT_EQ(a.finishedAt(), t0 + refs * 350);
+        EXPECT_EQ(b.finishedAt(), t0 + refs * 350);
+        EXPECT_EQ(order,
+                  (std::vector<CpuId>{first.cpuId(), second.cpuId()}));
+        // Each peer's reach (trapEntryNs) let the two batch.
+        EXPECT_LT(events.dispatched() - before, refs / 2);
+    }
 }
 
 TEST_F(CpuFixture, ZeroMissWorkloadHasUnitPerformance)

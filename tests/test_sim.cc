@@ -431,10 +431,48 @@ laneStress(std::size_t initial_lanes, std::size_t max_lanes)
     /** Limit of the run() in progress, maxTick outside one. */
     Tick limit = maxTick;
 
+    struct Lane
+    {
+        std::uint32_t index;
+        /** Planned id of the pending step, -1 when idle. */
+        int pending;
+        std::function<void(Lane &)> *body;
+    };
+    std::function<void(Lane &)> lane_body;
+    std::vector<std::unique_ptr<Lane>> lanes;
     const auto check_queue = [&] {
         EXPECT_EQ(eq.pending(), model.size());
         const Tick first = model.empty() ? maxTick : model.begin()->first;
         EXPECT_EQ(eq.nextTick(), limit < first ? limit + 1 : first);
+        EXPECT_EQ(eq.runLimit(), limit);
+        // The queries the lookahead reads: the earliest closure, the
+        // earliest lane step by (tick, seq) and each lane's own step.
+        Tick heap_top = maxTick;
+        int first_lane = -1;
+        for (const auto &[when, id] : model) {
+            if (!planned[static_cast<std::size_t>(id)].lane)
+                heap_top = std::min(heap_top, when);
+            else if (first_lane < 0)
+                first_lane = id;
+        }
+        EXPECT_EQ(eq.heapTop(), heap_top);
+        EXPECT_EQ(eq.firstLane().valid(), first_lane >= 0);
+        if (first_lane >= 0) {
+            EXPECT_EQ(eq.firstLane().when,
+                      planned[static_cast<std::size_t>(first_lane)].when);
+        }
+        for (const auto &lane : lanes) {
+            const EventId &step = eq.laneStep(lane->index);
+            EXPECT_EQ(step.valid(), lane->pending >= 0);
+            if (lane->pending >= 0) {
+                EXPECT_EQ(step.when,
+                          planned[static_cast<std::size_t>(lane->pending)]
+                              .when);
+            }
+            if (first_lane >= 0 && lane->pending == first_lane) {
+                EXPECT_EQ(eq.firstLane(), step);
+            }
+        }
     };
     // Expect the model's first entry to be dispatching now.
     const auto dispatch = [&](int id) {
@@ -446,15 +484,6 @@ laneStress(std::size_t initial_lanes, std::size_t max_lanes)
         ++fired;
     };
 
-    struct Lane
-    {
-        std::uint32_t index;
-        /** Planned id of the pending step, -1 when idle. */
-        int pending;
-        std::function<void(Lane &)> *body;
-    };
-    std::function<void(Lane &)> lane_body;
-    std::vector<std::unique_ptr<Lane>> lanes;
     const EventQueue::LaneFn lane_fn = [](void *ctx) {
         auto &lane = *static_cast<Lane *>(ctx);
         (*lane.body)(lane);
@@ -757,43 +786,95 @@ TEST(EventQueue, CallbackMayReuseItsOwnSlot)
     EXPECT_EQ(eq.pending(), 0u);
 }
 
-TEST(EventQueue, NextTickAndAdvanceToContract)
+TEST(EventQueue, NextTickAndQueriesContract)
 {
     EventQueue eq;
     EXPECT_EQ(eq.nextTick(), maxTick);
-    eq.advanceTo(5);
-    EXPECT_EQ(eq.now(), 5u);
+    EXPECT_EQ(eq.heapTop(), maxTick);
+    EXPECT_EQ(eq.runLimit(), maxTick);
+    EXPECT_FALSE(eq.firstLane().valid());
 
     EventId first = eq.schedule(100, [] {});
     eq.schedule(200, [] {});
     EXPECT_EQ(eq.nextTick(), 100u);
-    eq.advanceTo(99);
-    EXPECT_EQ(eq.now(), 99u);
-    EXPECT_EQ(eq.dispatched(), 0u);
-    // Advancing to or past the next event, or backwards, panics.
-    EXPECT_THROW(eq.advanceTo(100), PanicError);
-    EXPECT_THROW(eq.advanceTo(150), PanicError);
-    EXPECT_THROW(eq.advanceTo(98), PanicError);
-    EXPECT_EQ(eq.now(), 99u);
+    EXPECT_EQ(eq.heapTop(), 100u);
+
+    // Lane steps count in nextTick() and firstLane(), never in
+    // heapTop(); laneStep() names each lane's own pending key.
+    const EventQueue::LaneFn nop = [](void *) {};
+    const std::uint32_t a = eq.addLane(nop, nullptr);
+    const std::uint32_t b = eq.addLane(nop, nullptr);
+    EXPECT_FALSE(eq.laneStep(a).valid());
+    eq.scheduleLane(a, 150);
+    eq.scheduleLane(b, 50);
+    EXPECT_EQ(eq.laneStep(a).when, 150u);
+    EXPECT_EQ(eq.laneStep(b).when, 50u);
+    EXPECT_LT(eq.laneStep(a).seq, eq.laneStep(b).seq);
+    EXPECT_EQ(eq.firstLane(), eq.laneStep(b));
+    EXPECT_EQ(eq.nextTick(), 50u);
+    EXPECT_EQ(eq.heapTop(), 100u);
+    eq.removeLane(b);
+    EXPECT_EQ(eq.firstLane(), eq.laneStep(a));
+    eq.removeLane(a);
+    EXPECT_FALSE(eq.firstLane().valid());
 
     // A cancelled event no longer bounds the window.
     EXPECT_TRUE(eq.deschedule(first));
     EXPECT_EQ(eq.nextTick(), 200u);
+    EXPECT_EQ(eq.heapTop(), 200u);
 
-    // Inside run(limit), the limit bounds it as well: nothing may
-    // advance past a tick the run would not have reached.
+    // Inside run(limit), the limit bounds it as well, and runLimit()
+    // names it; outside, it is maxTick again.
     Tick inside = 0;
+    Tick limit = 0;
     eq.schedule(120, [&] {
         inside = eq.nextTick();
-        eq.advanceTo(150);
-        EXPECT_THROW(eq.advanceTo(151), PanicError);
+        limit = eq.runLimit();
     });
     EXPECT_EQ(eq.run(150), 150u);
     EXPECT_EQ(inside, 151u);
+    EXPECT_EQ(limit, 150u);
+    EXPECT_EQ(eq.runLimit(), maxTick);
     EXPECT_EQ(eq.nextTick(), 200u);
     eq.run();
     EXPECT_EQ(eq.now(), 200u);
     EXPECT_EQ(eq.nextTick(), maxTick);
+    EXPECT_EQ(eq.heapTop(), maxTick);
+}
+
+TEST(Period, DividesMatchesRemainder)
+{
+    // Every period up to 1000 and a few large ones, odd and even,
+    // against %, on small, large and random dividends.
+    std::vector<Tick> periods;
+    for (Tick p = 1; p <= 1000; ++p)
+        periods.push_back(p);
+    for (const Tick p : {Tick{350}, Tick{1} << 32, (Tick{1} << 63) + 1,
+                         Tick{3} << 40, maxTick, maxTick - 1})
+        periods.push_back(p);
+    Rng rng(7);
+    for (const Tick p : periods) {
+        const Period period(p);
+        const auto check = [&](Tick d) {
+            ASSERT_EQ(period.divides(d), d % p == 0)
+                << d << " over period " << p;
+        };
+        for (Tick d = 0; d < 3 * 1024; ++d)
+            check(d);
+        for (const Tick k : {Tick{1}, Tick{2}, Tick{1000}, maxTick / p}) {
+            check(k * p);
+            check(k * p - 1);
+            check(k * p + 1);
+        }
+        check(maxTick);
+        for (int i = 0; i < 200; ++i)
+            check(rng.next());
+    }
+    // Period 0: only 0 is a multiple of it.
+    const Period zero(0);
+    EXPECT_TRUE(zero.divides(0));
+    EXPECT_FALSE(zero.divides(1));
+    EXPECT_FALSE(zero.divides(maxTick));
 }
 
 TEST(Logging, InformToggle)
