@@ -141,7 +141,7 @@ runPoint(Mode mode, std::uint64_t seed, std::uint32_t sets = 64,
 
     for (std::uint32_t cpu = 0; cpu < kCpus; ++cpu) {
         point.watchdogTrips +=
-            system.controller(cpu).watchdogTrips().value();
+            system.controller(cpu).client().watchdogTrips().value();
         const auto &cache = system.board(cpu).cache;
         const double refs = static_cast<double>(
             cache.hits().value() + cache.misses().value());

@@ -27,7 +27,7 @@ void
 CoherenceChecker::addController(const proto::CacheController &controller)
 {
     controllers_.push_back(&controller);
-    monitors_.push_back(&controller.busMonitor());
+    monitors_.push_back(&controller.client().monitor());
 }
 
 void
@@ -133,7 +133,7 @@ CoherenceChecker::checkFull()
         if (ctl->dead())
             continue;
         const auto cpu = ctl->cpuId();
-        const monitor::ActionTable &table = ctl->busMonitor().table();
+        const monitor::ActionTable &table = ctl->client().monitor().table();
 
         // I2: software frame state vs own hardware table entry.
         for (const auto &[frame, info] : ctl->frameTable()) {
@@ -173,7 +173,7 @@ CoherenceChecker::checkFull()
         }
 
         // I3: software shadow table == hardware table.
-        for (const auto &[frame, entry] : ctl->shadowTable()) {
+        for (const auto &[frame, entry] : ctl->client().shadowTable()) {
             const mem::ActionEntry actual = table.get(frame);
             if (actual != entry) {
                 std::ostringstream os;

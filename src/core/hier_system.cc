@@ -142,32 +142,6 @@ HierVmpSystem::armInterBusCrash(const fault::BoardCrashSpec &crash)
 }
 
 void
-HierVmpSystem::armInterBusPartial(const fault::PartialFaultSpec &spec)
-{
-    // Wedged-IBC variant: the bridge's service pump stops draining
-    // both FIFOs while its global monitor keeps aborting.
-    if (spec.kind != fault::FaultKind::MonitorWedge)
-        fatal("hier: only wedgeInterBus() partial faults target "
-              "inter-bus boards");
-    if (spec.board >= cfg_.clusters)
-        fatal("hier: wedgeInterBus(", spec.board, ") out of range");
-    hier::InterBusBoard *ibc = cluster(spec.board).bridge.get();
-    const std::uint32_t k = spec.board;
-    events_.schedule(spec.at, [this, ibc, k] {
-        if (ibc->dead())
-            return;
-        VMP_DTRACE(debug::Fault, events_.now(), "cluster ", k,
-                   " inter-bus board wedged");
-        ibc->setWedged(true);
-        injector_->notePartialFault(fault::FaultKind::MonitorWedge);
-    }, "partial-fault");
-    if (spec.clearAt != 0) {
-        events_.schedule(spec.clearAt, [ibc] { ibc->setWedged(false); },
-                         "partial-clear");
-    }
-}
-
-void
 HierVmpSystem::enableCoherenceCheckers(check::CheckerOptions options)
 {
     enableCheckers(options);
@@ -240,7 +214,7 @@ HierVmpSystem::killInterBusBoard(std::uint32_t k, Tick at)
             return;
         VMP_DTRACE(debug::Recover, events_.now(),
                    "killing inter-bus board of cluster ", k);
-        ibc->failstop();
+        ibc->client().failstop();
         if (injector_)
             injector_->noteBoardCrash();
     }, "kill-ibc");

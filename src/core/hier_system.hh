@@ -215,7 +215,6 @@ class HierVmpSystem : public Machine
     const BusDomain &cluster(std::size_t k) const;
 
     void armInterBusCrash(const fault::BoardCrashSpec &crash) override;
-    void armInterBusPartial(const fault::PartialFaultSpec &spec) override;
 
     HierConfig cfg_;
     std::unique_ptr<backing::BudgetController> budget_;

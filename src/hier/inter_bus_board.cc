@@ -1,6 +1,7 @@
 #include "hier/inter_bus_board.hh"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -12,6 +13,27 @@ using mem::ActionEntry;
 using mem::TxType;
 using mem::WatchVerdict;
 
+namespace
+{
+
+/**
+ * The engine's share of the board's instruction budget: the service
+ * quantum and the retry back-off. No dead-owner deadline: the board's
+ * retry loops keep retrying until their frame comes.
+ */
+proto::SoftwareTiming
+engineTiming(const IbcTiming &timing)
+{
+    proto::SoftwareTiming engine;
+    engine.serviceNs = timing.serviceNs;
+    engine.retryNs = timing.retryNs;
+    engine.retryJitterNs = timing.retryJitterNs;
+    engine.deadOwnerTimeoutNs = 0;
+    return engine;
+}
+
+} // namespace
+
 InterBusBoard::InterBusBoard(std::uint32_t cluster_index,
                              std::uint32_t local_master_id,
                              EventQueue &events, mem::VmeBus &local_bus,
@@ -19,64 +41,52 @@ InterBusBoard::InterBusBoard(std::uint32_t cluster_index,
                              mem::PhysMem &image,
                              const IbcTiming &timing,
                              std::size_t fifo_capacity)
-    : globalId_(cluster_index), localId_(local_master_id),
-      events_(events), localBus_(local_bus), globalBus_(global_bus),
-      image_(image), timing_(timing), pageBytes_(image.pageBytes()),
+    : localId_(local_master_id), events_(events), localBus_(local_bus),
+      image_(image), timing_(timing),
       localTable_(image.size(), image.pageBytes()),
       localFifo_(fifo_capacity),
       globalMonitor_(cluster_index, image.size(), image.pageBytes(),
                      fifo_capacity),
-      globalCopier_(cluster_index, global_bus),
-      rng_(0x51C5'A11Du * (cluster_index + 1) + 0x0B0Au),
+      client_(*this, "ibc", cluster_index, events, globalMonitor_,
+              global_bus, image.pageBytes(), engineTiming(timing),
+              0x51C5'A11Du * (cluster_index + 1) + 0x0B0Au),
       staging_(image.pageBytes())
 {
     localBus_.attachWatcher(localId_, *this);
-    globalBus_.attachWatcher(globalId_, globalMonitor_);
+    global_bus.attachWatcher(cluster_index, globalMonitor_);
     globalMonitor_.setInterruptLine([this] { kick(); });
 }
 
 void
 InterBusBoard::traceInstant(obs::EventKind kind, Addr addr)
 {
-    if (tracer_ == nullptr)
+    if (client_.tracer() == nullptr)
         return;
     obs::TraceEvent event;
     event.kind = kind;
     event.at = events_.now();
     event.addr = addr;
-    event.master = globalId_;
-    event.track = traceTrack_;
-    tracer_->record(event);
+    event.master = client_.id();
+    event.track = client_.traceTrack();
+    client_.tracer()->record(event);
 }
 
 void
 InterBusBoard::traceFetch(Tick started, Addr addr, bool exclusive,
                           bool upgrade)
 {
-    if (tracer_ == nullptr)
+    if (client_.tracer() == nullptr)
         return;
     obs::TraceEvent event;
     event.kind = obs::EventKind::IbcFetch;
     event.at = started;
     event.addr = addr;
     event.arg0 = events_.now() - started;
-    event.master = globalId_;
-    event.track = traceTrack_;
+    event.master = client_.id();
+    event.track = client_.traceTrack();
     event.aux = static_cast<std::uint8_t>((exclusive ? 1u : 0u) |
                                           (upgrade ? 2u : 0u));
-    tracer_->record(event);
-}
-
-std::uint64_t
-InterBusBoard::frameOf(Addr paddr) const
-{
-    return image_.frameOf(paddr);
-}
-
-Addr
-InterBusBoard::frameBase(Addr paddr) const
-{
-    return image_.frameBase(image_.frameOf(paddr));
+    client_.tracer()->record(event);
 }
 
 WatchVerdict
@@ -94,7 +104,7 @@ InterBusBoard::observe(const mem::BusTransaction &tx)
         // here whether another local monitor aborts this transfer, but
         // writing back a frame whose image copy merely *equals* main
         // memory is redundant, never incorrect.
-        dirty_.insert(frameOf(tx.paddr));
+        dirty_.insert(client_.frameOf(tx.paddr));
         return WatchVerdict::Ignore;
       case TxType::Notify:
         // Notifications are cluster-local (cross-cluster notification
@@ -142,13 +152,6 @@ InterBusBoard::isDirty(Addr paddr) const
     return dirty_.count(image_.frameOf(paddr)) != 0;
 }
 
-mem::ActionEntry
-InterBusBoard::globalShadowEntry(Addr paddr) const
-{
-    const auto it = globalShadow_.find(image_.frameOf(paddr));
-    return it == globalShadow_.end() ? ActionEntry::Ignore : it->second;
-}
-
 bool
 InterBusBoard::idle() const
 {
@@ -160,7 +163,7 @@ InterBusBoard::idle() const
 void
 InterBusBoard::kick()
 {
-    if (dead_ || wedged_ || busy_ || kickScheduled_)
+    if (client_.dead() || client_.wedged() || busy_ || kickScheduled_)
         return;
     kickScheduled_ = true;
     events_.scheduleIn(1, [this] {
@@ -172,15 +175,15 @@ InterBusBoard::kick()
 void
 InterBusBoard::pump()
 {
-    if (dead_ || wedged_ || busy_)
+    if (client_.dead() || client_.wedged() || busy_)
         return;
     // Global-FIFO overflow may have lost an interrupt word for another
     // cluster's *successful* ownership acquisition; recover
     // conservatively before trusting any entry again.
     if (globalMonitor_.fifo().overflowed()) {
         busy_ = true;
-        ++serviceEpoch_;
-        recoverGlobalOverflow([this] { finishWork(); });
+        client_.noteProgress();
+        recoverFromOverflow([this] { finishWork(); });
         return;
     }
     // Local-FIFO overflow is harmless: every dropped word belonged to
@@ -192,16 +195,20 @@ InterBusBoard::pump()
     }
     if (auto word = globalMonitor_.fifo().pop()) {
         busy_ = true;
-        ++wordsGlobal_;
-        ++serviceEpoch_;
-        serviceGlobalWord(*word, [this] { finishWork(); });
+        client_.noteProgress();
+        client_.serviceWord(*word, [this] { finishWork(); });
         return;
     }
     if (auto word = localFifo_.pop()) {
         busy_ = true;
-        ++wordsLocal_;
-        ++serviceEpoch_;
-        serviceLocalWord(*word, [this] { finishWork(); });
+        ++client_.requestsServiced();
+        client_.noteProgress();
+        client_.afterSoftware(timing_.serviceNs, [this, word = *word] {
+            // A failstopped board's software never gets here.
+            if (!client_.dead())
+                dispatchLocalWord(word, [this] { finishWork(); },
+                                  proto::RetryLoop{0, events_.now()});
+        });
         return;
     }
 }
@@ -213,44 +220,11 @@ InterBusBoard::finishWork()
     pump();
 }
 
-void
-InterBusBoard::afterSoftware(Tick delay, Done fn)
-{
-    // Every software step of a dead board vanishes: in-flight service
-    // chains (including retry loops) cut off at their next instruction
-    // boundary, so a dead board schedules no further work and the
-    // event queue still drains.
-    events_.scheduleIn(delay, [this, fn = std::move(fn)] {
-        if (!dead_)
-            fn();
-    }, "ibc-software");
-}
-
-void
-InterBusBoard::failstop()
-{
-    dead_ = true;
-}
-
-Tick
-InterBusBoard::retryDelay()
-{
-    return timing_.retryNs + rng_.below(timing_.retryJitterNs + 1);
-}
-
 // --- local side: fetch/upgrade requests -----------------------------
 
 void
-InterBusBoard::serviceLocalWord(monitor::InterruptWord word, Done done)
-{
-    afterSoftware(timing_.serviceNs,
-                  [this, word, done = std::move(done)] {
-                      dispatchLocalWord(word, done);
-                  });
-}
-
-void
-InterBusBoard::dispatchLocalWord(monitor::InterruptWord word, Done done)
+InterBusBoard::dispatchLocalWord(monitor::InterruptWord word, Done done,
+                                 proto::RetryLoop loop)
 {
     const auto entry = localTable_.entryFor(word.paddr);
     const bool want_exclusive = word.type != TxType::ReadShared;
@@ -259,175 +233,170 @@ InterBusBoard::dispatchLocalWord(monitor::InterruptWord word, Done done)
     // satisfied this request.
     if (entry == ActionEntry::Protect ||
         (!want_exclusive && entry != ActionEntry::Ignore)) {
-        ++spurious_;
+        ++client_.spuriousWords();
         done();
         return;
     }
     if (entry == ActionEntry::Ignore)
-        fetchFrame(word, want_exclusive, std::move(done));
+        fetchFrame(word, want_exclusive, std::move(done), loop);
     else
-        upgradeFrame(word, std::move(done)); // Shared -> Protect
+        upgradeFrame(word, std::move(done), loop); // Shared -> Protect
 }
 
 void
 InterBusBoard::fetchFrame(monitor::InterruptWord word, bool exclusive,
-                          Done done)
+                          Done done, proto::RetryLoop loop)
 {
-    const Addr base = frameBase(word.paddr);
+    const Addr base = client_.frameBase(word.paddr);
     const Tick fetch_started = events_.now();
-    globalCopier_.readPage(
-        base, staging_.data(), pageBytes_, exclusive,
-        [this, word, exclusive, base, fetch_started,
+    client_.copier().readPage(
+        base, staging_.data(), client_.pageBytes(), exclusive,
+        [this, word, exclusive, base, fetch_started, loop,
          done = std::move(done)](const mem::TxResult &result) {
             if (result.aborted) {
-                ++retries_;
-                // Another cluster owns the frame. Service its pending
-                // requests first — it may be waiting for a frame *we*
-                // hold — then retry from current cluster state.
-                drainGlobalWords([this, word, done] {
-                    events_.scheduleIn(retryDelay(),
-                                       [this, word, done] {
-                                           dispatchLocalWord(word,
-                                                             done);
-                                       },
-                                       "ibc-fetch-retry");
-                });
+                retryLocalWord("fetch", word, done, loop);
                 return;
             }
-            image_.initBlock(base, staging_.data(), pageBytes_);
-            const auto frame = frameOf(base);
+            image_.initBlock(base, staging_.data(), client_.pageBytes());
+            const auto frame = client_.frameOf(base);
             dirty_.erase(frame);
             const auto entry = exclusive ? ActionEntry::Protect
                                          : ActionEntry::Shared;
-            shadowSet(frame, entry);
+            client_.setShadow(frame, entry);
             ++(exclusive ? exclusiveFetches_ : sharedFetches_);
             if (budgetFault_)
                 budgetFault_();
             traceFetch(fetch_started, base, exclusive,
                        /*upgrade=*/false);
-            afterSoftware(timing_.installNs, [this, base, entry, done] {
-                localTable_.setFor(base, entry);
-                done();
-            });
+            install(base, entry, done);
         });
 }
 
 void
-InterBusBoard::upgradeFrame(monitor::InterruptWord word, Done done)
+InterBusBoard::upgradeFrame(monitor::InterruptWord word, Done done,
+                            proto::RetryLoop loop)
 {
-    const Addr base = frameBase(word.paddr);
+    const Addr base = client_.frameBase(word.paddr);
     const Tick upgrade_started = events_.now();
     mem::BusTransaction tx;
     tx.type = TxType::AssertOwnership;
-    tx.requester = globalId_;
+    tx.requester = client_.id();
     tx.paddr = base;
     tx.newEntry = ActionEntry::Protect;
     tx.updatesTable = true;
-    globalBus_.request(tx, [this, word, base, upgrade_started,
-                            done = std::move(done)](
-                               const mem::TxResult &result) {
+    client_.bus().request(tx, [this, word, base, upgrade_started, loop,
+                               done = std::move(done)](
+                                  const mem::TxResult &result) {
         if (result.aborted) {
-            ++retries_;
-            // The drain may invalidate this very frame (we lost a
-            // race for ownership); dispatch re-examines the state.
-            drainGlobalWords([this, word, done] {
-                events_.scheduleIn(retryDelay(),
-                                   [this, word, done] {
-                                       dispatchLocalWord(word, done);
-                                   },
-                                   "ibc-upgrade-retry");
-            });
+            retryLocalWord("upgrade", word, done, loop);
             return;
         }
         ++upgrades_;
-        shadowSet(frameOf(base), ActionEntry::Protect);
+        client_.setShadow(client_.frameOf(base), ActionEntry::Protect);
         if (budgetFault_)
             budgetFault_();
         traceFetch(upgrade_started, base, /*exclusive=*/true,
                    /*upgrade=*/true);
-        afterSoftware(timing_.installNs, [this, base, done] {
-            localTable_.setFor(base, ActionEntry::Protect);
-            done();
+        install(base, ActionEntry::Protect, done);
+    });
+}
+
+void
+InterBusBoard::retryLocalWord(const char *operation,
+                              monitor::InterruptWord word, Done done,
+                              proto::RetryLoop loop)
+{
+    ++client_.retries();
+    // The watchdog observes; the board has no dead-owner deadline.
+    client_.watchdogCheck(operation, 0, 0, client_.frameBase(word.paddr),
+                          ++loop.tries, loop.started);
+    // Another cluster owns the frame. Service its pending requests
+    // first — it may be waiting for a frame *we* hold — then retry from
+    // current cluster state: the drain may even have invalidated this
+    // very frame (we lost a race for ownership).
+    client_.serviceQueued([this, word, done, loop] {
+        client_.afterSoftware(client_.retryDelay(), [this, word, done,
+                                                     loop] {
+            dispatchLocalWord(word, done, loop);
         });
+    });
+}
+
+void
+InterBusBoard::install(Addr base, ActionEntry entry, Done done)
+{
+    client_.afterSoftware(timing_.installNs, [this, base, entry,
+                                              done = std::move(done)] {
+        if (client_.dead())
+            return;
+        localTable_.setFor(base, entry);
+        done();
     });
 }
 
 // --- global side: consistency interrupt service ---------------------
 
 void
-InterBusBoard::serviceGlobalWord(monitor::InterruptWord word, Done done)
+InterBusBoard::serviceWord(const monitor::InterruptWord &word, Done done)
 {
-    afterSoftware(timing_.serviceNs, [this, word,
-                                      done = std::move(done)] {
-        // Echo of one of our own (self-observed) transactions.
-        if (word.requester == globalId_ && !word.aborted) {
-            ++spurious_;
-            done();
-            return;
-        }
-        const Addr base = frameBase(word.paddr);
-        const auto frame = frameOf(word.paddr);
-        const auto state = localTable_.entryFor(base);
-        switch (word.type) {
-          case TxType::ReadShared:
-            // Another cluster wants a shared copy of a frame we own.
-            if (state == ActionEntry::Protect) {
-                downgradeCluster(base, done);
-            } else if (state == ActionEntry::Shared) {
-                // Compatible with our shared copy: typically the
-                // retry of a request our since-downgraded Protect
-                // entry aborted. The Shared entry MUST stand — it is
-                // what guarantees we are interrupted when another
-                // cluster later asserts ownership. Clearing it here
-                // would let that assert slip past silently and leave
-                // this cluster free to upgrade a stale image.
-                ++spurious_;
-                done();
-            } else {
-                clearGlobalEntryIfStale(base, done);
-            }
-            return;
-          case TxType::ReadPrivate:
-          case TxType::AssertOwnership:
-            if (state != ActionEntry::Ignore)
-                invalidateCluster(base, done);
-            else
-                clearGlobalEntryIfStale(base, done);
-            return;
-          case TxType::WriteBack:
-            // Another cluster wrote a frame back while our entry still
-            // claimed it: only legal as a stale-entry race (they
-            // acquired ownership and the corresponding word is, or
-            // was, ahead of this one in the FIFO).
-            if (state != ActionEntry::Ignore || dirty_.count(frame)) {
-                ++violations_;
-                localTable_.setFor(base, ActionEntry::Ignore);
-                dirty_.erase(frame);
-                recallLocal(base, [this, base, done] {
-                    clearGlobalEntryIfStale(base, done);
-                });
-            } else {
-                clearGlobalEntryIfStale(base, done);
-            }
-            return;
-          default:
-            ++spurious_;
-            done();
-            return;
-        }
-    });
-}
-
-void
-InterBusBoard::drainGlobalWords(Done done)
-{
-    if (auto word = globalMonitor_.fifo().pop()) {
-        ++wordsGlobal_;
-        serviceGlobalWord(*word, [this, done = std::move(done)] {
-            drainGlobalWords(done);
-        });
-    } else {
+    // A failstopped board's software never gets here.
+    if (client_.dead())
+        return;
+    // Echo of one of our own (self-observed) transactions.
+    if (word.requester == client_.id() && !word.aborted) {
+        ++client_.spuriousWords();
         done();
+        return;
+    }
+    const Addr base = client_.frameBase(word.paddr);
+    const auto frame = client_.frameOf(word.paddr);
+    const auto state = localTable_.entryFor(base);
+    switch (word.type) {
+      case TxType::ReadShared:
+        // Another cluster wants a shared copy of a frame we own.
+        if (state == ActionEntry::Protect) {
+            downgradeCluster(base, std::move(done));
+        } else if (state == ActionEntry::Shared) {
+            // Compatible with our shared copy: typically the retry of
+            // a request our since-downgraded Protect entry aborted.
+            // The Shared entry MUST stand — it is what guarantees we
+            // are interrupted when another cluster later asserts
+            // ownership. Clearing it here would let that assert slip
+            // past silently and leave this cluster free to upgrade a
+            // stale image.
+            ++client_.spuriousWords();
+            done();
+        } else {
+            clearGlobalEntryIfStale(base, std::move(done));
+        }
+        return;
+      case TxType::ReadPrivate:
+      case TxType::AssertOwnership:
+        if (state != ActionEntry::Ignore)
+            invalidateCluster(base, std::move(done));
+        else
+            clearGlobalEntryIfStale(base, std::move(done));
+        return;
+      case TxType::WriteBack:
+        // Another cluster wrote a frame back while our entry still
+        // claimed it: only legal as a stale-entry race (they acquired
+        // ownership and the corresponding word is, or was, ahead of
+        // this one in the FIFO).
+        if (state != ActionEntry::Ignore || dirty_.count(frame)) {
+            ++violations_;
+            localTable_.setFor(base, ActionEntry::Ignore);
+            dirty_.erase(frame);
+            recallLocal(base, [this, base, done = std::move(done)] {
+                clearGlobalEntryIfStale(base, done);
+            });
+        } else {
+            clearGlobalEntryIfStale(base, std::move(done));
+        }
+        return;
+      default:
+        ++client_.spuriousWords();
+        done();
+        return;
     }
 }
 
@@ -435,24 +404,23 @@ void
 InterBusBoard::downgradeCluster(Addr base, Done done)
 {
     ++downgrades_;
-    const auto frame = frameOf(base);
+    const auto frame = client_.frameOf(base);
     // Block new local fills first: local transactions abort and queue
     // as ordinary fetch requests until the transition completes.
     localTable_.setFor(base, ActionEntry::Ignore);
     recallLocal(base, [this, base, frame, done = std::move(done)] {
-        const Done finish = [this, base, frame, done] {
-            shadowSet(frame, ActionEntry::Shared);
+        const Done finish = [this, base, done] {
             localTable_.setFor(base, ActionEntry::Shared);
             done();
         };
         if (dirty_.count(frame)) {
-            writeBackGlobal(base, ActionEntry::Shared,
-                            [this, frame, finish] {
-                                dirty_.erase(frame);
-                                finish();
-                            });
+            writeBackImage(base, ActionEntry::Shared,
+                           [this, frame, finish] {
+                               dirty_.erase(frame);
+                               finish();
+                           });
         } else {
-            setGlobalEntry(base, ActionEntry::Shared, finish);
+            client_.writeTable(base, ActionEntry::Shared, finish);
         }
     });
 }
@@ -461,22 +429,20 @@ void
 InterBusBoard::invalidateCluster(Addr base, Done done)
 {
     ++invalidates_;
-    const auto frame = frameOf(base);
+    const auto frame = client_.frameOf(base);
     const auto state = localTable_.entryFor(base);
     localTable_.setFor(base, ActionEntry::Ignore);
     recallLocal(base, [this, base, frame, state,
                        done = std::move(done)] {
         if (state == ActionEntry::Protect && dirty_.count(frame)) {
-            writeBackGlobal(base, ActionEntry::Ignore,
-                            [this, frame, done] {
-                                dirty_.erase(frame);
-                                shadowErase(frame);
-                                done();
-                            });
+            writeBackImage(base, ActionEntry::Ignore,
+                           [this, frame, done] {
+                               dirty_.erase(frame);
+                               done();
+                           });
         } else {
             dirty_.erase(frame);
-            shadowErase(frame);
-            setGlobalEntry(base, ActionEntry::Ignore, done);
+            client_.writeTable(base, ActionEntry::Ignore, done);
         }
     });
 }
@@ -484,18 +450,36 @@ InterBusBoard::invalidateCluster(Addr base, Done done)
 void
 InterBusBoard::clearGlobalEntryIfStale(Addr base, Done done)
 {
-    const auto frame = frameOf(base);
-    const auto it = globalShadow_.find(frame);
-    if (it == globalShadow_.end() ||
-        it->second == ActionEntry::Ignore) {
-        ++spurious_;
-        done();
-        return;
+    if (client_.shadowEntry(base) == ActionEntry::Ignore)
+        ++client_.spuriousWords();
+    client_.releaseEntry(base, std::move(done));
+}
+
+void
+InterBusBoard::recoverFromOverflow(Done done)
+{
+    // A lost word can only have *required* action for a SharedGlobal
+    // frame (another cluster's successful ownership acquisition);
+    // transactions against Protect frames were aborted and will be
+    // retried, regenerating their words. Drop every shared frame,
+    // lowest first (the engine releases the list from its back).
+    std::vector<std::uint64_t> frames;
+    for (const auto &[frame, entry] : client_.shadowTable()) {
+        if (entry == ActionEntry::Shared)
+            frames.push_back(frame);
     }
-    globalShadow_.erase(it);
-    if (budgetUse_)
-        budgetUse_(-1);
-    setGlobalEntry(base, ActionEntry::Ignore, std::move(done));
+    std::sort(frames.begin(), frames.end(), std::greater<>());
+    client_.recoverOverflow(
+        std::move(frames),
+        [this](std::uint64_t frame, Done next) {
+            const Addr base = image_.frameBase(frame);
+            localTable_.setFor(base, ActionEntry::Ignore);
+            recallLocal(base, [this, frame, next = std::move(next)] {
+                dirty_.erase(frame);
+                next();
+            });
+        },
+        std::move(done));
 }
 
 // --- primitives -----------------------------------------------------
@@ -504,28 +488,29 @@ void
 InterBusBoard::recallLocal(Addr base, Done done)
 {
     ++recalls_;
-    recallAttempt(base, std::move(done));
+    recallAttempt(base, std::move(done), proto::RetryLoop{0, events_.now()});
 }
 
 void
-InterBusBoard::recallAttempt(Addr base, Done done)
+InterBusBoard::recallAttempt(Addr base, Done done, proto::RetryLoop loop)
 {
     mem::BusTransaction tx;
     tx.type = TxType::AssertOwnership;
     tx.requester = localId_;
     tx.paddr = base;
-    localBus_.request(tx, [this, base, done = std::move(done)](
-                              const mem::TxResult &result) {
+    localBus_.request(tx, [this, base, loop, done = std::move(done)](
+                              const mem::TxResult &result) mutable {
         if (result.aborted) {
             // A local cache still owns the frame; it relinquishes
             // (writing dirty data back to the image) when it services
             // the interrupt this attempt queued.
-            ++retries_;
-            events_.scheduleIn(retryDelay(),
-                               [this, base, done] {
-                                   recallAttempt(base, done);
-                               },
-                               "ibc-recall-retry");
+            ++client_.retries();
+            client_.watchdogCheck("recall", 0, 0, base, ++loop.tries,
+                                  loop.started);
+            client_.afterSoftware(client_.retryDelay(),
+                                  [this, base, done, loop] {
+                                      recallAttempt(base, done, loop);
+                                  });
             return;
         }
         traceInstant(obs::EventKind::IbcRecall, base);
@@ -534,105 +519,20 @@ InterBusBoard::recallAttempt(Addr base, Done done)
 }
 
 void
-InterBusBoard::writeBackGlobal(Addr base, ActionEntry after, Done done)
+InterBusBoard::writeBackImage(Addr base, ActionEntry after, Done done)
 {
-    // Re-read the image on every attempt: cheap, and immune to any
-    // staging reuse between retries.
-    image_.readBlock(base, staging_.data(), pageBytes_);
-    globalCopier_.writeBackPage(
-        base, staging_.data(), pageBytes_, after,
-        [this, base, after,
-         done = std::move(done)](const mem::TxResult &result) {
-            if (result.aborted) {
-                // Only a stale Shared entry in another cluster's
-                // monitor can abort our write-back; it clears
-                // autonomously, so a plain jittered retry (no drain
-                // mid-transition) converges.
-                ++retries_;
-                events_.scheduleIn(retryDelay(),
-                                   [this, base, after, done] {
-                                       writeBackGlobal(base, after, done);
-                                   },
-                                   "ibc-wb-retry");
-                return;
-            }
-            ++globalWriteBacks_;
-            traceInstant(obs::EventKind::IbcWriteBack, base);
-            done();
-        });
-}
-
-void
-InterBusBoard::setGlobalEntry(Addr base, ActionEntry entry, Done done)
-{
-    mem::BusTransaction tx;
-    tx.type = TxType::WriteActionTable;
-    tx.requester = globalId_;
-    tx.paddr = base;
-    tx.newEntry = entry;
-    tx.updatesTable = true;
-    globalBus_.request(tx, [done = std::move(done)](
-                               const mem::TxResult &) { done(); });
-}
-
-// --- overflow recovery ----------------------------------------------
-
-void
-InterBusBoard::recoverGlobalOverflow(Done done)
-{
-    ++recoveries_;
-    globalMonitor_.fifo().clearOverflow();
-    // A lost word can only have *required* action for a SharedGlobal
-    // frame (another cluster's successful ownership acquisition);
-    // transactions against Protect frames were aborted and will be
-    // retried, regenerating their words. Drop every shared frame.
-    auto frames = std::make_shared<std::vector<std::uint64_t>>();
-    for (const auto &[frame, entry] : globalShadow_) {
-        if (entry == ActionEntry::Shared)
-            frames->push_back(frame);
-    }
-    std::sort(frames->begin(), frames->end());
-    dropSharedFrames(std::move(frames), 0, std::move(done));
-}
-
-void
-InterBusBoard::dropSharedFrames(
-    std::shared_ptr<std::vector<std::uint64_t>> frames,
-    std::size_t index, Done done)
-{
-    if (index >= frames->size()) {
-        done();
-        return;
-    }
-    const Addr base = image_.frameBase((*frames)[index]);
-    localTable_.setFor(base, ActionEntry::Ignore);
-    recallLocal(base, [this, frames, index, base,
-                       done = std::move(done)] {
-        dirty_.erase((*frames)[index]);
-        shadowErase((*frames)[index]);
-        setGlobalEntry(base, ActionEntry::Ignore,
-                       [this, frames, index, done] {
-                           dropSharedFrames(frames, index + 1, done);
-                       });
-    });
-}
-
-// --- budget-client footprint tracking -------------------------------
-
-void
-InterBusBoard::shadowSet(std::uint64_t frame, ActionEntry entry)
-{
-    const bool fresh =
-        globalShadow_.insert_or_assign(frame, entry).second;
-    if (fresh && budgetUse_)
-        budgetUse_(+1);
-}
-
-void
-InterBusBoard::shadowErase(std::uint64_t frame)
-{
-    if (globalShadow_.erase(frame) != 0 && budgetUse_)
-        budgetUse_(-1);
+    auto page =
+        std::make_shared<std::vector<std::uint8_t>>(client_.pageBytes());
+    image_.readBlock(base, page->data(), client_.pageBytes());
+    // An abort here is a stale Shared entry in another cluster's
+    // monitor; the engine retries it, counted as a retry.
+    client_.writeBack(client_.frameOf(base), std::move(page), after,
+                      client_.retries(),
+                      [this, base, done = std::move(done)] {
+                          ++globalWriteBacks_;
+                          traceInstant(obs::EventKind::IbcWriteBack, base);
+                          done();
+                      });
 }
 
 // --- statistics -----------------------------------------------------
@@ -661,16 +561,16 @@ InterBusBoard::registerStats(StatGroup &group) const
                      globalWriteBacks_);
     group.addCounter("retries",
                      "aborted transactions retried (both buses)",
-                     retries_);
+                     client_.retries());
     group.addCounter("words_local",
                      "local fetch/upgrade request words serviced",
-                     wordsLocal_);
+                     client_.requestsServiced());
     group.addCounter("words_global",
                      "global consistency interrupt words serviced",
-                     wordsGlobal_);
+                     client_.wordsServiced());
     group.addCounter("spurious_words",
                      "words already satisfied/stale when serviced",
-                     spurious_);
+                     client_.spuriousWords());
     group.addCounter("local_aborts",
                      "local transactions aborted (cluster misses)",
                      localAborts_);
@@ -679,7 +579,7 @@ InterBusBoard::registerStats(StatGroup &group) const
                      violations_);
     group.addCounter("overflow_recoveries",
                      "global-FIFO overflow recovery sweeps",
-                     recoveries_);
+                     client_.overflowRecoveries());
     group.addCounter("local_overflow_clears",
                      "local-FIFO overflow flags cleared",
                      localOverflowClears_);

@@ -16,11 +16,17 @@
  * or upgrades the frame over the global bus.
  *
  * Towards the global bus the board is an ordinary protocol client: it
- * reuses the stock bus monitor (action table + interrupt FIFO) and
- * block copier, so the global level *is* the paper's flat two-state
- * protocol with inter-bus boards in place of processors. Two-state
- * legality therefore holds per level, with the board acting as the
- * single owner proxy for its whole cluster.
+ * composes the same proto::ProtocolClient engine as a processor
+ * board's CacheController — its own bus monitor (action table +
+ * interrupt FIFO), the engine's block copier, retry delay, table
+ * shadow, write-back retry loop, watchdog and overflow recovery — so
+ * the global level *is* the paper's flat two-state protocol with
+ * inter-bus boards in place of processors. Two-state legality
+ * therefore holds per level, with the board acting as the single owner
+ * proxy for its whole cluster. What stays here is the local side (the
+ * cluster table, the local request FIFO, the service pump and the
+ * fetch/upgrade/recall loops) and the per-word policy of the global
+ * side.
  *
  * Like everything else in VMP, the board's consistency engine is
  * software: a single service loop with an instruction-time budget
@@ -35,20 +41,17 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "mem/block_copier.hh"
 #include "mem/bus_types.hh"
 #include "mem/phys_mem.hh"
 #include "mem/vme_bus.hh"
 #include "monitor/action_table.hh"
 #include "monitor/bus_monitor.hh"
 #include "monitor/interrupt_fifo.hh"
+#include "proto/client.hh"
 #include "sim/event.hh"
-#include "sim/random.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -73,9 +76,21 @@ struct IbcTiming
  * the *local* bus directly (its pass/abort rule differs from a
  * processor monitor's: a cluster-level Shared entry must still block
  * local ownership upgrades until the global upgrade completes) and
- * owns a stock monitor::BusMonitor on the *global* bus.
+ * composes a proto::ProtocolClient, over its own monitor, on the
+ * *global* bus.
+ *
+ * A failstop (client().failstop()) kills the board's *software*: the
+ * service loop stops at the next software step — bus transactions
+ * already in flight complete, they cannot be recalled — and no further
+ * global fetches, upgrades or recalls happen. The board's table
+ * *hardware* keeps driving both buses: local requests the cluster
+ * cannot satisfy keep aborting with nobody left to service them, and
+ * the global monitor's stale entries keep aborting other clusters —
+ * the hazards the recovery subsystem clears. Inter-bus boards do not
+ * hot-rejoin in this model. A wedge (client().setWedged()) stops the
+ * pump taking new work while dead() stays false; unwedging kicks it.
  */
-class InterBusBoard : public mem::BusWatcher
+class InterBusBoard : public mem::BusWatcher, private proto::ClientPolicy
 {
   public:
     using Done = std::function<void()>;
@@ -93,8 +108,11 @@ class InterBusBoard : public mem::BusWatcher
                   mem::PhysMem &image, const IbcTiming &timing = {},
                   std::size_t fifo_capacity = 128);
 
-    std::uint32_t clusterIndex() const { return globalId_; }
+    std::uint32_t clusterIndex() const { return client_.id(); }
     std::uint32_t localMasterId() const { return localId_; }
+    /** The global side's protocol engine. */
+    proto::ProtocolClient &client() { return client_; }
+    const proto::ProtocolClient &client() const { return client_; }
 
     // --- BusWatcher interface (local bus) ---
     mem::WatchVerdict observe(const mem::BusTransaction &tx) override;
@@ -106,57 +124,19 @@ class InterBusBoard : public mem::BusWatcher
     mem::ActionEntry clusterState(Addr paddr) const;
     /** True if the image holds data newer than main memory. */
     bool isDirty(Addr paddr) const;
-    /** Software's shadow of the global monitor's action-table entry. */
-    mem::ActionEntry globalShadowEntry(Addr paddr) const;
     monitor::BusMonitor &globalMonitor() { return globalMonitor_; }
     const monitor::BusMonitor &globalMonitor() const
     {
         return globalMonitor_;
     }
     /** True when no service work is pending or in flight. */
-    bool idle() const;
-
-    /**
-     * Failstop the board's *software*: the service loop stops (at the
-     * next software step — bus transactions already in flight complete,
-     * they cannot be recalled) and no further global fetches, upgrades
-     * or recalls happen. The board's table *hardware* keeps driving
-     * both buses: local requests the cluster cannot satisfy keep
-     * aborting with nobody left to service them, and the global
-     * monitor's stale entries keep aborting other clusters — the
-     * hazards the recovery subsystem clears. Inter-bus boards do not
-     * hot-rejoin in this model.
-     */
-    void failstop();
+    bool idle() const override;
     /** True once failstopped. */
-    bool dead() const { return dead_; }
-
-    /**
-     * Wedge / unwedge the board's service loop (partial-failure
-     * injection): while wedged, kick()/pump() refuse to start work, so
-     * aborted local requests and global consistency words pile up
-     * undrained while the table hardware keeps aborting on both buses.
-     * dead() stays false — a binary liveness probe sees a healthy
-     * board. Unwedging kicks the loop so the backlog drains.
-     */
-    void setWedged(bool wedged)
-    {
-        wedged_ = wedged;
-        if (!wedged_)
-            kick();
-    }
+    bool dead() const { return client_.dead(); }
     /** True while the service loop is wedged. */
-    bool wedged() const { return wedged_; }
-
-    /**
-     * Service-loop progress epoch: advances once per work item the
-     * pump takes (overflow recovery, global word, local word). The
-     * cluster health witness compares epochs across observations.
-     */
-    std::uint64_t serviceEpoch() const { return serviceEpoch_; }
-
+    bool wedged() const { return client_.wedged(); }
     /** Words currently queued for the service loop (both FIFOs). */
-    std::size_t pendingWords() const
+    std::uint64_t pendingWords() const override
     {
         return localFifo_.size() + globalMonitor_.fifo().size();
     }
@@ -172,7 +152,7 @@ class InterBusBoard : public mem::BusWatcher
                          std::function<void(std::int32_t)> on_use)
     {
         budgetFault_ = std::move(on_fault);
-        budgetUse_ = std::move(on_use);
+        client_.setFootprintHook(std::move(on_use));
     }
 
     /**
@@ -184,7 +164,7 @@ class InterBusBoard : public mem::BusWatcher
     {
         localFifo_.setFaultHooks(hooks);
         globalMonitor_.setFaultHooks(hooks, &events_);
-        globalCopier_.setFaultHooks(hooks);
+        client_.setFaultHooks(hooks);
     }
 
     /**
@@ -197,11 +177,9 @@ class InterBusBoard : public mem::BusWatcher
     void
     setTracer(obs::EventTracer *tracer, std::uint16_t track)
     {
-        tracer_ = tracer;
-        traceTrack_ = track;
         localFifo_.setTracer(tracer, track, &events_);
         globalMonitor_.setTracer(tracer, track, &events_);
-        globalCopier_.setTracer(tracer, track);
+        client_.setTracer(tracer, track);
     }
 
     // --- statistics ---
@@ -217,39 +195,43 @@ class InterBusBoard : public mem::BusWatcher
     const Counter &invalidates() const { return invalidates_; }
     const Counter &recalls() const { return recalls_; }
     const Counter &globalWriteBacks() const { return globalWriteBacks_; }
-    const Counter &retries() const { return retries_; }
-    const Counter &spuriousWords() const { return spurious_; }
-    const Counter &wordsLocal() const { return wordsLocal_; }
-    const Counter &wordsGlobal() const { return wordsGlobal_; }
+    const Counter &retries() const { return client_.retries(); }
     const Counter &localAborts() const { return localAborts_; }
     const Counter &protocolViolations() const { return violations_; }
-    const Counter &overflowRecoveries() const { return recoveries_; }
+    const Counter &overflowRecoveries() const
+    {
+        return client_.overflowRecoveries();
+    }
     void registerStats(StatGroup &group) const;
 
   private:
-    std::uint64_t frameOf(Addr paddr) const;
-    Addr frameBase(Addr paddr) const;
-
     /** Schedule a service pass (no-op if one is running/scheduled). */
     void kick();
     /** Take the next work item, priority: overflow, global, local. */
     void pump();
     void finishWork();
-    void afterSoftware(Tick delay, Done fn);
-    Tick retryDelay();
+    void resume() override { kick(); }
 
-    void serviceLocalWord(monitor::InterruptWord word, Done done);
     /** State-dependent dispatch of a local fetch/upgrade request;
      *  also the retry entry point (cluster state may have changed). */
-    void dispatchLocalWord(monitor::InterruptWord word, Done done);
+    void dispatchLocalWord(monitor::InterruptWord word, Done done,
+                           proto::RetryLoop loop);
     void fetchFrame(monitor::InterruptWord word, bool exclusive,
-                    Done done);
-    void upgradeFrame(monitor::InterruptWord word, Done done);
+                    Done done, proto::RetryLoop loop);
+    void upgradeFrame(monitor::InterruptWord word, Done done,
+                      proto::RetryLoop loop);
+    /** A global fetch/upgrade aborted: drain the global words queued
+     *  now, then redispatch after a retry delay. */
+    void retryLocalWord(const char *operation, monitor::InterruptWord word,
+                        Done done, proto::RetryLoop loop);
+    /** After the install charge, set the cluster entry; a dead board
+     *  never gets there. */
+    void install(Addr base, mem::ActionEntry entry, Done done);
 
-    void serviceGlobalWord(monitor::InterruptWord word, Done done);
-    /** Service every queued global word, then @p done (deadlock
-     *  avoidance before retrying an aborted global transaction). */
-    void drainGlobalWords(Done done);
+    // --- ClientPolicy: the global side's per-word policy ---
+    void serviceWord(const monitor::InterruptWord &word,
+                     Done done) override;
+    void recoverFromOverflow(Done done) override;
     void downgradeCluster(Addr base, Done done);
     void invalidateCluster(Addr base, Done done);
     /** Clear a stale global action-table entry, if any. */
@@ -259,66 +241,40 @@ class InterBusBoard : public mem::BusWatcher
      *  assert-ownership, retried until unaborted). */
     void recallLocal(Addr base, Done done);
     /** One recall attempt; an abort re-enters it after a retry delay. */
-    void recallAttempt(Addr base, Done done);
+    void recallAttempt(Addr base, Done done, proto::RetryLoop loop);
     /** Write the image copy of @p base back to main memory; the global
-     *  entry becomes @p after. Retries on abort. */
-    void writeBackGlobal(Addr base, mem::ActionEntry after, Done done);
-    /** Set this board's global action-table entry via the bus. */
-    void setGlobalEntry(Addr base, mem::ActionEntry entry, Done done);
+     *  entry becomes @p after. */
+    void writeBackImage(Addr base, mem::ActionEntry after, Done done);
 
-    void recoverGlobalOverflow(Done done);
-    void dropSharedFrames(
-        std::shared_ptr<std::vector<std::uint64_t>> frames,
-        std::size_t index, Done done);
-
-    /** Record an instant event (no-op while tracer_ is null). */
+    /** Record an instant event (no-op while no tracer is attached). */
     void traceInstant(obs::EventKind kind, Addr addr);
     /** Record an IbcFetch span started at @p started. */
     void traceFetch(Tick started, Addr addr, bool exclusive,
                     bool upgrade);
 
-    obs::EventTracer *tracer_ = nullptr;
-    std::uint16_t traceTrack_ = 0;
-
-    std::uint32_t globalId_;
     std::uint32_t localId_;
     EventQueue &events_;
     mem::VmeBus &localBus_;
-    mem::VmeBus &globalBus_;
     mem::PhysMem &image_;
     IbcTiming timing_;
-    std::uint32_t pageBytes_;
 
     /** Cluster-level state table (local side). */
     monitor::ActionTable localTable_;
     /** Aborted local requests awaiting a global fetch/upgrade. */
     monitor::InterruptFifo localFifo_;
-    /** Stock monitor watching the global bus for this board. */
+    /** Monitor watching the global bus for this board. */
     monitor::BusMonitor globalMonitor_;
-    mem::BlockCopier globalCopier_;
-    Rng rng_;
+    proto::ProtocolClient client_;
 
-    /** Page staging buffer for global transfers. */
+    /** Page staging buffer for global fetches. */
     std::vector<std::uint8_t> staging_;
     /** Frames whose image copy is newer than main memory. */
     std::unordered_set<std::uint64_t> dirty_;
-    /** Software shadow of the global monitor's action table. */
-    std::unordered_map<std::uint64_t, mem::ActionEntry> globalShadow_;
-
-    /** Track the global-shadow footprint for the budget client. */
-    void shadowSet(std::uint64_t frame, mem::ActionEntry entry);
-    void shadowErase(std::uint64_t frame);
 
     bool busy_ = false;
     bool kickScheduled_ = false;
-    bool dead_ = false;
-    /** Service loop wedged (partial failure; distinct from dead_). */
-    bool wedged_ = false;
-    /** Service-loop progress epoch (see serviceEpoch()). */
-    std::uint64_t serviceEpoch_ = 0;
-    /** Cluster budget-client hooks (null unless registered). */
+    /** Cluster budget-client fault hook (null unless registered). */
     std::function<void()> budgetFault_;
-    std::function<void(std::int32_t)> budgetUse_;
 
     Counter sharedFetches_;
     Counter exclusiveFetches_;
@@ -327,12 +283,7 @@ class InterBusBoard : public mem::BusWatcher
     Counter invalidates_;
     Counter recalls_;
     Counter globalWriteBacks_;
-    Counter retries_;
-    Counter wordsLocal_;
-    Counter wordsGlobal_;
-    Counter spurious_;
     Counter violations_;
-    Counter recoveries_;
     Counter localOverflowClears_;
     Counter localAborts_;
 };

@@ -34,6 +34,8 @@ namespace vmp::proto
  */
 struct DeadOwnerError
 {
+    /** The abandoning client: "cpu" or "ibc" (see WatchdogReport). */
+    const char *client = "cpu";
     CpuId cpu = 0;
     /** Which retry loop timed out ("access", "write-back", ...). */
     std::string operation;
@@ -54,7 +56,7 @@ struct DeadOwnerError
     toString() const
     {
         std::ostringstream os;
-        os << "cpu" << cpu << " " << operation
+        os << client << cpu << " " << operation
            << " abandoned after " << attempts << " retries ("
            << (now - started) << " ns) pa=0x" << std::hex << paddr
            << std::dec

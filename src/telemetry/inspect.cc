@@ -110,7 +110,7 @@ inspectBoard(const core::ProcessorBoard &board)
     doc["cpu"] = Json(std::uint64_t{board.controller.cpuId()});
     Json controller = Json::object();
     controller["dead"] = Json(board.controller.dead());
-    controller["wedged"] = Json(board.controller.wedged());
+    controller["wedged"] = Json(board.controller.client().wedged());
     controller["misses"] = Json(board.controller.misses().value());
     controller["ownership_misses"] =
         Json(board.controller.ownershipMisses().value());
@@ -239,7 +239,7 @@ inspectSystem(const core::HierVmpSystem &system)
         ibc_doc["idle"] = Json(ibc.idle());
         ibc_doc["dead"] = Json(ibc.dead());
         ibc_doc["wedged"] = Json(ibc.wedged());
-        ibc_doc["service_epoch"] = Json(ibc.serviceEpoch());
+        ibc_doc["service_epoch"] = Json(ibc.client().serviceEpoch());
         ibc_doc["pending_words"] =
             Json(std::uint64_t{ibc.pendingWords()});
         ibc_doc["global_action_table"] =

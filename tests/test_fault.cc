@@ -370,8 +370,8 @@ TEST(PartialFault, WedgeFreezesServiceThenClearRecovers)
     EXPECT_EQ(result.totalRefs, 40'000u);
     EXPECT_EQ(injector.injected(fault::FaultKind::MonitorWedge).value(),
               1u);
-    EXPECT_FALSE(system.controller(0).wedged());
-    EXPECT_GT(system.controller(0).serviceEpoch(), 0u);
+    EXPECT_FALSE(system.controller(0).client().wedged());
+    EXPECT_GT(system.controller(0).client().serviceEpoch(), 0u);
     EXPECT_TRUE(system.quiesce());
     EXPECT_EQ(checker.checkFull(), 0u) << reportsOf(checker);
 }
@@ -393,7 +393,7 @@ TEST(PartialFault, BabbleWordsAreSpuriousAndHarmless)
     EXPECT_GT(injector.injected(fault::FaultKind::FifoBabble).value(),
               0u);
     EXPECT_GT(system.board(0).monitor.babbleWords().value(), 0u);
-    EXPECT_GT(system.controller(0).spuriousWords().value(), 0u);
+    EXPECT_GT(system.controller(0).client().spuriousWords().value(), 0u);
     EXPECT_TRUE(system.quiesce());
     EXPECT_EQ(checker.checkFull(), 0u) << reportsOf(checker);
 }
@@ -451,7 +451,7 @@ TEST(PartialFault, SlowBoardStretchesServiceTime)
 TEST(PartialFault, ZeroSlowdownFactorIsFatal)
 {
     core::VmpSystem system(smallConfig(1, 256));
-    EXPECT_THROW(system.controller(0).setServiceSlowdown(0),
+    EXPECT_THROW(system.controller(0).client().setServiceSlowdown(0),
                  PanicError);
 }
 
@@ -579,7 +579,7 @@ TEST(Watchdog, QuietOnCleanRun)
     system.runTraces(raw);
     EXPECT_EQ(trips, 0u);
     for (std::size_t cpu = 0; cpu < 4; ++cpu)
-        EXPECT_EQ(system.controller(cpu).watchdogTrips().value(), 0u);
+        EXPECT_EQ(system.controller(cpu).client().watchdogTrips().value(), 0u);
 }
 
 TEST(Watchdog, TripsOnceUnderStarvationAndRunStillCompletes)
@@ -605,8 +605,8 @@ TEST(Watchdog, TripsOnceUnderStarvationAndRunStillCompletes)
         EXPECT_GE(r.now, r.started);
         EXPECT_FALSE(r.toString().empty());
     }
-    const auto trips = system.controller(0).watchdogTrips().value() +
-                       system.controller(1).watchdogTrips().value();
+    const auto trips = system.controller(0).client().watchdogTrips().value() +
+                       system.controller(1).client().watchdogTrips().value();
     EXPECT_EQ(trips, reports.size());
 }
 
@@ -662,8 +662,8 @@ TEST(TinyFifo, ForcedDropsTriggerOverflowRecovery)
     system.runTraces(raw);
     EXPECT_GT(injector.injected(fault::FaultKind::FifoDrop).value(), 0u);
     const auto recoveries =
-        system.controller(0).overflowRecoveries().value() +
-        system.controller(1).overflowRecoveries().value();
+        system.controller(0).client().overflowRecoveries().value() +
+        system.controller(1).client().overflowRecoveries().value();
     EXPECT_GT(recoveries, 0u);
     EXPECT_TRUE(system.quiesce());
     EXPECT_EQ(checker.checkFull(), 0u) << reportsOf(checker);
@@ -677,7 +677,7 @@ TEST(RetryDelay, DeterministicBoundedAndDesynchronized)
     auto draw = [](core::VmpSystem &system, std::size_t cpu) {
         std::vector<Tick> delays;
         for (int i = 0; i < 64; ++i)
-            delays.push_back(system.controller(cpu).retryDelay());
+            delays.push_back(system.controller(cpu).client().retryDelay());
         return delays;
     };
 
@@ -750,7 +750,7 @@ tortureRun(const TortureParams &p, std::uint64_t seed,
     std::string starved;
     for (std::size_t cpu = 0; cpu < 2; ++cpu) {
         const auto &last =
-            system.controller(cpu).lastWatchdogReport();
+            system.controller(cpu).client().lastWatchdogReport();
         if (last)
             starved += last->toString() + "\n";
     }

@@ -191,7 +191,7 @@ TEST(Integration, TinyFifoForcesOverflowRecoveryButStaysCorrect)
     std::uint64_t recoveries = 0;
     for (std::size_t cpu = 0; cpu < 3; ++cpu)
         recoveries +=
-            system.controller(cpu).overflowRecoveries().value();
+            system.controller(cpu).client().overflowRecoveries().value();
     // With a 2-entry FIFO and three contenders, recoveries happen.
     EXPECT_GT(recoveries, 0u);
 }

@@ -161,7 +161,7 @@ TEST_F(ProtoTest, ColdReadMissFillsShared)
     const FrameInfo *info = sys.ctl(0).frameInfo(paA);
     ASSERT_NE(info, nullptr);
     EXPECT_EQ(info->state, FrameState::Shared);
-    EXPECT_EQ(sys.ctl(0).shadowEntry(paA), ActionEntry::Shared);
+    EXPECT_EQ(sys.ctl(0).client().shadowEntry(paA), ActionEntry::Shared);
     EXPECT_EQ(sys.boards[0]->monitor.table().entryFor(paA),
               ActionEntry::Shared);
     EXPECT_EQ(sys.ctl(0).misses().value(), 1u);
@@ -404,7 +404,7 @@ TEST_F(ProtoTest, AliasChainSurvivesDroppingItsMiddleSlot)
         sys.events.run();
         ASSERT_TRUE(done);
         EXPECT_EQ(sys.boards[0]->monitor.table().entryFor(paA), released);
-        EXPECT_EQ(sys.ctl(0).shadowEntry(paA), released);
+        EXPECT_EQ(sys.ctl(0).client().shadowEntry(paA), released);
         sys.doService(0);
     };
     bracket(ActionEntry::Shared);
@@ -538,7 +538,7 @@ TEST_F(ProtoTest, StaleSharedEntryCleanedLazily)
     // clears the stale entry.
     sys.doWrite(1, 2, vaA, 1);
     sys.doService(0);
-    EXPECT_EQ(sys.ctl(0).spuriousWords().value(), 1u);
+    EXPECT_EQ(sys.ctl(0).client().spuriousWords().value(), 1u);
     EXPECT_EQ(sys.boards[0]->monitor.table().entryFor(paA),
               ActionEntry::Ignore);
 }
@@ -579,7 +579,7 @@ TEST(ProtoFifo, OverflowRecoveryInvalidatesSharedEntries)
     EXPECT_TRUE(sys.boards[0]->monitor.fifo().overflowed());
 
     sys.doService(0);
-    EXPECT_EQ(sys.ctl(0).overflowRecoveries().value(), 1u);
+    EXPECT_EQ(sys.ctl(0).client().overflowRecoveries().value(), 1u);
     // Both shared copies are gone and both entries cleared, even the
     // one whose word was lost.
     EXPECT_FALSE(sys.boards[0]->cache.probe(1, vaA, false, false).hit);
@@ -797,7 +797,7 @@ TEST(ServiceRecord, OverlappingCallsJoinOneDrain)
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
     EXPECT_EQ(spans, 1);
     EXPECT_EQ(sys.ctl(0).wordsServiced().value(), 3u);
-    EXPECT_EQ(sys.ctl(0).serviceStallTicks(),
+    EXPECT_EQ(sys.ctl(0).client().serviceStallTicks(),
               3 * sys.ctl(0).timing().serviceNs);
 }
 

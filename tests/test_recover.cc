@@ -874,7 +874,7 @@ TEST(Recovery, DeadOwnerErrorSurfacesWithoutRecovery)
     // until the timed wait expires, then abandons with a structured
     // DeadOwnerError — recovery is NOT installed.
     std::size_t handled = 0;
-    system.controller(0).setDeadOwnerHandler(
+    system.controller(0).client().setDeadOwnerHandler(
         [&](const proto::DeadOwnerError &) { ++handled; });
     done = false;
     system.controller(0).access(1, va, true, false,
@@ -886,7 +886,7 @@ TEST(Recovery, DeadOwnerErrorSurfacesWithoutRecovery)
 
     EXPECT_EQ(system.controller(0).deadOwnerErrors().value(), 1u);
     EXPECT_EQ(handled, 1u);
-    const auto &error = system.controller(0).lastDeadOwnerError();
+    const auto &error = system.controller(0).client().lastDeadOwnerError();
     ASSERT_TRUE(error.has_value());
     EXPECT_GT(error->attempts, 0u);
     EXPECT_GE(error->now - error->started, usec(300));
@@ -945,6 +945,37 @@ TEST(Recovery, HierDeadInterBusBoardIsReclaimedGlobally)
         << reportsOf(system.globalChecker());
     EXPECT_EQ(system.clusterChecker(0).checkOwnersSweep(), 0u)
         << reportsOf(system.clusterChecker(0));
+}
+
+TEST(Recovery, QuiesceSkipsADeadInterBusBoard)
+{
+    // A dead client has nothing to drain, processor board or inter-bus
+    // board alike: the dead bridge's rotting words must not fail
+    // quiesce() once every live client is idle.
+    core::HierConfig cfg;
+    cfg.clusters = 2;
+    cfg.cpusPerCluster = 2;
+    cfg.cache = cache::CacheConfig{256, 2, 16, true};
+    cfg.memBytes = MiB(1);
+    cfg.swTiming.deadOwnerTimeoutNs = usec(500);
+    core::HierVmpSystem system(cfg);
+    fault::FaultSchedule s;
+    s.seed = 1;
+    s.crashInterBus(1, msec(1));
+    system.enableFaultInjection(s);
+    system.enableCoherenceCheckers();
+    recover::RecoveryConfig rc;
+    rc.detector.sweepPeriod = 32;
+    system.enableRecovery(rc);
+
+    auto gens = makeSources("atum2", 4, 4'000, 51);
+    auto raw = rawSources(gens);
+    const auto result = system.runTraces(raw);
+
+    ASSERT_EQ(result.totalRefs, 4u * 4'000u);
+    ASSERT_TRUE(system.interBusBoard(1).dead());
+    EXPECT_GT(system.interBusBoard(1).pendingWords(), 0u);
+    EXPECT_TRUE(system.quiesce());
 }
 
 // --------------------------------------------- partial-failure flow
