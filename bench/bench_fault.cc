@@ -109,7 +109,7 @@ runPoint(fault::FaultKind kind, double rate, std::uint64_t seed)
         const auto &ctl = system.controller(cpu);
         stall += ctl.missStallTicks();
         point.retries += ctl.retries().value();
-        point.watchdogTrips += ctl.client().watchdogTrips().value();
+        point.watchdogTrips += ctl.watchdogTrips().value();
     }
     point.refsPerSimSec = point.run.elapsed == 0
         ? 0.0

@@ -299,7 +299,8 @@ class MvaModel
 };
 
 /** Instruction-time budget of the inter-bus board software, in
- *  microseconds (mirrors hier::IbcTiming's defaults). */
+ *  microseconds: the default proto::SoftwareTiming service quantum and
+ *  mean retry back-off, and hier::InterBusBoard::installNs. */
 struct IbcCostModel
 {
     /** Dispatch + bookkeeping per serviced request word. */

@@ -27,7 +27,7 @@ void
 CoherenceChecker::addController(const proto::CacheController &controller)
 {
     controllers_.push_back(&controller);
-    monitors_.push_back(&controller.client().monitor());
+    monitors_.push_back(&controller.monitor());
 }
 
 void
@@ -132,8 +132,8 @@ CoherenceChecker::checkFull()
         // its per-board invariants until it rejoins.
         if (ctl->dead())
             continue;
-        const auto cpu = ctl->cpuId();
-        const monitor::ActionTable &table = ctl->client().monitor().table();
+        const auto cpu = ctl->id();
+        const monitor::ActionTable &table = ctl->monitor().table();
 
         // I2: software frame state vs own hardware table entry.
         for (const auto &[frame, info] : ctl->frameTable()) {
@@ -173,7 +173,7 @@ CoherenceChecker::checkFull()
         }
 
         // I3: software shadow table == hardware table.
-        for (const auto &[frame, entry] : ctl->client().shadowTable()) {
+        for (const auto &[frame, entry] : ctl->shadowTable()) {
             const mem::ActionEntry actual = table.get(frame);
             if (actual != entry) {
                 std::ostringstream os;

@@ -69,7 +69,7 @@ BusDomain::setFaultHooks(fault::FaultInjector &injector)
         bridge->setFaultHooks(&injector);
     for (auto &board : boards) {
         board->monitor.setFaultHooks(&injector, &events);
-        board->controller.client().setFaultHooks(&injector);
+        board->controller.setFaultHooks(&injector);
     }
 }
 
@@ -117,7 +117,7 @@ BusDomain::enableRecovery(const recover::RecoveryConfig &options,
         client.setDeadOwnerOracle(recovery.get());
     };
     for (auto &board : boards)
-        add_client(board->controller.client());
+        add_client(board->controller);
     // A bridge is liveness-only on its cluster bus (a dead bridge
     // strands every remote frame): its report carries `alive` alone,
     // which no witness can fire on. Its global-side frames are
@@ -131,7 +131,7 @@ BusDomain::enableRecovery(const recover::RecoveryConfig &options,
         });
     }
     for (hier::InterBusBoard *ibc : globalClients)
-        add_client(ibc->client());
+        add_client(*ibc);
     // The checker may be installed before or after: resolve at sweep
     // time.
     recovery->setPostReclaimHook([this] {
@@ -359,9 +359,9 @@ Machine::clients() const
     std::vector<proto::ProtocolClient *> all;
     for (const auto &domain : domains_) {
         if (domain->bridge)
-            all.push_back(&domain->bridge->client());
+            all.push_back(domain->bridge.get());
         for (const auto &board : domain->boards)
-            all.push_back(&board->controller.client());
+            all.push_back(&board->controller);
     }
     return all;
 }
@@ -440,7 +440,7 @@ Machine::armPartialFault(const fault::PartialFaultSpec &spec)
                   "inter-bus boards");
         if (spec.board >= bridges.size())
             fatal(tag_, ": wedgeInterBus(", spec.board, ") out of range");
-        client = &bridges[spec.board]->client();
+        client = bridges[spec.board];
     } else {
         if (spec.board >= boards_.size())
             fatal(tag_, ": partial fault on board ", spec.board,
@@ -448,7 +448,7 @@ Machine::armPartialFault(const fault::PartialFaultSpec &spec)
         if (spec.kind == fault::FaultKind::FifoBabble)
             return; // drawn per bus transaction inside the injector
         board = boards_[spec.board].board;
-        client = &board->controller.client();
+        client = &board->controller;
     }
     events_.schedule(spec.at, [this, board, client, spec] {
         if (client->dead())

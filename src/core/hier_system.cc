@@ -75,7 +75,7 @@ HierVmpSystem::HierVmpSystem(const HierConfig &config,
         // The bridge's local monitor watches the bus before the CPUs'.
         domain.bridge = std::make_unique<hier::InterBusBoard>(
             k, cfg_.totalCpus() + k, events_, domain.bus, global.bus,
-            domain.memory, cfg_.ibcTiming, cfg_.ibcFifoCapacity);
+            domain.memory, cfg_.swTiming, cfg_.ibcFifoCapacity);
         global.globalClients.push_back(domain.bridge.get());
         addBoards(domain, cfg_.cpusPerCluster, cluster_cfg);
     }
@@ -159,32 +159,6 @@ HierVmpSystem::enableFrameCheckpoint(Asid asid)
     enableCheckpoints(asid);
 }
 
-backing::BudgetController &
-HierVmpSystem::enableClusterBudget(backing::BudgetConfig config)
-{
-    if (budget_)
-        fatal("hier: cluster budget enabled twice");
-    if (config.totalFrames == 0) {
-        config.totalFrames = static_cast<std::uint32_t>(
-            cfg_.memBytes / cfg_.cache.pageBytes);
-    }
-    budget_ = std::make_unique<backing::BudgetController>(events_,
-                                                          config);
-    for (std::uint32_t k = 0; k < cfg_.clusters; ++k) {
-        const std::uint32_t client =
-            budget_->addClient("cluster" + std::to_string(k));
-        auto *controller = budget_.get();
-        interBusBoard(k).setBudgetClient(
-            [controller, client] { controller->noteFault(client); },
-            [controller, client](std::int32_t delta) {
-                controller->noteUse(client, delta);
-            });
-    }
-    // Deliberately not start()ed: unarmed epochs would add recurring
-    // events (and the run would never drain). Callers opt in.
-    return *budget_;
-}
-
 recover::RecoveryManager &
 HierVmpSystem::clusterRecovery(std::size_t k)
 {
@@ -214,7 +188,7 @@ HierVmpSystem::killInterBusBoard(std::uint32_t k, Tick at)
             return;
         VMP_DTRACE(debug::Recover, events_.now(),
                    "killing inter-bus board of cluster ", k);
-        ibc->client().failstop();
+        ibc->failstop();
         if (injector_)
             injector_->noteBoardCrash();
     }, "kill-ibc");

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "backing/budget.hh"
 #include "core/system.hh"
 #include "hier/inter_bus_board.hh"
 
@@ -53,8 +52,6 @@ struct HierConfig
     cpu::M68020Timing cpuTiming{};
     /** Processor bus-monitor FIFO depth. */
     std::size_t fifoCapacity = 128;
-    /** Inter-bus board software budget. */
-    hier::IbcTiming ibcTiming{};
     /** Inter-bus board FIFO depth (both FIFOs). */
     std::size_t ibcFifoCapacity = 128;
 
@@ -182,25 +179,6 @@ class HierVmpSystem : public Machine
     void killInterBusBoard(std::uint32_t cluster, Tick at);
 
     /**
-     * Register every cluster's inter-bus board as a client of one
-     * machine-wide memory-budget controller: the cluster's global-
-     * shadow footprint is its occupancy and its global fetch/upgrade
-     * completions are its fault pressure. @p config.totalFrames of 0
-     * defaults to the main-memory frame count. The recurring epoch is
-     * NOT started — call start() (or rebalance() manually) so that
-     * unarmed runs stay event-free. At most once.
-     */
-    backing::BudgetController &
-    enableClusterBudget(backing::BudgetConfig config = {});
-
-    /** The cluster budget controller, or null if none installed. */
-    backing::BudgetController *clusterBudget() { return budget_.get(); }
-    const backing::BudgetController *clusterBudget() const
-    {
-        return budget_.get();
-    }
-
-    /**
      * Full sweep on every installed checker (quiescence only).
      * @return violations found by this sweep, summed over checkers.
      */
@@ -217,7 +195,6 @@ class HierVmpSystem : public Machine
     void armInterBusCrash(const fault::BoardCrashSpec &crash) override;
 
     HierConfig cfg_;
-    std::unique_ptr<backing::BudgetController> budget_;
 };
 
 } // namespace vmp::core

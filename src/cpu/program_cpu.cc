@@ -238,7 +238,7 @@ ProgramCpu::step()
 
       case OpKind::SetActionEntry:
         events_.scheduleIn(instr, [this, op] {
-            controller_.writeActionTable(
+            controller_.writeTable(
                 op.addr, static_cast<mem::ActionEntry>(op.imm & 0b11),
                 [this] { finishOp(); });
         });

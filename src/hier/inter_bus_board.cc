@@ -13,23 +13,17 @@ using mem::ActionEntry;
 using mem::TxType;
 using mem::WatchVerdict;
 
+const Tick InterBusBoard::installNs = 2000;
+
 namespace
 {
 
-/**
- * The engine's share of the board's instruction budget: the service
- * quantum and the retry back-off. No dead-owner deadline: the board's
- * retry loops keep retrying until their frame comes.
- */
+/** The machine's timing without the dead-owner deadline. */
 proto::SoftwareTiming
-engineTiming(const IbcTiming &timing)
+withoutDeadline(proto::SoftwareTiming timing)
 {
-    proto::SoftwareTiming engine;
-    engine.serviceNs = timing.serviceNs;
-    engine.retryNs = timing.retryNs;
-    engine.retryJitterNs = timing.retryJitterNs;
-    engine.deadOwnerTimeoutNs = 0;
-    return engine;
+    timing.deadOwnerTimeoutNs = 0;
+    return timing;
 }
 
 } // namespace
@@ -39,17 +33,16 @@ InterBusBoard::InterBusBoard(std::uint32_t cluster_index,
                              EventQueue &events, mem::VmeBus &local_bus,
                              mem::VmeBus &global_bus,
                              mem::PhysMem &image,
-                             const IbcTiming &timing,
+                             const proto::SoftwareTiming &timing,
                              std::size_t fifo_capacity)
-    : localId_(local_master_id), events_(events), localBus_(local_bus),
-      image_(image), timing_(timing),
+    : ProtocolClient("ibc", cluster_index, events, globalMonitor_,
+                     global_bus, image.pageBytes(), withoutDeadline(timing),
+                     0x51C5'A11Du * (cluster_index + 1) + 0x0B0Au),
+      localId_(local_master_id), localBus_(local_bus), image_(image),
       localTable_(image.size(), image.pageBytes()),
       localFifo_(fifo_capacity),
       globalMonitor_(cluster_index, image.size(), image.pageBytes(),
                      fifo_capacity),
-      client_(*this, "ibc", cluster_index, events, globalMonitor_,
-              global_bus, image.pageBytes(), engineTiming(timing),
-              0x51C5'A11Du * (cluster_index + 1) + 0x0B0Au),
       staging_(image.pageBytes())
 {
     localBus_.attachWatcher(localId_, *this);
@@ -60,33 +53,33 @@ InterBusBoard::InterBusBoard(std::uint32_t cluster_index,
 void
 InterBusBoard::traceInstant(obs::EventKind kind, Addr addr)
 {
-    if (client_.tracer() == nullptr)
+    if (tracer() == nullptr)
         return;
     obs::TraceEvent event;
     event.kind = kind;
     event.at = events_.now();
     event.addr = addr;
-    event.master = client_.id();
-    event.track = client_.traceTrack();
-    client_.tracer()->record(event);
+    event.master = id();
+    event.track = traceTrack();
+    tracer()->record(event);
 }
 
 void
 InterBusBoard::traceFetch(Tick started, Addr addr, bool exclusive,
                           bool upgrade)
 {
-    if (client_.tracer() == nullptr)
+    if (tracer() == nullptr)
         return;
     obs::TraceEvent event;
     event.kind = obs::EventKind::IbcFetch;
     event.at = started;
     event.addr = addr;
     event.arg0 = events_.now() - started;
-    event.master = client_.id();
-    event.track = client_.traceTrack();
+    event.master = id();
+    event.track = traceTrack();
     event.aux = static_cast<std::uint8_t>((exclusive ? 1u : 0u) |
                                           (upgrade ? 2u : 0u));
-    client_.tracer()->record(event);
+    tracer()->record(event);
 }
 
 WatchVerdict
@@ -104,7 +97,7 @@ InterBusBoard::observe(const mem::BusTransaction &tx)
         // here whether another local monitor aborts this transfer, but
         // writing back a frame whose image copy merely *equals* main
         // memory is redundant, never incorrect.
-        dirty_.insert(client_.frameOf(tx.paddr));
+        dirty_.insert(frameOf(tx.paddr));
         return WatchVerdict::Ignore;
       case TxType::Notify:
         // Notifications are cluster-local (cross-cluster notification
@@ -163,7 +156,7 @@ InterBusBoard::idle() const
 void
 InterBusBoard::kick()
 {
-    if (client_.dead() || client_.wedged() || busy_ || kickScheduled_)
+    if (dead() || wedged() || busy_ || kickScheduled_)
         return;
     kickScheduled_ = true;
     events_.scheduleIn(1, [this] {
@@ -175,14 +168,14 @@ InterBusBoard::kick()
 void
 InterBusBoard::pump()
 {
-    if (client_.dead() || client_.wedged() || busy_)
+    if (dead() || wedged() || busy_)
         return;
     // Global-FIFO overflow may have lost an interrupt word for another
     // cluster's *successful* ownership acquisition; recover
     // conservatively before trusting any entry again.
     if (globalMonitor_.fifo().overflowed()) {
         busy_ = true;
-        client_.noteProgress();
+        noteProgress();
         recoverFromOverflow([this] { finishWork(); });
         return;
     }
@@ -195,17 +188,17 @@ InterBusBoard::pump()
     }
     if (auto word = globalMonitor_.fifo().pop()) {
         busy_ = true;
-        client_.noteProgress();
-        client_.serviceWord(*word, [this] { finishWork(); });
+        noteProgress();
+        takeWord(*word, [this] { finishWork(); });
         return;
     }
     if (auto word = localFifo_.pop()) {
         busy_ = true;
-        ++client_.requestsServiced();
-        client_.noteProgress();
-        client_.afterSoftware(timing_.serviceNs, [this, word = *word] {
+        ++requestsServiced();
+        noteProgress();
+        afterSoftware(timing().serviceNs, [this, word = *word] {
             // A failstopped board's software never gets here.
-            if (!client_.dead())
+            if (!dead())
                 dispatchLocalWord(word, [this] { finishWork(); },
                                   proto::RetryLoop{0, events_.now()});
         });
@@ -233,7 +226,7 @@ InterBusBoard::dispatchLocalWord(monitor::InterruptWord word, Done done,
     // satisfied this request.
     if (entry == ActionEntry::Protect ||
         (!want_exclusive && entry != ActionEntry::Ignore)) {
-        ++client_.spuriousWords();
+        ++spuriousWords();
         done();
         return;
     }
@@ -247,25 +240,23 @@ void
 InterBusBoard::fetchFrame(monitor::InterruptWord word, bool exclusive,
                           Done done, proto::RetryLoop loop)
 {
-    const Addr base = client_.frameBase(word.paddr);
+    const Addr base = frameBase(word.paddr);
     const Tick fetch_started = events_.now();
-    client_.copier().readPage(
-        base, staging_.data(), client_.pageBytes(), exclusive,
+    copier().readPage(
+        base, staging_.data(), pageBytes(), exclusive,
         [this, word, exclusive, base, fetch_started, loop,
          done = std::move(done)](const mem::TxResult &result) {
             if (result.aborted) {
                 retryLocalWord("fetch", word, done, loop);
                 return;
             }
-            image_.initBlock(base, staging_.data(), client_.pageBytes());
-            const auto frame = client_.frameOf(base);
+            image_.initBlock(base, staging_.data(), pageBytes());
+            const auto frame = frameOf(base);
             dirty_.erase(frame);
             const auto entry = exclusive ? ActionEntry::Protect
                                          : ActionEntry::Shared;
-            client_.setShadow(frame, entry);
+            setShadow(frame, entry);
             ++(exclusive ? exclusiveFetches_ : sharedFetches_);
-            if (budgetFault_)
-                budgetFault_();
             traceFetch(fetch_started, base, exclusive,
                        /*upgrade=*/false);
             install(base, entry, done);
@@ -276,25 +267,22 @@ void
 InterBusBoard::upgradeFrame(monitor::InterruptWord word, Done done,
                             proto::RetryLoop loop)
 {
-    const Addr base = client_.frameBase(word.paddr);
+    const Addr base = frameBase(word.paddr);
     const Tick upgrade_started = events_.now();
     mem::BusTransaction tx;
     tx.type = TxType::AssertOwnership;
-    tx.requester = client_.id();
+    tx.requester = id();
     tx.paddr = base;
     tx.newEntry = ActionEntry::Protect;
     tx.updatesTable = true;
-    client_.bus().request(tx, [this, word, base, upgrade_started, loop,
-                               done = std::move(done)](
-                                  const mem::TxResult &result) {
+    bus().request(tx, [this, word, base, upgrade_started, loop,
+                       done = std::move(done)](const mem::TxResult &result) {
         if (result.aborted) {
             retryLocalWord("upgrade", word, done, loop);
             return;
         }
         ++upgrades_;
-        client_.setShadow(client_.frameOf(base), ActionEntry::Protect);
-        if (budgetFault_)
-            budgetFault_();
+        setShadow(frameOf(base), ActionEntry::Protect);
         traceFetch(upgrade_started, base, /*exclusive=*/true,
                    /*upgrade=*/true);
         install(base, ActionEntry::Protect, done);
@@ -306,17 +294,16 @@ InterBusBoard::retryLocalWord(const char *operation,
                               monitor::InterruptWord word, Done done,
                               proto::RetryLoop loop)
 {
-    ++client_.retries();
+    ++retries();
     // The watchdog observes; the board has no dead-owner deadline.
-    client_.watchdogCheck(operation, 0, 0, client_.frameBase(word.paddr),
-                          ++loop.tries, loop.started);
+    watchdogCheck(operation, 0, 0, frameBase(word.paddr), ++loop.tries,
+                  loop.started);
     // Another cluster owns the frame. Service its pending requests
     // first — it may be waiting for a frame *we* hold — then retry from
     // current cluster state: the drain may even have invalidated this
     // very frame (we lost a race for ownership).
-    client_.serviceQueued([this, word, done, loop] {
-        client_.afterSoftware(client_.retryDelay(), [this, word, done,
-                                                     loop] {
+    serviceQueued([this, word, done, loop] {
+        afterSoftware(retryDelay(), [this, word, done, loop] {
             dispatchLocalWord(word, done, loop);
         });
     });
@@ -325,9 +312,8 @@ InterBusBoard::retryLocalWord(const char *operation,
 void
 InterBusBoard::install(Addr base, ActionEntry entry, Done done)
 {
-    client_.afterSoftware(timing_.installNs, [this, base, entry,
-                                              done = std::move(done)] {
-        if (client_.dead())
+    afterSoftware(installNs, [this, base, entry, done = std::move(done)] {
+        if (dead())
             return;
         localTable_.setFor(base, entry);
         done();
@@ -340,16 +326,16 @@ void
 InterBusBoard::serviceWord(const monitor::InterruptWord &word, Done done)
 {
     // A failstopped board's software never gets here.
-    if (client_.dead())
+    if (dead())
         return;
     // Echo of one of our own (self-observed) transactions.
-    if (word.requester == client_.id() && !word.aborted) {
-        ++client_.spuriousWords();
+    if (word.requester == id() && !word.aborted) {
+        ++spuriousWords();
         done();
         return;
     }
-    const Addr base = client_.frameBase(word.paddr);
-    const auto frame = client_.frameOf(word.paddr);
+    const Addr base = frameBase(word.paddr);
+    const auto frame = frameOf(word.paddr);
     const auto state = localTable_.entryFor(base);
     switch (word.type) {
       case TxType::ReadShared:
@@ -364,7 +350,7 @@ InterBusBoard::serviceWord(const monitor::InterruptWord &word, Done done)
             // ownership. Clearing it here would let that assert slip
             // past silently and leave this cluster free to upgrade a
             // stale image.
-            ++client_.spuriousWords();
+            ++spuriousWords();
             done();
         } else {
             clearGlobalEntryIfStale(base, std::move(done));
@@ -394,7 +380,7 @@ InterBusBoard::serviceWord(const monitor::InterruptWord &word, Done done)
         }
         return;
       default:
-        ++client_.spuriousWords();
+        ++spuriousWords();
         done();
         return;
     }
@@ -404,7 +390,7 @@ void
 InterBusBoard::downgradeCluster(Addr base, Done done)
 {
     ++downgrades_;
-    const auto frame = client_.frameOf(base);
+    const auto frame = frameOf(base);
     // Block new local fills first: local transactions abort and queue
     // as ordinary fetch requests until the transition completes.
     localTable_.setFor(base, ActionEntry::Ignore);
@@ -420,7 +406,7 @@ InterBusBoard::downgradeCluster(Addr base, Done done)
                                finish();
                            });
         } else {
-            client_.writeTable(base, ActionEntry::Shared, finish);
+            writeTable(base, ActionEntry::Shared, finish);
         }
     });
 }
@@ -429,7 +415,7 @@ void
 InterBusBoard::invalidateCluster(Addr base, Done done)
 {
     ++invalidates_;
-    const auto frame = client_.frameOf(base);
+    const auto frame = frameOf(base);
     const auto state = localTable_.entryFor(base);
     localTable_.setFor(base, ActionEntry::Ignore);
     recallLocal(base, [this, base, frame, state,
@@ -442,7 +428,7 @@ InterBusBoard::invalidateCluster(Addr base, Done done)
                            });
         } else {
             dirty_.erase(frame);
-            client_.writeTable(base, ActionEntry::Ignore, done);
+            writeTable(base, ActionEntry::Ignore, done);
         }
     });
 }
@@ -450,9 +436,9 @@ InterBusBoard::invalidateCluster(Addr base, Done done)
 void
 InterBusBoard::clearGlobalEntryIfStale(Addr base, Done done)
 {
-    if (client_.shadowEntry(base) == ActionEntry::Ignore)
-        ++client_.spuriousWords();
-    client_.releaseEntry(base, std::move(done));
+    if (shadowEntry(base) == ActionEntry::Ignore)
+        ++spuriousWords();
+    releaseEntry(base, std::move(done));
 }
 
 void
@@ -464,12 +450,12 @@ InterBusBoard::recoverFromOverflow(Done done)
     // retried, regenerating their words. Drop every shared frame,
     // lowest first (the engine releases the list from its back).
     std::vector<std::uint64_t> frames;
-    for (const auto &[frame, entry] : client_.shadowTable()) {
+    for (const auto &[frame, entry] : shadowTable()) {
         if (entry == ActionEntry::Shared)
             frames.push_back(frame);
     }
     std::sort(frames.begin(), frames.end(), std::greater<>());
-    client_.recoverOverflow(
+    recoverOverflow(
         std::move(frames),
         [this](std::uint64_t frame, Done next) {
             const Addr base = image_.frameBase(frame);
@@ -504,13 +490,12 @@ InterBusBoard::recallAttempt(Addr base, Done done, proto::RetryLoop loop)
             // A local cache still owns the frame; it relinquishes
             // (writing dirty data back to the image) when it services
             // the interrupt this attempt queued.
-            ++client_.retries();
-            client_.watchdogCheck("recall", 0, 0, base, ++loop.tries,
-                                  loop.started);
-            client_.afterSoftware(client_.retryDelay(),
-                                  [this, base, done, loop] {
-                                      recallAttempt(base, done, loop);
-                                  });
+            ++retries();
+            watchdogCheck("recall", 0, 0, base, ++loop.tries,
+                          loop.started);
+            afterSoftware(retryDelay(), [this, base, done, loop] {
+                recallAttempt(base, done, loop);
+            });
             return;
         }
         traceInstant(obs::EventKind::IbcRecall, base);
@@ -521,18 +506,16 @@ InterBusBoard::recallAttempt(Addr base, Done done, proto::RetryLoop loop)
 void
 InterBusBoard::writeBackImage(Addr base, ActionEntry after, Done done)
 {
-    auto page =
-        std::make_shared<std::vector<std::uint8_t>>(client_.pageBytes());
-    image_.readBlock(base, page->data(), client_.pageBytes());
+    auto page = std::make_shared<std::vector<std::uint8_t>>(pageBytes());
+    image_.readBlock(base, page->data(), pageBytes());
     // An abort here is a stale Shared entry in another cluster's
     // monitor; the engine retries it, counted as a retry.
-    client_.writeBack(client_.frameOf(base), std::move(page), after,
-                      client_.retries(),
-                      [this, base, done = std::move(done)] {
-                          ++globalWriteBacks_;
-                          traceInstant(obs::EventKind::IbcWriteBack, base);
-                          done();
-                      });
+    writeBack(frameOf(base), std::move(page), after, retries(),
+              [this, base, done = std::move(done)] {
+                  ++globalWriteBacks_;
+                  traceInstant(obs::EventKind::IbcWriteBack, base);
+                  done();
+              });
 }
 
 // --- statistics -----------------------------------------------------
@@ -561,16 +544,16 @@ InterBusBoard::registerStats(StatGroup &group) const
                      globalWriteBacks_);
     group.addCounter("retries",
                      "aborted transactions retried (both buses)",
-                     client_.retries());
+                     retries());
     group.addCounter("words_local",
                      "local fetch/upgrade request words serviced",
-                     client_.requestsServiced());
+                     requestsServiced());
     group.addCounter("words_global",
                      "global consistency interrupt words serviced",
-                     client_.wordsServiced());
+                     wordsServiced());
     group.addCounter("spurious_words",
                      "words already satisfied/stale when serviced",
-                     client_.spuriousWords());
+                     spuriousWords());
     group.addCounter("local_aborts",
                      "local transactions aborted (cluster misses)",
                      localAborts_);
@@ -579,7 +562,7 @@ InterBusBoard::registerStats(StatGroup &group) const
                      violations_);
     group.addCounter("overflow_recoveries",
                      "global-FIFO overflow recovery sweeps",
-                     client_.overflowRecoveries());
+                     overflowRecoveries());
     group.addCounter("local_overflow_clears",
                      "local-FIFO overflow flags cleared",
                      localOverflowClears_);

@@ -16,7 +16,7 @@
  * or upgrades the frame over the global bus.
  *
  * Towards the global bus the board is an ordinary protocol client: it
- * composes the same proto::ProtocolClient engine as a processor
+ * derives from the same proto::ProtocolClient engine as a processor
  * board's CacheController — its own bus monitor (action table +
  * interrupt FIFO), the engine's block copier, retry delay, table
  * shadow, write-back retry loop, watchdog and overflow recovery — so
@@ -58,42 +58,34 @@
 namespace vmp::hier
 {
 
-/** Instruction-time budget of the board's service software. */
-struct IbcTiming
-{
-    /** Dispatch + bookkeeping for one interrupt word. */
-    Tick serviceNs = 3000;
-    /** Install a fetched page in the image and update tables. */
-    Tick installNs = 2000;
-    /** Base retry back-off after an aborted global transaction. */
-    Tick retryNs = 1000;
-    /** Desynchronizing jitter added to every retry. */
-    Tick retryJitterNs = 12000;
-};
-
 /**
  * One cluster's inter-bus cache board. Implements mem::BusWatcher on
  * the *local* bus directly (its pass/abort rule differs from a
  * processor monitor's: a cluster-level Shared entry must still block
- * local ownership upgrades until the global upgrade completes) and
- * composes a proto::ProtocolClient, over its own monitor, on the
- * *global* bus.
+ * local ownership upgrades until the global upgrade completes) and is
+ * a proto::ProtocolClient, over its own monitor, on the *global* bus.
  *
- * A failstop (client().failstop()) kills the board's *software*: the
- * service loop stops at the next software step — bus transactions
- * already in flight complete, they cannot be recalled — and no further
- * global fetches, upgrades or recalls happen. The board's table
+ * The board's software runs on the machine's proto::SoftwareTiming: a
+ * service quantum per word taken (global or local), the jittered retry
+ * back-off, and installNs per installed page. Its retry loops have no
+ * dead-owner deadline: they keep retrying until their frame comes.
+ *
+ * A failstop kills the board's *software*: the service loop stops at
+ * the next software step — bus transactions already in flight
+ * complete, they cannot be recalled — and no further global fetches,
+ * upgrades or recalls happen. The board's table
  * *hardware* keeps driving both buses: local requests the cluster
  * cannot satisfy keep aborting with nobody left to service them, and
  * the global monitor's stale entries keep aborting other clusters —
  * the hazards the recovery subsystem clears. Inter-bus boards do not
- * hot-rejoin in this model. A wedge (client().setWedged()) stops the
- * pump taking new work while dead() stays false; unwedging kicks it.
+ * hot-rejoin in this model. A wedge stops the pump taking new work
+ * while dead() stays false; unwedging kicks it.
  */
-class InterBusBoard : public mem::BusWatcher, private proto::ClientPolicy
+class InterBusBoard : public mem::BusWatcher, public proto::ProtocolClient
 {
   public:
-    using Done = std::function<void()>;
+    /** Install a fetched page in the image and update the tables. */
+    static const Tick installNs;
 
     /**
      * @param cluster_index this cluster's master id on the global bus
@@ -101,18 +93,17 @@ class InterBusBoard : public mem::BusWatcher, private proto::ClientPolicy
      *        (must not collide with the cluster's CPU ids)
      * @param image the cluster image (local bus memory); same size and
      *        page geometry as main memory
+     * @param timing the machine's software timing; its dead-owner
+     *        deadline is not used
      */
     InterBusBoard(std::uint32_t cluster_index,
                   std::uint32_t local_master_id, EventQueue &events,
                   mem::VmeBus &local_bus, mem::VmeBus &global_bus,
-                  mem::PhysMem &image, const IbcTiming &timing = {},
+                  mem::PhysMem &image,
+                  const proto::SoftwareTiming &timing = {},
                   std::size_t fifo_capacity = 128);
 
-    std::uint32_t clusterIndex() const { return client_.id(); }
     std::uint32_t localMasterId() const { return localId_; }
-    /** The global side's protocol engine. */
-    proto::ProtocolClient &client() { return client_; }
-    const proto::ProtocolClient &client() const { return client_; }
 
     // --- BusWatcher interface (local bus) ---
     mem::WatchVerdict observe(const mem::BusTransaction &tx) override;
@@ -131,10 +122,6 @@ class InterBusBoard : public mem::BusWatcher, private proto::ClientPolicy
     }
     /** True when no service work is pending or in flight. */
     bool idle() const override;
-    /** True once failstopped. */
-    bool dead() const { return client_.dead(); }
-    /** True while the service loop is wedged. */
-    bool wedged() const { return client_.wedged(); }
     /** Words currently queued for the service loop (both FIFOs). */
     std::uint64_t pendingWords() const override
     {
@@ -142,29 +129,15 @@ class InterBusBoard : public mem::BusWatcher, private proto::ClientPolicy
     }
 
     /**
-     * Register this board with a cluster-level memory-budget client:
-     * @p on_fault is called once per successful global fetch/upgrade
-     * (pressure input) and @p on_use with +1/-1 as the cluster's
-     * global-shadow footprint grows/shrinks (occupancy input). Null
-     * hooks (the default) cost one untaken branch each.
-     */
-    void setBudgetClient(std::function<void()> on_fault,
-                         std::function<void(std::int32_t)> on_use)
-    {
-        budgetFault_ = std::move(on_fault);
-        client_.setFootprintHook(std::move(on_use));
-    }
-
-    /**
      * Arm fault injection on the board's soft spots: the local-side
      * request FIFO, the global-side monitor (FIFO + interrupt
      * delivery) and the global block copier. Null disarms.
      */
-    void setFaultHooks(mem::FaultHooks *hooks)
+    void setFaultHooks(mem::FaultHooks *hooks) override
     {
         localFifo_.setFaultHooks(hooks);
         globalMonitor_.setFaultHooks(hooks, &events_);
-        client_.setFaultHooks(hooks);
+        ProtocolClient::setFaultHooks(hooks);
     }
 
     /**
@@ -175,11 +148,11 @@ class InterBusBoard : public mem::BusWatcher, private proto::ClientPolicy
      * on this board's one @p track. Observation only.
      */
     void
-    setTracer(obs::EventTracer *tracer, std::uint16_t track)
+    setTracer(obs::EventTracer *tracer, std::uint16_t track) override
     {
         localFifo_.setTracer(tracer, track, &events_);
         globalMonitor_.setTracer(tracer, track, &events_);
-        client_.setTracer(tracer, track);
+        ProtocolClient::setTracer(tracer, track);
     }
 
     // --- statistics ---
@@ -195,14 +168,16 @@ class InterBusBoard : public mem::BusWatcher, private proto::ClientPolicy
     const Counter &invalidates() const { return invalidates_; }
     const Counter &recalls() const { return recalls_; }
     const Counter &globalWriteBacks() const { return globalWriteBacks_; }
-    const Counter &retries() const { return client_.retries(); }
     const Counter &localAborts() const { return localAborts_; }
     const Counter &protocolViolations() const { return violations_; }
-    const Counter &overflowRecoveries() const
-    {
-        return client_.overflowRecoveries();
-    }
     void registerStats(StatGroup &group) const;
+
+  protected:
+    // --- the global side's per-word policy ---
+    void serviceWord(const monitor::InterruptWord &word,
+                     Done done) override;
+    void recoverFromOverflow(Done done) override;
+    void resume() override { kick(); }
 
   private:
     /** Schedule a service pass (no-op if one is running/scheduled). */
@@ -210,7 +185,6 @@ class InterBusBoard : public mem::BusWatcher, private proto::ClientPolicy
     /** Take the next work item, priority: overflow, global, local. */
     void pump();
     void finishWork();
-    void resume() override { kick(); }
 
     /** State-dependent dispatch of a local fetch/upgrade request;
      *  also the retry entry point (cluster state may have changed). */
@@ -228,10 +202,6 @@ class InterBusBoard : public mem::BusWatcher, private proto::ClientPolicy
      *  never gets there. */
     void install(Addr base, mem::ActionEntry entry, Done done);
 
-    // --- ClientPolicy: the global side's per-word policy ---
-    void serviceWord(const monitor::InterruptWord &word,
-                     Done done) override;
-    void recoverFromOverflow(Done done) override;
     void downgradeCluster(Addr base, Done done);
     void invalidateCluster(Addr base, Done done);
     /** Clear a stale global action-table entry, if any. */
@@ -253,10 +223,8 @@ class InterBusBoard : public mem::BusWatcher, private proto::ClientPolicy
                     bool upgrade);
 
     std::uint32_t localId_;
-    EventQueue &events_;
     mem::VmeBus &localBus_;
     mem::PhysMem &image_;
-    IbcTiming timing_;
 
     /** Cluster-level state table (local side). */
     monitor::ActionTable localTable_;
@@ -264,7 +232,6 @@ class InterBusBoard : public mem::BusWatcher, private proto::ClientPolicy
     monitor::InterruptFifo localFifo_;
     /** Monitor watching the global bus for this board. */
     monitor::BusMonitor globalMonitor_;
-    proto::ProtocolClient client_;
 
     /** Page staging buffer for global fetches. */
     std::vector<std::uint8_t> staging_;
@@ -273,8 +240,6 @@ class InterBusBoard : public mem::BusWatcher, private proto::ClientPolicy
 
     bool busy_ = false;
     bool kickScheduled_ = false;
-    /** Cluster budget-client fault hook (null unless registered). */
-    std::function<void()> budgetFault_;
 
     Counter sharedFetches_;
     Counter exclusiveFetches_;

@@ -26,15 +26,14 @@ WatchdogReport::toString() const
     return os.str();
 }
 
-ProtocolClient::ProtocolClient(ClientPolicy &policy, const char *kind,
-                               std::uint32_t id, EventQueue &events,
+ProtocolClient::ProtocolClient(const char *kind, std::uint32_t id,
+                               EventQueue &events,
                                monitor::BusMonitor &monitor,
                                mem::VmeBus &bus, std::uint32_t page_bytes,
                                const SoftwareTiming &timing,
                                std::uint64_t seed)
-    : policy_(policy), kind_(kind), id_(id), events_(events),
-      monitor_(monitor), bus_(bus), copier_(id, bus),
-      pageBytes_(page_bytes), timing_(timing), rng_(seed)
+    : events_(events), kind_(kind), id_(id), monitor_(monitor), bus_(bus),
+      copier_(id, bus), pageBytes_(page_bytes), timing_(timing), rng_(seed)
 {}
 
 Tick
@@ -81,7 +80,7 @@ ProtocolClient::setWedged(bool wedged)
 {
     wedged_ = wedged;
     if (!wedged_)
-        policy_.resume();
+        resume();
 }
 
 void
@@ -106,12 +105,7 @@ ProtocolClient::shadowEntry(Addr paddr) const
 void
 ProtocolClient::setShadow(std::uint64_t frame, mem::ActionEntry entry)
 {
-    mem::ActionEntry &held = shadow_[frame];
-    const bool was_held = held != mem::ActionEntry::Ignore;
-    const bool now_held = entry != mem::ActionEntry::Ignore;
-    held = entry;
-    if (footprint_ && was_held != now_held)
-        footprint_(now_held ? +1 : -1);
+    shadow_[frame] = entry;
 }
 
 void
@@ -317,7 +311,7 @@ ProtocolClient::drain()
 {
     if (monitor_.fifo().overflowed()) {
         ++serviceEpoch_;
-        policy_.recoverFromOverflow([this] { drain(); });
+        recoverFromOverflow([this] { drain(); });
         return;
     }
     const auto word = monitor_.fifo().pop();
@@ -346,14 +340,14 @@ ProtocolClient::drain()
     // slowFactor_ is 1 on a healthy board — multiplying the charge by
     // one keeps the unfaulted run bit-identical.
     serviceCpuNs_ += timing_.serviceNs * slowFactor_;
-    serviceWord(*word, [this] { drain(); });
+    takeWord(*word, [this] { drain(); });
 }
 
 void
 ProtocolClient::serviceQueued(Done done)
 {
     if (const auto word = monitor_.fifo().pop()) {
-        serviceWord(*word, [this, done = std::move(done)] {
+        takeWord(*word, [this, done = std::move(done)] {
             serviceQueued(done);
         });
         return;
@@ -362,7 +356,7 @@ ProtocolClient::serviceQueued(Done done)
 }
 
 void
-ProtocolClient::serviceWord(const monitor::InterruptWord &word, Done next)
+ProtocolClient::takeWord(const monitor::InterruptWord &word, Done next)
 {
     ++wordsServiced_;
     VMP_DTRACE(debug::Monitor, events_.now(), kind_, id_,
@@ -371,7 +365,7 @@ ProtocolClient::serviceWord(const monitor::InterruptWord &word, Done next)
                word.aborted ? " (aborted)" : "");
     afterSoftware(timing_.serviceNs * slowFactor_,
                   [this, word, next = std::move(next)] {
-                      policy_.serviceWord(word, next);
+                      serviceWord(word, next);
                   });
 }
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * The protocol-client engine: what every master on a two-state VMP bus
- * runs, written once. A processor board's CacheController composes one
- * on its bus; in the Section 7 hierarchy an inter-bus board composes
- * one on the global bus, where it is just another master. The engine
- * owns Section 3.3's software ownership machinery:
+ * The protocol client: what every master on a two-state VMP bus runs,
+ * written once. A processor board's CacheController is one on its bus;
+ * in the Section 7 hierarchy an inter-bus board is one on the global
+ * bus, where it is just another master. The base class owns Section
+ * 3.3's software ownership machinery:
  *  - the bus monitor it drains and the block copier it transfers with;
  *  - the jittered retry delay of an aborted transaction;
  *  - the software shadow of the monitor's action table, with one
@@ -16,9 +16,10 @@
  *  - the liveness state the health witness reads (dead, wedged, the
  *    service-loop progress epoch) and the counters beside it.
  *
- * The composing board supplies what differs between clients through
- * ClientPolicy: how one interrupt word is serviced, which frames an
- * overflow sweep drops, and what else it queues for its software.
+ * Each board derives from it and overrides what differs between
+ * clients: how one interrupt word is serviced, which frames an overflow
+ * sweep drops, what else it queues for its software, and what its
+ * failstop, rejoin, tracer and fault hooks reach beyond the engine's.
  */
 
 #ifndef VMP_PROTO_CLIENT_HH
@@ -87,31 +88,10 @@ struct RetryLoop
     Tick started = 0;
 };
 
-/** What the board composing a ProtocolClient supplies. */
-class ClientPolicy
-{
-  public:
-    using Done = std::function<void()>;
-
-    /** Service one word taken from the monitor FIFO, then @p next. */
-    virtual void serviceWord(const monitor::InterruptWord &word,
-                             Done next) = 0;
-    /** FIFO overflow: pick the Shared frames and hand them to
-     *  ProtocolClient::recoverOverflow. */
-    virtual void recoverFromOverflow(Done done) = 0;
-    /** Words waiting for the service software (the wedge witness's
-     *  backlog). */
-    virtual std::uint64_t pendingWords() const = 0;
-    /** True when no service work is pending or in flight. */
-    virtual bool idle() const = 0;
-    /** The service loop was unwedged: pick the backlog back up. */
-    virtual void resume() {}
-
-  protected:
-    ~ClientPolicy() = default;
-};
-
-/** One master's protocol engine on one two-state bus. */
+/**
+ * One master's protocol engine on one two-state bus, the base class of
+ * every board that runs the protocol.
+ */
 class ProtocolClient
 {
   public:
@@ -129,10 +109,11 @@ class ProtocolClient
      * @param id the client's master id on @p bus
      * @param seed seed of the retry-jitter stream
      */
-    ProtocolClient(ClientPolicy &policy, const char *kind, std::uint32_t id,
-                   EventQueue &events, monitor::BusMonitor &monitor,
-                   mem::VmeBus &bus, std::uint32_t page_bytes,
-                   const SoftwareTiming &timing, std::uint64_t seed);
+    ProtocolClient(const char *kind, std::uint32_t id, EventQueue &events,
+                   monitor::BusMonitor &monitor, mem::VmeBus &bus,
+                   std::uint32_t page_bytes, const SoftwareTiming &timing,
+                   std::uint64_t seed);
+    virtual ~ProtocolClient() = default;
     ProtocolClient(const ProtocolClient &) = delete;
     ProtocolClient &operator=(const ProtocolClient &) = delete;
 
@@ -157,14 +138,14 @@ class ProtocolClient
         events_.scheduleIn(delay, std::move(fn), "sw");
     }
 
-    /** Forward fault-injection hooks to the block copier. */
-    void setFaultHooks(mem::FaultHooks *hooks)
+    /** Arm fault-injection hooks on the block copier (null disarms). */
+    virtual void setFaultHooks(mem::FaultHooks *hooks)
     {
         copier_.setFaultHooks(hooks);
     }
     /** Attach a tracer: Service spans and the copier's Copy spans land
      *  on @p track. Observation only. */
-    void setTracer(obs::EventTracer *tracer, std::uint16_t track);
+    virtual void setTracer(obs::EventTracer *tracer, std::uint16_t track);
     obs::EventTracer *tracer() const { return tracer_; }
     std::uint16_t traceTrack() const { return traceTrack_; }
 
@@ -182,17 +163,8 @@ class ProtocolClient
     void setShadow(std::uint64_t frame, mem::ActionEntry entry);
     /** Forget the whole shadow (the software lost its memory). */
     void clearShadow() { shadow_.clear(); }
-    /**
-     * Report the shadow's footprint to @p hook: +1 when a frame's
-     * entry leaves Ignore, -1 when it returns to Ignore.
-     */
-    void
-    setFootprintHook(std::function<void(std::int32_t)> hook)
-    {
-        footprint_ = std::move(hook);
-    }
-    /** Set this monitor's entry for @p paddr's frame via the bus; the
-     *  shadow follows when the write completes. */
+    /** Set this monitor's action-table entry for @p paddr's frame via
+     *  the bus; the shadow follows when the write completes. */
     void writeTable(Addr paddr, mem::ActionEntry entry, Done done);
     /** writeTable(Ignore) unless the shadow already says Ignore. */
     void releaseEntry(Addr paddr, Done done);
@@ -283,8 +255,8 @@ class ProtocolClient
      */
     void serviceQueued(Done done);
     /** Take up one word: count it, then after one service quantum hand
-     *  it to ClientPolicy::serviceWord. */
-    void serviceWord(const monitor::InterruptWord &word, Done next);
+     *  it to serviceWord. */
+    void takeWord(const monitor::InterruptWord &word, Done next);
     /**
      * Overflow recovery (Section 3.3, conservative): clear the FIFO's
      * overflow flag and count the sweep, then, last frame first, run
@@ -298,9 +270,9 @@ class ProtocolClient
     // --- liveness (read by the health witness) ---
 
     /** Failstop the client's software; the monitor hardware runs on. */
-    void failstop() { dead_ = true; }
+    virtual void failstop() { dead_ = true; }
     /** Cold software restart: alive, neither wedged nor slow. */
-    void rejoin();
+    virtual void rejoin();
     /** True between failstop() and rejoin(). */
     bool dead() const { return dead_; }
     /**
@@ -308,7 +280,7 @@ class ProtocolClient
      * the FIFO while the monitor hardware keeps aborting against stale
      * entries. Unlike failstop the client is NOT silent — dead() stays
      * false — which is why a progress-epoch witness is needed.
-     * Unwedging calls ClientPolicy::resume.
+     * Unwedging calls resume().
      */
     void setWedged(bool wedged);
     bool wedged() const { return wedged_; }
@@ -326,10 +298,11 @@ class ProtocolClient
      * freezes while its backlog persists.
      */
     std::uint64_t serviceEpoch() const { return serviceEpoch_; }
-    /** Words waiting for the service software (ClientPolicy). */
-    std::uint64_t pendingWords() const { return policy_.pendingWords(); }
+    /** Words waiting for the service software (the wedge witness's
+     *  backlog). */
+    virtual std::uint64_t pendingWords() const = 0;
     /** True when no service work is pending or in flight. */
-    bool idle() const { return policy_.idle(); }
+    virtual bool idle() const = 0;
 
     // --- statistics ---
     /** Aborted transactions retried. */
@@ -378,6 +351,18 @@ class ProtocolClient
         return lastReport_;
     }
 
+  protected:
+    /** Service one word taken from the monitor FIFO, then @p next. */
+    virtual void serviceWord(const monitor::InterruptWord &word,
+                             Done next) = 0;
+    /** FIFO overflow: pick the Shared frames and hand them to
+     *  recoverOverflow. */
+    virtual void recoverFromOverflow(Done done) = 0;
+    /** The service loop was unwedged: pick the backlog back up. */
+    virtual void resume() {}
+
+    EventQueue &events_;
+
   private:
     void writeBackAttempt(std::uint64_t frame, PageBuffer data,
                           mem::ActionEntry after, Counter &aborts,
@@ -387,10 +372,8 @@ class ProtocolClient
     void releaseFrames(std::shared_ptr<std::vector<std::uint64_t>> frames,
                        FrameStep drop, Done done);
 
-    ClientPolicy &policy_;
     const char *kind_;
     std::uint32_t id_;
-    EventQueue &events_;
     monitor::BusMonitor &monitor_;
     mem::VmeBus &bus_;
     mem::BlockCopier copier_;
@@ -402,7 +385,6 @@ class ProtocolClient
 
     /** Software's shadow of the monitor's action table. */
     std::unordered_map<std::uint64_t, mem::ActionEntry> shadow_;
-    std::function<void(std::int32_t)> footprint_;
 
     /** The live drain; later serviceInterrupts() calls join it
      *  (DESIGN.md, "One service record"). */

@@ -44,22 +44,22 @@ CacheController::CacheController(CpuId cpu, EventQueue &events,
                                  mem::VmeBus &bus,
                                  Translator &translator,
                                  const SoftwareTiming &timing)
-    : cpuId_(cpu), events_(events), cache_(cache), translator_(translator),
-      client_(*this, "cpu", cpu, events, busMonitor, bus,
-              cache.config().pageBytes, timing,
-              0x9E3779B9u * (cpu + 1) + 0x1234),
+    : ProtocolClient("cpu", cpu, events, busMonitor, bus,
+                     cache.config().pageBytes, timing,
+                     0x9E3779B9u * (cpu + 1) + 0x1234),
+      cache_(cache), translator_(translator),
       slotFrame_(cache.config().totalSlots(), noFrame),
       aliasNext_(cache.config().totalSlots(), cache::noSlot)
 {
     misses_.reserve(4);
     // The board's service software takes its own interrupt line; the
     // IrqService mode says whether the line starts an idle pass.
-    client_.monitor().setInterruptLine([this] { pokeIdle(); });
+    monitor().setInterruptLine([this] { pokeIdle(); });
 }
 
 CacheController::~CacheController()
 {
-    client_.monitor().setInterruptLine(nullptr);
+    monitor().setInterruptLine(nullptr);
     events_.deschedule(idlePass_);
 }
 
@@ -79,7 +79,7 @@ void
 CacheController::setTracer(obs::EventTracer *tracer,
                            std::uint16_t track)
 {
-    client_.setTracer(tracer, track);
+    ProtocolClient::setTracer(tracer, track);
     // A miss in flight stays untraced: its earlier phases were never
     // emitted.
     for (MissRecord &m : misses_)
@@ -100,11 +100,11 @@ CacheController::traceClosePhase(const MissRecord &m)
     event.kind = obs::EventKind::MissPhase;
     event.at = m.phaseStartedAt;
     event.arg0 = now - m.phaseStartedAt;
-    event.master = cpuId_;
-    event.track = client_.traceTrack();
+    event.master = id();
+    event.track = traceTrack();
     event.aux = static_cast<std::uint8_t>(
         static_cast<std::uint8_t>(m.phase) | nestedAux());
-    client_.tracer()->record(event);
+    tracer()->record(event);
 }
 
 void
@@ -128,11 +128,11 @@ CacheController::traceMissEnd(const MissRecord &m)
     event.at = m.started;
     event.arg0 = events_.now() - m.started;
     event.arg1 = m.retries;
-    event.master = cpuId_;
-    event.track = client_.traceTrack();
+    event.master = id();
+    event.track = traceTrack();
     event.aux = static_cast<std::uint8_t>((m.dirty ? 1u : 0u) |
                                           (m.kind << 1) | nestedAux());
-    client_.tracer()->record(event);
+    tracer()->record(event);
 }
 
 void
@@ -141,28 +141,28 @@ CacheController::failstop()
     // The board's management software and cache contents are gone; the
     // bus-side monitor hardware (action table, FIFO) keeps running and
     // is handled by recovery / rejoin.
-    client_.failstop();
+    ProtocolClient::failstop();
     const auto total =
         static_cast<cache::SlotIndex>(cache_.config().totalSlots());
     for (cache::SlotIndex s = 0; s < total; ++s)
         cache_.invalidate(s);
     frames_.clear();
     std::fill(slotFrame_.begin(), slotFrame_.end(), noFrame);
-    client_.clearShadow();
+    clearShadow();
     // The in-flight reference's retry count is software state too.
     for (MissRecord &m : misses_)
         m.retries = 0;
-    VMP_DTRACE(debug::Recover, events_.now(), "cpu", cpuId_,
+    VMP_DTRACE(debug::Recover, events_.now(), "cpu", id(),
                " failstop: local state wiped");
 }
 
 void
 CacheController::rejoin()
 {
-    client_.rejoin();
+    ProtocolClient::rejoin();
     for (MissRecord &m : misses_)
         m.retries = 0;
-    VMP_DTRACE(debug::Recover, events_.now(), "cpu", cpuId_,
+    VMP_DTRACE(debug::Recover, events_.now(), "cpu", id(),
                " rejoin: cold restart");
 }
 
@@ -202,7 +202,7 @@ CacheController::miss(const cache::AccessResult &res, Asid asid,
                       AccessDone done)
 {
     ++missCount_;
-    VMP_DTRACE(debug::Proto, events_.now(), "cpu", cpuId_, " miss ",
+    VMP_DTRACE(debug::Proto, events_.now(), "cpu", id(), " miss ",
                (write ? "W" : "R"), " va=0x", std::hex, vaddr,
                std::dec, " asid=", unsigned{asid});
     MissRecord &m = misses_.emplace_back();
@@ -210,7 +210,7 @@ CacheController::miss(const cache::AccessResult &res, Asid asid,
     m.started = events_.now();
     m.done = std::move(done);
     m.phaseStartedAt = m.started;
-    m.traced = client_.tracer() != nullptr;
+    m.traced = tracer() != nullptr;
     switch (res.miss) {
       case cache::MissKind::WriteShared:
         ++ownershipCount_;
@@ -238,7 +238,7 @@ CacheController::dispatchMiss(const cache::AccessResult &res)
         const cache::SlotIndex slot = res.slot;
         const std::uint64_t frame = slotFrame_[slot];
         if (frame == noFrame)
-            panic("cpu", cpuId_, ": ownership miss on untracked slot");
+            panic("cpu", id(), ": ownership miss on untracked slot");
         // The handler consults the page tables before granting write
         // access: this re-validates protection against a concurrent
         // mapping change and lets the VM system maintain the PTE
@@ -265,7 +265,7 @@ void
 CacheController::trapAndTranslate(TranslateDone next)
 {
     tracePhase(obs::MissPhase::Trap);
-    client_.afterSoftware(timing().trapEntryNs, [this, next = std::move(next)] {
+    afterSoftware(timing().trapEntryNs, [this, next = std::move(next)] {
         // A copy: the walk may push a nested miss onto misses_.
         const TranslateRequest req = misses_.back().req;
         translator_.translate(
@@ -293,14 +293,13 @@ CacheController::retryAccess()
     // monitor interrupts are taken first, which is what resolves the
     // self-competition (alias) aborts.
     MissRecord &m = misses_.back();
-    ++client_.retries();
-    const std::uint64_t retries = ++m.retries;
+    ++retries();
+    const std::uint64_t attempts = ++m.retries;
     const TranslateRequest req = m.req;
     const Tick started = m.started;
     tracePhase(obs::MissPhase::ConsistencyWait);
-    client_.watchdogCheck("access", req.asid, req.vaddr, 0, retries,
-                          started);
-    if (client_.deadOwnerCheck("access", req.vaddr, 0, retries, started)) {
+    watchdogCheck("access", req.asid, req.vaddr, 0, attempts, started);
+    if (deadOwnerCheck("access", req.vaddr, 0, attempts, started)) {
         // Timed wait expired: the board that must release the page is
         // not answering. Abandon the access — the reference completes
         // *without* a cache fill (the caller sees MissCompleted and a
@@ -310,7 +309,7 @@ CacheController::retryAccess()
         return;
     }
     serviceInterrupts([this] {
-        client_.afterSoftware(client_.retryDelay(), [this] {
+        afterSoftware(retryDelay(), [this] {
             const TranslateRequest &req = misses_.back().req;
             const auto res = cache_.access(req.asid, req.vaddr,
                                            req.write, req.supervisor);
@@ -334,7 +333,7 @@ CacheController::missWithTranslation(const TranslateResult &result)
     tracePhase(obs::MissPhase::VictimWriteback);
     retireVictim(victim, [this, result, victim] {
         tracePhase(obs::MissPhase::TableLookup);
-        client_.afterSoftware(timing().postNs, [this, result, victim] {
+        afterSoftware(timing().postNs, [this, result, victim] {
             issueFill(result, victim);
         });
     });
@@ -396,13 +395,13 @@ CacheController::retireVictim(cache::SlotIndex victim, Done done)
 {
     cache::Slot &slot = cache_.slot(victim);
     if (!slot.valid()) {
-        client_.afterSoftware(timing().overlapNs, std::move(done));
+        afterSoftware(timing().overlapNs, std::move(done));
         return;
     }
 
     const std::uint64_t frame = slotFrame_[victim];
     if (frame == noFrame)
-        panic("cpu", cpuId_, ": valid victim slot ", victim,
+        panic("cpu", id(), ": valid victim slot ", victim,
               " has no frame bookkeeping");
 
     if (slot.modified()) {
@@ -415,8 +414,8 @@ CacheController::retireVictim(cache::SlotIndex victim, Done done)
         cache_.invalidate(victim);
         const Done join = joinOfTwo(std::move(done));
         writeBack(frame, std::move(buffer), mem::ActionEntry::Ignore,
-                  join);
-        client_.afterSoftware(timing().overlapNs, join);
+                  violationCount_, join);
+        afterSoftware(timing().overlapNs, join);
         return;
     }
 
@@ -433,14 +432,13 @@ CacheController::retireVictim(cache::SlotIndex victim, Done done)
         // other master's access to the frame forever. Release it with
         // an explicit action-table write, overlapped with bookkeeping.
         const Done join = joinOfTwo(std::move(done));
-        writeActionTable(frame * client_.pageBytes(), mem::ActionEntry::Ignore,
-                         join);
-        client_.afterSoftware(timing().overlapNs, join);
+        writeTable(frame * pageBytes(), mem::ActionEntry::Ignore, join);
+        afterSoftware(timing().overlapNs, join);
     } else {
         // Shared (or still-aliased) victim: leave the 01 entry stale;
         // a later spurious interrupt cleans it up lazily. This keeps
         // the common replacement path free of extra bus transactions.
-        client_.afterSoftware(timing().overlapNs, std::move(done));
+        afterSoftware(timing().overlapNs, std::move(done));
     }
 }
 
@@ -448,11 +446,11 @@ void
 CacheController::issueFill(const TranslateResult &result,
                            cache::SlotIndex victim)
 {
-    const Addr base = client_.frameBase(result.paddr);
-    const std::uint64_t frame = client_.frameOf(result.paddr);
+    const Addr base = frameBase(result.paddr);
+    const std::uint64_t frame = frameOf(result.paddr);
     tracePhase(obs::MissPhase::BlockCopy);
     auto staging =
-        std::make_shared<std::vector<std::uint8_t>>(client_.pageBytes());
+        std::make_shared<std::vector<std::uint8_t>>(pageBytes());
 
     // Non-shared memory (Section 5.4 hint) is fetched with
     // read-private even on a read miss, pre-empting the later
@@ -461,8 +459,8 @@ CacheController::issueFill(const TranslateResult &result,
     const bool exclusive = write || result.privateHint;
     if (!write && result.privateHint)
         ++hintedPrivateFills_;
-    client_.copier().readPage(
-        base, staging->data(), client_.pageBytes(), exclusive,
+    copier().readPage(
+        base, staging->data(), pageBytes(), exclusive,
         [this, result, victim, staging, frame,
          exclusive](const mem::TxResult &res) {
             if (res.aborted) {
@@ -479,11 +477,10 @@ CacheController::issueFill(const TranslateResult &result,
             cache_.fill(victim, cache_.tagFor(req.asid, req.vaddr),
                         flags);
             if (cache_.config().storeData)
-                cache_.writeBytes(victim, 0, staging->data(),
-                                  client_.pageBytes());
+                cache_.writeBytes(victim, 0, staging->data(), pageBytes());
             FrameInfo &info = frames_[frame];
             if (slotFrame_[victim] != noFrame)
-                panic("cpu", cpuId_, ": fill into tracked slot ", victim);
+                panic("cpu", id(), ": fill into tracked slot ", victim);
             slotFrame_[victim] = frame;
             aliasNext_[victim] = info.firstSlot;
             info.firstSlot = victim;
@@ -496,8 +493,8 @@ CacheController::issueFill(const TranslateResult &result,
                 info.state = FrameState::Shared;
                 info.owningSlot = cache::noSlot;
             }
-            client_.setShadow(frame, exclusive ? mem::ActionEntry::Protect
-                                               : mem::ActionEntry::Shared);
+            setShadow(frame, exclusive ? mem::ActionEntry::Protect
+                                       : mem::ActionEntry::Shared);
             finishMiss();
         });
 }
@@ -511,7 +508,7 @@ CacheController::upgradeOwnership(cache::SlotIndex slot,
                                   std::uint64_t frame,
                                   const TranslateResult &result)
 {
-    if (client_.frameOf(result.paddr) != frame) {
+    if (frameOf(result.paddr) != frame) {
         // The mapping changed under us: drop the stale slot and redo
         // the access from scratch.
         cache_.invalidate(slot);
@@ -520,16 +517,15 @@ CacheController::upgradeOwnership(cache::SlotIndex slot,
         return;
     }
     tracePhase(obs::MissPhase::TableLookup);
-    client_.afterSoftware(timing().ownershipNs, [this, slot, frame] {
+    afterSoftware(timing().ownershipNs, [this, slot, frame] {
         mem::BusTransaction tx;
         tx.type = mem::TxType::AssertOwnership;
-        tx.requester = cpuId_;
-        tx.paddr = frame * client_.pageBytes();
+        tx.requester = id();
+        tx.paddr = frame * pageBytes();
         tx.newEntry = mem::ActionEntry::Protect;
         tx.updatesTable = true;
         tracePhase(obs::MissPhase::ConsistencyWait);
-        client_.bus().request(tx, [this, slot,
-                                   frame](const mem::TxResult &res) {
+        bus().request(tx, [this, slot, frame](const mem::TxResult &res) {
             if (res.aborted) {
                 retryAccess();
                 return;
@@ -546,7 +542,7 @@ CacheController::upgradeOwnership(cache::SlotIndex slot,
             FrameInfo &info = frames_[frame];
             info.state = FrameState::Private;
             info.owningSlot = slot;
-            client_.setShadow(frame, mem::ActionEntry::Protect);
+            setShadow(frame, mem::ActionEntry::Protect);
             finishMiss();
         });
     });
@@ -584,7 +580,7 @@ CacheController::readWord(Asid asid, Addr vaddr, bool supervisor,
                const auto res =
                    cache_.probe(asid, vaddr, false, supervisor);
                if (!res.hit)
-                   panic("cpu", cpuId_,
+                   panic("cpu", id(),
                          ": readWord probe missed after access");
                std::uint32_t value = 0;
                cache_.readBytes(res.slot, cache_.offsetOf(vaddr),
@@ -603,7 +599,7 @@ CacheController::writeWord(Asid asid, Addr vaddr, std::uint32_t value,
                const auto res =
                    cache_.probe(asid, vaddr, true, supervisor);
                if (!res.hit)
-                   panic("cpu", cpuId_,
+                   panic("cpu", id(),
                          ": writeWord probe missed after access");
                cache::Slot &s = cache_.slot(res.slot);
                s.flags = static_cast<cache::SlotFlags>(
@@ -657,8 +653,8 @@ CacheController::serviceWord(const monitor::InterruptWord &word,
 {
     // The engine charged the service quantum; this is the per-word
     // policy of a processor board.
-    const std::uint64_t frame = client_.frameOf(word.paddr);
-    const Addr base = frame * client_.pageBytes();
+    const std::uint64_t frame = frameOf(word.paddr);
+    const Addr base = frame * pageBytes();
     const auto info_it = frames_.find(frame);
 
     switch (word.type) {
@@ -677,9 +673,9 @@ CacheController::serviceWord(const monitor::InterruptWord &word,
         if (dropFrameSlots(frame))
             ++violationCount_;
         frames_.erase(frame);
-        if (client_.shadowEntry(base) != mem::ActionEntry::Ignore)
-            ++client_.spuriousWords();
-        client_.releaseEntry(base, std::move(next));
+        if (shadowEntry(base) != mem::ActionEntry::Ignore)
+            ++spuriousWords();
+        releaseEntry(base, std::move(next));
         return;
 
       case mem::TxType::ReadShared:
@@ -687,8 +683,8 @@ CacheController::serviceWord(const monitor::InterruptWord &word,
       case mem::TxType::AssertOwnership:
         if (info_it == frames_.end()) {
             // Stale entry with no bookkeeping: clean it up.
-            ++client_.spuriousWords();
-            client_.releaseEntry(base, std::move(next));
+            ++spuriousWords();
+            releaseEntry(base, std::move(next));
             return;
         }
         if (word.type == mem::TxType::ReadShared) {
@@ -698,7 +694,7 @@ CacheController::serviceWord(const monitor::InterruptWord &word,
             downgradeFrame(frame, std::move(next));
             return;
         }
-        if (word.requester == cpuId_ && !word.aborted) {
+        if (word.requester == id() && !word.aborted) {
             // Echo of our own successful acquisition: discard our other
             // (alias) copies of the frame, keeping the acquiring slot.
             dropFrameSlots(frame, info_it->second.owningSlot);
@@ -711,7 +707,7 @@ CacheController::serviceWord(const monitor::InterruptWord &word,
         return;
 
       default:
-        panic("cpu", cpuId_, ": unexpected interrupt word type ",
+        panic("cpu", id(), ": unexpected interrupt word type ",
               mem::txTypeName(word.type));
     }
 }
@@ -729,18 +725,18 @@ CacheController::relinquishFrame(std::uint64_t frame, Done next)
     frames_.erase(frame);
     if (dirty) {
         writeBack(frame, std::move(dirty), mem::ActionEntry::Ignore,
-                  std::move(next));
+                  violationCount_, std::move(next));
         return;
     }
     // Clean: release via an explicit action-table write when the entry
     // could be non-00 (shared copies or clean private).
-    client_.releaseEntry(frame * client_.pageBytes(), std::move(next));
+    releaseEntry(frame * pageBytes(), std::move(next));
 }
 
 void
 CacheController::downgradeFrame(std::uint64_t frame, Done next)
 {
-    const Addr base = frame * client_.pageBytes();
+    const Addr base = frame * pageBytes();
     const auto info_it = frames_.find(frame);
     if (info_it == frames_.end()) {
         next();
@@ -765,8 +761,7 @@ CacheController::downgradeFrame(std::uint64_t frame, Done next)
         // Ownership held without a cached copy (DMA bracket): release
         // it entirely rather than leaving a stale shared entry.
         frames_.erase(info_it);
-        writeActionTable(base, mem::ActionEntry::Ignore,
-                         std::move(next));
+        writeTable(base, mem::ActionEntry::Ignore, std::move(next));
         return;
     }
 
@@ -776,12 +771,12 @@ CacheController::downgradeFrame(std::uint64_t frame, Done next)
 
     if (dirty) {
         writeBack(frame, std::move(dirty), mem::ActionEntry::Shared,
-                  std::move(next));
+                  violationCount_, std::move(next));
         return;
     }
     // Clean private copy: memory is already current; just move the
     // entry from 10 to 01.
-    writeActionTable(base, mem::ActionEntry::Shared, std::move(next));
+    writeTable(base, mem::ActionEntry::Shared, std::move(next));
 }
 
 void
@@ -801,13 +796,13 @@ CacheController::recoverFromOverflow(Done done)
         frames_.erase(frame);
     }
     // Clear the table entries one bus write at a time, last first.
-    client_.recoverOverflow(std::move(shared_frames), {}, std::move(done));
+    recoverOverflow(std::move(shared_frames), {}, std::move(done));
 }
 
 std::uint64_t
 CacheController::pendingWords() const
 {
-    const auto &fifo = client_.monitor().fifo();
+    const auto &fifo = monitor().fifo();
     return fifo.size() + (fifo.overflowed() ? 1 : 0);
 }
 
@@ -818,13 +813,13 @@ CacheController::pendingWords() const
 void
 CacheController::assertOwnership(Addr paddr, Done done)
 {
-    const auto info_it = frames_.find(client_.frameOf(paddr));
+    const auto info_it = frames_.find(frameOf(paddr));
     if (info_it != frames_.end() &&
         info_it->second.state == FrameState::Private) {
         done();
         return;
     }
-    assertOwnershipAttempt(client_.frameBase(paddr), std::move(done),
+    assertOwnershipAttempt(frameBase(paddr), std::move(done),
                            RetryLoop{0, events_.now()});
 }
 
@@ -834,15 +829,15 @@ CacheController::assertOwnershipAttempt(Addr base, Done done,
 {
     mem::BusTransaction tx;
     tx.type = mem::TxType::AssertOwnership;
-    tx.requester = cpuId_;
+    tx.requester = id();
     tx.paddr = base;
     tx.newEntry = mem::ActionEntry::Protect;
     tx.updatesTable = true;
-    client_.bus().request(tx, [this, base, done = std::move(done),
-                      loop](const mem::TxResult &res) mutable {
+    bus().request(tx, [this, base, done = std::move(done),
+                       loop](const mem::TxResult &res) mutable {
         if (res.aborted) {
-            ++client_.retries();
-            if (client_.retryAbandoned("assert-ownership", base, loop)) {
+            ++retries();
+            if (retryAbandoned("assert-ownership", base, loop)) {
                 // Abandoned: the caller continues *without* ownership
                 // and must consult deadOwnerErrors() before relying on
                 // exclusivity.
@@ -852,18 +847,17 @@ CacheController::assertOwnershipAttempt(Addr base, Done done,
             // Service our own words first: the abort may be our own
             // monitor protecting an alias we hold.
             serviceInterrupts([this, base, done, loop] {
-                client_.afterSoftware(client_.retryDelay(),
-                                      [this, base, done, loop] {
+                afterSoftware(retryDelay(), [this, base, done, loop] {
                     assertOwnershipAttempt(base, done, loop);
                 });
             });
             return;
         }
-        const std::uint64_t frame = client_.frameOf(base);
+        const std::uint64_t frame = frameOf(base);
         FrameInfo &info = frames_[frame];
         info.state = FrameState::Private;
         info.owningSlot = cache::noSlot;
-        client_.setShadow(frame, mem::ActionEntry::Protect);
+        setShadow(frame, mem::ActionEntry::Protect);
         done();
     });
 }
@@ -871,7 +865,7 @@ CacheController::assertOwnershipAttempt(Addr base, Done done,
 void
 CacheController::releaseProtection(Addr paddr, Done done)
 {
-    const auto info_it = frames_.find(client_.frameOf(paddr));
+    const auto info_it = frames_.find(frameOf(paddr));
     const bool has_slots = info_it != frames_.end() &&
         info_it->second.firstSlot != cache::noSlot;
     if (info_it != frames_.end()) {
@@ -882,16 +876,16 @@ CacheController::releaseProtection(Addr paddr, Done done)
             frames_.erase(info_it);
         }
     }
-    writeActionTable(paddr,
-                     has_slots ? mem::ActionEntry::Shared
-                               : mem::ActionEntry::Ignore,
-                     std::move(done));
+    writeTable(paddr,
+               has_slots ? mem::ActionEntry::Shared
+                         : mem::ActionEntry::Ignore,
+               std::move(done));
 }
 
 void
 CacheController::notifyFrame(Addr paddr, Done done)
 {
-    notifyAttempt(client_.frameBase(paddr), std::move(done),
+    notifyAttempt(frameBase(paddr), std::move(done),
                   RetryLoop{0, events_.now()});
 }
 
@@ -900,16 +894,16 @@ CacheController::notifyAttempt(Addr base, Done done, RetryLoop loop)
 {
     mem::BusTransaction tx;
     tx.type = mem::TxType::Notify;
-    tx.requester = cpuId_;
+    tx.requester = id();
     tx.paddr = base;
-    client_.bus().request(tx, [this, base, done = std::move(done),
-                      loop](const mem::TxResult &res) mutable {
+    bus().request(tx, [this, base, done = std::move(done),
+                       loop](const mem::TxResult &res) mutable {
         // An abandoned notification just completes (best-effort).
-        if (!res.aborted || client_.retryAbandoned("notify", base, loop)) {
+        if (!res.aborted || retryAbandoned("notify", base, loop)) {
             done();
             return;
         }
-        client_.afterSoftware(client_.retryDelay(), [this, base, done, loop] {
+        afterSoftware(retryDelay(), [this, base, done, loop] {
             notifyAttempt(base, done, loop);
         });
     });
@@ -922,12 +916,11 @@ CacheController::uncachedRead(Addr paddr,
     auto buf = std::make_shared<std::uint32_t>(0);
     mem::BusTransaction tx;
     tx.type = mem::TxType::DmaRead;
-    tx.requester = cpuId_;
+    tx.requester = id();
     tx.paddr = paddr;
     tx.bytes = 4;
     tx.data = reinterpret_cast<std::uint8_t *>(buf.get());
-    client_.bus().request(tx, [buf, done = std::move(done)](
-                                  const mem::TxResult &) {
+    bus().request(tx, [buf, done = std::move(done)](const mem::TxResult &) {
         done(*buf);
     });
 }
@@ -939,14 +932,13 @@ CacheController::uncachedWrite(Addr paddr, std::uint32_t value,
     auto buf = std::make_shared<std::uint32_t>(value);
     mem::BusTransaction tx;
     tx.type = mem::TxType::DmaWrite;
-    tx.requester = cpuId_;
+    tx.requester = id();
     tx.paddr = paddr;
     tx.bytes = 4;
     tx.data = reinterpret_cast<std::uint8_t *>(buf.get());
-    client_.bus().request(tx,
-                 [buf, done = std::move(done)](const mem::TxResult &) {
-                     done();
-                 });
+    bus().request(tx, [buf, done = std::move(done)](const mem::TxResult &) {
+        done();
+    });
 }
 
 void
@@ -957,14 +949,14 @@ CacheController::uncachedTas(Addr paddr,
     auto old_value = std::make_shared<std::uint32_t>(0);
     mem::BusTransaction tx;
     tx.type = mem::TxType::DmaWrite;
-    tx.requester = cpuId_;
+    tx.requester = id();
     tx.paddr = paddr;
     tx.bytes = 4;
     tx.data = reinterpret_cast<std::uint8_t *>(new_value.get());
     tx.rmw = true;
     tx.oldData = reinterpret_cast<std::uint8_t *>(old_value.get());
-    client_.bus().request(tx, [new_value, old_value,
-                      done = std::move(done)](const mem::TxResult &) {
+    bus().request(tx, [new_value, old_value,
+                       done = std::move(done)](const mem::TxResult &) {
         done(*old_value);
     });
 }
@@ -972,7 +964,7 @@ CacheController::uncachedTas(Addr paddr,
 void
 CacheController::flushFrame(Addr paddr, Done done)
 {
-    const std::uint64_t frame = client_.frameOf(paddr);
+    const std::uint64_t frame = frameOf(paddr);
     PageBuffer dirty = dropFrameSlots(frame);
     // We still own the frame (protection retained for the caller).
     FrameInfo &info = frames_[frame];
@@ -983,13 +975,13 @@ CacheController::flushFrame(Addr paddr, Done done)
         return;
     }
     writeBack(frame, std::move(dirty), mem::ActionEntry::Protect,
-              std::move(done));
+              violationCount_, std::move(done));
 }
 
 void
 CacheController::invalidateFrame(Addr paddr)
 {
-    const std::uint64_t frame = client_.frameOf(paddr);
+    const std::uint64_t frame = frameOf(paddr);
     dropFrameSlots(frame);
     frames_.erase(frame);
 }
@@ -1001,7 +993,7 @@ CacheController::invalidateFrame(Addr paddr)
 const FrameInfo *
 CacheController::frameInfo(Addr paddr) const
 {
-    const auto it = frames_.find(client_.frameOf(paddr));
+    const auto it = frames_.find(frameOf(paddr));
     return it == frames_.end() ? nullptr : &it->second;
 }
 
@@ -1018,29 +1010,29 @@ CacheController::registerStats(StatGroup &group) const
                      "hint)",
                      hintedPrivateFills_);
     group.addCounter("retries", "aborted transactions retried",
-                     client_.retries());
+                     retries());
     group.addCounter("words_serviced",
                      "bus-monitor interrupt words serviced",
-                     client_.wordsServiced());
+                     wordsServiced());
     group.addCounter("spurious_words",
                      "interrupt words against stale table entries",
-                     client_.spuriousWords());
+                     spuriousWords());
     group.addCounter("write_backs", "cache pages written back",
-                     client_.writeBacks());
+                     writeBacks());
     group.addCounter("protocol_violations",
                      "aborted write-backs observed", violationCount_);
     group.addCounter("overflow_recoveries",
                      "interrupt FIFO overflow recovery sweeps",
-                     client_.overflowRecoveries());
+                     overflowRecoveries());
     group.addCounter("watchdog_trips",
                      "retry loops that exceeded the watchdog cap",
-                     client_.watchdogTrips());
+                     watchdogTrips());
     group.addCounter("dead_owner_suspected",
                      "watchdog cap hits attributed to a dead owner",
-                     client_.deadOwnerSuspected());
+                     deadOwnerSuspected());
     group.addCounter("dead_owner_errors",
                      "timed waits abandoned with a DeadOwnerError",
-                     client_.deadOwnerErrors());
+                     deadOwnerErrors());
     group.addHistogram("retries_per_miss",
                        "retries needed per completed miss",
                        retryHistogram_);

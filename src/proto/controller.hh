@@ -19,9 +19,8 @@
  * What every master on the bus runs alike — the retry delay, the
  * action-table shadow and its writes, the write-back retry loop with
  * its watchdog and dead-owner wait, the interrupt drain and overflow
- * recovery, and the liveness state — is the ProtocolClient engine the
- * controller composes (proto/client.hh); an inter-bus board's global
- * side composes the same engine.
+ * recovery, and the liveness state — is the ProtocolClient base class
+ * (proto/client.hh); an inter-bus board derives from the same engine.
  *
  * All operations are asynchronous against the shared event queue; the
  * owning CPU model is blocked for the duration of each call, which is
@@ -94,11 +93,10 @@ struct FrameInfo
 };
 
 /** The per-processor cache management software. */
-class CacheController : private ClientPolicy
+class CacheController : public ProtocolClient
 {
   public:
     using AccessDone = std::function<void(AccessOutcome)>;
-    using Done = std::function<void()>;
     /** Page-fault upcall: handle the fault, then invoke retry. */
     using FaultHandler =
         std::function<void(const TranslateRequest &, Done retry)>;
@@ -114,12 +112,7 @@ class CacheController : private ClientPolicy
     CacheController(const CacheController &) = delete;
     CacheController &operator=(const CacheController &) = delete;
 
-    CpuId cpuId() const { return cpuId_; }
     cache::Cache &cache() { return cache_; }
-    const SoftwareTiming &timing() const { return client_.timing(); }
-    /** The protocol engine: retry loops, shadow, drain, liveness. */
-    ProtocolClient &client() { return client_; }
-    const ProtocolClient &client() const { return client_; }
 
     void setFaultHandler(FaultHandler handler);
     void setNotifyHandler(NotifyHandler handler);
@@ -136,7 +129,7 @@ class CacheController : private ClientPolicy
      * branch per potential event; a non-null tracer only observes —
      * the simulated timeline is bit-identical either way.
      */
-    void setTracer(obs::EventTracer *tracer, std::uint16_t track);
+    void setTracer(obs::EventTracer *tracer, std::uint16_t track) override;
 
     // --- failstop / hot-rejoin (driven by core::VmpSystem) ---
 
@@ -148,13 +141,10 @@ class CacheController : private ClientPolicy
      * the recovery coordinator masks it (or a rejoin clears it), which
      * is precisely the wedge the recovery subsystem exists to break.
      */
-    void failstop();
+    void failstop() override;
 
     /** Restart the board's software cold after a failstop. */
-    void rejoin();
-
-    /** True between failstop() and rejoin(). */
-    bool dead() const { return client_.dead(); }
+    void rejoin() override;
 
     /**
      * Present one memory reference. On a hit @p done runs immediately
@@ -192,16 +182,6 @@ class CacheController : private ClientPolicy
                    bool supervisor, Done done);
 
     /**
-     * Service all pending bus-monitor interrupt words (called by the
-     * CPU model between instructions); see
-     * ProtocolClient::serviceInterrupts.
-     */
-    void serviceInterrupts(Done done)
-    {
-        client_.serviceInterrupts(std::move(done));
-    }
-
-    /**
      * Choose who takes this board's interrupts (default Off). In Idle
      * a raised line schedules one "idle-service" pass at +1 per burst,
      * repeated while words stay pending; switching to Idle with words
@@ -209,10 +189,9 @@ class CacheController : private ClientPolicy
      */
     void setIrqService(IrqService mode);
     IrqService irqService() const { return irqService_; }
-
-    /** True if any interrupt word (or the overflow flag) is pending.
-     *  Inline: a running CPU asks before every reference. */
-    bool interruptPending() const { return client_.interruptPending(); }
+    /** Queued words, plus one for a pending overflow sweep. */
+    std::uint64_t pendingWords() const override;
+    bool idle() const override { return !interruptPending(); }
 
     // --- operations used by the VM system and synchronization code ---
 
@@ -228,12 +207,6 @@ class CacheController : private ClientPolicy
 
     /** Send a notification transaction for @p paddr. */
     void notifyFrame(Addr paddr, Done done);
-
-    /** Set this monitor's action-table entry via the bus. */
-    void writeActionTable(Addr paddr, mem::ActionEntry entry, Done done)
-    {
-        client_.writeTable(paddr, entry, std::move(done));
-    }
 
     /** Uncached (non-consistency) global-memory word operations. */
     void uncachedRead(Addr paddr, std::function<void(std::uint32_t)> d);
@@ -281,26 +254,18 @@ class CacheController : private ClientPolicy
     {
         return hintedPrivateFills_;
     }
-    const Counter &retries() const { return client_.retries(); }
-    const Counter &wordsServiced() const
-    {
-        return client_.wordsServiced();
-    }
-    const Counter &writeBacks() const { return client_.writeBacks(); }
     const Counter &protocolViolations() const { return violationCount_; }
     Tick missStallTicks() const { return missStall_; }
-    /** Timed waits abandoned with a DeadOwnerError. */
-    const Counter &deadOwnerErrors() const
-    {
-        return client_.deadOwnerErrors();
-    }
     /** Retries needed per completed miss (bucket = retry count). */
     const Histogram &retriesPerMiss() const { return retryHistogram_; }
     void registerStats(StatGroup &group) const;
 
-  private:
-    using PageBuffer = ProtocolClient::PageBuffer;
+  protected:
+    void serviceWord(const monitor::InterruptWord &word,
+                     Done next) override;
+    void recoverFromOverflow(Done done) override;
 
+  private:
     /**
      * One in-flight miss: the software handler's state for one trapped
      * reference, from trap to restart. A page-table read of the VM walk
@@ -367,24 +332,11 @@ class CacheController : private ClientPolicy
      */
     PageBuffer dropFrameSlots(std::uint64_t frame,
                               cache::SlotIndex keep = cache::noSlot);
-    /** Write @p data back (ProtocolClient::writeBack); an abort counts
-     *  as a protocol violation. */
-    void writeBack(std::uint64_t frame, PageBuffer data,
-                   mem::ActionEntry after, Done done)
-    {
-        client_.writeBack(frame, std::move(data), after, violationCount_,
-                          std::move(done));
-    }
     void assertOwnershipAttempt(Addr base, Done done, RetryLoop loop);
     void notifyAttempt(Addr base, Done done, RetryLoop loop);
 
-    // --- ClientPolicy: interrupt service ---
+    // --- interrupt service ---
 
-    void serviceWord(const monitor::InterruptWord &word,
-                     Done next) override;
-    void recoverFromOverflow(Done done) override;
-    std::uint64_t pendingWords() const override;
-    bool idle() const override { return !interruptPending(); }
     /** Interrupt line: schedule an idle pass if Idle and none is live. */
     void pokeIdle();
     void relinquishFrame(std::uint64_t frame, Done next);
@@ -405,11 +357,8 @@ class CacheController : private ClientPolicy
         return misses_.size() > 1 ? obs::kNestedMissBit : 0;
     }
 
-    CpuId cpuId_;
-    EventQueue &events_;
     cache::Cache &cache_;
     Translator &translator_;
-    ProtocolClient client_;
     /** In-flight misses, innermost last (see MissRecord). */
     std::vector<MissRecord> misses_;
     FaultHandler faultHandler_;

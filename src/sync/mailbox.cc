@@ -30,8 +30,7 @@ MailboxReceiver::enable(Handler handler,
             drain();
         }
     });
-    owner_.writeActionTable(base_, mem::ActionEntry::Notify,
-                            std::move(done));
+    owner_.writeTable(base_, mem::ActionEntry::Notify, std::move(done));
 }
 
 void
@@ -39,8 +38,7 @@ MailboxReceiver::disable(proto::CacheController::Done done)
 {
     owner_.setNotifyHandler(nullptr);
     handler_ = nullptr;
-    owner_.writeActionTable(base_, mem::ActionEntry::Ignore,
-                            std::move(done));
+    owner_.writeTable(base_, mem::ActionEntry::Ignore, std::move(done));
 }
 
 void

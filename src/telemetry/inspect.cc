@@ -9,7 +9,6 @@
 
 #include <string>
 
-#include "backing/budget.hh"
 #include "backing/frame_arena.hh"
 #include "backing/memory_tier.hh"
 #include "cache/cache.hh"
@@ -107,10 +106,10 @@ Json
 inspectBoard(const core::ProcessorBoard &board)
 {
     Json doc = Json::object();
-    doc["cpu"] = Json(std::uint64_t{board.controller.cpuId()});
+    doc["cpu"] = Json(std::uint64_t{board.controller.id()});
     Json controller = Json::object();
     controller["dead"] = Json(board.controller.dead());
-    controller["wedged"] = Json(board.controller.client().wedged());
+    controller["wedged"] = Json(board.controller.wedged());
     controller["misses"] = Json(board.controller.misses().value());
     controller["ownership_misses"] =
         Json(board.controller.ownershipMisses().value());
@@ -149,28 +148,6 @@ inspectRecovery(const recover::RecoveryManager &recovery)
     doc["recoveries_completed"] =
         Json(recovery.recoveriesCompleted().value());
     doc["last_recovery_ns"] = Json(recovery.lastRecoveryNs());
-    return doc;
-}
-
-Json
-inspectBudget(const backing::BudgetController &budget)
-{
-    Json doc = Json::object();
-    doc["epochs"] = Json(budget.epochs().value());
-    doc["grant_changes"] = Json(budget.grantChanges().value());
-    doc["shrinks"] = Json(budget.shrinks().value());
-    doc["running"] = Json(budget.running());
-    Json clients = Json::array();
-    for (std::uint32_t c = 0;
-         c < static_cast<std::uint32_t>(budget.clientCount()); ++c) {
-        Json client = Json::object();
-        client["name"] = Json(budget.clientName(c));
-        client["grant"] = Json(std::uint64_t{budget.grantOf(c)});
-        client["used"] = Json(std::uint64_t{budget.usedOf(c)});
-        client["over_grant"] = Json(budget.overGrant(c));
-        clients.push(std::move(client));
-    }
-    doc["clients"] = std::move(clients);
     return doc;
 }
 
@@ -239,7 +216,7 @@ inspectSystem(const core::HierVmpSystem &system)
         ibc_doc["idle"] = Json(ibc.idle());
         ibc_doc["dead"] = Json(ibc.dead());
         ibc_doc["wedged"] = Json(ibc.wedged());
-        ibc_doc["service_epoch"] = Json(ibc.client().serviceEpoch());
+        ibc_doc["service_epoch"] = Json(ibc.serviceEpoch());
         ibc_doc["pending_words"] =
             Json(std::uint64_t{ibc.pendingWords()});
         ibc_doc["global_action_table"] =
@@ -263,9 +240,6 @@ inspectSystem(const core::HierVmpSystem &system)
     if (system.recoveryEnabled())
         doc["global_recovery"] =
             inspectRecovery(*system.globalRecovery());
-    if (const backing::BudgetController *budget =
-            system.clusterBudget())
-        doc["budget"] = inspectBudget(*budget);
     if (const obs::EventTracer *tracer = system.tracer()) {
         Json trace = Json::object();
         trace["tracks"] = Json(std::uint64_t{tracer->trackCount()});

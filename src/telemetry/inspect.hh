@@ -3,7 +3,7 @@
  * Live inspection mode: on-demand snapshots of the machine's hidden
  * hardware state — cache tag arrays, bus-monitor action tables,
  * interrupt-FIFO contents, controller bookkeeping, recovery and
- * tier/budget state — serialized through sim/json.hh.
+ * tier state — serialized through sim/json.hh.
  *
  * In the spirit of live cache inspection (arXiv 2007.12271): the
  * simulated VMP hardware state that normally stays invisible behind
@@ -42,7 +42,6 @@ class InterruptFifo;
 
 namespace vmp::backing
 {
-class BudgetController;
 class MemoryTier;
 } // namespace vmp::backing
 
@@ -79,9 +78,6 @@ Json inspectBoard(const core::ProcessorBoard &board);
 /** Recovery coordinator: dead/fenced boards, reclaim progress. */
 Json inspectRecovery(const recover::RecoveryManager &recovery);
 
-/** Budget controller: per-client grant/used, epoch counters. */
-Json inspectBudget(const backing::BudgetController &budget);
-
 /** Memory tier: arena occupancy, drain queue, transfer counters. */
 Json inspectTier(const backing::MemoryTier &tier);
 
@@ -93,7 +89,7 @@ Json inspectTier(const backing::MemoryTier &tier);
 Json inspectSystem(const core::VmpSystem &system);
 
 /** Whole two-level machine: global bus, clusters (bus + inter-bus
- *  board + boards), recovery at both levels, budget when armed. */
+ *  board + boards) and recovery at both levels. */
 Json inspectSystem(const core::HierVmpSystem &system);
 
 } // namespace vmp::telemetry

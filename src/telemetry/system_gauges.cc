@@ -5,7 +5,6 @@
 
 #include "telemetry/system_gauges.hh"
 
-#include "backing/budget.hh"
 #include "backing/frame_arena.hh"
 #include "backing/memory_tier.hh"
 #include "core/hier_system.hh"
@@ -71,26 +70,6 @@ addRecoveryGauges(obs::GaugeSet &set, const std::string &group,
 }
 
 void
-addBudgetGauges(obs::GaugeSet &set,
-                const backing::BudgetController &budget)
-{
-    set.add("budget", "clients",
-            static_cast<double>(budget.clientCount()));
-    set.add("budget", "epochs",
-            static_cast<double>(budget.epochs().value()));
-    set.add("budget", "grant_changes",
-            static_cast<double>(budget.grantChanges().value()));
-    for (std::uint32_t c = 0;
-         c < static_cast<std::uint32_t>(budget.clientCount()); ++c) {
-        const std::string &name = budget.clientName(c);
-        set.add("budget", name + "_grant",
-                static_cast<double>(budget.grantOf(c)));
-        set.add("budget", name + "_used",
-                static_cast<double>(budget.usedOf(c)));
-    }
-}
-
-void
 addTierGauges(obs::GaugeSet &set, const backing::MemoryTier &tier)
 {
     if (const backing::FrameArena *arena = tier.arena()) {
@@ -153,9 +132,6 @@ collectGauges(const core::HierVmpSystem &system)
         addRecoveryGauges(set, "global.recover",
                           *system.globalRecovery());
     }
-    if (const backing::BudgetController *budget =
-            system.clusterBudget())
-        addBudgetGauges(set, *budget);
     return set;
 }
 

@@ -2,13 +2,13 @@
  * @file
  * Live-gauge wiring: collect instantaneous metrics from a whole
  * system (bus utilization, interrupt-FIFO depths, recovery fencing
- * counters, budget grants, arena occupancy) into an obs::GaugeSet,
+ * counters, arena occupancy) into an obs::GaugeSet,
  * and register the same collection as a StreamingSink gauge provider
  * so every flush boundary carries a rolled-up snapshot.
  *
- * This is the seam that surfaces the PR-7/8 subsystems mid-run:
- * BudgetController grants and FrameArena occupancy (the far-memory
- * tier) and RecoveryManager fencing counters previously appeared only
+ * This is the seam that surfaces the memory-tier and recovery
+ * subsystems mid-run: FrameArena occupancy (the far-memory tier) and
+ * RecoveryManager fencing counters previously appeared only
  * in the end-of-run stat groups; collectGauges() samples them at any
  * instant and obs::metricsSnapshot(tracer, profiler, &gauges) renders
  * them alongside the trace totals.
@@ -25,7 +25,6 @@
 
 namespace vmp::backing
 {
-class BudgetController;
 class MemoryTier;
 } // namespace vmp::backing
 
@@ -48,13 +47,8 @@ namespace vmp::telemetry
 obs::GaugeSet collectGauges(const core::VmpSystem &system);
 
 /** Global + per-cluster bus utilization, IBC queue depths, per-CPU
- *  FIFO depths, recovery fencing counters at both levels, and budget
- *  grants/occupancy when a cluster budget is installed. */
+ *  FIFO depths and recovery fencing counters at both levels. */
 obs::GaugeSet collectGauges(const core::HierVmpSystem &system);
-
-/** Append one "budget" group: per-client grant/used plus epochs. */
-void addBudgetGauges(obs::GaugeSet &set,
-                     const backing::BudgetController &budget);
 
 /** Append one @p group group of fencing/reclaim counters. */
 void addRecoveryGauges(obs::GaugeSet &set, const std::string &group,

@@ -12,6 +12,8 @@
 #include <tuple>
 
 #include "analytic/models.hh"
+#include "hier/inter_bus_board.hh"
+#include "proto/timing.hh"
 #include "sim/logging.hh"
 
 namespace vmp::analytic
@@ -308,6 +310,25 @@ TEST(HierQueuingModel, RefsPerSecondScalesWithThroughput)
         timing.mips() * timing.refsPerInstr * 1e6;
     EXPECT_NEAR(hier.refsPerSecond(256, 0.006, 0.05, 4, 4),
                 tput * full_refs_per_s, 1.0);
+}
+
+TEST(IbcCostModel, MatchesTheSimulatorsInterBusBoardCosts)
+{
+    // The model's inter-bus board budget is the simulator's: the
+    // machine's service quantum, the board's install charge, and the
+    // mean of the jittered retry back-off (base + uniform[0, jitter]).
+    const IbcCostModel ibc{};
+    const proto::SoftwareTiming timing{};
+    EXPECT_DOUBLE_EQ(ibc.serviceUs,
+                     static_cast<double>(timing.serviceNs) / 1e3);
+    EXPECT_DOUBLE_EQ(ibc.installUs,
+                     static_cast<double>(hier::InterBusBoard::installNs) /
+                         1e3);
+    EXPECT_DOUBLE_EQ(ibc.retryMeanUs,
+                     static_cast<double>(timing.retryNs +
+                                         timing.retryJitterNs / 2) /
+                         1e3);
+    EXPECT_DOUBLE_EQ(ibc.retryMeanUs, 7.0);
 }
 
 // ------------------------------------------------ Open-model domain

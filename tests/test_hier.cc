@@ -345,6 +345,25 @@ TEST(HierSystem, TinyFifosStillCompleteAndStayCoherent)
 
 // ------------------------------------------------ watchdog on IBCs
 
+TEST(HierSystem, InterBusBoardTakesTheMachineSoftwareTiming)
+{
+    // The inter-bus boards run on the machine's one SoftwareTiming,
+    // except its dead-owner deadline: their retry loops never abandon.
+    core::HierConfig cfg;
+    cfg.swTiming.serviceNs = 4500;
+    cfg.swTiming.deadOwnerTimeoutNs = msec(1);
+    core::HierVmpSystem system(cfg);
+    for (std::uint32_t k = 0; k < cfg.clusters; ++k) {
+        const proto::SoftwareTiming &timing =
+            system.interBusBoard(k).timing();
+        EXPECT_EQ(timing.serviceNs, 4500u);
+        EXPECT_EQ(timing.retryNs, cfg.swTiming.retryNs);
+        EXPECT_EQ(timing.retryJitterNs, cfg.swTiming.retryJitterNs);
+        EXPECT_EQ(timing.deadOwnerTimeoutNs, 0u);
+    }
+    EXPECT_EQ(system.controller(0).timing().deadOwnerTimeoutNs, msec(1));
+}
+
 TEST(HierSystem, WatchdogReachesInterBusBoardFetchLoop)
 {
     core::HierConfig cfg;
@@ -369,7 +388,7 @@ TEST(HierSystem, WatchdogReachesInterBusBoardFetchLoop)
               mem::ActionEntry::Protect);
 
     // IBC 0 wedges with the entry held, so it never releases it.
-    system.interBusBoard(0).client().setWedged(true);
+    system.interBusBoard(0).setWedged(true);
     std::vector<proto::WatchdogReport> reports;
     system.setWatchdog(5, [&](const proto::WatchdogReport &report) {
         reports.push_back(report);
@@ -398,7 +417,7 @@ TEST(HierSystem, WatchdogReachesInterBusBoardFetchLoop)
     EXPECT_EQ(reports[0].paddr, paddr);
     EXPECT_EQ(reports[0].toString().rfind("ibc1 fetch starved: 6", 0), 0u)
         << reports[0].toString();
-    EXPECT_EQ(system.interBusBoard(1).client().watchdogTrips().value(), 1u);
+    EXPECT_EQ(system.interBusBoard(1).watchdogTrips().value(), 1u);
     // The watchdog only observes: the loop kept retrying.
     EXPECT_GT(system.interBusBoard(1).retries().value(), 6u);
     EXPECT_EQ(system.interBusBoard(1).globalFetches(), 0u);

@@ -874,7 +874,7 @@ TEST(Recovery, DeadOwnerErrorSurfacesWithoutRecovery)
     // until the timed wait expires, then abandons with a structured
     // DeadOwnerError — recovery is NOT installed.
     std::size_t handled = 0;
-    system.controller(0).client().setDeadOwnerHandler(
+    system.controller(0).setDeadOwnerHandler(
         [&](const proto::DeadOwnerError &) { ++handled; });
     done = false;
     system.controller(0).access(1, va, true, false,
@@ -886,7 +886,7 @@ TEST(Recovery, DeadOwnerErrorSurfacesWithoutRecovery)
 
     EXPECT_EQ(system.controller(0).deadOwnerErrors().value(), 1u);
     EXPECT_EQ(handled, 1u);
-    const auto &error = system.controller(0).client().lastDeadOwnerError();
+    const auto &error = system.controller(0).lastDeadOwnerError();
     ASSERT_TRUE(error.has_value());
     EXPECT_GT(error->attempts, 0u);
     EXPECT_GE(error->now - error->started, usec(300));

@@ -302,7 +302,7 @@ TEST(Inspect, FlatSnapshotRoundTripsAndMatchesCounters)
     EXPECT_TRUE(snapshot.contains("trace"));
 }
 
-TEST(Inspect, HierSnapshotCoversClustersAndBudget)
+TEST(Inspect, HierSnapshotCoversClusters)
 {
     core::HierConfig cfg;
     cfg.clusters = 2;
@@ -310,7 +310,6 @@ TEST(Inspect, HierSnapshotCoversClustersAndBudget)
     cfg.cache = cache::CacheConfig{256, 2, 16, true};
     cfg.memBytes = MiB(1);
     core::HierVmpSystem system(cfg);
-    system.enableClusterBudget();
     auto gens = makeSources(4, 3'000, 41);
     auto raw = rawSources(gens);
     system.runTraces(raw);
@@ -324,7 +323,7 @@ TEST(Inspect, HierSnapshotCoversClustersAndBudget)
         EXPECT_EQ(cluster.get("boards").size(), 2u);
         EXPECT_TRUE(cluster.get("ibc").contains("pending_words"));
     }
-    EXPECT_TRUE(snapshot.contains("budget"));
+    EXPECT_FALSE(snapshot.contains("budget"));
 }
 
 TEST(Inspect, FifoContentsListQueuedWords)
@@ -382,7 +381,7 @@ TEST(Gauges, CollectGaugesCarriesRecoveryAndMetricsSnapshotRenders)
               std::string::npos);
 }
 
-TEST(Gauges, HierCollectCarriesBudgetGrants)
+TEST(Gauges, HierCollectCarriesClusterGroups)
 {
     core::HierConfig cfg;
     cfg.clusters = 2;
@@ -390,7 +389,6 @@ TEST(Gauges, HierCollectCarriesBudgetGrants)
     cfg.cache = cache::CacheConfig{256, 2, 16, true};
     cfg.memBytes = MiB(1);
     core::HierVmpSystem system(cfg);
-    system.enableClusterBudget();
     auto gens = makeSources(4, 3'000, 19);
     auto raw = rawSources(gens);
     system.runTraces(raw);
@@ -399,8 +397,7 @@ TEST(Gauges, HierCollectCarriesBudgetGrants)
     EXPECT_TRUE(doc.contains("global_bus"));
     EXPECT_TRUE(doc.contains("c0.bus"));
     EXPECT_TRUE(doc.contains("c1.ibc"));
-    EXPECT_TRUE(doc.contains("budget"));
-    EXPECT_TRUE(doc.get("budget").contains("clients"));
+    EXPECT_FALSE(doc.contains("budget"));
 }
 
 TEST(Gauges, HierBusGaugesCarryFencedDrops)
