@@ -24,7 +24,7 @@ cmake -B "$sanitize" -S "$repo" -DVMP_SANITIZE=address,undefined
 cmake --build "$sanitize" -j "$jobs" \
     --target test_sim test_cache test_mem test_artifact test_core test_hier \
     test_recover test_obs test_telemetry test_proto test_cpu test_vm \
-    test_sync test_integration bench_table1
+    test_sync test_integration test_trace bench_table1
 
 echo "== tier1: sanitized core tests =="
 "$sanitize/tests/test_sim"
@@ -50,5 +50,8 @@ echo "== tier1: sanitized core tests =="
 # Whole flat machines: the controllers' dense slot-to-frame vectors and
 # alias chains, and the event queue's lane winner tree.
 "$sanitize/tests/test_integration"
+# Trace generator: the Zipf guide-table index and the walk from it, and
+# the fixed three-slot reference queue, are new bounds to check.
+"$sanitize/tests/test_trace"
 
 echo "== tier1: OK =="

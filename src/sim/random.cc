@@ -1,8 +1,5 @@
 #include "sim/random.hh"
 
-#include <algorithm>
-#include <limits>
-
 #include "sim/logging.hh"
 
 namespace vmp
@@ -20,12 +17,6 @@ splitMix64(std::uint64_t &x)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     return z ^ (z >> 31);
-}
-
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
 }
 
 } // namespace
@@ -46,28 +37,10 @@ Rng::seed(std::uint64_t seed_value)
         s_[0] = 1;
 }
 
-std::uint64_t
-Rng::next()
+void
+Rng::belowZero()
 {
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-std::uint64_t
-Rng::below(std::uint64_t bound)
-{
-    if (bound == 0)
-        panic("Rng::below called with bound 0");
-    // 128-bit multiply-shift scaling: negligible bias for our bounds.
-    return static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(next()) * bound) >> 64);
+    panic("Rng::below called with bound 0");
 }
 
 std::uint64_t
@@ -78,41 +51,10 @@ Rng::between(std::uint64_t lo, std::uint64_t hi)
     return lo + below(hi - lo + 1);
 }
 
-double
-Rng::uniform()
-{
-    // 53 random bits into [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
-}
-
 std::uint64_t
 Rng::geometric(double p)
 {
-    if (p <= 0.0 || p > 1.0)
-        panic("Rng::geometric: p out of (0, 1]: ", p);
-    if (p == 1.0)
-        return 1;
-    double u = uniform();
-    // Avoid log(0).
-    if (u <= 0.0)
-        u = 0x1.0p-53;
-    const double trials = std::floor(std::log(u) / std::log1p(-p)) + 1.0;
-    // For tiny p the trial count can exceed 2^64 - 1; converting such
-    // a double to uint64_t is undefined behaviour, so saturate first.
-    // 0x1p64 is the smallest power of two above the uint64_t range.
-    if (trials >= 0x1.0p64)
-        return std::numeric_limits<std::uint64_t>::max();
-    return static_cast<std::uint64_t>(trials);
+    return GeometricDist(p).sample(*this);
 }
 
 double
@@ -124,28 +66,34 @@ Rng::exponential(double mean)
     return -mean * std::log(u);
 }
 
+GeometricDist::GeometricDist(double p) : p_(p), log1mp_(std::log1p(-p))
+{
+    if (!(p > 0.0 && p <= 1.0))
+        panic("GeometricDist: p out of (0, 1]: ", p);
+}
+
 ZipfDist::ZipfDist(std::uint64_t n, double theta_value)
     : theta_(theta_value)
 {
-    if (n == 0)
-        panic("ZipfDist over empty domain");
+    if (n == 0 || n > std::numeric_limits<std::uint32_t>::max())
+        panic("ZipfDist: domain size out of range: ", n);
     cdf_.resize(n);
+    guide_.resize(n);
     double sum = 0.0;
     for (std::uint64_t r = 0; r < n; ++r) {
         sum += 1.0 / std::pow(static_cast<double>(r + 1), theta_);
         cdf_[r] = sum;
     }
-    for (auto &c : cdf_)
-        c /= sum;
-    cdf_.back() = 1.0;
-}
-
-std::uint64_t
-ZipfDist::sample(Rng &rng) const
-{
-    const double u = rng.uniform();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    return static_cast<std::uint64_t>(it - cdf_.begin());
+    // Normalise, and merge the guide table in the same pass: bucket k
+    // starts at the first rank whose CDF reaches k/n (the last rank's
+    // CDF is exactly 1, so every bucket is filled).
+    const double scale = static_cast<double>(n);
+    std::uint64_t k = 0;
+    for (std::uint64_t r = 0; r < n; ++r) {
+        cdf_[r] = r + 1 == n ? 1.0 : cdf_[r] / sum;
+        for (; k < n && cdf_[r] * scale >= static_cast<double>(k); ++k)
+            guide_[k] = static_cast<std::uint32_t>(r);
+    }
 }
 
 } // namespace vmp

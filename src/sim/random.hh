@@ -11,8 +11,11 @@
 #ifndef VMP_SIM_RANDOM_HH
 #define VMP_SIM_RANDOM_HH
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace vmp
@@ -20,7 +23,9 @@ namespace vmp
 
 /**
  * xoshiro256** PRNG seeded via SplitMix64. Fast, high quality, and fully
- * specified here so results do not depend on the host library.
+ * specified here so results do not depend on the host library. The
+ * per-draw calls are inline: the trace generator makes several per
+ * reference.
  */
 class Rng
 {
@@ -31,24 +36,56 @@ class Rng
     void seed(std::uint64_t seed);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform integer in [0, bound) using rejection-free scaling. */
-    std::uint64_t below(std::uint64_t bound);
+    std::uint64_t
+    below(std::uint64_t bound)
+    {
+        if (bound == 0) [[unlikely]]
+            belowZero();
+        // 128-bit multiply-shift scaling: negligible bias for our bounds.
+        return static_cast<std::uint64_t>(
+            (static_cast<unsigned __int128>(next()) * bound) >> 64);
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     std::uint64_t between(std::uint64_t lo, std::uint64_t hi);
 
-    /** Uniform double in [0, 1). */
-    double uniform();
+    /** Uniform double in [0, 1): 53 random bits. */
+    double
+    uniform()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** True with probability @p p. */
-    bool chance(double p);
+    bool
+    chance(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform() < p;
+    }
 
     /**
      * Geometric number of trials until first success (support {1,2,...})
-     * with success probability @p p. Mean 1/p. Used for sequential-run
-     * lengths in the trace generator.
+     * with success probability @p p. Mean 1/p. Same draws as
+     * GeometricDist(p).sample(), which callers with a fixed p prefer.
      */
     std::uint64_t geometric(double p);
 
@@ -56,13 +93,56 @@ class Rng
     double exponential(double mean);
 
   private:
+    [[noreturn]] static void belowZero();
+
     std::uint64_t s_[4];
 };
 
 /**
+ * Geometric distribution over {1, 2, ...} with a fixed success
+ * probability p, by inversion: floor(log(u) / log1p(-p)) + 1, with
+ * log1p(-p) computed once. p == 1 returns 1 without a draw.
+ */
+class GeometricDist
+{
+  public:
+    explicit GeometricDist(double p);
+
+    std::uint64_t
+    sample(Rng &rng) const
+    {
+        return p_ == 1.0 ? 1 : trialsOf(rng.uniform());
+    }
+
+    /** The draw for uniform @p u in [0, 1), when p < 1. */
+    std::uint64_t
+    trialsOf(double u) const
+    {
+        // Avoid log(0).
+        if (u <= 0.0)
+            u = 0x1.0p-53;
+        const double trials = std::floor(std::log(u) / log1mp_) + 1.0;
+        // For tiny p the trial count can exceed 2^64 - 1; converting such
+        // a double to uint64_t is undefined behaviour, so saturate first.
+        // 0x1p64 is the smallest power of two above the uint64_t range.
+        if (trials >= 0x1.0p64)
+            return std::numeric_limits<std::uint64_t>::max();
+        return static_cast<std::uint64_t>(trials);
+    }
+
+  private:
+    double p_;
+    double log1mp_;
+};
+
+/**
  * Zipf-distributed integers over [0, n): rank r is drawn with probability
- * proportional to 1/(r+1)^theta. Sampling is by binary search over the
- * precomputed CDF, so construction is O(n) and sampling O(log n).
+ * proportional to 1/(r+1)^theta. Sampling inverts the precomputed CDF
+ * through a guide table (Chen & Asau, 1974): bucket k = floor(u * n)
+ * stores the first rank whose CDF reaches k/n, and a short walk from
+ * there finds the first rank whose CDF reaches u. The result equals a
+ * binary search's for every u. Construction is O(n); a sample costs O(1)
+ * expected.
  *
  * The trace generator uses this to model working sets with a hot core and
  * a long cold tail, the locality structure that makes large cache pages
@@ -74,13 +154,30 @@ class ZipfDist
     ZipfDist(std::uint64_t n, double theta);
 
     /** Draw one rank in [0, n). */
-    std::uint64_t sample(Rng &rng) const;
+    std::uint64_t sample(Rng &rng) const { return rankOf(rng.uniform()); }
+
+    /** The first rank r with cdf[r] >= @p u, for u in [0, 1). */
+    std::uint64_t
+    rankOf(double u) const
+    {
+        const std::size_t last = cdf_.size() - 1;
+        std::size_t r = guide_[std::min(
+            static_cast<std::size_t>(u * static_cast<double>(cdf_.size())),
+            last)];
+        while (r > 0 && cdf_[r - 1] >= u)
+            --r;
+        while (cdf_[r] < u)
+            ++r;
+        return r;
+    }
 
     std::uint64_t domain() const { return cdf_.size(); }
+    const std::vector<double> &cdf() const { return cdf_; }
     double theta() const { return theta_; }
 
   private:
     std::vector<double> cdf_;
+    std::vector<std::uint32_t> guide_;
     double theta_;
 };
 

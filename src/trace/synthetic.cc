@@ -1,6 +1,7 @@
 #include "trace/synthetic.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "sim/logging.hh"
 
@@ -37,25 +38,32 @@ SyntheticConfig::check() const
         fatal("synthetic trace: processes must be in [1, 200]");
     if (quantumRefs == 0)
         fatal("synthetic trace: quantumRefs must be positive");
-    if (dataRefProb < 0 || dataRefProb > 1 || stackRefProb < 0 ||
-        stackRefProb > 1 || writeFrac < 0 || writeFrac > 1)
-        fatal("synthetic trace: probabilities must be in [0, 1]");
-    if (osRefFrac < 0 || osRefFrac >= 1)
+    // Written so that NaN fails each test (it fails every comparison).
+    for (const double p : {dataRefProb, stackRefProb, writeFrac,
+                           userCode.localBranchProb, osCode.localBranchProb})
+        if (!(p >= 0 && p <= 1))
+            fatal("synthetic trace: probabilities must be in [0, 1]");
+    if (!(osRefFrac >= 0 && osRefFrac < 1))
         fatal("synthetic trace: osRefFrac must be in [0, 1)");
-    if (osBurstInstrs < 1)
-        fatal("synthetic trace: osBurstInstrs must be >= 1");
+    for (const double mean : {osBurstInstrs, userCode.meanRunInstrs,
+                              osCode.meanRunInstrs, userData.meanRunWords,
+                              osData.meanRunWords})
+        if (!(mean >= 1 && std::isfinite(mean)))
+            fatal("synthetic trace: mean run lengths must be finite, >= 1");
+    for (const double theta : {userCode.theta, osCode.theta,
+                               userData.theta, osData.theta})
+        if (std::isnan(theta))
+            fatal("synthetic trace: Zipf theta is NaN");
     for (const auto *code : {&userCode, &osCode}) {
         if (code->bytes < 4096 || code->functions == 0)
             fatal("synthetic trace: code segment too small");
-        if (code->meanRunInstrs < 1)
-            fatal("synthetic trace: meanRunInstrs must be >= 1");
+        // Zero would reach Rng::below(0) on the first local branch.
+        if (code->localRange == 0 || code->localRange > code->bytes)
+            fatal("synthetic trace: localRange must be in [1, bytes]");
     }
-    for (const auto *data : {&userData, &osData}) {
+    for (const auto *data : {&userData, &osData})
         if (data->objects == 0 || data->objectBytes < 4)
             fatal("synthetic trace: data segment too small");
-        if (data->meanRunWords < 1)
-            fatal("synthetic trace: meanRunWords must be >= 1");
-    }
     if (stackBytes < 256)
         fatal("synthetic trace: stack too small");
     if (kernelOffset >= (userBase - kernelBase) / 2)
@@ -85,52 +93,36 @@ struct SyntheticGen::ProcState
 };
 
 SyntheticGen::SyntheticGen(const SyntheticConfig &config)
-    : cfg_(config), rng_(config.seed)
+    : cfg_((config.check(), config)), rng_(config.seed),
+      userFuncDist_(cfg_.userCode.functions, cfg_.userCode.theta),
+      userObjDist_(cfg_.userData.objects, cfg_.userData.theta),
+      osFuncDist_(cfg_.osCode.functions, cfg_.osCode.theta),
+      osObjDist_(cfg_.osData.objects, cfg_.osData.theta),
+      userRunDist_(1.0 / cfg_.userCode.meanRunInstrs),
+      userDataRunDist_(1.0 / cfg_.userData.meanRunWords),
+      osRunDist_(1.0 / cfg_.osCode.meanRunInstrs),
+      osDataRunDist_(1.0 / cfg_.osData.meanRunWords),
+      osBurstDist_(1.0 / cfg_.osBurstInstrs)
 {
-    cfg_.check();
-    userFuncDist_ = std::make_unique<ZipfDist>(cfg_.userCode.functions,
-                                               cfg_.userCode.theta);
-    userObjDist_ = std::make_unique<ZipfDist>(cfg_.userData.objects,
-                                              cfg_.userData.theta);
-    osFuncDist_ = std::make_unique<ZipfDist>(cfg_.osCode.functions,
-                                             cfg_.osCode.theta);
-    osObjDist_ = std::make_unique<ZipfDist>(cfg_.osData.objects,
-                                            cfg_.osData.theta);
-
+    procs_.resize(cfg_.processes);
     for (std::uint32_t p = 0; p < cfg_.processes; ++p) {
-        auto proc = std::make_unique<ProcState>();
-        proc->asid = static_cast<Asid>(cfg_.asidBase + p);
-        proc->base = userBase + p * processStride;
-        proc->pc = proc->base + codeOffset;
-        proc->osPc = kernelBase + cfg_.kernelOffset + osCodeOffset;
-        proc->stackTop = cfg_.stackBytes / 2;
-        procs_.push_back(std::move(proc));
+        ProcState &proc = procs_[p];
+        proc.asid = static_cast<Asid>(cfg_.asidBase + p);
+        proc.base = userBase + p * processStride;
+        proc.pc = proc.base + codeOffset;
+        proc.osPc = kernelBase + cfg_.kernelOffset + osCodeOffset;
+        proc.stackTop = cfg_.stackBytes / 2;
     }
     quantumLeft_ = cfg_.quantumRefs;
 }
 
 SyntheticGen::~SyntheticGen() = default;
 
-SyntheticGen::ProcState &
-SyntheticGen::current()
+template <bool supervisor>
+inline void
+SyntheticGen::stepCode(ProcState &proc, Rng &rng)
 {
-    return *procs_[activeProc_];
-}
-
-void
-SyntheticGen::emit(MemRef &ref, Addr vaddr, RefType type, bool supervisor)
-{
-    ref.vaddr = vaddr;
-    ref.asid = current().asid;
-    ref.type = type;
-    ref.size = 4;
-    ref.supervisor = supervisor;
-}
-
-void
-SyntheticGen::stepCode(ProcState &proc, const CodeSegmentConfig &cfg,
-                       bool supervisor)
-{
+    const CodeSegmentConfig &cfg = supervisor ? cfg_.osCode : cfg_.userCode;
     Addr &pc = supervisor ? proc.osPc : proc.pc;
     std::uint64_t &run = supervisor ? proc.osRunLeft : proc.runLeft;
     const Addr seg_base = supervisor
@@ -140,9 +132,9 @@ SyntheticGen::stepCode(ProcState &proc, const CodeSegmentConfig &cfg,
 
     if (run == 0) {
         // Take a branch.
-        if (rng_.chance(cfg.localBranchProb)) {
+        if (rng.chance(cfg.localBranchProb)) {
             const std::int64_t disp =
-                static_cast<std::int64_t>(rng_.below(2 * cfg.localRange)) -
+                static_cast<std::int64_t>(rng.below(2 * cfg.localRange)) -
                 static_cast<std::int64_t>(cfg.localRange);
             std::int64_t target = static_cast<std::int64_t>(pc) + disp;
             target = std::clamp(
@@ -150,27 +142,26 @@ SyntheticGen::stepCode(ProcState &proc, const CodeSegmentConfig &cfg,
                 static_cast<std::int64_t>(seg_end - 4));
             pc = alignDown(static_cast<Addr>(target), 4);
         } else {
-            const auto &dist = supervisor ? *osFuncDist_ : *userFuncDist_;
-            const std::uint64_t func = dist.sample(rng_);
+            const auto &dist = supervisor ? osFuncDist_ : userFuncDist_;
+            const std::uint64_t func = dist.sample(rng);
             const Addr stride = cfg.bytes / cfg.functions;
             pc = seg_base + alignDown(func * stride, 4);
         }
-        run = rng_.geometric(1.0 / cfg.meanRunInstrs);
+        run = (supervisor ? osRunDist_ : userRunDist_).sample(rng);
     }
 
-    MemRef ref;
-    emit(ref, pc, RefType::InstrFetch, supervisor);
-    queue_.push_back(ref);
+    emit(proc.asid, pc, RefType::InstrFetch, supervisor);
     pc += 4;
     if (pc >= seg_end)
         pc = seg_base;
     --run;
 }
 
-void
-SyntheticGen::stepData(ProcState &proc, const DataSegmentConfig &cfg,
-                       bool supervisor)
+template <bool supervisor>
+inline void
+SyntheticGen::stepData(ProcState &proc, Rng &rng)
 {
+    const DataSegmentConfig &cfg = supervisor ? cfg_.osData : cfg_.userData;
     Addr &addr = supervisor ? proc.osDataAddr : proc.dataAddr;
     std::uint64_t &run = supervisor ? proc.osDataRunLeft
                                     : proc.dataRunLeft;
@@ -181,48 +172,60 @@ SyntheticGen::stepData(ProcState &proc, const DataSegmentConfig &cfg,
         static_cast<Addr>(cfg.objects) * cfg.objectBytes;
 
     if (run == 0) {
-        const auto &dist = supervisor ? *osObjDist_ : *userObjDist_;
-        const std::uint64_t obj = dist.sample(rng_);
-        const Addr off = alignDown(rng_.below(cfg.objectBytes), 4);
+        const auto &dist = supervisor ? osObjDist_ : userObjDist_;
+        const std::uint64_t obj = dist.sample(rng);
+        const Addr off = alignDown(rng.below(cfg.objectBytes), 4);
         addr = seg_base + obj * cfg.objectBytes + off;
-        run = rng_.geometric(1.0 / cfg.meanRunWords);
+        run = (supervisor ? osDataRunDist_ : userDataRunDist_).sample(rng);
     }
 
-    const RefType type = rng_.chance(cfg_.writeFrac)
+    const RefType type = rng.chance(cfg_.writeFrac)
         ? RefType::DataWrite
         : RefType::DataRead;
-    MemRef ref;
-    emit(ref, addr, type, supervisor);
-    queue_.push_back(ref);
+    emit(proc.asid, addr, type, supervisor);
     addr += 4;
     if (addr >= seg_base + seg_bytes)
         addr = seg_base;
     --run;
 }
 
-void
-SyntheticGen::stepStack(ProcState &proc)
+inline void
+SyntheticGen::stepStack(ProcState &proc, Rng &rng)
 {
     // The stack top drifts up and down; references cluster at the top.
     const std::int64_t drift =
-        static_cast<std::int64_t>(rng_.below(9)) - 4;
+        static_cast<std::int64_t>(rng.below(9)) - 4;
     std::int64_t top = static_cast<std::int64_t>(proc.stackTop) +
         drift * 4;
     top = std::clamp(top, std::int64_t{64},
                      static_cast<std::int64_t>(cfg_.stackBytes) - 64);
     proc.stackTop = static_cast<Addr>(top);
 
-    const Addr off = alignDown(proc.stackTop + rng_.below(48), 4);
-    const RefType type = rng_.chance(0.5) ? RefType::DataWrite
+    const Addr off = alignDown(proc.stackTop + rng.below(48), 4);
+    const RefType type = rng.chance(0.5) ? RefType::DataWrite
                                           : RefType::DataRead;
-    MemRef ref;
-    emit(ref, proc.base + stackOffset + off, type, false);
-    queue_.push_back(ref);
+    emit(proc.asid, proc.base + stackOffset + off, type, false);
+}
+
+template <bool supervisor>
+inline void
+SyntheticGen::stepInstruction(ProcState &proc, Rng &rng)
+{
+    stepCode<supervisor>(proc, rng);
+    if (rng.chance(cfg_.dataRefProb))
+        stepData<supervisor>(proc, rng);
+    if (!supervisor && rng.chance(cfg_.stackRefProb))
+        stepStack(proc, rng);
 }
 
 void
-SyntheticGen::stepInstruction()
+SyntheticGen::refill()
 {
+    queueLen_ = queuePos_ = 0;
+    // A local copy of the RNG stays in registers: the queue's byte-sized
+    // stores may alias any member, so rng_'s state would go through
+    // memory on every draw.
+    Rng rng = rng_;
     // Mode feedback: enter a supervisor burst whenever the running
     // supervisor fraction has fallen below target.
     if (osBurstLeft_ == 0 && cfg_.osRefFrac > 0.0) {
@@ -231,46 +234,19 @@ SyntheticGen::stepInstruction()
             : static_cast<double>(supRefs_) /
                 static_cast<double>(produced_);
         if (frac < cfg_.osRefFrac)
-            osBurstLeft_ = rng_.geometric(1.0 / cfg_.osBurstInstrs);
+            osBurstLeft_ = osBurstDist_.sample(rng);
     }
 
-    ProcState &proc = current();
-    const bool supervisor = osBurstLeft_ > 0;
-    if (supervisor)
+    // Each mode is its own instantiation, so the user/supervisor
+    // choices inside one instruction are made at compile time.
+    ProcState &proc = procs_[activeProc_];
+    if (osBurstLeft_ > 0) {
         --osBurstLeft_;
-
-    const auto &code = supervisor ? cfg_.osCode : cfg_.userCode;
-    const auto &data = supervisor ? cfg_.osData : cfg_.userData;
-
-    stepCode(proc, code, supervisor);
-    if (rng_.chance(cfg_.dataRefProb))
-        stepData(proc, data, supervisor);
-    if (!supervisor && rng_.chance(cfg_.stackRefProb))
-        stepStack(proc);
-}
-
-bool
-SyntheticGen::next(MemRef &ref)
-{
-    if (produced_ >= cfg_.totalRefs)
-        return false;
-
-    if (queuePos_ >= queue_.size()) {
-        queue_.clear();
-        queuePos_ = 0;
-        stepInstruction();
+        stepInstruction<true>(proc, rng);
+    } else {
+        stepInstruction<false>(proc, rng);
     }
-
-    ref = queue_[queuePos_++];
-    ++produced_;
-    if (ref.supervisor)
-        ++supRefs_;
-
-    if (--quantumLeft_ == 0) {
-        quantumLeft_ = cfg_.quantumRefs;
-        activeProc_ = (activeProc_ + 1) % cfg_.processes;
-    }
-    return true;
+    rng_ = rng;
 }
 
 } // namespace vmp::trace

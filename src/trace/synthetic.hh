@@ -25,8 +25,8 @@
 #ifndef VMP_TRACE_SYNTHETIC_HH
 #define VMP_TRACE_SYNTHETIC_HH
 
+#include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/random.hh"
@@ -116,14 +116,34 @@ struct SyntheticConfig
     void check() const;
 };
 
-/** Pull-source producing the synthetic reference stream. */
-class SyntheticGen : public RefSource
+/**
+ * Pull-source producing the synthetic reference stream. next() is
+ * inline over a three-slot queue (one instruction emits at most a
+ * fetch, a data and a stack reference); refill() runs the next
+ * instruction when the queue is empty.
+ */
+class SyntheticGen final : public RefSource
 {
   public:
     explicit SyntheticGen(const SyntheticConfig &config);
     ~SyntheticGen() override;
 
-    bool next(MemRef &ref) override;
+    bool
+    next(MemRef &ref) override
+    {
+        if (produced_ >= cfg_.totalRefs)
+            return false;
+        if (queuePos_ == queueLen_)
+            refill();
+        ref = queue_[queuePos_++];
+        ++produced_;
+        supRefs_ += ref.supervisor;
+        if (--quantumLeft_ == 0) {
+            quantumLeft_ = cfg_.quantumRefs;
+            activeProc_ = (activeProc_ + 1) % cfg_.processes;
+        }
+        return true;
+    }
 
     /** References produced so far. */
     std::uint64_t produced() const { return produced_; }
@@ -134,23 +154,33 @@ class SyntheticGen : public RefSource
     /** Mutable per-address-space generation state. */
     struct ProcState;
 
-    void emit(MemRef &ref, Addr vaddr, RefType type, bool supervisor);
-    /** Run one instruction worth of references into the queue. */
-    void stepInstruction();
-    void stepCode(ProcState &proc, const CodeSegmentConfig &cfg,
-                  bool supervisor);
-    void stepData(ProcState &proc, const DataSegmentConfig &cfg,
-                  bool supervisor);
-    void stepStack(ProcState &proc);
-    ProcState &current();
+    void
+    emit(Asid asid, Addr vaddr, RefType type, bool supervisor)
+    {
+        queue_[queueLen_++] = MemRef{vaddr, asid, type, 4, supervisor};
+    }
+    /** Run one instruction worth of references into the empty queue. */
+    void refill();
+    template <bool supervisor>
+    void stepInstruction(ProcState &proc, Rng &rng);
+    template <bool supervisor>
+    void stepCode(ProcState &proc, Rng &rng);
+    template <bool supervisor>
+    void stepData(ProcState &proc, Rng &rng);
+    void stepStack(ProcState &proc, Rng &rng);
 
     SyntheticConfig cfg_;
     Rng rng_;
-    std::vector<std::unique_ptr<ProcState>> procs_;
-    std::unique_ptr<ZipfDist> userFuncDist_;
-    std::unique_ptr<ZipfDist> userObjDist_;
-    std::unique_ptr<ZipfDist> osFuncDist_;
-    std::unique_ptr<ZipfDist> osObjDist_;
+    std::vector<ProcState> procs_;
+    ZipfDist userFuncDist_;
+    ZipfDist userObjDist_;
+    ZipfDist osFuncDist_;
+    ZipfDist osObjDist_;
+    GeometricDist userRunDist_;
+    GeometricDist userDataRunDist_;
+    GeometricDist osRunDist_;
+    GeometricDist osDataRunDist_;
+    GeometricDist osBurstDist_;
 
     std::uint64_t produced_ = 0;
     std::uint64_t supRefs_ = 0;
@@ -158,9 +188,10 @@ class SyntheticGen : public RefSource
     std::uint32_t activeProc_ = 0;
     /** Instructions remaining in the current supervisor burst (0=user). */
     std::uint64_t osBurstLeft_ = 0;
-    /** References queued by stepInstruction, drained by next(). */
-    std::vector<MemRef> queue_;
-    std::size_t queuePos_ = 0;
+    /** References queued by refill(), drained by next(). */
+    std::array<MemRef, 3> queue_;
+    std::uint32_t queueLen_ = 0;
+    std::uint32_t queuePos_ = 0;
 };
 
 } // namespace vmp::trace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <iterator>
@@ -244,6 +245,96 @@ TEST(Zipf, ThetaZeroIsUniform)
         ++counts[dist.sample(rng)];
     for (int c : counts)
         EXPECT_NEAR(static_cast<double>(c) / n, 0.1, 0.01);
+}
+
+TEST(Zipf, GuideTableMatchesBinarySearch)
+{
+    // The guide table is an exact inverse CDF: rankOf(u) must be the
+    // rank lower_bound finds for every u, above all at the bucket edges
+    // k/n and the CDF steps, where an off-by-one start would show.
+    for (const std::uint64_t n : {1, 2, 48, 72, 4096}) {
+        for (const double theta : {0.0, 1.0, 1.8}) {
+            const ZipfDist dist(n, theta);
+            const auto &cdf = dist.cdf();
+            std::vector<double> us = {0.0, 1.0 - 0x1.0p-53};
+            auto probe = [&us](double u) {
+                for (const double v : {std::nextafter(u, 0.0), u,
+                                       std::nextafter(u, 1.0)})
+                    if (v >= 0.0 && v < 1.0)
+                        us.push_back(v);
+            };
+            for (std::uint64_t k = 0; k <= n; ++k)
+                probe(static_cast<double>(k) / static_cast<double>(n));
+            for (const double c : cdf)
+                probe(c);
+            Rng rng(n * 10 + static_cast<std::uint64_t>(theta * 10));
+            for (int i = 0; i < 20'000; ++i)
+                us.push_back(rng.uniform());
+            for (const double u : us) {
+                const auto want = static_cast<std::uint64_t>(
+                    std::lower_bound(cdf.begin(), cdf.end(), u) -
+                    cdf.begin());
+                ASSERT_EQ(dist.rankOf(u), want)
+                    << "n " << n << " theta " << theta << " u "
+                    << std::hexfloat << u;
+            }
+        }
+    }
+}
+
+TEST(Rng, GeometricDistMatchesInversionFormula)
+{
+    // GeometricDist caches log1p(-p) but must draw exactly what the
+    // uncached formula draws, and p == 1 must consume no draw.
+    for (const double p : {1.0, 0.5, 1.0 / 14.0, 1e-12}) {
+        const GeometricDist dist(p);
+        Rng a(77), b(77), c(77);
+        for (int i = 0; i < 10'000; ++i) {
+            std::uint64_t want = 1;
+            if (p < 1.0) {
+                double u = c.uniform();
+                if (u <= 0.0)
+                    u = 0x1.0p-53;
+                const double trials =
+                    std::floor(std::log(u) / std::log1p(-p)) + 1.0;
+                want = trials >= 0x1.0p64
+                    ? std::numeric_limits<std::uint64_t>::max()
+                    : static_cast<std::uint64_t>(trials);
+            }
+            ASSERT_EQ(dist.sample(a), want) << "p " << p;
+            ASSERT_EQ(b.geometric(p), want) << "p " << p;
+        }
+        // All three streams are still in step.
+        const auto next = c.next();
+        EXPECT_EQ(a.next(), next);
+        EXPECT_EQ(b.next(), next);
+        if (p == 1.0)
+            continue;
+        // The step boundaries u = (1-p)^k and their neighbours, where a
+        // reciprocal multiply instead of the division would round to
+        // the other side of an integer.
+        for (int k = 1; k < 200; ++k) {
+            const double edge = std::pow(1.0 - p, k);
+            for (const double u : {std::nextafter(edge, 0.0), edge,
+                                   std::nextafter(edge, 1.0)}) {
+                if (u <= 0.0 || u >= 1.0)
+                    continue;
+                const double trials =
+                    std::floor(std::log(u) / std::log1p(-p)) + 1.0;
+                ASSERT_EQ(dist.trialsOf(u),
+                          static_cast<std::uint64_t>(trials))
+                    << "p " << p << " u " << std::hexfloat << u;
+            }
+        }
+    }
+}
+
+TEST(Rng, BelowZeroPanics)
+{
+    Rng rng(5);
+    EXPECT_THROW(rng.below(0), PanicError);
+    EXPECT_THROW(GeometricDist{0.0}, PanicError);
+    EXPECT_THROW(GeometricDist{std::nan("")}, PanicError);
 }
 
 // --------------------------------------------------------------- stats
