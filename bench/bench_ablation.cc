@@ -180,7 +180,7 @@ main(int argc, char **argv)
         hint.row()
             .cell(enabled ? "on" : "off")
             .cell(system.controller(0).ownershipMisses().value())
-            .cell(system.bus()
+            .cell(system.root().bus
                       .countOf(mem::TxType::AssertOwnership)
                       .value())
             .cell(system.controller(0).hintedPrivateFills().value())
@@ -192,7 +192,7 @@ main(int argc, char **argv)
         metrics["ownership_misses"] =
             Json(system.controller(0).ownershipMisses().value());
         metrics["assert_ownership_tx"] =
-            Json(system.bus()
+            Json(system.root().bus
                      .countOf(mem::TxType::AssertOwnership)
                      .value());
         metrics["hinted_private_fills"] =

@@ -86,7 +86,7 @@ runPoint(fault::FaultKind kind, double rate, std::uint64_t seed)
         }
     }
     auto &injector = system.enableFaultInjection(schedule);
-    auto &checker = system.enableCoherenceChecker();
+    auto &checker = system.enableCoherenceCheckers();
     system.setWatchdog(1'000); // default warn-only handler
 
     std::vector<std::unique_ptr<trace::SyntheticGen>> gens;

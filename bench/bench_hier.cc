@@ -188,7 +188,7 @@ runCell(const Cell &cell, const mem::ArbitrationConfig &arbitration)
             : static_cast<double>(result.globalFetches) /
                 static_cast<double>(result.totalMisses);
         for (std::uint32_t k = 0; k < cell.clusters; ++k) {
-            const auto &ibc = system.interBusBoard(k);
+            const auto &ibc = *system.cluster(k).bridge;
             out.consistencyActions += ibc.invalidates().value() +
                 ibc.downgrades().value() + ibc.recalls().value();
         }

@@ -75,13 +75,13 @@ runStudy(sync::LockKind kind, bool same_page, std::uint32_t cpus,
                                   });
     system.events().run();
     result.correct = final_value == iters * cpus;
-    result.busTx = system.bus().transactions().value();
+    result.busTx = system.root().bus.transactions().value();
     result.ownershipTx =
-        system.bus().countOf(mem::TxType::ReadPrivate).value() +
-        system.bus().countOf(mem::TxType::AssertOwnership).value();
-    result.notifies = system.bus().countOf(mem::TxType::Notify).value();
+        system.root().bus.countOf(mem::TxType::ReadPrivate).value() +
+        system.root().bus.countOf(mem::TxType::AssertOwnership).value();
+    result.notifies = system.root().bus.countOf(mem::TxType::Notify).value();
     result.writeBacks =
-        system.bus().countOf(mem::TxType::WriteBack).value();
+        system.root().bus.countOf(mem::TxType::WriteBack).value();
     return result;
 }
 

@@ -175,7 +175,7 @@ runPoint(const Severity &sev, std::uint64_t seed)
     fault::FaultInjector *injector = nullptr;
     if (!schedule.empty())
         injector = &system.enableFaultInjection(schedule);
-    auto &checker = system.enableCoherenceChecker();
+    auto &checker = system.enableCoherenceCheckers();
     recover::RecoveryConfig rc;
     rc.detector.sweepPeriod = 32;
     rc.detector.deadlineNs = 20'000;

@@ -113,7 +113,7 @@ runPoint(Mode mode, std::uint64_t seed, std::uint32_t sets = 64,
     }
     if (!schedule.empty() || !schedule.crashes.empty())
         system.enableFaultInjection(schedule);
-    auto &checker = system.enableCoherenceChecker();
+    auto &checker = system.enableCoherenceCheckers();
     if (checkpoint)
         system.enableFrameCheckpoint();
     recover::RecoveryConfig rc;

@@ -303,7 +303,7 @@ crossCheckInspection(const core::VmpSystem &system,
     }
     std::size_t checked = 0;
     std::size_t wrong = 0;
-    const Json &boards = snapshot.get("boards");
+    const Json &boards = snapshot.get("domains").at(0).get("boards");
     for (std::size_t b = 0; b < boards.size(); ++b) {
         const Json &entries =
             boards.at(b).get("action_table").get("entries");
@@ -432,7 +432,8 @@ main(int argc, char **argv)
     std::cout << "== Live inspection (end-of-run quiescence) ==\n";
     const Json snapshot =
         telemetry::inspectSystem(*sink_run.system);
-    gate.check(snapshot.get("boards").size() == kCpus &&
+    const Json &boards = snapshot.get("domains").at(0).get("boards");
+    gate.check(boards.size() == kCpus &&
                    snapshot.get("t_ns").asUint() ==
                        sink_run.system->events().now(),
                "inspection snapshot covers every board at the current "

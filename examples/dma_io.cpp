@@ -54,7 +54,7 @@ main()
     system.attachIdleServicers();
 
     // A DMA device on the bus (ids above the CPUs are free).
-    mem::DmaDevice disk(100, system.bus());
+    mem::DmaDevice disk(100, system.root().bus);
 
     const Addr buffer_va = trace::kernelBase + 0x6000;
     constexpr std::uint32_t buffer_bytes = 512; // two cache pages

@@ -90,7 +90,8 @@ main()
         snapshot.write(os, 2);
         os << '\n';
     }
-    std::cout << "snapshot: " << snapshot.get("boards").size()
+    std::cout << "snapshot: "
+              << snapshot.get("domains").at(0).get("boards").size()
               << " boards at t=" << snapshot.get("t_ns").asUint()
               << "ns -> live_inspect.snapshot.json\n";
 

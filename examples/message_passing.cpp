@@ -71,10 +71,10 @@ main()
                                            : " (WRONG)")
               << "\n";
     std::cout << "Bus transactions: "
-              << system.bus().transactions().value() << " total, "
-              << system.bus().countOf(mem::TxType::Notify).value()
+              << system.root().bus.transactions().value() << " total, "
+              << system.root().bus.countOf(mem::TxType::Notify).value()
               << " notifies, "
-              << system.bus().countOf(mem::TxType::ReadPrivate).value()
+              << system.root().bus.countOf(mem::TxType::ReadPrivate).value()
               << " read-privates (no cache-page ping-pong: the ring "
                  "lives in uncached memory)\n";
     std::cout << "Simulated time: "

@@ -69,8 +69,8 @@ main()
             .cell(sync::lockKindName(kind))
             .cell(std::uint64_t{final_value})
             .cell(toUsec(elapsed), 0)
-            .cell(system.bus().transactions().value())
-            .cell(system.bus().aborts().value());
+            .cell(system.root().bus.transactions().value())
+            .cell(system.root().bus.aborts().value());
     }
     table.print(std::cout);
 

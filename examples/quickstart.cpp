@@ -66,7 +66,7 @@ main()
 
     // Full statistics dump in gem5 style.
     StatGroup bus_stats("bus");
-    system.bus().registerStats(bus_stats);
+    system.root().bus.registerStats(bus_stats);
     bus_stats.dump(std::cout);
     return 0;
 }

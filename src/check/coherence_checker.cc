@@ -11,9 +11,16 @@
 namespace vmp::check
 {
 
-CoherenceChecker::CoherenceChecker(mem::VmeBus &bus, mem::PhysMem &memory,
-                                   CheckerOptions options)
-    : bus_(bus), mem_(memory), opts_(options)
+namespace
+{
+
+/** Human-readable violation reports kept; the counter keeps counting. */
+constexpr std::size_t kMaxReports = 16;
+
+} // namespace
+
+CoherenceChecker::CoherenceChecker(mem::VmeBus &bus, mem::PhysMem &memory)
+    : bus_(bus), mem_(memory)
 {
 }
 
@@ -55,7 +62,7 @@ CoherenceChecker::report(const std::string &text)
     ++violations_;
     VMP_DTRACE(debug::Check, bus_.eventQueue().now(),
                "VIOLATION: ", text);
-    if (reports_.size() < opts_.maxReports)
+    if (reports_.size() < kMaxReports)
         reports_.push_back(text);
 }
 
@@ -223,7 +230,7 @@ CoherenceChecker::checkFull()
 
         // I6: clean copies match the memory-server image. Skipped for
         // frames with a dirty slot (memory is legitimately stale).
-        if (opts_.checkData && cache.config().storeData) {
+        if (cache.config().storeData) {
             std::vector<std::uint8_t> image(page);
             for (std::size_t index = 0; index < slot_frames.size();
                  ++index) {

@@ -49,14 +49,6 @@
 namespace vmp::check
 {
 
-struct CheckerOptions
-{
-    /** Compare clean cached pages against memory (I6). */
-    bool checkData = true;
-    /** Keep at most this many human-readable violation reports. */
-    std::size_t maxReports = 16;
-};
-
 /** Invariant checker for one bus segment. */
 class CoherenceChecker
 {
@@ -65,8 +57,7 @@ class CoherenceChecker
      * @param bus the bus segment to observe
      * @param memory the memory-server image behind that bus
      */
-    CoherenceChecker(mem::VmeBus &bus, mem::PhysMem &memory,
-                     CheckerOptions options = {});
+    CoherenceChecker(mem::VmeBus &bus, mem::PhysMem &memory);
 
     /**
      * Register a processor board: its controller's software state and
@@ -103,7 +94,7 @@ class CoherenceChecker
 
     const Counter &violations() const { return violations_; }
     const Counter &transactionsObserved() const { return observed_; }
-    /** First maxReports human-readable violation descriptions. */
+    /** First kMaxReports human-readable violation descriptions. */
     const std::vector<std::string> &reports() const { return reports_; }
 
     void registerStats(StatGroup &group) const;
@@ -119,7 +110,6 @@ class CoherenceChecker
 
     mem::VmeBus &bus_;
     mem::PhysMem &mem_;
-    CheckerOptions opts_;
     std::vector<const proto::CacheController *> controllers_;
     /** All monitors (controllers' plus monitor-only registrations). */
     std::vector<const monitor::BusMonitor *> monitors_;

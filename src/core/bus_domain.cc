@@ -53,10 +53,9 @@ healthOf(const proto::ProtocolClient &client)
 
 BusDomain::BusDomain(EventQueue &events, std::uint64_t mem_bytes,
                      std::uint32_t page_bytes,
-                     const mem::BusTiming &timing,
                      const mem::ArbitrationConfig &arbitration)
     : events(events), memory(mem_bytes, page_bytes),
-      bus(events, memory, timing, arbitration)
+      bus(events, memory, mem::BusTiming{}, arbitration)
 {}
 
 BusDomain::~BusDomain() = default;
@@ -88,10 +87,9 @@ BusDomain::setTracer(obs::EventTracer &tracer)
 }
 
 void
-BusDomain::enableChecker(const check::CheckerOptions &options)
+BusDomain::enableChecker()
 {
-    checker = std::make_unique<check::CoherenceChecker>(bus, memory,
-                                                        options);
+    checker = std::make_unique<check::CoherenceChecker>(bus, memory);
     for (auto &board : boards)
         checker->addController(board->controller);
     // Inter-bus boards are protocol clients only through their global
@@ -163,10 +161,6 @@ BusDomain::enableCheckpoint(Asid asid)
 
 // -------------------------------------------------------------- Machine
 
-Machine::Machine(const char *tag, const cpu::M68020Timing &cpu_timing)
-    : tag_(tag), cpuTiming_(cpu_timing)
-{}
-
 void
 Machine::useTranslator(proto::Translator *translator,
                        std::uint64_t mem_bytes, std::uint32_t page_bytes)
@@ -181,11 +175,10 @@ Machine::useTranslator(proto::Translator *translator,
 
 BusDomain &
 Machine::addDomain(std::uint64_t mem_bytes, std::uint32_t page_bytes,
-                   const mem::BusTiming &timing,
                    const mem::ArbitrationConfig &arbitration)
 {
     domains_.push_back(std::make_unique<BusDomain>(
-        events_, mem_bytes, page_bytes, timing, arbitration));
+        events_, mem_bytes, page_bytes, arbitration));
     return *domains_.back();
 }
 
@@ -210,6 +203,22 @@ Machine::installOrder() const
         order.push_back(domains_[i].get());
     order.push_back(domains_.front().get());
     return order;
+}
+
+BusDomain &
+Machine::cluster(std::size_t k)
+{
+    if (k + 1 >= domains_.size())
+        panic(tag_, ": cluster index ", k, " out of range");
+    return *domains_[k + 1];
+}
+
+const BusDomain &
+Machine::cluster(std::size_t k) const
+{
+    if (k + 1 >= domains_.size())
+        panic(tag_, ": cluster index ", k, " out of range");
+    return *domains_[k + 1];
 }
 
 ProcessorBoard &
@@ -246,8 +255,9 @@ Machine::activeCpu(std::uint32_t cpu) const
     return cpu < activeCpus_.size() ? activeCpus_[cpu] : nullptr;
 }
 
-std::vector<std::unique_ptr<cpu::TraceCpu>>
-Machine::runTraceCpus(const std::vector<trace::RefSource *> &sources)
+void
+Machine::runTraceCpus(const std::vector<trace::RefSource *> &sources,
+                      RunResult &result)
 {
     if (sources.size() > boards_.size())
         fatal(tag_, ": ", sources.size(), " traces for ", boards_.size(),
@@ -255,12 +265,12 @@ Machine::runTraceCpus(const std::vector<trace::RefSource *> &sources)
 
     std::vector<std::unique_ptr<cpu::TraceCpu>> cpus;
     std::size_t remaining = sources.size();
+    activeCpus_.clear();
     for (std::size_t i = 0; i < sources.size(); ++i) {
         cpus.push_back(std::make_unique<cpu::TraceCpu>(
-            static_cast<CpuId>(i), events_, controller(i), *sources[i],
-            cpuTiming_));
+            static_cast<CpuId>(i), events_, controller(i), *sources[i]));
+        activeCpus_.push_back(cpus.back().get());
     }
-    activeCpus_ = rawCpus(cpus);
     for (auto &c : cpus)
         c->setPeers(activeCpus_);
     for (auto &c : cpus)
@@ -280,25 +290,10 @@ Machine::runTraceCpus(const std::vector<trace::RefSource *> &sources)
               " trace CPUs did not finish");
     }
     activeCpus_.clear();
-    return cpus;
-}
 
-std::vector<cpu::TraceCpu *>
-Machine::rawCpus(const std::vector<std::unique_ptr<cpu::TraceCpu>> &cpus)
-{
-    std::vector<cpu::TraceCpu *> raw;
-    for (const auto &c : cpus)
-        raw.push_back(c.get());
-    return raw;
-}
-
-void
-Machine::collectInto(RunResult &result,
-                     const std::vector<cpu::TraceCpu *> &cpus) const
-{
     result.elapsed = events_.now();
     double perf_sum = 0.0;
-    for (const auto *c : cpus) {
+    for (const auto &c : cpus) {
         result.totalRefs += c->refsRetired().value();
         perf_sum += c->performance();
     }
@@ -336,7 +331,7 @@ Machine::runPrograms(const std::vector<cpu::Program> &programs)
     for (std::size_t i = 0; i < programs.size(); ++i) {
         cpus.push_back(std::make_unique<cpu::ProgramCpu>(
             static_cast<CpuId>(i), events_, controller(i),
-            static_cast<Asid>(i + 1), programs[i], cpuTiming_));
+            static_cast<Asid>(i + 1), programs[i]));
     }
     for (auto &c : cpus)
         c->run([&remaining] { --remaining; });
@@ -402,7 +397,10 @@ Machine::enableFaultInjection(const fault::FaultSchedule &schedule)
     // kill/rejoin events now (deterministic, no RNG draw).
     for (const auto &crash : injector_->schedule().crashes) {
         if (crash.interBus) {
-            armInterBusCrash(crash);
+            interBusTarget(crash.board, "crashInterBus");
+            if (crash.rejoinAt != 0)
+                fatal(tag_, ": inter-bus boards do not hot-rejoin");
+            killInterBusBoard(crash.board, crash.at);
             continue;
         }
         killBoard(crash.board, crash.at);
@@ -417,10 +415,15 @@ Machine::enableFaultInjection(const fault::FaultSchedule &schedule)
     return *injector_;
 }
 
-void
-Machine::armInterBusCrash(const fault::BoardCrashSpec &)
+hier::InterBusBoard &
+Machine::interBusTarget(std::uint32_t k, const char *what) const
 {
-    fatal(tag_, ": crashInterBus() on a flat (single-bus) system");
+    const auto &ibcs = root().globalClients;
+    if (ibcs.empty())
+        fatal(tag_, ": ", what, "() on a flat (single-bus) system");
+    if (k >= ibcs.size())
+        fatal(tag_, ": ", what, "(", k, ") out of range");
+    return *ibcs[k];
 }
 
 void
@@ -432,15 +435,10 @@ Machine::armPartialFault(const fault::PartialFaultSpec &spec)
     ProcessorBoard *board = nullptr;
     proto::ProtocolClient *client = nullptr;
     if (spec.interBus) {
-        const auto &bridges = root().globalClients;
-        if (bridges.empty())
-            fatal(tag_, ": wedgeInterBus() on a flat (single-bus) system");
+        client = &interBusTarget(spec.board, "wedgeInterBus");
         if (spec.kind != fault::FaultKind::MonitorWedge)
             fatal(tag_, ": only wedgeInterBus() partial faults target "
                   "inter-bus boards");
-        if (spec.board >= bridges.size())
-            fatal(tag_, ": wedgeInterBus(", spec.board, ") out of range");
-        client = bridges[spec.board];
     } else {
         if (spec.board >= boards_.size())
             fatal(tag_, ": partial fault on board ", spec.board,
@@ -501,10 +499,8 @@ Machine::enableTracing(obs::TraceConfig config)
     if (tracer_)
         fatal(tag_, ": tracing enabled twice");
     tracer_ = std::make_unique<obs::EventTracer>(config.ringCapacity);
-    if (config.profileMisses) {
-        profiler_ = std::make_unique<obs::MissProfiler>();
-        tracer_->addSink(profiler_->sink());
-    }
+    profiler_ = std::make_unique<obs::MissProfiler>();
+    tracer_->addSink(profiler_->sink());
     for (auto &domain : domains_)
         domain->setTracer(*tracer_);
     recoverTrack_ = tracer_->registerTrack("recover");
@@ -519,16 +515,26 @@ Machine::enableTracing(obs::TraceConfig config)
 }
 
 void
-Machine::enableCheckers(const check::CheckerOptions &options)
+Machine::setUserPrivateHint(bool enabled)
+{
+    if (!ownedTranslator_)
+        fatal(tag_, ": setUserPrivateHint requires the internal demand "
+              "translator");
+    ownedTranslator_->setUserPrivateHint(enabled);
+}
+
+check::CoherenceChecker &
+Machine::enableCoherenceCheckers()
 {
     if (root().checker)
         fatal(tag_, ": coherence checker enabled twice");
     for (BusDomain *domain : installOrder())
-        domain->enableChecker(options);
+        domain->enableChecker();
+    return *root().checker;
 }
 
-void
-Machine::enableRecoveryAll(const recover::RecoveryConfig &options)
+recover::RecoveryManager &
+Machine::enableRecovery(recover::RecoveryConfig options)
 {
     if (root().recovery)
         fatal(tag_, ": recovery enabled twice");
@@ -555,15 +561,39 @@ Machine::enableRecoveryAll(const recover::RecoveryConfig &options)
                     c->resume();
             });
     }
+    return *root().recovery;
 }
 
-void
-Machine::enableCheckpoints(Asid asid)
+backing::PageStore &
+Machine::enableFrameCheckpoint(Asid asid)
 {
     if (root().checkpointer)
         fatal(tag_, ": frame checkpoint enabled twice");
     for (BusDomain *domain : installOrder())
         domain->enableCheckpoint(asid);
+    return *root().checkpointStore;
+}
+
+std::uint64_t
+Machine::checkFullAll()
+{
+    std::uint64_t found = 0;
+    for (BusDomain *domain : installOrder()) {
+        if (domain->checker)
+            found += domain->checker->checkFull();
+    }
+    return found;
+}
+
+std::uint64_t
+Machine::totalViolations() const
+{
+    std::uint64_t total = 0;
+    for (const auto &domain : domains_) {
+        if (domain->checker)
+            total += domain->checker->violations().value();
+    }
+    return total;
 }
 
 void
@@ -619,6 +649,21 @@ Machine::doRejoin(std::uint32_t cpu)
         manager->markRejoined(cpu);
     if (cpu::TraceCpu *c = activeCpu(cpu))
         c->resume();
+}
+
+void
+Machine::killInterBusBoard(std::uint32_t k, Tick at)
+{
+    hier::InterBusBoard *ibc = &interBusTarget(k, "killInterBusBoard");
+    events_.schedule(at, [this, ibc, k] {
+        if (ibc->dead())
+            return;
+        VMP_DTRACE(debug::Recover, events_.now(),
+                   "killing inter-bus board of cluster ", k);
+        ibc->failstop();
+        if (injector_)
+            injector_->noteBoardCrash();
+    }, "kill-ibc");
 }
 
 void

@@ -10,11 +10,12 @@
  * Machine holds what spans domains — the event queue, the translator,
  * the fault injector, the tracer and the running CPUs — and writes the
  * machine-wide behaviour once over its domain list: runs, idle
- * service, fault arming, kill/rejoin, the statistics and, over every
- * protocol client (processor boards and inter-bus boards alike), the
- * health probe, the watchdog, quiesce() and the partial-fault wedge.
- * A flat VmpSystem is one domain; a HierVmpSystem is k cluster domains
- * plus the global one.
+ * service, fault arming, kill/rejoin, checkers, recovery, checkpoints,
+ * the statistics and, over every protocol client (processor boards and
+ * inter-bus boards alike), the health probe, the watchdog, quiesce()
+ * and the partial-fault wedge. A flat VmpSystem is one domain; a
+ * HierVmpSystem is k cluster domains plus the global one. The two
+ * differ only in how their constructors build the domains.
  *
  * Domains are kept in layout order, the root (main-memory) domain
  * first; stat groups and tracer tracks follow it. Checkers, recovery
@@ -34,7 +35,6 @@
 #include "backing/page_store.hh"
 #include "check/coherence_checker.hh"
 #include "cpu/program_cpu.hh"
-#include "cpu/timing.hh"
 #include "cpu/trace_cpu.hh"
 #include "fault/injector.hh"
 #include "hier/inter_bus_board.hh"
@@ -61,7 +61,7 @@ struct VmpConfig;
 struct BusDomain
 {
     BusDomain(EventQueue &events, std::uint64_t mem_bytes,
-              std::uint32_t page_bytes, const mem::BusTiming &timing,
+              std::uint32_t page_bytes,
               const mem::ArbitrationConfig &arbitration);
     ~BusDomain(); // out of line: ProcessorBoard is incomplete here
 
@@ -76,7 +76,7 @@ struct BusDomain
     void setFaultHooks(fault::FaultInjector &injector);
     /** Register this domain's tracks: bus, bridge, then each board. */
     void setTracer(obs::EventTracer &tracer);
-    void enableChecker(const check::CheckerOptions &options);
+    void enableChecker();
     /** Recovery over every client; fence hooks are the machine's. */
     void enableRecovery(const recover::RecoveryConfig &options,
                         obs::EventTracer *tracer,
@@ -114,6 +114,20 @@ class Machine
     mem::PhysMem &memory() { return root().memory; }
     const mem::PhysMem &memory() const { return root().memory; }
 
+    /** The root (main-memory) domain: a flat machine's only bus, or
+     *  the global bus of a hierarchy. */
+    BusDomain &root() { return *domains_.front(); }
+    const BusDomain &root() const { return *domains_.front(); }
+    /** Cluster @p k's domain; on a flat machine every k is out of
+     *  range. */
+    BusDomain &cluster(std::size_t k);
+    const BusDomain &cluster(std::size_t k) const;
+    /** Every domain in layout order, the root first. */
+    const std::vector<std::unique_ptr<BusDomain>> &domains() const
+    {
+        return domains_;
+    }
+
     /** Board/controller for the machine-wide CPU index. */
     ProcessorBoard &board(std::size_t cpu);
     const ProcessorBoard &board(std::size_t cpu) const;
@@ -146,6 +160,62 @@ class Machine
     bool quiesce();
 
     /**
+     * With the internal demand translator: declare user pages
+     * non-shared (Section 5.4 hint). Read misses to user pages then
+     * fetch read-private, eliminating later write upgrades.
+     */
+    void setUserPrivateHint(bool enabled);
+
+    /**
+     * Install a coherence-invariant checker on every bus: online
+     * single-owner checking per transaction plus checkFull() sweeps
+     * at quiescence, with full per-controller invariants against the
+     * memory a bus serves, and monitor-only single-owner checking
+     * across the inter-bus boards on a global bus. At most once.
+     * Returns the root domain's checker.
+     */
+    check::CoherenceChecker &enableCoherenceCheckers();
+
+    /**
+     * Install failstop recovery on every bus: per domain, a
+     * FailureDetector over its clients, the reclaim coordinator, and
+     * the dead-owner oracle on every client (so stranded waits abandon
+     * with a structured DeadOwnerError instead of retrying forever).
+     * A bridge is a liveness-only client of its cluster bus (a dead
+     * bridge strands every remote frame); on the global bus each
+     * inter-bus board is a protocol client whose Protect frames are
+     * reclaimed into main memory. With checkers installed (before or
+     * after), every completed reclaim triggers the matching
+     * single-owner sweep. At most once, before any traffic. Returns
+     * the root domain's manager.
+     */
+    recover::RecoveryManager &
+    enableRecovery(recover::RecoveryConfig options = {});
+
+    /**
+     * Install an NVRAM-shadowed frame checkpoint on every bus: a
+     * cache-page-granule backing::PageStore kept a live shadow of the
+     * domain's memory (main memory or a cluster image) by a
+     * FrameCheckpointer snapshotting every completed ownership
+     * transfer on its bus (zero simulated cost — the memory board
+     * mirrors writes into stable storage). Recovery managers,
+     * installed before or after, restore reclaimed frames from their
+     * domain's store, driving pages_lost to zero by construction.
+     * @p asid is the reserved space id frames are keyed under. At
+     * most once, before any traffic. Returns the root domain's store.
+     */
+    backing::PageStore &enableFrameCheckpoint(Asid asid = 0xFE);
+
+    /**
+     * Full sweep on every installed checker (quiescence only).
+     * @return violations found by this sweep, summed over checkers.
+     */
+    std::uint64_t checkFullAll();
+
+    /** Total violations across all checkers so far. */
+    std::uint64_t totalViolations() const;
+
+    /**
      * Arm a fault injector over the whole machine: every bus, every
      * board's interrupt FIFO, delivery path and block copier, and
      * every inter-bus board's FIFOs and global copier. May be called
@@ -165,13 +235,13 @@ class Machine
      * Arm the observability subsystem: a per-board ring-buffer event
      * tracer over every bus, monitor/FIFO, controller miss phases and
      * block copier, inter-bus board and (if installed) recovery
-     * coordinator — plus, unless disabled in @p config, a MissProfiler
-     * folding the traced phases into per-miss breakdowns. Tracks are
-     * per domain (bus, bridge, then "cpuN" per board) plus one shared
-     * "recover" track. Pure observation: no event is scheduled and no
-     * RNG is drawn, so simulated time is bit-identical with tracing on
-     * or off. May be called at most once, before any traffic;
-     * recovery enabled later is wired onto "recover" automatically.
+     * coordinator — plus a MissProfiler folding the traced phases
+     * into per-miss breakdowns. Tracks are per domain (bus, bridge,
+     * then "cpuN" per board) plus one shared "recover" track. Pure
+     * observation: no event is scheduled and no RNG is drawn, so
+     * simulated time is bit-identical with tracing on or off. May be
+     * called at most once, before any traffic; recovery enabled later
+     * is wired onto "recover" automatically.
      */
     obs::EventTracer &enableTracing(obs::TraceConfig config = {});
 
@@ -206,6 +276,14 @@ class Machine
     void rejoinBoard(std::uint32_t cpu, Tick at);
 
     /**
+     * Failstop cluster @p cluster's inter-bus cache board at tick
+     * @p at: its service software dies, stranding the cluster's remote
+     * misses and its global Protect frames. Inter-bus boards do not
+     * hot-rejoin. Fatal on a flat machine or out of range.
+     */
+    void killInterBusBoard(std::uint32_t cluster, Tick at);
+
+    /**
      * Configure the livelock watchdog on every protocol client, the
      * inter-bus boards' fetch, upgrade, recall and write-back loops
      * included: a starving operation (more than @p maxRetries
@@ -228,7 +306,7 @@ class Machine
 
   protected:
     /** @p tag prefixes fatal messages ("system", "hier"). */
-    Machine(const char *tag, const cpu::M68020Timing &cpu_timing);
+    explicit Machine(const char *tag) : tag_(tag) {}
     ~Machine() = default;
 
     /** Use @p translator, or build the internal DemandTranslator
@@ -237,39 +315,16 @@ class Machine
                        std::uint64_t mem_bytes, std::uint32_t page_bytes);
     /** Append a domain; the first one added is the root. */
     BusDomain &addDomain(std::uint64_t mem_bytes, std::uint32_t page_bytes,
-                         const mem::BusTiming &timing,
                          const mem::ArbitrationConfig &arbitration);
     /** Build @p count boards on @p domain, numbered machine-wide. */
     void addBoards(BusDomain &domain, std::uint32_t count,
                    const VmpConfig &config);
 
-    BusDomain &root() { return *domains_.front(); }
-    const BusDomain &root() const { return *domains_.front(); }
-    /** Every non-root domain in turn, then the root. */
-    std::vector<BusDomain *> installOrder() const;
-
-    void enableCheckers(const check::CheckerOptions &options);
-    void enableRecoveryAll(const recover::RecoveryConfig &options);
-    void enableCheckpoints(Asid asid);
-
     /** Run one trace CPU per source to completion, each with the others
-     *  as its lookahead peers (TraceCpu::setPeers); returns them. */
-    std::vector<std::unique_ptr<cpu::TraceCpu>>
-    runTraceCpus(const std::vector<trace::RefSource *> &sources);
-    static std::vector<cpu::TraceCpu *>
-    rawCpus(const std::vector<std::unique_ptr<cpu::TraceCpu>> &cpus);
-    /** The RunResult fields every machine reports alike. */
-    void collectInto(RunResult &result,
-                     const std::vector<cpu::TraceCpu *> &cpus) const;
-
-    /** Schedule a crashInterBus() entry; a flat machine rejects it. */
-    virtual void armInterBusCrash(const fault::BoardCrashSpec &crash);
-
-    EventQueue events_;
-    std::unique_ptr<proto::DemandTranslator> ownedTranslator_;
-    /** Layout order: the root first. */
-    std::vector<std::unique_ptr<BusDomain>> domains_;
-    std::unique_ptr<fault::FaultInjector> injector_;
+     *  as its lookahead peers (TraceCpu::setPeers), and fill the
+     *  RunResult fields every machine reports alike. */
+    void runTraceCpus(const std::vector<trace::RefSource *> &sources,
+                      RunResult &result);
 
   private:
     struct BoardSlot
@@ -278,10 +333,16 @@ class Machine
         BusDomain *domain;
     };
 
+    /** Every non-root domain in turn, then the root. */
+    std::vector<BusDomain *> installOrder() const;
     /** The CPU running on board @p cpu, or null. */
     cpu::TraceCpu *activeCpu(std::uint32_t cpu) const;
     /** Rejoin body (defers itself while the domain is reclaiming). */
     void doRejoin(std::uint32_t cpu);
+    /** Cluster @p k's inter-bus board as the target of the fault call
+     *  @p what; fatal on a flat machine or out of range. */
+    hier::InterBusBoard &interBusTarget(std::uint32_t k,
+                                        const char *what) const;
     /** Turn one scheduled partial-failure spec into onset/clear events
      *  on its board or inter-bus board. */
     void armPartialFault(const fault::PartialFaultSpec &spec);
@@ -292,10 +353,14 @@ class Machine
                     StatRegistry &registry) const;
 
     const char *tag_;
-    cpu::M68020Timing cpuTiming_;
+    EventQueue events_;
+    std::unique_ptr<proto::DemandTranslator> ownedTranslator_;
     proto::Translator *translator_ = nullptr;
+    /** Layout order: the root first. */
+    std::vector<std::unique_ptr<BusDomain>> domains_;
     /** Every processor board, by machine-wide CPU index. */
     std::vector<BoardSlot> boards_;
+    std::unique_ptr<fault::FaultInjector> injector_;
     std::unique_ptr<obs::EventTracer> tracer_;
     std::unique_ptr<obs::MissProfiler> profiler_;
     /** Track id recovery events land on (valid while tracer_ != null). */

@@ -40,16 +40,11 @@ struct HierConfig
     cache::CacheConfig cache{256, 4, 256, true};
     /** Main-memory size; every cluster image is the same size. */
     std::uint64_t memBytes = MiB(8);
-    /** Local (cluster) bus timing. */
-    mem::BusTiming localBusTiming{};
-    /** Global bus timing. */
-    mem::BusTiming globalBusTiming{};
     /** Arbitration discipline of every local bus. */
     mem::ArbitrationConfig localArbitration{};
     /** Arbitration discipline of the global bus. */
     mem::ArbitrationConfig globalArbitration{};
     proto::SoftwareTiming swTiming{};
-    cpu::M68020Timing cpuTiming{};
     /** Processor bus-monitor FIFO depth. */
     std::size_t fifoCapacity = 128;
     /** Inter-bus board FIFO depth (both FIFOs). */
@@ -90,110 +85,25 @@ class HierVmpSystem : public Machine
                            proto::Translator *translator = nullptr);
 
     const HierConfig &config() const { return cfg_; }
-    mem::VmeBus &globalBus() { return root().bus; }
-    const mem::VmeBus &globalBus() const { return root().bus; }
-    std::uint32_t clusters() const { return cfg_.clusters; }
-    std::uint32_t cpusPerCluster() const { return cfg_.cpusPerCluster; }
-    std::uint32_t totalCpus() const { return cfg_.totalCpus(); }
-
-    mem::VmeBus &localBus(std::size_t cluster);
-    const mem::VmeBus &localBus(std::size_t cluster) const;
-    mem::PhysMem &image(std::size_t cluster);
-    hier::InterBusBoard &interBusBoard(std::size_t cluster);
-    const hier::InterBusBoard &interBusBoard(std::size_t cluster) const;
 
     /** One trace CPU per source, filled cluster-major; runs all to
      *  completion. */
     HierRunResult runTraces(
         const std::vector<trace::RefSource *> &sources);
 
-    HierRunResult collect(
-        const std::vector<cpu::TraceCpu *> &cpus) const;
-
-    /**
-     * Install coherence checkers at both levels: one per cluster bus
-     * (full per-controller invariants against the cluster image) and
-     * a monitor-only checker on the global bus asserting the
-     * single-owner invariant across inter-bus boards. At most once.
-     */
-    void enableCoherenceCheckers(check::CheckerOptions options = {});
-
-    /** Per-cluster checker (requires enableCoherenceCheckers). */
-    check::CoherenceChecker &clusterChecker(std::size_t cluster);
-    /** Global-bus checker (requires enableCoherenceCheckers). */
-    check::CoherenceChecker &globalChecker();
-    /** True once enableCoherenceCheckers() has run. */
-    bool checkersEnabled() const { return root().checker != nullptr; }
-
-    /**
-     * Install failstop recovery at both levels: one RecoveryManager
-     * per cluster bus (CPU boards plus the inter-bus board as a
-     * liveness-only bridge — a dead bridge strands every remote frame)
-     * and one on the global bus treating each inter-bus board's global
-     * monitor as a protocol client whose Protect frames are reclaimed
-     * into main memory. Controllers get their cluster's manager as
-     * dead-owner oracle. With checkers installed, every completed
-     * reclaim triggers the matching single-owner sweep. At most once.
-     */
-    void enableRecovery(recover::RecoveryConfig options = {});
-
-    /** Per-cluster recovery manager (requires enableRecovery). */
-    recover::RecoveryManager &clusterRecovery(std::size_t cluster);
-    const recover::RecoveryManager &
-    clusterRecovery(std::size_t cluster) const;
-    /** True once enableRecovery() has run. */
-    bool recoveryEnabled() const { return root().recovery != nullptr; }
-    /** Global-bus recovery manager, or null if none installed. */
-    recover::RecoveryManager *globalRecovery()
+    /** Alias of config().clusters, held by simbench. */
+    std::uint32_t clusters() const { return cfg_.clusters; }
+    /** Alias of config().totalCpus(), held by simbench. */
+    std::uint32_t totalCpus() const { return cfg_.totalCpus(); }
+    /** Alias of cluster(k).bus, held by simbench. */
+    mem::VmeBus &localBus(std::size_t k) { return cluster(k).bus; }
+    /** Alias of *cluster(k).bridge, held by simbench. */
+    hier::InterBusBoard &interBusBoard(std::size_t k)
     {
-        return root().recovery.get();
+        return *cluster(k).bridge;
     }
-    const recover::RecoveryManager *globalRecovery() const
-    {
-        return root().recovery.get();
-    }
-
-    /**
-     * Install NVRAM-shadowed frame checkpoints at both levels: one
-     * per cluster (shadowing the cluster image off its local bus) and
-     * one global (shadowing main memory off the global bus). Recovery
-     * managers — installed before or after — restore reclaimed frames
-     * from the matching store, driving pages_lost to zero at every
-     * level. @p asid as in VmpSystem::enableFrameCheckpoint. At most
-     * once, before any traffic.
-     */
-    void enableFrameCheckpoint(Asid asid = 0xFE);
-
-    /** True once enableFrameCheckpoint() ran. */
-    bool frameCheckpointEnabled() const
-    {
-        return root().checkpointer != nullptr;
-    }
-
-    /**
-     * Failstop cluster @p cluster's inter-bus cache board at tick
-     * @p at: its service software dies, stranding the cluster's remote
-     * misses and its global Protect frames. Inter-bus boards do not
-     * hot-rejoin.
-     */
-    void killInterBusBoard(std::uint32_t cluster, Tick at);
-
-    /**
-     * Full sweep on every installed checker (quiescence only).
-     * @return violations found by this sweep, summed over checkers.
-     */
-    std::uint64_t checkFullAll();
-
-    /** Total violations across all checkers so far. */
-    std::uint64_t totalViolations() const;
 
   private:
-    /** Cluster @p k's domain (domains_[0] is the global one). */
-    BusDomain &cluster(std::size_t k);
-    const BusDomain &cluster(std::size_t k) const;
-
-    void armInterBusCrash(const fault::BoardCrashSpec &crash) override;
-
     HierConfig cfg_;
 };
 

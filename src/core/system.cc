@@ -49,63 +49,21 @@ RunResult::toString() const
 
 VmpSystem::VmpSystem(const VmpConfig &config,
                      proto::Translator *translator)
-    : Machine("system", config.cpuTiming), cfg_(config)
+    : Machine("system"), cfg_(config)
 {
     cfg_.check();
     useTranslator(translator, cfg_.memBytes, cfg_.cache.pageBytes);
-    BusDomain &domain = addDomain(cfg_.memBytes, cfg_.cache.pageBytes,
-                                  cfg_.busTiming, cfg_.arbitration);
+    BusDomain &domain =
+        addDomain(cfg_.memBytes, cfg_.cache.pageBytes, cfg_.arbitration);
     addBoards(domain, cfg_.processors, cfg_);
-}
-
-std::uint32_t
-VmpSystem::processors() const
-{
-    return cfg_.processors;
 }
 
 RunResult
 VmpSystem::runTraces(const std::vector<trace::RefSource *> &sources)
 {
-    return collect(rawCpus(runTraceCpus(sources)));
-}
-
-RunResult
-VmpSystem::collect(const std::vector<cpu::TraceCpu *> &cpus) const
-{
     RunResult result;
-    collectInto(result, cpus);
+    runTraceCpus(sources, result);
     return result;
-}
-
-check::CoherenceChecker &
-VmpSystem::enableCoherenceChecker(check::CheckerOptions options)
-{
-    enableCheckers(options);
-    return *root().checker;
-}
-
-recover::RecoveryManager &
-VmpSystem::enableRecovery(recover::RecoveryConfig options)
-{
-    enableRecoveryAll(options);
-    return *root().recovery;
-}
-
-backing::PageStore &
-VmpSystem::enableFrameCheckpoint(Asid asid)
-{
-    enableCheckpoints(asid);
-    return *root().checkpointStore;
-}
-
-void
-VmpSystem::setUserPrivateHint(bool enabled)
-{
-    if (!ownedTranslator_)
-        fatal("setUserPrivateHint requires the internal demand "
-              "translator");
-    ownedTranslator_->setUserPrivateHint(enabled);
 }
 
 } // namespace vmp::core

@@ -31,14 +31,10 @@ struct VmpConfig
     cache::CacheConfig cache{256, 4, 256, true};
     /** Central memory size (prototype maximum: 8 MiB). */
     std::uint64_t memBytes = MiB(8);
-    /** Bus and memory-board timing. */
-    mem::BusTiming busTiming{};
     /** Bus arbitration discipline (default: plain FIFO). */
     mem::ArbitrationConfig arbitration{};
     /** Software miss-handler instruction budget. */
     proto::SoftwareTiming swTiming{};
-    /** Processor execution rate. */
-    cpu::M68020Timing cpuTiming{};
     /** Bus-monitor interrupt FIFO depth. */
     std::size_t fifoCapacity = 128;
 
@@ -90,9 +86,6 @@ class VmpSystem : public Machine
                        proto::Translator *translator = nullptr);
 
     const VmpConfig &config() const { return cfg_; }
-    mem::VmeBus &bus() { return root().bus; }
-    const mem::VmeBus &bus() const { return root().bus; }
-    std::uint32_t processors() const;
 
     /**
      * Attach one trace-driven CPU per source and run all of them to
@@ -101,69 +94,17 @@ class VmpSystem : public Machine
     RunResult runTraces(
         const std::vector<trace::RefSource *> &sources);
 
-    /** Collect aggregate statistics for the run so far. */
-    RunResult collect(const std::vector<cpu::TraceCpu *> &cpus) const;
-
-    /**
-     * When using the internal demand translator: declare user pages
-     * non-shared (Section 5.4 hint). Read misses to user pages then
-     * fetch read-private, eliminating later write upgrades.
-     */
-    void setUserPrivateHint(bool enabled);
-
-    /**
-     * Install a coherence-invariant checker over the bus: online
-     * single-owner checking per transaction plus checkFull() sweeps
-     * at quiescence. May be called at most once.
-     */
-    check::CoherenceChecker &
-    enableCoherenceChecker(check::CheckerOptions options = {});
-
-    /** The installed checker, or null if none. */
+    /** Alias of root().bus, held by simbench. */
+    mem::VmeBus &bus() { return root().bus; }
+    /** Alias of enableCoherenceCheckers(), held by simbench. */
+    check::CoherenceChecker &enableCoherenceChecker()
+    {
+        return enableCoherenceCheckers();
+    }
+    /** Alias of root().checker, held by simbench. */
     check::CoherenceChecker *coherenceChecker()
     {
         return root().checker.get();
-    }
-
-    /**
-     * Install the failstop-recovery subsystem: a FailureDetector over
-     * the bus, the reclaim coordinator, and the dead-owner oracle on
-     * every controller (so stranded waits abandon with a structured
-     * DeadOwnerError instead of retrying forever). If a coherence
-     * checker is (or later becomes) installed, every completed reclaim
-     * triggers an immediate single-owner sweep. May be called at most
-     * once, before any traffic.
-     */
-    recover::RecoveryManager &
-    enableRecovery(recover::RecoveryConfig options = {});
-
-    /** The installed recovery manager, or null if none. */
-    recover::RecoveryManager *recoveryManager()
-    {
-        return root().recovery.get();
-    }
-    const recover::RecoveryManager *recoveryManager() const
-    {
-        return root().recovery.get();
-    }
-
-    /**
-     * Install an NVRAM-shadowed frame checkpoint: a cache-page-granule
-     * backing::PageStore kept a live shadow of memory by a
-     * FrameCheckpointer snapshotting every completed ownership
-     * transfer on the bus (zero simulated cost — the memory board
-     * mirrors writes into stable storage). If recovery is installed
-     * (before or after), it restores reclaimed frames from this store,
-     * driving recover.pages_lost to zero by construction. @p asid is
-     * the reserved space id frames are keyed under. May be called at
-     * most once, before any traffic.
-     */
-    backing::PageStore &enableFrameCheckpoint(Asid asid = 0xFE);
-
-    /** The installed checkpointer, or null if none. */
-    backing::FrameCheckpointer *frameCheckpointer()
-    {
-        return root().checkpointer.get();
     }
 
   private:

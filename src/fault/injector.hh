@@ -83,7 +83,7 @@ struct FaultSpec
 /**
  * One scheduled board failstop. Crashes are *time*-driven rather than
  * opportunity-driven: the system executing the schedule (see
- * core::VmpSystem::enableFaultInjection) turns each entry into
+ * core::Machine::enableFaultInjection) turns each entry into
  * killBoard/rejoinBoard events at the given ticks — the injector only
  * accounts for them. Deterministic by construction (no RNG draw).
  */
@@ -196,7 +196,7 @@ struct FaultSchedule
 /**
  * The concrete mem::FaultHooks implementation. Attach it to the
  * components under test via their setFaultHooks() methods (or let
- * core::VmpSystem::enableFaultInjection wire a whole system).
+ * core::Machine::enableFaultInjection wire a whole system).
  *
  * DMA bursts: call attachDmaTarget() with a scratch physical region
  * that no CPU ever caches (the demand translator reserves low frames

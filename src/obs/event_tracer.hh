@@ -40,13 +40,11 @@
 namespace vmp::obs
 {
 
-/** Tuning knobs for VmpSystem/HierVmpSystem::enableTracing(). */
+/** Tuning knobs for core::Machine::enableTracing(). */
 struct TraceConfig
 {
     /** Ring capacity per track, rounded up to a power of two. */
     std::size_t ringCapacity = std::size_t{1} << 15;
-    /** Attach a MissProfiler sink folding per-miss phase breakdowns. */
-    bool profileMisses = true;
 };
 
 /**

@@ -131,7 +131,7 @@ class CacheController : public ProtocolClient
      */
     void setTracer(obs::EventTracer *tracer, std::uint16_t track) override;
 
-    // --- failstop / hot-rejoin (driven by core::VmpSystem) ---
+    // --- failstop / hot-rejoin (driven by core::Machine) ---
 
     /**
      * Failstop this board's management software: all local bookkeeping

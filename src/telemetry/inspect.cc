@@ -12,7 +12,6 @@
 #include "backing/frame_arena.hh"
 #include "backing/memory_tier.hh"
 #include "cache/cache.hh"
-#include "core/hier_system.hh"
 #include "core/system.hh"
 #include "hier/inter_bus_board.hh"
 #include "mem/vme_bus.hh"
@@ -175,72 +174,39 @@ inspectTier(const backing::MemoryTier &tier)
 }
 
 Json
-inspectSystem(const core::VmpSystem &system)
+inspectSystem(const core::Machine &machine)
 {
     Json doc = Json::object();
-    doc["t_ns"] = Json(system.events().now());
-    doc["processors"] = Json(std::uint64_t{system.processors()});
-    doc["bus"] = inspectBus(system.bus());
-    Json boards = Json::array();
-    for (std::size_t i = 0; i < system.processors(); ++i)
-        boards.push(inspectBoard(system.board(i)));
-    doc["boards"] = std::move(boards);
-    if (const recover::RecoveryManager *recovery =
-            system.recoveryManager())
-        doc["recovery"] = inspectRecovery(*recovery);
-    if (const obs::EventTracer *tracer = system.tracer()) {
-        Json trace = Json::object();
-        trace["tracks"] = Json(std::uint64_t{tracer->trackCount()});
-        trace["events_recorded"] = Json(tracer->recorded());
-        trace["events_overwritten"] = Json(tracer->droppedOldest());
-        doc["trace"] = std::move(trace);
-    }
-    return doc;
-}
-
-Json
-inspectSystem(const core::HierVmpSystem &system)
-{
-    Json doc = Json::object();
-    doc["t_ns"] = Json(system.events().now());
-    doc["clusters"] = Json(std::uint64_t{system.clusters()});
-    doc["cpus_per_cluster"] =
-        Json(std::uint64_t{system.cpusPerCluster()});
-    doc["global_bus"] = inspectBus(system.globalBus());
-    Json clusters = Json::array();
-    for (std::size_t k = 0; k < system.clusters(); ++k) {
-        Json cluster = Json::object();
-        cluster["bus"] = inspectBus(system.localBus(k));
-        const hier::InterBusBoard &ibc = system.interBusBoard(k);
-        Json ibc_doc = Json::object();
-        ibc_doc["idle"] = Json(ibc.idle());
-        ibc_doc["dead"] = Json(ibc.dead());
-        ibc_doc["wedged"] = Json(ibc.wedged());
-        ibc_doc["service_epoch"] = Json(ibc.serviceEpoch());
-        ibc_doc["pending_words"] =
-            Json(std::uint64_t{ibc.pendingWords()});
-        ibc_doc["global_action_table"] =
-            inspectActionTable(ibc.globalMonitor().table());
-        ibc_doc["global_fifo"] =
-            inspectFifo(ibc.globalMonitor().fifo());
-        cluster["ibc"] = std::move(ibc_doc);
+    doc["t_ns"] = Json(machine.events().now());
+    Json domains = Json::array();
+    for (const auto &domain : machine.domains()) {
+        Json entry = Json::object();
+        entry["name"] = Json(domain->busName);
+        entry["bus"] = inspectBus(domain->bus);
+        if (const hier::InterBusBoard *ibc = domain->bridge.get()) {
+            Json ibc_doc = Json::object();
+            ibc_doc["idle"] = Json(ibc->idle());
+            ibc_doc["dead"] = Json(ibc->dead());
+            ibc_doc["wedged"] = Json(ibc->wedged());
+            ibc_doc["service_epoch"] = Json(ibc->serviceEpoch());
+            ibc_doc["pending_words"] =
+                Json(std::uint64_t{ibc->pendingWords()});
+            ibc_doc["global_action_table"] =
+                inspectActionTable(ibc->globalMonitor().table());
+            ibc_doc["global_fifo"] =
+                inspectFifo(ibc->globalMonitor().fifo());
+            entry["ibc"] = std::move(ibc_doc);
+        }
         Json boards = Json::array();
-        for (std::size_t i = 0; i < system.cpusPerCluster(); ++i) {
-            boards.push(inspectBoard(
-                system.board(k * system.cpusPerCluster() + i)));
-        }
-        cluster["boards"] = std::move(boards);
-        if (system.recoveryEnabled()) {
-            cluster["recovery"] =
-                inspectRecovery(system.clusterRecovery(k));
-        }
-        clusters.push(std::move(cluster));
+        for (const auto &board : domain->boards)
+            boards.push(inspectBoard(*board));
+        entry["boards"] = std::move(boards);
+        if (domain->recovery)
+            entry["recovery"] = inspectRecovery(*domain->recovery);
+        domains.push(std::move(entry));
     }
-    doc["cluster_state"] = std::move(clusters);
-    if (system.recoveryEnabled())
-        doc["global_recovery"] =
-            inspectRecovery(*system.globalRecovery());
-    if (const obs::EventTracer *tracer = system.tracer()) {
+    doc["domains"] = std::move(domains);
+    if (const obs::EventTracer *tracer = machine.tracer()) {
         Json trace = Json::object();
         trace["tracks"] = Json(std::uint64_t{tracer->trackCount()});
         trace["events_recorded"] = Json(tracer->recorded());

@@ -53,8 +53,7 @@ class RecoveryManager;
 namespace vmp::core
 {
 struct ProcessorBoard;
-class VmpSystem;
-class HierVmpSystem;
+class Machine;
 } // namespace vmp::core
 
 namespace vmp::telemetry
@@ -82,15 +81,14 @@ Json inspectRecovery(const recover::RecoveryManager &recovery);
 Json inspectTier(const backing::MemoryTier &tier);
 
 /**
- * Whole flat machine at the current tick: bus state, every board,
- * and recovery state when installed. The document round-trips
- * through Json::parse (used by tests and the live_inspect example).
+ * Whole machine at the current tick, described through its bus
+ * domains: {"t_ns", "domains": [...], "trace"?}. One entry per domain
+ * in layout order (the root first): "name" (the bus's stat-group
+ * name), "bus", "ibc" (a cluster's bridge), "boards", and "recovery"
+ * when installed. The document round-trips through Json::parse (used
+ * by tests and the live_inspect example).
  */
-Json inspectSystem(const core::VmpSystem &system);
-
-/** Whole two-level machine: global bus, clusters (bus + inter-bus
- *  board + boards) and recovery at both levels. */
-Json inspectSystem(const core::HierVmpSystem &system);
+Json inspectSystem(const core::Machine &machine);
 
 } // namespace vmp::telemetry
 

@@ -1,13 +1,12 @@
 /**
  * @file
- * Live-gauge collectors over VmpSystem / HierVmpSystem.
+ * Live-gauge collectors over a core::Machine's bus domains.
  */
 
 #include "telemetry/system_gauges.hh"
 
 #include "backing/frame_arena.hh"
 #include "backing/memory_tier.hh"
-#include "core/hier_system.hh"
 #include "core/system.hh"
 #include "recover/recovery.hh"
 
@@ -34,20 +33,6 @@ addBusGauges(obs::GaugeSet &set, const std::string &group,
     set.add(group, "utilization", bus.utilization());
     set.add(group, "fenced_drops",
             static_cast<double>(bus.fencedDrops().value()));
-}
-
-/** Re-collect @p system's gauges into every sampled set. */
-template <class System>
-void
-attachGauges(StreamingSink &sink, const System &system)
-{
-    sink.addGaugeProvider([&system](obs::GaugeSet &set) {
-        const obs::GaugeSet live = collectGauges(system);
-        for (const obs::GaugeGroup &group : live.groups()) {
-            for (const obs::Gauge &gauge : group.gauges)
-                set.add(group.name, gauge.name, gauge.value);
-        }
-    });
 }
 
 } // namespace
@@ -93,60 +78,38 @@ addTierGauges(obs::GaugeSet &set, const backing::MemoryTier &tier)
 }
 
 obs::GaugeSet
-collectGauges(const core::VmpSystem &system)
+collectGauges(const core::Machine &machine)
 {
     obs::GaugeSet set;
-    addBusGauges(set, "bus", system.bus());
-    for (std::size_t i = 0; i < system.processors(); ++i) {
-        addFifoGauges(set, "cpu" + std::to_string(i),
-                      system.board(i).monitor.fifo());
-    }
-    if (const recover::RecoveryManager *recovery =
-            system.recoveryManager())
-        addRecoveryGauges(set, "recover", *recovery);
-    return set;
-}
-
-obs::GaugeSet
-collectGauges(const core::HierVmpSystem &system)
-{
-    obs::GaugeSet set;
-    addBusGauges(set, "global_bus", system.globalBus());
-    for (std::size_t k = 0; k < system.clusters(); ++k) {
-        const std::string cluster = "c" + std::to_string(k);
-        addBusGauges(set, cluster + ".bus", system.localBus(k));
-        set.add(cluster + ".ibc", "pending_words",
-                static_cast<double>(
-                    system.interBusBoard(k).pendingWords()));
-    }
-    for (std::size_t i = 0; i < system.totalCpus(); ++i) {
-        addFifoGauges(set, "cpu" + std::to_string(i),
-                      system.board(i).monitor.fifo());
-    }
-    if (system.recoveryEnabled()) {
-        for (std::size_t k = 0; k < system.clusters(); ++k) {
-            addRecoveryGauges(set, "c" + std::to_string(k) +
-                                       ".recover",
-                              system.clusterRecovery(k));
+    for (const auto &domain : machine.domains()) {
+        addBusGauges(set, domain->busName, domain->bus);
+        if (domain->bridge) {
+            set.add(domain->groupName("ibc"), "pending_words",
+                    static_cast<double>(domain->bridge->pendingWords()));
         }
-        addRecoveryGauges(set, "global.recover",
-                          *system.globalRecovery());
+        for (const auto &board : domain->boards) {
+            addFifoGauges(set,
+                          "cpu" + std::to_string(board->controller.id()),
+                          board->monitor.fifo());
+        }
+        if (domain->recovery) {
+            addRecoveryGauges(set, domain->groupName("recover"),
+                              *domain->recovery);
+        }
     }
     return set;
 }
 
 void
-attachSystemGauges(StreamingSink &sink,
-                   const core::VmpSystem &system)
+attachSystemGauges(StreamingSink &sink, const core::Machine &machine)
 {
-    attachGauges(sink, system);
-}
-
-void
-attachSystemGauges(StreamingSink &sink,
-                   const core::HierVmpSystem &system)
-{
-    attachGauges(sink, system);
+    sink.addGaugeProvider([&machine](obs::GaugeSet &set) {
+        const obs::GaugeSet live = collectGauges(machine);
+        for (const obs::GaugeGroup &group : live.groups()) {
+            for (const obs::Gauge &gauge : group.gauges)
+                set.add(group.name, gauge.name, gauge.value);
+        }
+    });
 }
 
 } // namespace vmp::telemetry

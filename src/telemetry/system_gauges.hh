@@ -35,20 +35,19 @@ class RecoveryManager;
 
 namespace vmp::core
 {
-class VmpSystem;
-class HierVmpSystem;
+class Machine;
 } // namespace vmp::core
 
 namespace vmp::telemetry
 {
 
-/** Bus utilization, per-board FIFO depth/drops, and — when installed
- *  — recovery fencing counters of a flat system. */
-obs::GaugeSet collectGauges(const core::VmpSystem &system);
-
-/** Global + per-cluster bus utilization, IBC queue depths, per-CPU
- *  FIFO depths and recovery fencing counters at both levels. */
-obs::GaugeSet collectGauges(const core::HierVmpSystem &system);
+/**
+ * Per domain in layout order: bus utilization and fenced drops, a
+ * bridge's queue depth, each board's FIFO depth/drops and — when
+ * installed — the recovery fencing counters. Group names are the
+ * statsJson() group names ("bus", "c0.ibc", "cpu3", "recover.global").
+ */
+obs::GaugeSet collectGauges(const core::Machine &machine);
 
 /** Append one @p group group of fencing/reclaim counters. */
 void addRecoveryGauges(obs::GaugeSet &set, const std::string &group,
@@ -58,11 +57,8 @@ void addRecoveryGauges(obs::GaugeSet &set, const std::string &group,
 void addTierGauges(obs::GaugeSet &set,
                    const backing::MemoryTier &tier);
 
-/** Register collectGauges(system) as a sink gauge provider. */
-void attachSystemGauges(StreamingSink &sink,
-                        const core::VmpSystem &system);
-void attachSystemGauges(StreamingSink &sink,
-                        const core::HierVmpSystem &system);
+/** Register collectGauges(machine) as a sink gauge provider. */
+void attachSystemGauges(StreamingSink &sink, const core::Machine &machine);
 
 } // namespace vmp::telemetry
 

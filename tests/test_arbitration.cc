@@ -327,9 +327,9 @@ TEST(FifoFingerprint, FlatPartitionedWorkload)
     EXPECT_EQ(r.totalMisses, 852u);
     EXPECT_EQ(r.busAborts, 0u);
     EXPECT_EQ(r.writeBacks, 3u);
-    EXPECT_EQ(sys.bus().transactions().value(), 855u);
-    EXPECT_EQ(sys.bus().queueDelays().samples(), 855u);
-    EXPECT_EQ(sys.bus().abortedQueueDelays().samples(), 0u);
+    EXPECT_EQ(sys.root().bus.transactions().value(), 855u);
+    EXPECT_EQ(sys.root().bus.queueDelays().samples(), 855u);
+    EXPECT_EQ(sys.root().bus.abortedQueueDelays().samples(), 0u);
 }
 
 TEST(FifoFingerprint, FlatSharedKernelWorkload)
@@ -342,11 +342,11 @@ TEST(FifoFingerprint, FlatSharedKernelWorkload)
     EXPECT_EQ(r.totalMisses, 2'098u);
     EXPECT_EQ(r.busAborts, 504u);
     EXPECT_EQ(r.writeBacks, 465u);
-    EXPECT_EQ(sys.bus().transactions().value(), 3'661u);
+    EXPECT_EQ(sys.root().bus.transactions().value(), 3'661u);
     // Completed-only histogram: 3661 completed grants minus the 504
     // one-short-transaction aborts that sample the aborted histogram.
-    EXPECT_EQ(sys.bus().queueDelays().samples(), 3'157u);
-    EXPECT_EQ(sys.bus().abortedQueueDelays().samples(), 504u);
+    EXPECT_EQ(sys.root().bus.queueDelays().samples(), 3'157u);
+    EXPECT_EQ(sys.root().bus.abortedQueueDelays().samples(), 504u);
 }
 
 TEST(FifoFingerprint, HierTwoByTwo)

@@ -665,8 +665,8 @@ TEST(Checkpoint, FlatKillWithCheckpointLosesNoPages)
     EXPECT_EQ(manager.pagesLost().value(), 0u);
     EXPECT_EQ(manager.pagesRestored().value(),
               manager.framesReclaimed().value());
-    ASSERT_NE(system.frameCheckpointer(), nullptr);
-    EXPECT_GE(system.frameCheckpointer()->checkpoints().value(), 1u);
+    ASSERT_NE(system.root().checkpointer, nullptr);
+    EXPECT_GE(system.root().checkpointer->checkpoints().value(), 1u);
 }
 
 TEST(Checkpoint, HierKillWithCheckpointLosesNoPages)
@@ -680,7 +680,7 @@ TEST(Checkpoint, HierKillWithCheckpointLosesNoPages)
     // Checkpoint first, recovery second: wiring must be
     // order-independent.
     system.enableFrameCheckpoint();
-    EXPECT_TRUE(system.frameCheckpointEnabled());
+    EXPECT_TRUE(system.root().checkpointer != nullptr);
     recover::RecoveryConfig rc;
     rc.detector.sweepPeriod = 64;
     system.enableRecovery(rc);
@@ -692,7 +692,7 @@ TEST(Checkpoint, HierKillWithCheckpointLosesNoPages)
         raw.push_back(g.get());
     system.runTraces(raw);
 
-    auto &manager = system.clusterRecovery(0);
+    auto &manager = *system.cluster(0).recovery;
     EXPECT_EQ(manager.boardsDeclaredDead().value(), 1u);
     EXPECT_EQ(manager.pagesLost().value(), 0u);
     EXPECT_EQ(manager.pagesRestored().value(),

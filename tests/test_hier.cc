@@ -46,7 +46,7 @@ expectTwoLevelInvariant(core::HierVmpSystem &system)
         const Addr pa = frame * cfg.cache.pageBytes;
         unsigned cluster_owners = 0;
         for (std::uint32_t k = 0; k < cfg.clusters; ++k) {
-            const auto state = system.interBusBoard(k).clusterState(pa);
+            const auto state = system.cluster(k).bridge->clusterState(pa);
             if (state == mem::ActionEntry::Protect)
                 ++cluster_owners;
             unsigned local_owners = 0;
@@ -83,18 +83,18 @@ expectTwoLevelInvariant(core::HierVmpSystem &system)
 void
 expectTwoLevelWriteInvariant(core::HierVmpSystem &system)
 {
-    const auto &gbus = system.globalBus();
+    const auto &gbus = system.root().bus;
     const std::uint64_t global_expected =
         gbus.countOf(mem::TxType::WriteBack).value() +
         gbus.countOf(mem::TxType::DmaWrite).value();
     EXPECT_EQ(system.memory().writes().value(), global_expected);
 
-    for (std::uint32_t k = 0; k < system.clusters(); ++k) {
-        const auto &bus = system.localBus(k);
+    for (std::uint32_t k = 0; k < system.config().clusters; ++k) {
+        const auto &bus = system.cluster(k).bus;
         const std::uint64_t local_expected =
             bus.countOf(mem::TxType::WriteBack).value() +
             bus.countOf(mem::TxType::DmaWrite).value();
-        EXPECT_EQ(system.image(k).writes().value(), local_expected)
+        EXPECT_EQ(system.cluster(k).memory.writes().value(), local_expected)
             << "cluster " << k;
     }
 }
@@ -133,7 +133,7 @@ TEST(HierConfig, FlatIndexMapsClusterMajor)
     cfg.cpusPerCluster = 2;
     cfg.memBytes = MiB(1);
     core::HierVmpSystem system(cfg);
-    EXPECT_EQ(system.totalCpus(), 4u);
+    EXPECT_EQ(system.config().totalCpus(), 4u);
     // CPU 3 must live on cluster 1's bus, not cluster 0's: a cached
     // read through its controller misses onto local bus 1 only.
     bool done = false;
@@ -141,9 +141,9 @@ TEST(HierConfig, FlatIndexMapsClusterMajor)
                                   [&](std::uint32_t) { done = true; });
     system.events().run();
     ASSERT_TRUE(done);
-    EXPECT_GT(system.localBus(1).countOf(mem::TxType::ReadShared)
+    EXPECT_GT(system.cluster(1).bus.countOf(mem::TxType::ReadShared)
                   .value(), 0u);
-    EXPECT_EQ(system.localBus(0).countOf(mem::TxType::ReadShared)
+    EXPECT_EQ(system.cluster(0).bus.countOf(mem::TxType::ReadShared)
                   .value(), 0u);
 }
 
@@ -203,9 +203,9 @@ TEST(HierSystem, PartitionedWorkloadsStayMostlyLocal)
     // Every global fetch is a cold cluster miss; no invalidations or
     // recalls should have happened between clusters.
     for (std::uint32_t k = 0; k < 2; ++k) {
-        EXPECT_EQ(system.interBusBoard(k).invalidates().value(), 0u)
+        EXPECT_EQ(system.cluster(k).bridge->invalidates().value(), 0u)
             << "cluster " << k;
-        EXPECT_EQ(system.interBusBoard(k).downgrades().value(), 0u)
+        EXPECT_EQ(system.cluster(k).bridge->downgrades().value(), 0u)
             << "cluster " << k;
     }
     EXPECT_LT(result.busUtilization, result.meanLocalBusUtilization);
@@ -266,10 +266,10 @@ TEST(HierSystem, FalseSharingAcrossClustersIsExact)
         EXPECT_EQ(value, kRounds) << "cpu " << cpu << "'s word";
     }
     // The frame really migrated between clusters.
-    EXPECT_GT(system.interBusBoard(0).invalidates().value() +
-                  system.interBusBoard(0).downgrades().value() +
-                  system.interBusBoard(1).invalidates().value() +
-                  system.interBusBoard(1).downgrades().value(),
+    EXPECT_GT(system.cluster(0).bridge->invalidates().value() +
+                  system.cluster(0).bridge->downgrades().value() +
+                  system.cluster(1).bridge->invalidates().value() +
+                  system.cluster(1).bridge->downgrades().value(),
               0u);
     expectTwoLevelInvariant(system);
     expectTwoLevelWriteInvariant(system);
@@ -311,7 +311,7 @@ TEST(HierSystem, TinyFifosStillCompleteAndStayCoherent)
     const IbcPins pins[2] = {{4, 99, 33, 180, 23, 74},
                              {4, 88, 33, 184, 16, 72}};
     for (std::size_t k = 0; k < 2; ++k) {
-        const auto &ibc = system.interBusBoard(k);
+        const auto &ibc = *system.cluster(k).bridge;
         EXPECT_EQ(ibc.overflowRecoveries().value(),
                   pins[k].overflowRecoveries) << "ibc " << k;
         EXPECT_EQ(ibc.recalls().value(), pins[k].recalls) << "ibc " << k;
@@ -355,7 +355,7 @@ TEST(HierSystem, InterBusBoardTakesTheMachineSoftwareTiming)
     core::HierVmpSystem system(cfg);
     for (std::uint32_t k = 0; k < cfg.clusters; ++k) {
         const proto::SoftwareTiming &timing =
-            system.interBusBoard(k).timing();
+            system.cluster(k).bridge->timing();
         EXPECT_EQ(timing.serviceNs, 4500u);
         EXPECT_EQ(timing.retryNs, cfg.swTiming.retryNs);
         EXPECT_EQ(timing.retryJitterNs, cfg.swTiming.retryJitterNs);
@@ -383,12 +383,12 @@ TEST(HierSystem, WatchdogReachesInterBusBoardFetchLoop)
     ASSERT_EQ(system.controller(0).frameTable().size(), 1u);
     const Addr paddr = system.controller(0).frameTable().begin()->first *
         cfg.cache.pageBytes;
-    ASSERT_EQ(system.interBusBoard(0).globalMonitor().table().entryFor(
+    ASSERT_EQ(system.cluster(0).bridge->globalMonitor().table().entryFor(
                   paddr),
               mem::ActionEntry::Protect);
 
     // IBC 0 wedges with the entry held, so it never releases it.
-    system.interBusBoard(0).setWedged(true);
+    system.cluster(0).bridge->setWedged(true);
     std::vector<proto::WatchdogReport> reports;
     system.setWatchdog(5, [&](const proto::WatchdogReport &report) {
         reports.push_back(report);
@@ -404,7 +404,7 @@ TEST(HierSystem, WatchdogReachesInterBusBoardFetchLoop)
     tx.bytes = cfg.cache.pageBytes;
     tx.data = buffer.data();
     bool aborted = false;
-    system.localBus(1).request(
+    system.cluster(1).bus.request(
         tx, [&](const mem::TxResult &res) { aborted = res.aborted; });
     system.events().run(system.events().now() + msec(2));
 
@@ -417,10 +417,10 @@ TEST(HierSystem, WatchdogReachesInterBusBoardFetchLoop)
     EXPECT_EQ(reports[0].paddr, paddr);
     EXPECT_EQ(reports[0].toString().rfind("ibc1 fetch starved: 6", 0), 0u)
         << reports[0].toString();
-    EXPECT_EQ(system.interBusBoard(1).watchdogTrips().value(), 1u);
+    EXPECT_EQ(system.cluster(1).bridge->watchdogTrips().value(), 1u);
     // The watchdog only observes: the loop kept retrying.
-    EXPECT_GT(system.interBusBoard(1).retries().value(), 6u);
-    EXPECT_EQ(system.interBusBoard(1).globalFetches(), 0u);
+    EXPECT_GT(system.cluster(1).bridge->retries().value(), 6u);
+    EXPECT_EQ(system.cluster(1).bridge->globalFetches(), 0u);
 }
 
 // ----------------------------------------------------------- statistics

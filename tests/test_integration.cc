@@ -50,7 +50,7 @@ expectTwoStateInvariant(core::VmpSystem &system)
 void
 expectWriteInvariant(core::VmpSystem &system)
 {
-    const auto &bus = system.bus();
+    const auto &bus = system.root().bus;
     const std::uint64_t expected =
         bus.countOf(mem::TxType::WriteBack).value() +
         bus.countOf(mem::TxType::DmaWrite).value();
@@ -274,7 +274,7 @@ TEST(Integration, DmaDeviceCoexistsWithTraceTraffic)
     cfg.cache = cache::CacheConfig{256, 2, 16, true};
     cfg.memBytes = MiB(1);
     core::VmpSystem system(cfg);
-    mem::DmaDevice device(50, system.bus());
+    mem::DmaDevice device(50, system.root().bus);
 
     // Kick off a DMA into the reserved (never-cached) region while
     // trace CPUs hammer the bus; DMA must complete unaborted.
@@ -319,7 +319,7 @@ struct PagedMachine
           vm(machine.events(), machine.memory(), vm_config)
     {
         translator.bind(vm);
-        for (std::size_t i = 0; i < machine.processors(); ++i)
+        for (std::size_t i = 0; i < machine.config().processors; ++i)
             vm.attach(machine.controller(i));
     }
 
@@ -395,8 +395,8 @@ TEST(PagedSystem, TwoCpusShareOneAddressSpace)
     const auto result = paged.machine.runTraces({&gen0, &gen1});
     EXPECT_EQ(result.totalRefs, 60'000u);
     // Real sharing: consistency transactions occurred.
-    EXPECT_GT(paged.machine.bus().aborts().value() +
-                  paged.machine.bus()
+    EXPECT_GT(paged.machine.root().bus.aborts().value() +
+                  paged.machine.root().bus
                       .countOf(mem::TxType::AssertOwnership)
                       .value(),
               0u);

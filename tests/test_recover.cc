@@ -790,7 +790,7 @@ TEST(Recovery, EnabledWithoutFaultsIsBitIdentical)
 TEST(Recovery, KillOneBoardReclaimsAndRunCompletes)
 {
     core::VmpSystem system(smallConfig(4, 256));
-    auto &checker = system.enableCoherenceChecker();
+    auto &checker = system.enableCoherenceCheckers();
     recover::RecoveryConfig rc;
     rc.detector.sweepPeriod = 64;
     auto &manager = system.enableRecovery(rc);
@@ -823,7 +823,7 @@ TEST(Recovery, KillOneBoardReclaimsAndRunCompletes)
 TEST(Recovery, KilledBoardRejoinsAndFinishesItsTrace)
 {
     core::VmpSystem system(smallConfig(4, 256));
-    auto &checker = system.enableCoherenceChecker();
+    auto &checker = system.enableCoherenceCheckers();
     recover::RecoveryConfig rc;
     rc.detector.sweepPeriod = 64;
     auto &manager = system.enableRecovery(rc);
@@ -923,15 +923,15 @@ TEST(Recovery, HierDeadInterBusBoardIsReclaimedGlobally)
     // Every CPU finished: cluster 1's stranded misses abandoned with
     // DeadOwnerErrors instead of hanging the event queue.
     EXPECT_EQ(result.totalRefs, 4u * 4'000u);
-    EXPECT_TRUE(system.interBusBoard(1).dead());
+    EXPECT_TRUE(system.cluster(1).bridge->dead());
 
     // The global manager declared cluster 1's board dead and reclaimed
     // its global Protect frames into main memory.
-    ASSERT_NE(system.globalRecovery(), nullptr);
-    EXPECT_TRUE(system.globalRecovery()->detector().declaredDead(1));
-    EXPECT_FALSE(system.globalRecovery()->recovering());
+    ASSERT_NE(system.root().recovery, nullptr);
+    EXPECT_TRUE(system.root().recovery->detector().declaredDead(1));
+    EXPECT_FALSE(system.root().recovery->recovering());
     EXPECT_TRUE(
-        system.interBusBoard(1).globalMonitor().masked());
+        system.cluster(1).bridge->globalMonitor().masked());
 
     // Cluster 1's CPUs surfaced structured errors.
     std::uint64_t errors = 0;
@@ -941,10 +941,10 @@ TEST(Recovery, HierDeadInterBusBoardIsReclaimedGlobally)
 
     // Single-owner holds at the global level and within the live
     // cluster (owners sweeps are valid at any time).
-    EXPECT_EQ(system.globalChecker().checkOwnersSweep(), 0u)
-        << reportsOf(system.globalChecker());
-    EXPECT_EQ(system.clusterChecker(0).checkOwnersSweep(), 0u)
-        << reportsOf(system.clusterChecker(0));
+    EXPECT_EQ(system.root().checker->checkOwnersSweep(), 0u)
+        << reportsOf(*system.root().checker);
+    EXPECT_EQ(system.cluster(0).checker->checkOwnersSweep(), 0u)
+        << reportsOf(*system.cluster(0).checker);
 }
 
 TEST(Recovery, QuiesceSkipsADeadInterBusBoard)
@@ -973,8 +973,8 @@ TEST(Recovery, QuiesceSkipsADeadInterBusBoard)
     const auto result = system.runTraces(raw);
 
     ASSERT_EQ(result.totalRefs, 4u * 4'000u);
-    ASSERT_TRUE(system.interBusBoard(1).dead());
-    EXPECT_GT(system.interBusBoard(1).pendingWords(), 0u);
+    ASSERT_TRUE(system.cluster(1).bridge->dead());
+    EXPECT_GT(system.cluster(1).bridge->pendingWords(), 0u);
     EXPECT_TRUE(system.quiesce());
 }
 
@@ -989,7 +989,7 @@ TEST(Recovery, WedgedBoardIsFencedAndQuarantined)
     fault::FaultSchedule s;
     s.wedgeMonitor(0, msec(1)); // never clears
     system.enableFaultInjection(s);
-    auto &checker = system.enableCoherenceChecker();
+    auto &checker = system.enableCoherenceCheckers();
     recover::RecoveryConfig rc;
     rc.detector.sweepPeriod = 32;
     rc.detector.deadlineNs = 20'000;
@@ -1025,7 +1025,7 @@ TEST(Recovery, ClearedWedgeIsUnfencedAndBoardResumes)
     fault::FaultSchedule s;
     s.wedgeMonitor(0, msec(1)).clearAt(msec(3));
     system.enableFaultInjection(s);
-    auto &checker = system.enableCoherenceChecker();
+    auto &checker = system.enableCoherenceCheckers();
     recover::RecoveryConfig rc;
     rc.detector.sweepPeriod = 32;
     rc.detector.deadlineNs = 20'000;
@@ -1118,16 +1118,16 @@ runHierFault(core::HierVmpSystem &system, const fault::FaultSchedule &s,
     auto raw = rawSources(gens);
     HierFaultOutcome out;
     out.result = system.runTraces(raw).toString();
-    for (std::size_t k = 0; k < system.clusters(); ++k) {
+    for (std::size_t k = 0; k < system.config().clusters; ++k) {
         out.levels.push_back("c" + std::to_string(k) + ": " +
-                             recoverCounters(system.clusterRecovery(k)));
+                             recoverCounters(*system.cluster(k).recovery));
     }
     out.levels.push_back("global: " +
-                         recoverCounters(*system.globalRecovery()));
+                         recoverCounters(*system.root().recovery));
     out.onlineViolations = system.totalViolations();
-    for (std::size_t k = 0; k < system.clusters(); ++k)
-        out.ownersSweep += system.clusterChecker(k).checkOwnersSweep();
-    out.ownersSweep += system.globalChecker().checkOwnersSweep();
+    for (std::size_t k = 0; k < system.config().clusters; ++k)
+        out.ownersSweep += system.cluster(k).checker->checkOwnersSweep();
+    out.ownersSweep += system.root().checker->checkOwnersSweep();
     return out;
 }
 
@@ -1155,8 +1155,8 @@ TEST(HierPartialFault, WedgedBoardIsFencedAndStaysFenced)
                   "pages_lost=72 restored=0 recoveries=1"}));
     EXPECT_EQ(out.onlineViolations, 0u);
     EXPECT_EQ(out.ownersSweep, 0u);
-    EXPECT_TRUE(system.clusterRecovery(0).isFenced(1));
-    EXPECT_EQ(system.clusterRecovery(0).detector().fenceKindOf(1),
+    EXPECT_TRUE(system.cluster(0).recovery->isFenced(1));
+    EXPECT_EQ(system.cluster(0).recovery->detector().fenceKindOf(1),
               recover::SuspicionKind::Wedge);
     EXPECT_TRUE(system.board(1).monitor.masked());
 }
@@ -1185,7 +1185,7 @@ TEST(HierPartialFault, ClearedWedgeIsUnfencedAndBoardResumes)
                   "pages_lost=52 restored=0 recoveries=2"}));
     EXPECT_EQ(out.onlineViolations, 0u);
     EXPECT_EQ(out.ownersSweep, 0u);
-    EXPECT_FALSE(system.clusterRecovery(0).isFenced(1));
+    EXPECT_FALSE(system.cluster(0).recovery->isFenced(1));
     EXPECT_FALSE(system.controller(1).dead());
     EXPECT_FALSE(system.board(1).monitor.masked());
     EXPECT_EQ(system.checkFullAll(), 0u);
@@ -1246,8 +1246,8 @@ TEST(HierPartialFault, WedgedInterBusBoardClears)
                   "pages_lost=171 restored=0 recoveries=5"}));
     EXPECT_EQ(out.onlineViolations, 0u);
     EXPECT_EQ(out.ownersSweep, 0u);
-    EXPECT_FALSE(system.interBusBoard(1).wedged());
-    EXPECT_FALSE(system.interBusBoard(1).dead());
+    EXPECT_FALSE(system.cluster(1).bridge->wedged());
+    EXPECT_FALSE(system.cluster(1).bridge->dead());
 }
 
 TEST(HierPartialFault, StuckTableAndSlowBoard)
@@ -1303,7 +1303,7 @@ TEST_P(ArbitrationFalseSuspicion, LiveOwnersNeverDeclaredOrFenced)
         auto cfg = smallConfig(4, 256);
         cfg.arbitration.discipline = GetParam();
         core::VmpSystem system(cfg);
-        auto &checker = system.enableCoherenceChecker();
+        auto &checker = system.enableCoherenceCheckers();
         recover::RecoveryConfig rc;
         rc.detector.sweepPeriod = 64;
         auto &manager = system.enableRecovery(rc);
@@ -1380,7 +1380,7 @@ TEST_P(TortureBoardCrash, ZeroViolationsBoundedLoss)
         if (p.rejoin)
             s.rejoinAt(msec(5));
         system.enableFaultInjection(s);
-        auto &checker = system.enableCoherenceChecker();
+        auto &checker = system.enableCoherenceCheckers();
         recover::RecoveryConfig rc;
         rc.detector.sweepPeriod = 64;
         auto &manager = system.enableRecovery(rc);
@@ -1458,13 +1458,13 @@ TEST_P(TortureHierIbc, DeadBridgeNeverViolatesSingleOwner)
 
         EXPECT_EQ(result.totalRefs, 4u * 4'000u)
             << "p=" << page << " seed=" << seed;
-        EXPECT_TRUE(system.interBusBoard(1).dead());
-        EXPECT_EQ(system.globalChecker().checkOwnersSweep(), 0u)
+        EXPECT_TRUE(system.cluster(1).bridge->dead());
+        EXPECT_EQ(system.root().checker->checkOwnersSweep(), 0u)
             << "p=" << page << " seed=" << seed << "\n"
-            << reportsOf(system.globalChecker());
-        EXPECT_EQ(system.clusterChecker(0).checkOwnersSweep(), 0u)
-            << reportsOf(system.clusterChecker(0));
-        EXPECT_EQ(system.globalChecker().violations().value(), 0u);
+            << reportsOf(*system.root().checker);
+        EXPECT_EQ(system.cluster(0).checker->checkOwnersSweep(), 0u)
+            << reportsOf(*system.cluster(0).checker);
+        EXPECT_EQ(system.root().checker->violations().value(), 0u);
     }
 }
 
@@ -1533,7 +1533,7 @@ TEST_P(TorturePartialFault, DetectedFencedZeroViolations)
             break;
         }
         auto &injector = system.enableFaultInjection(s);
-        auto &checker = system.enableCoherenceChecker();
+        auto &checker = system.enableCoherenceCheckers();
         recover::RecoveryConfig rc;
         rc.detector.sweepPeriod = 32;
         rc.detector.deadlineNs = 20'000;

@@ -72,12 +72,12 @@ runLockStudy(LockKind kind, std::uint32_t cpus, std::uint32_t iters)
                                   });
     system.events().run();
     EXPECT_TRUE(done);
-    run.busTransactions = system.bus().transactions().value();
+    run.busTransactions = system.root().bus.transactions().value();
     run.readPrivates =
-        system.bus().countOf(mem::TxType::ReadPrivate).value();
+        system.root().bus.countOf(mem::TxType::ReadPrivate).value();
     run.assertOwns =
-        system.bus().countOf(mem::TxType::AssertOwnership).value();
-    run.notifies = system.bus().countOf(mem::TxType::Notify).value();
+        system.root().bus.countOf(mem::TxType::AssertOwnership).value();
+    run.notifies = system.root().bus.countOf(mem::TxType::Notify).value();
     return run;
 }
 

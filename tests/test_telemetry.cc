@@ -111,7 +111,7 @@ TEST(StreamingSink, ChunkedStreamEqualsPostHocExportFlat)
     core::VmpSystem system(smallConfig(2));
     // Big rings so the post-hoc exporter retains everything too.
     obs::EventTracer &tracer =
-        system.enableTracing(obs::TraceConfig{1 << 18, true});
+        system.enableTracing(obs::TraceConfig{1 << 18});
 
     std::ostringstream stream;
     telemetry::StreamConfig cfg;
@@ -144,7 +144,7 @@ TEST(StreamingSink, ChunkedStreamEqualsPostHocExportHier)
     cfg.memBytes = MiB(1);
     core::HierVmpSystem system(cfg);
     obs::EventTracer &tracer =
-        system.enableTracing(obs::TraceConfig{1 << 18, true});
+        system.enableTracing(obs::TraceConfig{1 << 18});
 
     std::ostringstream stream;
     telemetry::StreamConfig stream_cfg;
@@ -288,7 +288,7 @@ TEST(Inspect, FlatSnapshotRoundTripsAndMatchesCounters)
     EXPECT_EQ(reparsed, snapshot);
 
     EXPECT_EQ(snapshot.get("t_ns").asUint(), system.events().now());
-    const Json &boards = snapshot.get("boards");
+    const Json &boards = snapshot.get("domains").at(0).get("boards");
     ASSERT_EQ(boards.size(), 2u);
     std::uint64_t misses = 0;
     for (std::size_t b = 0; b < boards.size(); ++b) {
@@ -298,7 +298,7 @@ TEST(Inspect, FlatSnapshotRoundTripsAndMatchesCounters)
         misses += board.get("controller").get("misses").asUint();
     }
     EXPECT_EQ(misses, result.totalMisses);
-    EXPECT_TRUE(snapshot.contains("recovery"));
+    EXPECT_TRUE(snapshot.get("domains").at(0).contains("recovery"));
     EXPECT_TRUE(snapshot.contains("trace"));
 }
 
@@ -316,10 +316,11 @@ TEST(Inspect, HierSnapshotCoversClusters)
 
     const Json snapshot = telemetry::inspectSystem(system);
     EXPECT_EQ(Json::parse(snapshot.dump(2)), snapshot);
-    const Json &clusters = snapshot.get("cluster_state");
-    ASSERT_EQ(clusters.size(), 2u);
-    for (std::size_t k = 0; k < clusters.size(); ++k) {
-        const Json &cluster = clusters.at(k);
+    // domains[0] is the global bus; cluster k is domains[k + 1].
+    const Json &domains = snapshot.get("domains");
+    ASSERT_EQ(domains.size() - 1, 2u);
+    for (std::size_t k = 0; k < domains.size() - 1; ++k) {
+        const Json &cluster = domains.at(k + 1);
         EXPECT_EQ(cluster.get("boards").size(), 2u);
         EXPECT_TRUE(cluster.get("ibc").contains("pending_words"));
     }
@@ -430,25 +431,59 @@ TEST(Gauges, HierBusGaugesCarryFencedDrops)
     auto raw = rawSources(gens);
     system.runTraces(raw);
 
-    const std::uint64_t drops = system.globalBus().fencedDrops().value();
+    const std::uint64_t drops = system.root().bus.fencedDrops().value();
     ASSERT_GT(drops, 0u);
     const Json gauges = telemetry::collectGauges(system).toJson();
     EXPECT_EQ(gauges.get("global_bus").get("fenced_drops").asUint(),
               drops);
     const Json snapshot = telemetry::inspectSystem(system);
-    EXPECT_EQ(snapshot.get("global_bus").get("fenced_drops").asUint(),
-              drops);
-    EXPECT_TRUE(snapshot.get("global_bus").contains("busy"));
-    for (std::size_t k = 0; k < system.clusters(); ++k) {
+    const Json &global_bus = snapshot.get("domains").at(0).get("bus");
+    EXPECT_EQ(global_bus.get("fenced_drops").asUint(), drops);
+    EXPECT_TRUE(global_bus.contains("busy"));
+    for (std::size_t k = 0; k < system.config().clusters; ++k) {
         const std::uint64_t local =
-            system.localBus(k).fencedDrops().value();
+            system.cluster(k).bus.fencedDrops().value();
         const std::string group = "c" + std::to_string(k) + ".bus";
         EXPECT_EQ(gauges.get(group).get("fenced_drops").asUint(), local);
-        const Json &bus =
-            snapshot.get("cluster_state").at(k).get("bus");
+        const Json &bus = snapshot.get("domains").at(k + 1).get("bus");
         EXPECT_EQ(bus.get("fenced_drops").asUint(), local);
         EXPECT_TRUE(bus.contains("busy"));
     }
+}
+
+TEST(Gauges, GroupNamesAreStatGroupNames)
+{
+    // A gauge group and the stat group of the same component share one
+    // name, on every domain of either machine.
+    const auto expect_stat_groups = [](const core::Machine &machine) {
+        const Json stats = machine.statsJson();
+        const obs::GaugeSet gauges = telemetry::collectGauges(machine);
+        for (const obs::GaugeGroup &group : gauges.groups())
+            EXPECT_TRUE(stats.contains(group.name)) << group.name;
+    };
+
+    core::VmpSystem flat(smallConfig(2));
+    flat.enableTracing();
+    flat.enableCoherenceCheckers();
+    flat.enableRecovery();
+    auto flat_gens = makeSources(2, 2'000, 23);
+    auto flat_raw = rawSources(flat_gens);
+    flat.runTraces(flat_raw);
+    expect_stat_groups(flat);
+
+    core::HierConfig cfg;
+    cfg.clusters = 2;
+    cfg.cpusPerCluster = 2;
+    cfg.cache = cache::CacheConfig{256, 2, 16, true};
+    cfg.memBytes = MiB(1);
+    core::HierVmpSystem hier(cfg);
+    hier.enableTracing();
+    hier.enableCoherenceCheckers();
+    hier.enableRecovery();
+    auto hier_gens = makeSources(4, 2'000, 23);
+    auto hier_raw = rawSources(hier_gens);
+    hier.runTraces(hier_raw);
+    expect_stat_groups(hier);
 }
 
 TEST(Gauges, SinkSamplesGaugesOnFlushIntoJsonl)
@@ -628,7 +663,7 @@ TEST(Replay, LoadsTruncatedStreamViaRecovery)
 {
     core::VmpSystem system(smallConfig(2));
     obs::EventTracer &tracer =
-        system.enableTracing(obs::TraceConfig{1 << 18, true});
+        system.enableTracing(obs::TraceConfig{1 << 18});
     std::ostringstream stream;
     telemetry::StreamConfig cfg;
     cfg.flushThreshold = 64;
