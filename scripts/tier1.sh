@@ -24,7 +24,8 @@ cmake -B "$sanitize" -S "$repo" -DVMP_SANITIZE=address,undefined
 cmake --build "$sanitize" -j "$jobs" \
     --target test_sim test_cache test_mem test_artifact test_core test_hier \
     test_recover test_obs test_telemetry test_proto test_cpu test_vm \
-    test_sync test_integration test_trace bench_table1
+    test_sync test_integration test_trace test_fault test_backing \
+    bench_table1
 
 echo "== tier1: sanitized core tests =="
 "$sanitize/tests/test_sim"
@@ -53,5 +54,9 @@ echo "== tier1: sanitized core tests =="
 # Trace generator: the Zipf guide-table index and the walk from it, and
 # the fixed three-slot reference queue, are new bounds to check.
 "$sanitize/tests/test_trace"
+# Flat checkers, fault arming and frame checkpoints through Machine's
+# enable* paths (the torture matrix has its own sanitized CI job).
+"$sanitize/tests/test_fault" --gtest_filter=-*Torture*
+"$sanitize/tests/test_backing"
 
 echo "== tier1: OK =="
