@@ -240,7 +240,7 @@ ProgramCpu::step()
         events_.scheduleIn(instr, [this, op] {
             controller_.writeTable(
                 op.addr, static_cast<mem::ActionEntry>(op.imm & 0b11),
-                [this] { finishOp(); });
+                Thunk::to<&ProgramCpu::finishOp>(this));
         });
         return;
 

@@ -106,7 +106,7 @@ TraceCpu::fetch(bool exhausted)
 
     // Bus-monitor interrupts are taken between instructions.
     if (controller_.interruptPending()) {
-        controller_.serviceInterrupts([this] { step(); });
+        controller_.serviceInterrupts(Thunk::to<&TraceCpu::step>(this));
         return false;
     }
 
@@ -147,10 +147,7 @@ TraceCpu::present()
             // A miss blocks us inside the controller.
             controller_.miss(res, ref_.asid, ref_.vaddr, write,
                              ref_.supervisor,
-                             [this](proto::AccessOutcome) {
-                                 ++refs_;
-                                 step();
-                             });
+                             Thunk::to<&TraceCpu::missDone>(this));
             return;
         }
         ++refs_;
@@ -180,6 +177,13 @@ TraceCpu::present()
         at += refNs_;
     }
     events_.scheduleLane(lane_, at);
+}
+
+void
+TraceCpu::missDone()
+{
+    ++refs_;
+    step();
 }
 
 Tick

@@ -112,6 +112,8 @@ class TraceCpu
     /** Lane step: present ref_ (or take a batch's boundary), then
      *  retire the hits that follow in a batch. */
     void present();
+    /** The miss on ref_ is resolved: retire it and step on. */
+    void missDone();
     /**
      * The tick a batch whose first reference presents at @p at keeps
      * its references and their boundaries below: nextTick(), unless

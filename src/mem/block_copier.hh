@@ -11,7 +11,6 @@
 #define VMP_MEM_BLOCK_COPIER_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "mem/vme_bus.hh"
 #include "sim/stats.hh"
@@ -25,19 +24,18 @@ namespace vmp::mem
  * the cache controller mid-instruction if it references the cache while
  * a transfer is in progress).
  */
-class BlockCopier
+class BlockCopier final : public BusClient
 {
   public:
-    using Done = std::function<void(const TxResult &)>;
-
     BlockCopier(std::uint32_t master_id, VmeBus &bus);
 
     /**
      * Start a page read (read-shared or read-private per @p exclusive)
-     * from main memory into @p buffer.
+     * from main memory into @p buffer. @p done receives the bus's
+     * result once the copier has done its own bookkeeping.
      */
     void readPage(Addr paddr, std::uint8_t *buffer, std::uint32_t bytes,
-                  bool exclusive, Done done);
+                  bool exclusive, Completion done);
 
     /**
      * Write a page back to main memory, releasing ownership. The
@@ -45,7 +43,8 @@ class BlockCopier
      * page is being dropped, Shared when it is being downgraded).
      */
     void writeBackPage(Addr paddr, const std::uint8_t *buffer,
-                       std::uint32_t bytes, ActionEntry after, Done done);
+                       std::uint32_t bytes, ActionEntry after,
+                       Completion done);
 
     bool busy() const { return busy_; }
 
@@ -74,8 +73,13 @@ class BlockCopier
     /** Transfers delayed by an injected copier stall. */
     const Counter &stalledCopies() const { return stalled_; }
 
+    /** The transfer left the bus: forward to its owner's completion. */
+    void busDone(std::uint64_t token, const TxResult &res) override;
+
   private:
-    void start(const BusTransaction &tx, Done done);
+    void start(const BusTransaction &tx, Completion done);
+    /** Put the transfer on the bus (after any injected stall). */
+    void issue();
 
     std::uint32_t masterId_;
     VmeBus &bus_;
@@ -83,7 +87,10 @@ class BlockCopier
     FaultHooks *hooks_ = nullptr;
     obs::EventTracer *tracer_ = nullptr;
     std::uint16_t traceTrack_ = 0;
-    /** Tick start() ran at (valid while busy_; for the Copy span). */
+    /** The transfer in flight and its owner's completion (valid while
+     *  busy_), and the tick start() ran at (for the Copy span). */
+    BusTransaction tx_;
+    Completion done_;
     Tick startedAt_ = 0;
     Counter copies_;
     Counter aborted_;

@@ -1,5 +1,6 @@
 #include "proto/translator.hh"
 
+#include "proto/controller.hh"
 #include "sim/logging.hh"
 
 namespace vmp::proto
@@ -54,9 +55,9 @@ DemandTranslator::translateNow(const TranslateRequest &req)
 
 void
 DemandTranslator::translate(const TranslateRequest &req,
-                            CacheController &, TranslateDone done)
+                            CacheController &controller)
 {
-    done(translateNow(req));
+    controller.translated(translateNow(req));
 }
 
 void
@@ -75,19 +76,17 @@ FixedTranslator::unmap(Asid asid, Addr vaddr)
 
 void
 FixedTranslator::translate(const TranslateRequest &req,
-                           CacheController &, TranslateDone done)
+                           CacheController &controller)
 {
-    TranslateResult res;
+    TranslateResult res; // ok == false unless mapped: page fault
     const auto it = map_.find({req.asid, req.vaddr / pageBytes_});
-    if (it == map_.end()) {
-        done(res); // ok == false: page fault
-        return;
+    if (it != map_.end()) {
+        res.ok = true;
+        res.paddr = it->second.frameBase + req.vaddr % pageBytes_;
+        res.prot = it->second.prot;
+        res.privateHint = it->second.privateHint;
     }
-    res.ok = true;
-    res.paddr = it->second.frameBase + req.vaddr % pageBytes_;
-    res.prot = it->second.prot;
-    res.privateHint = it->second.privateHint;
-    done(res);
+    controller.translated(res);
 }
 
 } // namespace vmp::proto

@@ -11,7 +11,6 @@
 #define VMP_PROTO_TRANSLATOR_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <unordered_map>
 
@@ -51,13 +50,12 @@ struct TranslateResult
     bool privateHint = false;
 };
 
-using TranslateDone = std::function<void(const TranslateResult &)>;
-
 /**
  * Translation provider. translate() is asynchronous because the real
  * implementation may miss in the cache while walking page tables stored
  * in virtual memory; @p controller gives it access to the invoking
- * processor's cached kernel accesses.
+ * processor's cached kernel accesses. The result goes to
+ * controller.translated(), which continues the miss that asked.
  */
 class Translator
 {
@@ -65,8 +63,7 @@ class Translator
     virtual ~Translator() = default;
 
     virtual void translate(const TranslateRequest &req,
-                           CacheController &controller,
-                           TranslateDone done) = 0;
+                           CacheController &controller) = 0;
 };
 
 /**
@@ -92,8 +89,7 @@ class DemandTranslator : public Translator
                      std::uint64_t reserved_frames = 16);
 
     void translate(const TranslateRequest &req,
-                   CacheController &controller,
-                   TranslateDone done) override;
+                   CacheController &controller) override;
 
     /** Synchronous helper for tests and scripted programs. */
     TranslateResult translateNow(const TranslateRequest &req);
@@ -137,8 +133,7 @@ class FixedTranslator : public Translator
     void unmap(Asid asid, Addr vaddr);
 
     void translate(const TranslateRequest &req,
-                   CacheController &controller,
-                   TranslateDone done) override;
+                   CacheController &controller) override;
 
   private:
     struct Entry

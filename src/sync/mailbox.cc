@@ -30,7 +30,8 @@ MailboxReceiver::enable(Handler handler,
             drain();
         }
     });
-    owner_.writeTable(base_, mem::ActionEntry::Notify, std::move(done));
+    owner_.writeTable(base_, mem::ActionEntry::Notify,
+                      owner_.box(std::move(done)));
 }
 
 void
@@ -38,7 +39,8 @@ MailboxReceiver::disable(proto::CacheController::Done done)
 {
     owner_.setNotifyHandler(nullptr);
     handler_ = nullptr;
-    owner_.writeTable(base_, mem::ActionEntry::Ignore, std::move(done));
+    owner_.writeTable(base_, mem::ActionEntry::Ignore,
+                      owner_.box(std::move(done)));
 }
 
 void

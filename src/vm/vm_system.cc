@@ -63,8 +63,7 @@ FrameAllocator::free(std::uint32_t frame)
 
 void
 VmTranslator::translate(const proto::TranslateRequest &req,
-                        proto::CacheController &controller,
-                        proto::TranslateDone done)
+                        proto::CacheController &controller)
 {
     if (system_ == nullptr)
         fatal("VmTranslator used before bind()");
@@ -75,15 +74,15 @@ VmTranslator::translate(const proto::TranslateRequest &req,
         result.ok = true;
         result.paddr = system_->paddrOfKva(req.vaddr);
         result.prot = cache::FlagSupWritable;
-        done(result);
+        controller.translated(result);
         return;
     }
     if (req.vaddr < userBase) {
         // Device / boot regions: not translatable memory.
-        done(proto::TranslateResult{});
+        controller.translated(proto::TranslateResult{});
         return;
     }
-    system_->translateUser(req, controller, std::move(done));
+    system_->translateUser(req, controller);
 }
 
 // --------------------------------------------------------------------
@@ -163,22 +162,23 @@ VmSystem::ensurePtPage(Asid asid, Addr vaddr)
 
 void
 VmSystem::translateUser(const proto::TranslateRequest &req,
-                        proto::CacheController &controller,
-                        proto::TranslateDone done)
+                        proto::CacheController &controller)
 {
     const auto pte_paddr = pteAddr(req.asid, req.vaddr);
     if (!pte_paddr) {
-        done(proto::TranslateResult{}); // fault: no page-table page
+        // Fault: no page-table page.
+        controller.translated(proto::TranslateResult{});
         return;
     }
     const Addr pte_kva = kvaOf(*pte_paddr);
+    // The PTE read may nest-miss; its record is popped before this
+    // continuation runs, so translated() reaches the asking miss.
     controller.readWord(
         kernelAsid, pte_kva, true,
-        [this, req, pte_kva, &controller,
-         done = std::move(done)](std::uint32_t raw) {
+        [req, pte_kva, &controller](std::uint32_t raw) {
             Pte pte{raw};
             if (!pte.valid()) {
-                done(proto::TranslateResult{});
+                controller.translated(proto::TranslateResult{});
                 return;
             }
             proto::TranslateResult result;
@@ -196,10 +196,13 @@ VmSystem::translateUser(const proto::TranslateRequest &req,
                 pte.setReferenced();
                 if (req.write)
                     pte.setModified();
-                controller.writeWord(kernelAsid, pte_kva, pte.raw, true,
-                                     [result, done] { done(result); });
+                controller.writeWord(
+                    kernelAsid, pte_kva, pte.raw, true,
+                    [result, &controller] {
+                        controller.translated(result);
+                    });
             } else {
-                done(result);
+                controller.translated(result);
             }
         });
 }

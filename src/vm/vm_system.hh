@@ -110,8 +110,7 @@ class VmTranslator : public proto::Translator
     void bind(VmSystem &system) { system_ = &system; }
 
     void translate(const proto::TranslateRequest &req,
-                   proto::CacheController &controller,
-                   proto::TranslateDone done) override;
+                   proto::CacheController &controller) override;
 
   private:
     VmSystem *system_ = nullptr;
@@ -226,8 +225,7 @@ class VmSystem
 
     /** Used by VmTranslator. */
     void translateUser(const proto::TranslateRequest &req,
-                       proto::CacheController &controller,
-                       proto::TranslateDone done);
+                       proto::CacheController &controller);
 
   private:
     friend class VmTranslator;

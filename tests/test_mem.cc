@@ -461,12 +461,19 @@ TEST_F(BusFixture, CopierReadsPage)
     memory.writeWord(0x1000, 0x99aabbcc);
     BlockCopier copier(0, bus);
     std::vector<std::uint8_t> buf(256, 0);
-    bool done = false;
-    copier.readPage(0x1000, buf.data(), 256, false,
-                    [&](const TxResult &res) {
-                        done = true;
-                        EXPECT_FALSE(res.aborted);
-                    });
+    struct Owner final : BusClient
+    {
+        bool done = false;
+        void
+        busDone(std::uint64_t token, const TxResult &res) override
+        {
+            done = true;
+            EXPECT_EQ(token, 7u);
+            EXPECT_FALSE(res.aborted);
+        }
+    } owner;
+    bool &done = owner.done;
+    copier.readPage(0x1000, buf.data(), 256, false, {&owner, 7});
     EXPECT_TRUE(copier.busy());
     events.run();
     EXPECT_TRUE(done);
@@ -484,7 +491,7 @@ TEST_F(BusFixture, CopierWriteBackCarriesDowngradeEntry)
     BlockCopier copier(0, bus);
     std::vector<std::uint8_t> buf(256, 0x42);
     copier.writeBackPage(0x2000, buf.data(), 256, ActionEntry::Shared,
-                         nullptr);
+                         {});
     events.run();
     EXPECT_EQ(memory.readWord(0x2000), 0x42424242u);
     ASSERT_EQ(watcher.updates.size(), 1u);
@@ -495,8 +502,8 @@ TEST_F(BusFixture, CopierRefusesConcurrentCopies)
 {
     BlockCopier copier(0, bus);
     std::vector<std::uint8_t> a(256), b(256);
-    copier.readPage(0, a.data(), 256, false, nullptr);
-    EXPECT_THROW(copier.readPage(256, b.data(), 256, false, nullptr),
+    copier.readPage(0, a.data(), 256, false, {});
+    EXPECT_THROW(copier.readPage(256, b.data(), 256, false, {}),
                  PanicError);
 }
 

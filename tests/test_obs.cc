@@ -337,8 +337,7 @@ class FaultingWalkTranslator : public proto::Translator
 
     void
     translate(const proto::TranslateRequest &req,
-              proto::CacheController &controller,
-              proto::TranslateDone done) override
+              proto::CacheController &controller) override
     {
         proto::TranslateResult mapped;
         mapped.ok = true;
@@ -347,16 +346,16 @@ class FaultingWalkTranslator : public proto::Translator
             cache::FlagUserReadable | cache::FlagUserWritable |
             cache::FlagSupWritable);
         if (req.supervisor) {
-            done(mapped);
+            controller.translated(mapped);
             return;
         }
         const bool fault = walks_ == 0;
         const Addr pte = tableBase + walks_++ * pageBytes;
-        controller.readWord(0, pte, true,
-                            [done, mapped, fault](std::uint32_t) {
-                                done(fault ? proto::TranslateResult{}
-                                           : mapped);
-                            });
+        controller.readWord(
+            0, pte, true, [&controller, mapped, fault](std::uint32_t) {
+                controller.translated(fault ? proto::TranslateResult{}
+                                            : mapped);
+            });
     }
 
   private:

@@ -640,7 +640,8 @@ TEST_F(ProtoTest, NotifyReachesSubscribedProcessor)
         [&](Addr paddr) { notified.push_back(paddr); });
 
     bool set = false;
-    sys.ctl(0).writeTable(paB, ActionEntry::Notify, [&] { set = true; });
+    sys.ctl(0).writeTable(paB, ActionEntry::Notify,
+                          sys.ctl(0).box([&] { set = true; }));
     sys.events.run();
     ASSERT_TRUE(set);
 
