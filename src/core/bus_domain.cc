@@ -378,6 +378,20 @@ Machine::enableFaultInjection(const fault::FaultSchedule &schedule)
 {
     if (injector_)
         fatal(tag_, ": fault injection enabled twice");
+    // Check every crash and partial-failure target first, so a rejected
+    // schedule leaves the machine unarmed.
+    for (const auto &crash : schedule.crashes) {
+        if (!crash.interBus) {
+            if (crash.board >= boards_.size())
+                fatal(tag_, ": killBoard(", crash.board, ") out of range");
+            continue;
+        }
+        interBusTarget(crash.board, "crashInterBus");
+        if (crash.rejoinAt != 0)
+            fatal(tag_, ": inter-bus boards do not hot-rejoin");
+    }
+    for (const auto &part : schedule.partials)
+        partialTarget(part);
     injector_ = std::make_unique<fault::FaultInjector>(events_, schedule);
     for (auto &domain : domains_)
         domain->setFaultHooks(*injector_);
@@ -397,9 +411,6 @@ Machine::enableFaultInjection(const fault::FaultSchedule &schedule)
     // kill/rejoin events now (deterministic, no RNG draw).
     for (const auto &crash : injector_->schedule().crashes) {
         if (crash.interBus) {
-            interBusTarget(crash.board, "crashInterBus");
-            if (crash.rejoinAt != 0)
-                fatal(tag_, ": inter-bus boards do not hot-rejoin");
             killInterBusBoard(crash.board, crash.at);
             continue;
         }
@@ -426,28 +437,34 @@ Machine::interBusTarget(std::uint32_t k, const char *what) const
     return *ibcs[k];
 }
 
-void
-Machine::armPartialFault(const fault::PartialFaultSpec &spec)
+std::pair<ProcessorBoard *, proto::ProtocolClient *>
+Machine::partialTarget(const fault::PartialFaultSpec &spec) const
 {
-    // The target: a processor board, or (wedgeInterBus) the global
-    // side of a cluster's inter-bus board. The wedge path is one for
-    // both; stuck tables and slow boards are processor-board faults.
-    ProcessorBoard *board = nullptr;
-    proto::ProtocolClient *client = nullptr;
+    // A processor board, or (wedgeInterBus) the global side of a
+    // cluster's inter-bus board. The wedge path is one for both; stuck
+    // tables and slow boards are processor-board faults.
     if (spec.interBus) {
-        client = &interBusTarget(spec.board, "wedgeInterBus");
+        proto::ProtocolClient *client =
+            &interBusTarget(spec.board, "wedgeInterBus");
         if (spec.kind != fault::FaultKind::MonitorWedge)
             fatal(tag_, ": only wedgeInterBus() partial faults target "
                   "inter-bus boards");
-    } else {
-        if (spec.board >= boards_.size())
-            fatal(tag_, ": partial fault on board ", spec.board,
-                  " out of range");
-        if (spec.kind == fault::FaultKind::FifoBabble)
-            return; // drawn per bus transaction inside the injector
-        board = boards_[spec.board].board;
-        client = &board->controller;
+        return {nullptr, client};
     }
+    if (spec.board >= boards_.size())
+        fatal(tag_, ": partial fault on board ", spec.board,
+              " out of range");
+    ProcessorBoard *board = boards_[spec.board].board;
+    return {board, &board->controller};
+}
+
+void
+Machine::armPartialFault(const fault::PartialFaultSpec &spec)
+{
+    // FIFO babble is drawn per bus transaction inside the injector.
+    if (!spec.interBus && spec.kind == fault::FaultKind::FifoBabble)
+        return;
+    const auto [board, client] = partialTarget(spec);
     events_.schedule(spec.at, [this, board, client, spec] {
         if (client->dead())
             return;

@@ -29,6 +29,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backing/checkpoint.hh"
@@ -122,11 +123,10 @@ class Machine
      *  range. */
     BusDomain &cluster(std::size_t k);
     const BusDomain &cluster(std::size_t k) const;
-    /** Every domain in layout order, the root first. */
-    const std::vector<std::unique_ptr<BusDomain>> &domains() const
-    {
-        return domains_;
-    }
+    /** Number of domains in layout order, the root first. */
+    std::size_t domainCount() const { return domains_.size(); }
+    /** Domain @p i of that order, for observers (telemetry). */
+    const BusDomain &domain(std::size_t i) const { return *domains_.at(i); }
 
     /** Board/controller for the machine-wide CPU index. */
     ProcessorBoard &board(std::size_t cpu);
@@ -343,6 +343,10 @@ class Machine
      *  @p what; fatal on a flat machine or out of range. */
     hier::InterBusBoard &interBusTarget(std::uint32_t k,
                                         const char *what) const;
+    /** The board (null for an inter-bus board) and protocol client a
+     *  partial-failure spec targets; fatal when it names none. */
+    std::pair<ProcessorBoard *, proto::ProtocolClient *>
+    partialTarget(const fault::PartialFaultSpec &spec) const;
     /** Turn one scheduled partial-failure spec into onset/clear events
      *  on its board or inter-bus board. */
     void armPartialFault(const fault::PartialFaultSpec &spec);

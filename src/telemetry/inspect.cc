@@ -179,7 +179,8 @@ inspectSystem(const core::Machine &machine)
     Json doc = Json::object();
     doc["t_ns"] = Json(machine.events().now());
     Json domains = Json::array();
-    for (const auto &domain : machine.domains()) {
+    for (std::size_t d = 0; d < machine.domainCount(); ++d) {
+        const core::BusDomain *domain = &machine.domain(d);
         Json entry = Json::object();
         entry["name"] = Json(domain->busName);
         entry["bus"] = inspectBus(domain->bus);

@@ -81,7 +81,8 @@ obs::GaugeSet
 collectGauges(const core::Machine &machine)
 {
     obs::GaugeSet set;
-    for (const auto &domain : machine.domains()) {
+    for (std::size_t d = 0; d < machine.domainCount(); ++d) {
+        const core::BusDomain *domain = &machine.domain(d);
         addBusGauges(set, domain->busName, domain->bus);
         if (domain->bridge) {
             set.add(domain->groupName("ibc"), "pending_words",

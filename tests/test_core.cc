@@ -87,7 +87,7 @@ TEST(VmpSystem, IsOneDomainWithoutClusters)
     // A flat machine is its root domain alone: no cluster index is in
     // range and no inter-bus board can be killed.
     VmpSystem system(smallConfig(2));
-    ASSERT_EQ(system.domains().size(), 1u);
+    ASSERT_EQ(system.domainCount(), 1u);
     EXPECT_EQ(system.root().boards.size(), 2u);
     EXPECT_THROW(system.cluster(0), PanicError);
     EXPECT_THROW(system.killInterBusBoard(0, usec(10)), FatalError);
