@@ -73,16 +73,18 @@ GeometricDist::GeometricDist(double p) : p_(p), log1mp_(std::log1p(-p))
 }
 
 ZipfDist::ZipfDist(std::uint64_t n, double theta_value)
-    : theta_(theta_value)
+    : n_(n), theta_(theta_value)
 {
     if (n == 0 || n > std::numeric_limits<std::uint32_t>::max())
         panic("ZipfDist: domain size out of range: ", n);
-    cdf_.resize(n);
-    guide_.resize(n);
+    // n doubles, then n 32-bit guide entries rounded up to doubles.
+    table_.resize(n + (n + 1) / 2);
+    double *cdf = table_.data();
+    char *guide = reinterpret_cast<char *>(cdf + n);
     double sum = 0.0;
     for (std::uint64_t r = 0; r < n; ++r) {
         sum += 1.0 / std::pow(static_cast<double>(r + 1), theta_);
-        cdf_[r] = sum;
+        cdf[r] = sum;
     }
     // Normalise, and merge the guide table in the same pass: bucket k
     // starts at the first rank whose CDF reaches k/n (the last rank's
@@ -90,9 +92,10 @@ ZipfDist::ZipfDist(std::uint64_t n, double theta_value)
     const double scale = static_cast<double>(n);
     std::uint64_t k = 0;
     for (std::uint64_t r = 0; r < n; ++r) {
-        cdf_[r] = r + 1 == n ? 1.0 : cdf_[r] / sum;
-        for (; k < n && cdf_[r] * scale >= static_cast<double>(k); ++k)
-            guide_[k] = static_cast<std::uint32_t>(r);
+        cdf[r] = r + 1 == n ? 1.0 : cdf[r] / sum;
+        const auto rank = static_cast<std::uint32_t>(r);
+        for (; k < n && cdf[r] * scale >= static_cast<double>(k); ++k)
+            std::memcpy(guide + k * sizeof rank, &rank, sizeof rank);
     }
 }
 

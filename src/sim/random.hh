@@ -15,7 +15,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace vmp
@@ -142,7 +144,8 @@ class GeometricDist
  * stores the first rank whose CDF reaches k/n, and a short walk from
  * there finds the first rank whose CDF reaches u. The result equals a
  * binary search's for every u. Construction is O(n); a sample costs O(1)
- * expected.
+ * expected. Both tables share one buffer: the n CDF values, then the
+ * guide table's n 32-bit entries.
  *
  * The trace generator uses this to model working sets with a hot core and
  * a long cold tail, the locality structure that makes large cache pages
@@ -160,24 +163,35 @@ class ZipfDist
     std::uint64_t
     rankOf(double u) const
     {
-        const std::size_t last = cdf_.size() - 1;
-        std::size_t r = guide_[std::min(
-            static_cast<std::size_t>(u * static_cast<double>(cdf_.size())),
-            last)];
-        while (r > 0 && cdf_[r - 1] >= u)
+        const double *cdf = table_.data();
+        std::size_t r = guide(std::min(
+            static_cast<std::size_t>(u * static_cast<double>(n_)), n_ - 1));
+        while (r > 0 && cdf[r - 1] >= u)
             --r;
-        while (cdf_[r] < u)
+        while (cdf[r] < u)
             ++r;
         return r;
     }
 
-    std::uint64_t domain() const { return cdf_.size(); }
-    const std::vector<double> &cdf() const { return cdf_; }
+    std::uint64_t domain() const { return n_; }
+    std::span<const double> cdf() const { return {table_.data(), n_}; }
     double theta() const { return theta_; }
 
   private:
-    std::vector<double> cdf_;
-    std::vector<std::uint32_t> guide_;
+    /** Guide-table bucket @p k, read from behind the CDF values. */
+    std::uint32_t
+    guide(std::size_t k) const
+    {
+        std::uint32_t r;
+        std::memcpy(&r, reinterpret_cast<const char *>(table_.data() + n_) +
+                            k * sizeof r,
+                    sizeof r);
+        return r;
+    }
+
+    std::size_t n_;
+    /** The CDF values, then the guide table. */
+    std::vector<double> table_;
     double theta_;
 };
 
