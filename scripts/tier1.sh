@@ -25,13 +25,22 @@ cmake --build "$sanitize" -j "$jobs" \
     --target test_sim test_cache test_mem test_artifact test_core test_hier \
     test_recover test_obs test_telemetry test_proto test_cpu test_vm \
     test_sync test_integration test_trace test_fault test_backing \
-    bench_table1
+    test_monitor test_arbitration bench_table1
+
+# test_alloc is not in this list: it replaces the global operator new to
+# count allocations, and ASan owns operator new in this build. It runs
+# in the full suite above.
 
 echo "== tier1: sanitized core tests =="
 "$sanitize/tests/test_sim"
 # Cache data arena: every page is a pointer offset into one buffer.
 "$sanitize/tests/test_cache"
 "$sanitize/tests/test_mem"
+# Bus completions are (client, token) records: a queued request's
+# completion under priority and round-robin arbitration, and the fence
+# bounce, point into the requesting master.
+"$sanitize/tests/test_monitor"
+"$sanitize/tests/test_arbitration"
 "$sanitize/tests/test_artifact"
 # Machine assembly: kill, fence and rejoin hooks capture the machine and
 # raw board pointers.
