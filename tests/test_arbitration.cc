@@ -377,6 +377,43 @@ TEST(FifoFingerprint, HierTwoByTwo)
     EXPECT_EQ(r.globalWriteBacks, 0u);
 }
 
+// One kernel image across every cluster (kernelOffset 0), so kernel
+// pages cross clusters: global fetches, cluster-to-cluster recalls and
+// global-bus aborts all land on the pinned counts. HierTwoByTwo and
+// simbench's hier4x4 give each CPU a private kernel, so no page of
+// theirs is ever held by two clusters.
+TEST(FifoFingerprint, HierSharedKernelAcrossClusters)
+{
+    setInformEnabled(false);
+    core::HierConfig cfg;
+    cfg.clusters = 4;
+    cfg.cpusPerCluster = 2;
+    cfg.cache = cache::CacheConfig::forSize(KiB(16), 256, 4, true);
+    cfg.memBytes = MiB(8);
+    core::HierVmpSystem sys(cfg);
+    std::vector<std::unique_ptr<trace::SyntheticGen>> gens;
+    std::vector<trace::RefSource *> sources;
+    for (std::uint32_t i = 0; i < 8; ++i) {
+        auto workload = trace::workloadConfig("atum2");
+        workload.totalRefs = 10'000;
+        workload.seed = 1000 + i;
+        workload.asidBase = static_cast<Asid>(1 + i * 8);
+        gens.push_back(std::make_unique<trace::SyntheticGen>(workload));
+        sources.push_back(gens.back().get());
+    }
+    const auto r = sys.runTraces(sources);
+    EXPECT_EQ(r.elapsed, 77'653'237u);
+    EXPECT_EQ(r.totalRefs, 80'000u);
+    EXPECT_EQ(r.totalMisses, 2'911u);
+    EXPECT_EQ(r.globalFetches, 5'460u);
+    EXPECT_EQ(r.globalWriteBacks, 256u);
+    EXPECT_EQ(r.busAborts, 10'402u);
+    const std::uint64_t cluster_tx[] = {9'065u, 8'861u, 8'577u, 8'953u};
+    for (std::size_t k = 0; k < 4; ++k)
+        EXPECT_EQ(sys.cluster(k).bus.transactions().value(), cluster_tx[k])
+            << "cluster " << k;
+}
+
 TEST(DisciplineSweep, PartitionedMissesAreDisciplineInvariant)
 {
     // On partitioned workloads no transaction is ever aborted, so the
