@@ -25,7 +25,7 @@ cmake --build "$sanitize" -j "$jobs" \
     --target test_sim test_cache test_mem test_artifact test_core test_hier \
     test_recover test_obs test_telemetry test_proto test_cpu test_vm \
     test_sync test_integration test_trace test_fault test_backing \
-    test_monitor test_arbitration bench_table1
+    test_monitor test_arbitration test_snoopy bench_table1
 
 # test_alloc is not in this list: it replaces the global operator new to
 # count allocations, and ASan owns operator new in this build. It runs
@@ -63,6 +63,9 @@ echo "== tier1: sanitized core tests =="
 # Trace generator: the Zipf guide-table index and the walk from it, and
 # the fixed three-slot reference queue, are new bounds to check.
 "$sanitize/tests/test_trace"
+# Snoopy baseline: reads the packed 8-byte MemRef's bit-fields on every
+# reference, the one consumer of the record not covered above.
+"$sanitize/tests/test_snoopy"
 # Flat checkers, fault arming and frame checkpoints through Machine's
 # enable* paths (the torture matrix has its own sanitized CI job).
 "$sanitize/tests/test_fault" --gtest_filter=-*Torture*

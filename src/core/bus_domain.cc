@@ -355,7 +355,7 @@ Machine::clients() const
     for (const auto &domain : domains_) {
         if (domain->bridge)
             all.push_back(domain->bridge.get());
-        for (const auto &board : domain->boards)
+        for (auto &board : domain->boards)
             all.push_back(&board->controller);
     }
     return all;

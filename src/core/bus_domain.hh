@@ -26,6 +26,7 @@
 #ifndef VMP_CORE_BUS_DOMAIN_HH
 #define VMP_CORE_BUS_DOMAIN_HH
 
+#include <experimental/propagate_const>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -57,6 +58,15 @@ namespace vmp::core
 struct ProcessorBoard;
 struct RunResult;
 struct VmpConfig;
+
+/**
+ * A unique_ptr whose pointee is const wherever its owner is. A const
+ * BusDomain then hands out only const clients, so an observer of a
+ * const Machine (telemetry's collectors) can read them but not change
+ * them.
+ */
+template <typename T>
+using Owned = std::experimental::propagate_const<std::unique_ptr<T>>;
 
 /** One bus, the memory it serves, and its clients. */
 struct BusDomain
@@ -93,14 +103,14 @@ struct BusDomain
     mem::PhysMem memory;
     mem::VmeBus bus;
     /** Inter-bus board bridging this (cluster) bus to the global bus. */
-    std::unique_ptr<hier::InterBusBoard> bridge;
+    Owned<hier::InterBusBoard> bridge;
     /** Inter-bus boards acting as this (global) bus's clients. */
     std::vector<hier::InterBusBoard *> globalClients;
     /** Machine-wide CPU index of boards[0]. */
     CpuId firstCpu = 0;
-    std::vector<std::unique_ptr<ProcessorBoard>> boards;
-    std::unique_ptr<check::CoherenceChecker> checker;
-    std::unique_ptr<recover::RecoveryManager> recovery;
+    std::vector<Owned<ProcessorBoard>> boards;
+    Owned<check::CoherenceChecker> checker;
+    Owned<recover::RecoveryManager> recovery;
     std::unique_ptr<backing::PageStore> checkpointStore;
     std::unique_ptr<backing::FrameCheckpointer> checkpointer;
 };

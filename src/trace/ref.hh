@@ -29,15 +29,32 @@ enum class RefType : std::uint8_t
 /** Human-readable name for a RefType. */
 const char *refTypeName(RefType type);
 
-/** One memory reference. */
+/**
+ * One past the highest address a reference can carry. The paper's
+ * processor is a 68020 with a 32-bit virtual address space, and its
+ * traces are ATUM VAX traces (Section 5.2), so 32 bits hold every
+ * reference; the producers (SyntheticConfig::check() and the trace
+ * readers) reject anything at or above this limit rather than let the
+ * record truncate it.
+ */
+constexpr Addr refAddrLimit = Addr{1} << 32;
+
+/**
+ * One memory reference, packed into one 8-byte word: a 32-bit vaddr,
+ * then asid, type, size and the supervisor flag. Half the size of the
+ * unpacked record, so a pre-generated stream takes half the memory,
+ * and a whole record is one 8-byte load or store. vaddr keeps the
+ * type Addr, but it is a 32-bit field: arithmetic on it promotes to
+ * 32 bits, so widen it (Addr{ref.vaddr}) before adding to it.
+ */
 struct MemRef
 {
-    Addr vaddr = 0;
-    Asid asid = 0;
-    RefType type = RefType::DataRead;
-    std::uint8_t size = 4;
+    Addr vaddr : 32 = 0;
+    Asid asid : 8 = 0;
+    RefType type : 8 = RefType::DataRead;
+    std::uint8_t size : 8 = 4;
     /** True for operating-system (supervisor-mode) references. */
-    bool supervisor = false;
+    bool supervisor : 1 = false;
 
     bool isWrite() const { return type == RefType::DataWrite; }
     bool isFetch() const { return type == RefType::InstrFetch; }
@@ -52,6 +69,7 @@ struct MemRef
 
     std::string toString() const;
 };
+static_assert(sizeof(MemRef) == 8, "a reference is one 8-byte word");
 
 /**
  * Abstract pull-source of references. Both trace-file readers and the

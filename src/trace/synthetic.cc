@@ -68,6 +68,19 @@ SyntheticConfig::check() const
         fatal("synthetic trace: stack too small");
     if (kernelOffset >= (userBase - kernelBase) / 2)
         fatal("synthetic trace: kernelOffset outside kernel region");
+    // Every segment's end, the highest process's for the user ones,
+    // must fit a MemRef's 32-bit vaddr. Each sum stays far below 2^64.
+    const Addr kernel = kernelBase + kernelOffset;
+    const Addr user = userBase + (processes - 1) * processStride;
+    for (const Addr end :
+         {kernel + osCodeOffset + osCode.bytes,
+          kernel + osDataOffset + Addr{osData.objects} * osData.objectBytes,
+          user + codeOffset + userCode.bytes,
+          user + dataOffset + Addr{userData.objects} * userData.objectBytes,
+          user + stackOffset + stackBytes})
+        if (end > refAddrLimit)
+            fatal("synthetic trace: a segment ends at 0x", std::hex, end,
+                  ", past the 32-bit reference address space");
 }
 
 /** Generation state for one address space (plus its kernel activity). */
@@ -222,9 +235,9 @@ void
 SyntheticGen::refill()
 {
     queueLen_ = queuePos_ = 0;
-    // A local copy of the RNG stays in registers: the queue's byte-sized
-    // stores may alias any member, so rng_'s state would go through
-    // memory on every draw.
+    // A local copy of the RNG stays in registers: emit's memcpy stores
+    // may alias any member, so rng_'s state would go through memory on
+    // every draw.
     Rng rng = rng_;
     // Mode feedback: enter a supervisor burst whenever the running
     // supervisor fraction has fallen below target.

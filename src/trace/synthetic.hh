@@ -27,6 +27,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "sim/random.hh"
@@ -154,10 +155,15 @@ class SyntheticGen final : public RefSource
     /** Mutable per-address-space generation state. */
     struct ProcState;
 
+    /** Queue one reference; check() keeps @p vaddr below 2^32. */
     void
     emit(Asid asid, Addr vaddr, RefType type, bool supervisor)
     {
-        queue_[queueLen_++] = MemRef{vaddr, asid, type, 4, supervisor};
+        // One 8-byte store. Assigned in place, the record is stored
+        // field by field, the supervisor bit by read-modify-write, and
+        // a caller's whole-record reload then misses store forwarding.
+        const MemRef ref{vaddr, asid, type, 4, supervisor};
+        std::memcpy(&queue_[queueLen_++], &ref, sizeof ref);
     }
     /** Run one instruction worth of references into the empty queue. */
     void refill();

@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "sim/logging.hh"
 
@@ -27,6 +28,25 @@ struct PackedRef
     std::uint32_t reserved;
 };
 static_assert(sizeof(PackedRef) == 16, "trace record layout");
+
+/** A text record's address: any base std::stoull takes, below 2^32. */
+Addr
+parseVaddr(const std::string &text, std::uint64_t line)
+{
+    std::size_t used = 0;
+    unsigned long long value = 0;
+    try {
+        value = std::stoull(text, &used, 0);
+    } catch (const std::logic_error &) {
+        used = 0; // not a number, or beyond 64 bits
+    }
+    if (used == 0 || used != text.size())
+        fatal("trace line ", line, ": bad address '", text, "'");
+    if (value >= refAddrLimit)
+        fatal("trace line ", line, ": address ", text,
+              " does not fit 32 bits");
+    return value;
+}
 
 } // namespace
 
@@ -74,6 +94,9 @@ BinaryTraceReader::next(MemRef &ref)
         fatal("truncated trace record");
     if (p.type > static_cast<std::uint8_t>(RefType::DataWrite))
         fatal("corrupt trace record: bad type ", unsigned{p.type});
+    if (p.vaddr >= refAddrLimit)
+        fatal("trace record: vaddr 0x", std::hex, p.vaddr,
+              " does not fit 32 bits");
     ref.vaddr = p.vaddr;
     ref.asid = p.asid;
     ref.type = static_cast<RefType>(p.type);
@@ -122,7 +145,7 @@ TextTraceReader::next(MemRef &ref)
         if (asid > 255)
             fatal("trace line ", line_, ": asid out of range");
         ref.asid = static_cast<Asid>(asid);
-        ref.vaddr = std::stoull(addr, nullptr, 0);
+        ref.vaddr = parseVaddr(addr, line_);
         if (size == 0 || size > 255)
             fatal("trace line ", line_, ": bad size");
         ref.size = static_cast<std::uint8_t>(size);

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/fast_sim.hh"
@@ -92,6 +94,23 @@ TEST(VmpSystem, IsOneDomainWithoutClusters)
     EXPECT_THROW(system.cluster(0), PanicError);
     EXPECT_THROW(system.killInterBusBoard(0, usec(10)), FatalError);
 }
+
+// Observers read a const Machine (telemetry's collectors), and its
+// domains hand out only const clients, so they can only observe.
+template <typename Ptr>
+constexpr bool pointsToConst =
+    std::is_const_v<std::remove_pointer_t<Ptr>>;
+using ConstDomain = const BusDomain &;
+static_assert(pointsToConst<decltype(
+                  std::declval<ConstDomain>().bridge.get())>);
+static_assert(pointsToConst<decltype(
+                  std::declval<ConstDomain>().boards[0].get())>);
+static_assert(pointsToConst<decltype(
+                  std::declval<ConstDomain>().checker.get())>);
+static_assert(pointsToConst<decltype(
+                  std::declval<ConstDomain>().recovery.get())>);
+static_assert(!pointsToConst<decltype(
+                  std::declval<BusDomain &>().bridge.get())>);
 
 TEST(VmpSystem, MultiCpuRunSharesKernelPages)
 {
