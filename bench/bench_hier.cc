@@ -129,8 +129,7 @@ runCell(const Cell &cell, const mem::ArbitrationConfig &arbitration)
     const std::uint64_t refs_per_cpu =
         cell.shared ? kSharedRefs : kPartitionedRefs;
     const std::uint64_t mem_bytes = MiB(4) * cell.cpus;
-    const cpu::M68020Timing timing;
-    const double full_rps = timing.mips() * timing.refsPerInstr * 1e6;
+    const double full_rps = cpu::mips() * cpu::kRefsPerInstr * 1e6;
 
     auto gens = makeWorkloads(cell.cpus, refs_per_cpu, cell.shared);
     std::vector<trace::RefSource *> sources;
@@ -172,8 +171,7 @@ runCell(const Cell &cell, const mem::ArbitrationConfig &arbitration)
         cfg.cpusPerCluster = cell.cpus / cell.clusters;
         cfg.cache = cache_cfg;
         cfg.memBytes = mem_bytes;
-        cfg.localArbitration = arbitration;
-        cfg.globalArbitration = arbitration;
+        cfg.arbitration = arbitration;
         core::HierVmpSystem system(cfg);
         const auto result = system.runTraces(sources);
         out.missRatio = result.missRatio;

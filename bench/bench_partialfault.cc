@@ -154,7 +154,7 @@ runPoint(const Severity &sev, std::uint64_t seed)
     cfg.memBytes = MiB(1);
     // Bound the fenced board's stranded in-flight access: survivors
     // abandon retries against the quarantined owner after this long.
-    cfg.swTiming.deadOwnerTimeoutNs = msec(1);
+    cfg.deadOwnerTimeoutNs = msec(1);
     core::VmpSystem system(cfg);
 
     fault::FaultSchedule schedule;

@@ -298,8 +298,12 @@ class Artifact
         if (!opts_.writeJson)
             return;
         std::ofstream os(opts_.jsonOut);
-        if (!os)
-            fatal("cannot open artifact file ", opts_.jsonOut);
+        if (!os) {
+            std::cerr << "bench_" << bench_
+                      << ": cannot open artifact file " << opts_.jsonOut
+                      << "\n";
+            std::exit(1);
+        }
         toJson().write(os, 2);
         os << '\n';
         std::cout << "[artifact] wrote " << opts_.jsonOut << "\n";

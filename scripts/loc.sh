@@ -1,8 +1,10 @@
 #!/bin/sh
 # Code size in lines of C++ (*.cc + *.hh): src in total and per module,
 # then bench, tests and simbench. This is the "Code size" row of
-# ROADMAP.md, reproducible with one command. Informational: it always
-# exits 0.
+# ROADMAP.md, reproducible with one command. Last, "settings N" counts
+# the settable values: data members with a default initialiser in the
+# src structs named *Config, *Options, *Timing, *Spec or *Schedule.
+# Informational: it always exits 0.
 #
 # Usage: scripts/loc.sh
 set -e
@@ -24,3 +26,36 @@ done
 for tree in bench tests simbench; do
     echo "$tree $(count "$tree")"
 done
+
+# Members declared at the top level of a matching struct whose
+# declaration carries "= value" or "{...}" (not functions, statics,
+# nested types or aliases).
+settings() {
+    find src -type f \( -name '*.cc' -o -name '*.hh' \) | sort |
+        xargs awk '
+FNR == 1 { inside = 0 }
+/^[ \t]*struct [A-Za-z0-9_]*(Config|Options|Timing|Spec|Schedule)[ \t]*$/ {
+    inside = 1; depth = 0; stmt = ""; next
+}
+!inside { next }
+{
+    line = $0
+    sub(/\/\/.*/, "", line)
+    gsub(/\/\*.*\*\//, "", line)
+    if (line ~ /^[ \t]*(\/\*|\*)/) next
+    opens = gsub(/\{/, "{", line)
+    closes = gsub(/\}/, "}", line)
+    if (depth == 0) { depth = opens - closes; next }
+    if (depth == 1) stmt = stmt " " line
+    depth += opens - closes
+    if (depth == 0) { inside = 0; next }
+    if (depth > 1 || stmt !~ /[;}][ \t]*$/) next
+    s = stmt; stmt = ""
+    if (s ~ /^[ \t]*(static|using|friend|typedef|enum|struct|return)[ \t]/)
+        next
+    head = s; sub(/[={].*/, "", head)
+    if (head !~ /\(/ && s ~ /[={]/) n++
+}
+END { print n + 0 }'
+}
+echo "settings $(settings)"

@@ -36,6 +36,13 @@ mvaSolve(double s, double z, unsigned n)
     return point;
 }
 
+/** References per microsecond at full speed. */
+constexpr double kRefsPerUs = cpu::mips() * cpu::kRefsPerInstr;
+/** Time per reference at full speed, in microseconds. */
+constexpr double kRefUs = 1.0 / kRefsPerUs;
+
+using Ibc = IbcCostModel;
+
 } // namespace
 
 void
@@ -49,35 +56,27 @@ BusLoadProfile::check() const
         fatal("bus load profile: write-back ratio must be in [0, 1]");
 }
 
-MissCostModel::MissCostModel(const proto::SoftwareTiming &software,
-                             const mem::BusTiming &bus)
-    : software_(software), bus_(bus)
-{
-}
-
 MissCost
-MissCostModel::perMiss(std::uint32_t page_bytes,
-                       bool victim_dirty) const
+MissCostModel::perMiss(std::uint32_t page_bytes, bool victim_dirty)
 {
-    const double read_us = toUsec(bus_.blockNs(page_bytes));
+    const double read_us = toUsec(mem::blockNs(page_bytes));
     const double wb_us =
-        victim_dirty ? toUsec(bus_.blockNs(page_bytes)) : 0.0;
-    const double overlap_us = toUsec(software_.overlapNs);
+        victim_dirty ? toUsec(mem::blockNs(page_bytes)) : 0.0;
+    const double overlap_us = toUsec(proto::kOverlapNs);
 
     MissCost cost;
-    // Software runs trapEntry, then overlapNs of bookkeeping overlapped
-    // with the victim write-back, then the serial remainder, then waits
-    // out the fill transfer (Section 5.1 / Table 1).
-    cost.elapsedUs = toUsec(software_.trapEntryNs) +
-        std::max(overlap_us, wb_us) + toUsec(software_.postNs) +
+    // Software runs trapEntry, then kOverlapNs of bookkeeping
+    // overlapped with the victim write-back, then the serial remainder,
+    // then waits out the fill transfer (Section 5.1 / Table 1).
+    cost.elapsedUs = toUsec(proto::kTrapEntryNs) +
+        std::max(overlap_us, wb_us) + toUsec(proto::kPostNs) +
         read_us;
     cost.busUs = read_us + wb_us;
     return cost;
 }
 
 MissCost
-MissCostModel::average(std::uint32_t page_bytes,
-                       double clean_fraction) const
+MissCostModel::average(std::uint32_t page_bytes, double clean_fraction)
 {
     if (clean_fraction < 0.0 || clean_fraction > 1.0)
         fatal("clean fraction must be in [0, 1]");
@@ -91,12 +90,6 @@ MissCostModel::average(std::uint32_t page_bytes,
     return avg;
 }
 
-PerfModel::PerfModel(const MissCostModel &costs,
-                     const cpu::M68020Timing &timing)
-    : costs_(costs), timing_(timing)
-{
-}
-
 double
 PerfModel::performance(std::uint32_t page_bytes, double m,
                        double clean_fraction) const
@@ -104,10 +97,9 @@ PerfModel::performance(std::uint32_t page_bytes, double m,
     if (m < 0.0 || m > 1.0)
         fatal("miss ratio must be in [0, 1]");
     const double cost_us =
-        costs_.average(page_bytes, clean_fraction).elapsedUs;
+        MissCostModel::average(page_bytes, clean_fraction).elapsedUs;
     // mips() is instructions per microsecond.
-    const double x =
-        m * timing_.refsPerInstr * timing_.mips() * cost_us;
+    const double x = m * cpu::kRefsPerInstr * cpu::mips() * cost_us;
     return 1.0 / (1.0 + x);
 }
 
@@ -118,15 +110,9 @@ PerfModel::missRatioFor(std::uint32_t page_bytes, double target,
     if (target <= 0.0 || target > 1.0)
         fatal("performance target must be in (0, 1]");
     const double cost_us =
-        costs_.average(page_bytes, clean_fraction).elapsedUs;
+        MissCostModel::average(page_bytes, clean_fraction).elapsedUs;
     return (1.0 / target - 1.0) /
-        (timing_.refsPerInstr * timing_.mips() * cost_us);
-}
-
-BusModel::BusModel(const MissCostModel &costs,
-                   const cpu::M68020Timing &timing)
-    : costs_(costs), timing_(timing)
-{
+        (cpu::kRefsPerInstr * cpu::mips() * cost_us);
 }
 
 double
@@ -135,17 +121,8 @@ BusModel::utilization(std::uint32_t page_bytes, double m,
 {
     if (m < 0.0 || m > 1.0)
         fatal("miss ratio must be in [0, 1]");
-    const MissCost avg = costs_.average(page_bytes, clean_fraction);
-    // Time per reference at full speed, in microseconds.
-    const double ref_us =
-        1.0 / (timing_.mips() * timing_.refsPerInstr);
-    return (m * avg.busUs) / (ref_us + m * avg.elapsedUs);
-}
-
-QueuingModel::QueuingModel(const MissCostModel &costs,
-                           const cpu::M68020Timing &timing)
-    : costs_(costs), timing_(timing)
-{
+    const MissCost avg = MissCostModel::average(page_bytes, clean_fraction);
+    return (m * avg.busUs) / (kRefUs + m * avg.elapsedUs);
 }
 
 double
@@ -153,7 +130,7 @@ QueuingModel::offeredLoad(std::uint32_t page_bytes, double m,
                           unsigned n) const
 {
     return static_cast<double>(n) *
-        BusModel(costs_, timing_).utilization(page_bytes, m);
+        BusModel().utilization(page_bytes, m);
 }
 
 double
@@ -169,9 +146,7 @@ QueuingModel::predict(std::uint32_t page_bytes, double m,
 {
     if (n == 0)
         fatal("queuing model needs at least one processor");
-    const MissCost avg = costs_.average(page_bytes);
-    const double ref_us =
-        1.0 / (timing_.mips() * timing_.refsPerInstr);
+    const MissCost avg = MissCostModel::average(page_bytes);
     const double s = avg.busUs; // bus service time per miss
 
     // Fixed point: queueing delay inflates per-miss time, which lowers
@@ -186,7 +161,7 @@ QueuingModel::predict(std::uint32_t page_bytes, double m,
     bool converged = false;
     for (int iter = 0; iter < 200; ++iter) {
         const double per_ref =
-            ref_us + m * (avg.elapsedUs + wait_us);
+            kRefUs + m * (avg.elapsedUs + wait_us);
         const double lambda = m / per_ref; // misses per us, per CPU
         rho = std::min(static_cast<double>(n) * lambda * s, 0.999);
         // M/M/1 mean wait in queue.
@@ -199,9 +174,9 @@ QueuingModel::predict(std::uint32_t page_bytes, double m,
         wait_us = 0.5 * (wait_us + new_wait);
     }
 
-    const double per_ref = ref_us + m * (avg.elapsedUs + wait_us);
+    const double per_ref = kRefUs + m * (avg.elapsedUs + wait_us);
     out.waitUs = wait_us;
-    out.perProcessorPerformance = ref_us / per_ref;
+    out.perProcessorPerformance = kRefUs / per_ref;
     out.systemThroughput =
         static_cast<double>(n) * out.perProcessorPerformance;
     out.domain.rho = rho;
@@ -236,11 +211,8 @@ QueuingModel::maxProcessors(std::uint32_t page_bytes, double m,
 }
 
 MvaModel::MvaModel(mem::Arbitration discipline,
-                   unsigned priority_levels,
-                   const MissCostModel &costs,
-                   const cpu::M68020Timing &timing)
-    : discipline_(discipline), priorityLevels_(priority_levels),
-      costs_(costs), timing_(timing)
+                   unsigned priority_levels)
+    : discipline_(discipline), priorityLevels_(priority_levels)
 {
     mem::ArbitrationConfig cfg;
     cfg.discipline = discipline;
@@ -253,8 +225,8 @@ MvaModel::serviceDemandUs(std::uint32_t page_bytes,
                           const BusLoadProfile &load) const
 {
     load.check();
-    const double read_us = toUsec(costs_.bus().blockNs(page_bytes));
-    const double short_us = toUsec(costs_.bus().shortTxNs);
+    const double read_us = toUsec(mem::blockNs(page_bytes));
+    const double short_us = toUsec(mem::kShortTxNs);
     // A fill moves one page, an upgrade is one short AssertOwnership
     // transaction, and every victim write-back moves one page.
     return (1.0 - load.upgradeFraction) * read_us +
@@ -275,14 +247,14 @@ MvaModel::missElapsedUs(std::uint32_t page_bytes,
         const double wb_per_fill =
             std::min(load.writeBackRatio / fill, 1.0);
         fill_elapsed = (1.0 - wb_per_fill) *
-                costs_.perMiss(page_bytes, false).elapsedUs +
-            wb_per_fill * costs_.perMiss(page_bytes, true).elapsedUs;
+                MissCostModel::perMiss(page_bytes, false).elapsedUs +
+            wb_per_fill * MissCostModel::perMiss(page_bytes, true).elapsedUs;
     }
     // An upgrade stays in the ownership-assertion fast path: no trap
     // handler, one short bus transaction.
     const double upgrade_elapsed =
-        toUsec(costs_.software().ownershipNs) +
-        toUsec(costs_.bus().shortTxNs);
+        toUsec(proto::kOwnershipNs) +
+        toUsec(mem::kShortTxNs);
     return fill * fill_elapsed +
         load.upgradeFraction * upgrade_elapsed;
 }
@@ -301,18 +273,16 @@ MvaModel::predict(std::uint32_t page_bytes,
         return out;
     }
 
-    const double ref_us =
-        1.0 / (timing_.mips() * timing_.refsPerInstr);
     const double s = serviceDemandUs(page_bytes, load);
     const double elapsed = missElapsedUs(page_bytes, load);
     // Think time between bus visits: execution until the next miss
     // plus the non-bus part of servicing it.
-    const double z = ref_us / m + elapsed - s;
+    const double z = kRefUs / m + elapsed - s;
     const MvaPoint point = mvaSolve(s, z, n);
 
     out.waitUs = point.r - s;
     out.busUtilization = point.x * s;
-    out.perProcessorPerformance = ref_us / (m * (z + point.r));
+    out.perProcessorPerformance = kRefUs / (m * (z + point.r));
     out.systemThroughput =
         static_cast<double>(n) * out.perProcessorPerformance;
     out.domain.rho = out.busUtilization;
@@ -349,7 +319,7 @@ MvaModel::predict(std::uint32_t page_bytes,
                 continue; // empty levels report zero
             out.levelWaitUs[l] = scale * shape[l];
             out.levelPerformance[l] =
-                ref_us / (m * (z + s + out.levelWaitUs[l]));
+                kRefUs / (m * (z + s + out.levelWaitUs[l]));
         }
     }
     return out;
@@ -378,13 +348,6 @@ MvaModel::busUtilization(std::uint32_t page_bytes,
     return predict(page_bytes, load, n).busUtilization;
 }
 
-HierQueuingModel::HierQueuingModel(const MissCostModel &costs,
-                                   const cpu::M68020Timing &timing,
-                                   const IbcCostModel &ibc)
-    : costs_(costs), timing_(timing), ibc_(ibc)
-{
-}
-
 HierQueuingModel::Equilibrium
 HierQueuingModel::solve(std::uint32_t page_bytes, double m, double g,
                         unsigned clusters,
@@ -395,9 +358,7 @@ HierQueuingModel::solve(std::uint32_t page_bytes, double m, double g,
     if (g < 0.0 || g > 1.0)
         fatal("hier queuing model: g must be in [0, 1]");
 
-    const MissCost avg = costs_.average(page_bytes);
-    const double ref_us =
-        1.0 / (timing_.mips() * timing_.refsPerInstr);
+    const MissCost avg = MissCostModel::average(page_bytes);
     const double n = static_cast<double>(cpus_per_cluster);
     const double kn = static_cast<double>(clusters) * n;
     /** Local/global bus occupancy per (thinned) miss. */
@@ -406,17 +367,17 @@ HierQueuingModel::solve(std::uint32_t page_bytes, double m, double g,
     /** Extra elapsed time of a cluster-level miss: the board's
      *  dispatch + global transfer + install, plus half a mean back-off
      *  for the local retry the aborted first attempt costs. */
-    const double x_g = ibc_.serviceUs + s_g + ibc_.installUs +
-        0.5 * ibc_.retryMeanUs;
+    const double x_g = Ibc::serviceUs + s_g + Ibc::installUs +
+        0.5 * Ibc::retryMeanUs;
 
     double wait_l = 0.0;
     double wait_g = 0.0;
     double rho_l = 0.0;
     double rho_g = 0.0;
-    double per_ref = ref_us;
+    double per_ref = kRefUs;
     bool converged = false;
     for (int iter = 0; iter < 300; ++iter) {
-        per_ref = ref_us + m * (avg.elapsedUs + wait_l) +
+        per_ref = kRefUs + m * (avg.elapsedUs + wait_l) +
             m * g * (x_g + wait_g);
         const double lambda = m / per_ref; // local misses/us, per CPU
         rho_l = std::min(n * lambda * s_l, 0.999);
@@ -435,7 +396,7 @@ HierQueuingModel::solve(std::uint32_t page_bytes, double m, double g,
     }
 
     Equilibrium eq;
-    eq.perRefUs = ref_us + m * (avg.elapsedUs + wait_l) +
+    eq.perRefUs = kRefUs + m * (avg.elapsedUs + wait_l) +
         m * g * (x_g + wait_g);
     eq.rhoLocal = rho_l;
     eq.rhoGlobal = rho_g;
@@ -448,9 +409,7 @@ HierQueuingModel::perProcessorPerformance(
     std::uint32_t page_bytes, double m, double g, unsigned clusters,
     unsigned cpus_per_cluster) const
 {
-    const double ref_us =
-        1.0 / (timing_.mips() * timing_.refsPerInstr);
-    return ref_us /
+    return kRefUs /
         solve(page_bytes, m, g, clusters, cpus_per_cluster).perRefUs;
 }
 
@@ -470,11 +429,9 @@ HierQueuingModel::refsPerSecond(std::uint32_t page_bytes, double m,
                                 double g, unsigned clusters,
                                 unsigned cpus_per_cluster) const
 {
-    const double refs_per_us_full =
-        timing_.mips() * timing_.refsPerInstr;
     return systemThroughput(page_bytes, m, g, clusters,
                             cpus_per_cluster) *
-        refs_per_us_full * 1e6;
+        kRefsPerUs * 1e6;
 }
 
 double
@@ -501,26 +458,24 @@ HierQueuingModel::predict(std::uint32_t page_bytes, double m, double g,
 {
     const Equilibrium eq =
         solve(page_bytes, m, g, clusters, cpus_per_cluster);
-    const double ref_us =
-        1.0 / (timing_.mips() * timing_.refsPerInstr);
     const double n = static_cast<double>(cpus_per_cluster);
     const double kn = static_cast<double>(clusters) * n;
 
     Prediction out;
-    out.perProcessorPerformance = ref_us / eq.perRefUs;
+    out.perProcessorPerformance = kRefUs / eq.perRefUs;
     out.systemThroughput = kn * out.perProcessorPerformance;
     out.rhoLocal = eq.rhoLocal;
     out.rhoGlobal = eq.rhoGlobal;
 
     // Offered loads at zero wait decide whether the open-arrival
     // assumption holds at all (mirrors QueuingModel::predict).
-    const MissCost avg = costs_.average(page_bytes);
+    const MissCost avg = MissCostModel::average(page_bytes);
     const double s_l = avg.busUs;
     const double s_g = avg.busUs;
-    const double x_g = ibc_.serviceUs + s_g + ibc_.installUs +
-        0.5 * ibc_.retryMeanUs;
+    const double x_g = Ibc::serviceUs + s_g + Ibc::installUs +
+        0.5 * Ibc::retryMeanUs;
     const double per_ref0 =
-        ref_us + m * avg.elapsedUs + m * g * x_g;
+        kRefUs + m * avg.elapsedUs + m * g * x_g;
     const double lambda0 = m / per_ref0;
     out.saturatedLocal = n * lambda0 * s_l >= 1.0;
     out.saturatedGlobal = kn * lambda0 * g * s_g >= 1.0;
@@ -545,14 +500,11 @@ HierQueuingModel::predictMva(std::uint32_t page_bytes,
     const double m = load.missRatio;
     const unsigned n = cpus_per_cluster;
     const unsigned kn = clusters * cpus_per_cluster;
-    const double refs_per_us_full =
-        timing_.mips() * timing_.refsPerInstr;
-    const double ref_us = 1.0 / refs_per_us_full;
 
     MvaPrediction out;
     if (m <= 0.0) {
         out.systemThroughput = static_cast<double>(kn);
-        out.refsPerSecond = out.systemThroughput * refs_per_us_full *
+        out.refsPerSecond = out.systemThroughput * kRefsPerUs *
             1e6;
         return out;
     }
@@ -560,24 +512,24 @@ HierQueuingModel::predictMva(std::uint32_t page_bytes,
     // Per-discipline service curves come from the flat MvaModel; the
     // coupling below uses the mean waits, which all disciplines share
     // for symmetric customers.
-    const MvaModel local(mem::Arbitration::Fifo, 4, costs_, timing_);
+    const MvaModel local;
     const double s_l = local.serviceDemandUs(page_bytes, load);
     const double elapsed = local.missElapsedUs(page_bytes, load);
     /** Global transfers move whole pages regardless of the local
      *  upgrade mix — an upgrade resolves within its cluster. */
-    const double s_g = toUsec(costs_.bus().blockNs(page_bytes));
-    const double short_us = toUsec(costs_.bus().shortTxNs);
+    const double s_g = toUsec(mem::blockNs(page_bytes));
+    const double short_us = toUsec(mem::kShortTxNs);
     /** One full miss-handler pass: trap entry, bookkeeping (the
      *  victim is gone after the first pass, so only the overlapped
      *  part remains), serial remainder. Every retry of an aborted
      *  fill re-traps and re-runs all of it. */
-    const double serial_sw = toUsec(costs_.software().trapEntryNs) +
-        toUsec(costs_.software().overlapNs) +
-        toUsec(costs_.software().postNs);
+    const double serial_sw = toUsec(proto::kTrapEntryNs) +
+        toUsec(proto::kOverlapNs) +
+        toUsec(proto::kPostNs);
     /** Board time from picking up a fetch word to the frame being
      *  usable, excluding queueing: dispatch, global round trip,
      *  install. The global wait term joins inside the iteration. */
-    const double x_board0 = ibc_.serviceUs + s_g + ibc_.installUs;
+    const double x_board0 = Ibc::serviceUs + s_g + Ibc::installUs;
 
     // Joint fixed point over three centers: the local bus (n CPU
     // customers), the inter-bus board (single server, n customers),
@@ -599,12 +551,12 @@ HierQueuingModel::predictMva(std::uint32_t page_bytes,
         // CPU retry loop period: back-off, servicing the own aborted
         // word, the full handler pass, winning the local bus, the
         // aborted transaction itself.
-        const double loop_us = ibc_.retryMeanUs + ibc_.serviceUs +
+        const double loop_us = Ibc::retryMeanUs + Ibc::serviceUs +
             serial_sw + (r_l - d_l) + short_us;
         // Time until the board has the frame ready, measured from the
         // aborted first attempt.
         const double t_ready =
-            w_ibc + ibc_.serviceUs + w_g + s_g + ibc_.installUs;
+            w_ibc + Ibc::serviceUs + w_g + s_g + Ibc::installUs;
         // Expected loops: attempt i lands near i * loop_us; waits
         // beyond the deterministic part decay like the board's
         // residual busy period (PASTA: a fraction rho_ibc of misses
@@ -629,7 +581,7 @@ HierQueuingModel::predictMva(std::uint32_t page_bytes,
         // Local bus: the fill/upgrade demand plus the aborted retry
         // attempts of the global misses.
         d_l = s_l + g * loops * short_us;
-        z_l = ref_us / m + elapsed - s_l + g * loops * loop_us;
+        z_l = kRefUs / m + elapsed - s_l + g * loops * loop_us;
         const MvaPoint pl = mvaSolve(d_l, z_l, n);
         const double cycle = z_l + pl.r; // per-miss round trip
 
@@ -642,7 +594,7 @@ HierQueuingModel::predictMva(std::uint32_t page_bytes,
             // fetch plus the echo word of its own global transaction
             // and the spurious words the extra retry attempts queue.
             const double x_board = x_board0 + w_g +
-                (1.0 + std::max(loops - 1.0, 0.0)) * ibc_.serviceUs;
+                (1.0 + std::max(loops - 1.0, 0.0)) * Ibc::serviceUs;
             const double z_ibc =
                 std::max(cycle / g - x_board, x_board);
             const MvaPoint pb = mvaSolve(x_board, z_ibc, n);
@@ -675,11 +627,11 @@ HierQueuingModel::predictMva(std::uint32_t page_bytes,
     }
 
     const double cycle = z_l + r_l;
-    out.perProcessorPerformance = ref_us / (m * cycle);
+    out.perProcessorPerformance = kRefUs / (m * cycle);
     out.systemThroughput =
         static_cast<double>(kn) * out.perProcessorPerformance;
     out.refsPerSecond =
-        out.systemThroughput * refs_per_us_full * 1e6;
+        out.systemThroughput * kRefsPerUs * 1e6;
     out.localWaitUs = r_l - d_l;
     out.globalWaitUs = w_g;
     out.ibcWaitUs = w_ibc;
@@ -694,7 +646,7 @@ HierQueuingModel::predictMva(std::uint32_t page_bytes,
     // (bursty sibling misses pile onto the single-server board), which
     // this analysis underestimates — flag the prediction out of
     // domain rather than report an optimistic number.
-    const double t_det = ibc_.serviceUs + s_g + ibc_.installUs;
+    const double t_det = Ibc::serviceUs + s_g + Ibc::installUs;
     out.retryCascade =
         g > 0.0 && (loops > 2.0 || w_ibc + w_g > t_det);
     out.domain.converged = converged;

@@ -95,25 +95,15 @@ struct MissCost
 class MissCostModel
 {
   public:
-    MissCostModel(const proto::SoftwareTiming &software = {},
-                  const mem::BusTiming &bus = {});
-
     /** Table 1 entry for one page size and victim state. */
-    MissCost perMiss(std::uint32_t page_bytes, bool victim_dirty) const;
+    static MissCost perMiss(std::uint32_t page_bytes, bool victim_dirty);
 
     /**
      * Table 2 entry: average cost with @p clean_fraction of replaced
      * pages unmodified (the paper assumes 0.75).
      */
-    MissCost average(std::uint32_t page_bytes,
-                     double clean_fraction = 0.75) const;
-
-    const proto::SoftwareTiming &software() const { return software_; }
-    const mem::BusTiming &bus() const { return bus_; }
-
-  private:
-    proto::SoftwareTiming software_;
-    mem::BusTiming bus_;
+    static MissCost average(std::uint32_t page_bytes,
+                            double clean_fraction = 0.75);
 };
 
 /**
@@ -127,9 +117,6 @@ class MissCostModel
 class PerfModel
 {
   public:
-    PerfModel(const MissCostModel &costs = MissCostModel{},
-              const cpu::M68020Timing &timing = {});
-
     /** Normalized performance at miss ratio @p m for @p page_bytes. */
     double performance(std::uint32_t page_bytes, double m,
                        double clean_fraction = 0.75) const;
@@ -137,10 +124,6 @@ class PerfModel
     /** Miss ratio that degrades performance to @p target. */
     double missRatioFor(std::uint32_t page_bytes, double target,
                         double clean_fraction = 0.75) const;
-
-  private:
-    MissCostModel costs_;
-    cpu::M68020Timing timing_;
 };
 
 /**
@@ -152,15 +135,8 @@ class PerfModel
 class BusModel
 {
   public:
-    BusModel(const MissCostModel &costs = MissCostModel{},
-             const cpu::M68020Timing &timing = {});
-
     double utilization(std::uint32_t page_bytes, double m,
                        double clean_fraction = 0.75) const;
-
-  private:
-    MissCostModel costs_;
-    cpu::M68020Timing timing_;
 };
 
 /**
@@ -172,9 +148,6 @@ class BusModel
 class QueuingModel
 {
   public:
-    QueuingModel(const MissCostModel &costs = MissCostModel{},
-                 const cpu::M68020Timing &timing = {});
-
     /** Aggregate offered bus utilization of n processors. */
     double offeredLoad(std::uint32_t page_bytes, double m,
                        unsigned n) const;
@@ -216,10 +189,6 @@ class QueuingModel
      */
     Prediction predict(std::uint32_t page_bytes, double m,
                        unsigned n) const;
-
-  private:
-    MissCostModel costs_;
-    cpu::M68020Timing timing_;
 };
 
 /**
@@ -249,9 +218,7 @@ class MvaModel
   public:
     explicit MvaModel(
         mem::Arbitration discipline = mem::Arbitration::Fifo,
-        unsigned priority_levels = 4,
-        const MissCostModel &costs = MissCostModel{},
-        const cpu::M68020Timing &timing = {});
+        unsigned priority_levels = 4);
 
     struct Prediction
     {
@@ -294,21 +261,19 @@ class MvaModel
   private:
     mem::Arbitration discipline_;
     unsigned priorityLevels_;
-    MissCostModel costs_;
-    cpu::M68020Timing timing_;
 };
 
 /** Instruction-time budget of the inter-bus board software, in
- *  microseconds: the default proto::SoftwareTiming service quantum and
- *  mean retry back-off, and hier::InterBusBoard::installNs. */
+ *  microseconds, read from the proto/timing.hh costs. */
 struct IbcCostModel
 {
     /** Dispatch + bookkeeping per serviced request word. */
-    double serviceUs = 3.0;
+    static constexpr double serviceUs = toUsec(proto::kServiceNs);
     /** Image install + table update after a global fetch. */
-    double installUs = 2.0;
+    static constexpr double installUs = toUsec(proto::kInstallNs);
     /** Mean back-off before retrying an aborted global transfer. */
-    double retryMeanUs = 7.0;
+    static constexpr double retryMeanUs =
+        toUsec(proto::kRetryNs + proto::kRetryJitterNs / 2);
 };
 
 /**
@@ -329,10 +294,6 @@ struct IbcCostModel
 class HierQueuingModel
 {
   public:
-    HierQueuingModel(const MissCostModel &costs = MissCostModel{},
-                     const cpu::M68020Timing &timing = {},
-                     const IbcCostModel &ibc = {});
-
     /**
      * Expected per-processor performance, normalized to 1 at zero
      * misses. @p m is the per-CPU cache miss ratio and @p g the
@@ -456,10 +417,6 @@ class HierQueuingModel
     Equilibrium solve(std::uint32_t page_bytes, double m, double g,
                       unsigned clusters,
                       unsigned cpus_per_cluster) const;
-
-    MissCostModel costs_;
-    cpu::M68020Timing timing_;
-    IbcCostModel ibc_;
 };
 
 } // namespace vmp::analytic

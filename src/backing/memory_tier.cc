@@ -121,7 +121,7 @@ MemoryTier::fetchPage(Asid asid, std::uint64_t vpn, Addr host_paddr,
         auto image = std::make_shared<std::vector<std::uint8_t>>(
             frame.data);
         updateStream(asid, vpn);
-        deliverFetch(asid, vpn, host_paddr, cfg_.arenaHitNs,
+        deliverFetch(asid, vpn, host_paddr, kArenaHitNs,
                      std::move(image), start, std::move(done));
         return;
     }
@@ -224,7 +224,7 @@ MemoryTier::storePage(Asid asid, std::uint64_t vpn, Addr host_paddr,
                    });
         return;
     }
-    events_.scheduleIn(cfg_.arenaAcceptNs,
+    events_.scheduleIn(kArenaAcceptNs,
                        [accept, data = std::move(data)]() mutable {
                            accept(std::move(data));
                        },
@@ -301,7 +301,7 @@ MemoryTier::startBatch()
         const Tick cost =
             i == 0 ? model.transferNs(cfg_.pageBytes)
                    : std::max(model.streamNs(cfg_.pageBytes),
-                              cfg_.pipelineIntervalNs);
+                              kPipelineIntervalNs);
         when += cost;
         DrainItem item{batch[i], frame.stamp,    frame.dirtyEpoch,
                        frame.asid, frame.vpn,
@@ -403,7 +403,7 @@ MemoryTier::issuePrefetches(Asid asid, std::uint64_t vpn)
         const std::uint64_t sgen = spaceGen(asid);
         events_.scheduleIn(
             model.transferNs(cfg_.pageBytes) +
-                d * cfg_.pipelineIntervalNs,
+                d * kPipelineIntervalNs,
             [this, asid, next, gen, sgen, image, issued_at] {
                 const Stream &cur = streams_[asid];
                 if (cur.gen != gen || spaceGen(asid) != sgen) {

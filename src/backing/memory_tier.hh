@@ -57,6 +57,14 @@ enum class TierMode : std::uint8_t
     Async,
 };
 
+/** Node-side cost of accepting one page-out into the arena when no
+ *  DMA device is attached (DMA models the transfer itself). */
+inline constexpr Tick kArenaAcceptNs = usec(2);
+/** Node-side cost of serving a page-in from the arena. */
+inline constexpr Tick kArenaHitNs = usec(2);
+/** Minimum spacing of pipelined pages within a drain batch. */
+inline constexpr Tick kPipelineIntervalNs = usec(20);
+
 /** Memory-tier configuration knobs. */
 struct TierConfig
 {
@@ -73,13 +81,6 @@ struct TierConfig
     /** Start draining once this many frames are dirty
      *  (0 = arenaFrames / 2). */
     std::uint32_t dirtyHighWater = 0;
-    /** Node-side cost of accepting one page-out into the arena when
-     *  no DMA device is attached (DMA models the transfer itself). */
-    Tick arenaAcceptNs = usec(2);
-    /** Node-side cost of serving a page-in from the arena. */
-    Tick arenaHitNs = usec(2);
-    /** Minimum spacing of pipelined pages within a drain batch. */
-    Tick pipelineIntervalNs = usec(20);
     /** Backend of address spaces with no explicit setBackend(). */
     BackendKind defaultBackend = BackendKind::Disk;
     /** Pages prefetched ahead of a detected stream (0 = off). */

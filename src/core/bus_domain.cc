@@ -55,7 +55,7 @@ BusDomain::BusDomain(EventQueue &events, std::uint64_t mem_bytes,
                      std::uint32_t page_bytes,
                      const mem::ArbitrationConfig &arbitration)
     : events(events), memory(mem_bytes, page_bytes),
-      bus(events, memory, mem::BusTiming{}, arbitration)
+      bus(events, memory, arbitration)
 {}
 
 BusDomain::~BusDomain() = default;
@@ -349,10 +349,10 @@ Machine::attachIdleServicers()
 }
 
 std::vector<proto::ProtocolClient *>
-Machine::clients() const
+Machine::clients()
 {
     std::vector<proto::ProtocolClient *> all;
-    for (const auto &domain : domains_) {
+    for (auto &domain : domains_) {
         if (domain->bridge)
             all.push_back(domain->bridge.get());
         for (auto &board : domain->boards)

@@ -361,7 +361,7 @@ class Machine
      *  on its board or inter-bus board. */
     void armPartialFault(const fault::PartialFaultSpec &spec);
     /** Every protocol client: each domain's bridge, then its boards. */
-    std::vector<proto::ProtocolClient *> clients() const;
+    std::vector<proto::ProtocolClient *> clients();
     /** The one stat-group layout dumpStats and statsJson share. */
     void buildStats(std::vector<std::unique_ptr<StatGroup>> &groups,
                     StatRegistry &registry) const;

@@ -15,8 +15,8 @@ HierConfig::clusterConfig() const
     cfg.processors = cpusPerCluster;
     cfg.cache = cache;
     cfg.memBytes = memBytes;
-    cfg.arbitration = localArbitration;
-    cfg.swTiming = swTiming;
+    cfg.arbitration = arbitration;
+    cfg.deadOwnerTimeoutNs = deadOwnerTimeoutNs;
     cfg.fifoCapacity = fifoCapacity;
     return cfg;
 }
@@ -34,8 +34,7 @@ HierConfig::check() const
               "page size");
     if (fifoCapacity == 0 || ibcFifoCapacity == 0)
         fatal("hier: FIFO capacities must be positive");
-    localArbitration.check();
-    globalArbitration.check();
+    arbitration.check();
 }
 
 std::string
@@ -58,19 +57,19 @@ HierVmpSystem::HierVmpSystem(const HierConfig &config,
     cfg_.check();
     useTranslator(translator, cfg_.memBytes, cfg_.cache.pageBytes);
     BusDomain &global = addDomain(cfg_.memBytes, cfg_.cache.pageBytes,
-                                  cfg_.globalArbitration);
+                                  cfg_.arbitration);
     global.busName = "global_bus";
     global.groupSuffix = ".global";
     const VmpConfig cluster_cfg = cfg_.clusterConfig();
     for (std::uint32_t k = 0; k < cfg_.clusters; ++k) {
         BusDomain &domain = addDomain(cfg_.memBytes, cfg_.cache.pageBytes,
-                                      cfg_.localArbitration);
+                                      cfg_.arbitration);
         domain.groupPrefix = "c" + std::to_string(k) + ".";
         domain.busName = domain.groupPrefix + "bus";
         // The bridge's local monitor watches the bus before the CPUs'.
         domain.bridge = std::make_unique<hier::InterBusBoard>(
             k, cfg_.totalCpus() + k, events(), domain.bus, global.bus,
-            domain.memory, cfg_.swTiming, cfg_.ibcFifoCapacity);
+            domain.memory, cfg_.ibcFifoCapacity);
         global.globalClients.push_back(domain.bridge.get());
         addBoards(domain, cfg_.cpusPerCluster, cluster_cfg);
     }

@@ -40,11 +40,11 @@ struct HierConfig
     cache::CacheConfig cache{256, 4, 256, true};
     /** Main-memory size; every cluster image is the same size. */
     std::uint64_t memBytes = MiB(8);
-    /** Arbitration discipline of every local bus. */
-    mem::ArbitrationConfig localArbitration{};
-    /** Arbitration discipline of the global bus. */
-    mem::ArbitrationConfig globalArbitration{};
-    proto::SoftwareTiming swTiming{};
+    /** Arbitration discipline of every bus, local and global. */
+    mem::ArbitrationConfig arbitration{};
+    /** Dead-owner deadline of every processor's controller (0
+     *  disables it); the inter-bus boards have none. */
+    Tick deadOwnerTimeoutNs = proto::kDeadOwnerTimeoutNs;
     /** Processor bus-monitor FIFO depth. */
     std::size_t fifoCapacity = 128;
     /** Inter-bus board FIFO depth (both FIFOs). */

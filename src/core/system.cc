@@ -29,7 +29,7 @@ ProcessorBoard::ProcessorBoard(CpuId id, EventQueue &events,
       monitor(id, config.memBytes, config.cache.pageBytes,
               config.fifoCapacity),
       controller(id, events, cache, monitor, bus, translator,
-                 config.swTiming)
+                 config.deadOwnerTimeoutNs)
 {
     bus.attachWatcher(id, monitor);
 }

@@ -33,8 +33,8 @@ struct VmpConfig
     std::uint64_t memBytes = MiB(8);
     /** Bus arbitration discipline (default: plain FIFO). */
     mem::ArbitrationConfig arbitration{};
-    /** Software miss-handler instruction budget. */
-    proto::SoftwareTiming swTiming{};
+    /** Dead-owner deadline of every controller (0 disables it). */
+    Tick deadOwnerTimeoutNs = proto::kDeadOwnerTimeoutNs;
     /** Bus-monitor interrupt FIFO depth. */
     std::size_t fifoCapacity = 128;
 

@@ -1,5 +1,6 @@
 #include "cpu/program_cpu.hh"
 
+#include "cpu/timing.hh"
 #include "sim/logging.hh"
 
 namespace vmp::cpu
@@ -7,10 +8,9 @@ namespace vmp::cpu
 
 ProgramCpu::ProgramCpu(CpuId id, EventQueue &events,
                        proto::CacheController &controller, Asid asid,
-                       Program program, const M68020Timing &timing,
-                       std::uint64_t max_ops)
+                       Program program, std::uint64_t max_ops)
     : id_(id), events_(events), controller_(controller), asid_(asid),
-      program_(std::move(program)), timing_(timing), maxOps_(max_ops)
+      program_(std::move(program)), maxOps_(max_ops)
 {
     controller_.setNotifyHandler(
         [this](Addr paddr) { onNotify(paddr); });
@@ -69,7 +69,7 @@ ProgramCpu::onNotify(Addr)
     waitingNotify_ = false;
     controller_.setIrqService(proto::IrqService::Polled);
     events_.deschedule(notifyTimeout_);
-    events_.scheduleIn(timing_.instrNs(), [this] { finishOp(); },
+    events_.scheduleIn(instrNs(), [this] { finishOp(); },
                        "notify-wake");
 }
 
@@ -110,7 +110,7 @@ ProgramCpu::step()
     }
 
     const Op op = program_[pc_++];
-    const Tick instr = timing_.instrNs();
+    const Tick instr = instrNs();
 
     switch (op.kind) {
       case OpKind::Read:

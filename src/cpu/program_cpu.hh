@@ -13,7 +13,6 @@
 #include <functional>
 
 #include "cpu/program.hh"
-#include "cpu/timing.hh"
 #include "proto/controller.hh"
 #include "sim/event.hh"
 #include "sim/stats.hh"
@@ -33,8 +32,7 @@ class ProgramCpu
      */
     ProgramCpu(CpuId id, EventQueue &events,
                proto::CacheController &controller, Asid asid,
-               Program program, const M68020Timing &timing = {},
-               std::uint64_t max_ops = 10'000'000);
+               Program program, std::uint64_t max_ops = 10'000'000);
     ~ProgramCpu();
 
     /** Start execution; @p done fires at Halt (or end of program). */
@@ -64,7 +62,6 @@ class ProgramCpu
     proto::CacheController &controller_;
     Asid asid_;
     Program program_;
-    M68020Timing timing_;
     std::uint64_t maxOps_;
     Done done_;
 

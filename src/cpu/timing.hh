@@ -14,39 +14,35 @@
 namespace vmp::cpu
 {
 
-/** MC68020-style execution-rate parameters. */
-struct M68020Timing
+/** Processor clock period. */
+inline constexpr Tick kClockNs = 60;
+/** Average clocks per instruction (MacGregor[16]). */
+inline constexpr double kClocksPerInstr = 7.0;
+/** Average memory references per instruction. */
+inline constexpr double kRefsPerInstr = 1.2;
+
+/** Time for one average instruction (417 ns, 2.4 MIPS). */
+constexpr Tick
+instrNs()
 {
-    /** Processor clock period. */
-    Tick clockNs = 60;
-    /** Average clocks per instruction (MacGregor[16]). */
-    double clocksPerInstr = 7.0;
-    /** Average memory references per instruction. */
-    double refsPerInstr = 1.2;
+    return static_cast<Tick>(static_cast<double>(kClockNs) *
+                             kClocksPerInstr);
+}
 
-    /** Time for one average instruction (417 ns, 2.4 MIPS). */
-    Tick
-    instrNs() const
-    {
-        return static_cast<Tick>(static_cast<double>(clockNs) *
-                                 clocksPerInstr);
-    }
+/** Full-speed time attributed to one memory reference. */
+constexpr Tick
+refNs()
+{
+    return static_cast<Tick>(static_cast<double>(instrNs()) /
+                             kRefsPerInstr);
+}
 
-    /** Full-speed time attributed to one memory reference. */
-    Tick
-    refNs() const
-    {
-        return static_cast<Tick>(static_cast<double>(instrNs()) /
-                                 refsPerInstr);
-    }
-
-    /** Instruction execution rate in MIPS. */
-    double
-    mips() const
-    {
-        return 1000.0 / static_cast<double>(instrNs());
-    }
-};
+/** Instruction execution rate in MIPS. */
+constexpr double
+mips()
+{
+    return 1000.0 / static_cast<double>(instrNs());
+}
 
 } // namespace vmp::cpu
 

@@ -10,9 +10,8 @@ namespace vmp::cpu
 
 TraceCpu::TraceCpu(CpuId id, EventQueue &events,
                    proto::CacheController &controller,
-                   trace::RefSource &refs, const M68020Timing &timing)
+                   trace::RefSource &refs)
     : id_(id), events_(events), controller_(controller), source_(refs),
-      timing_(timing), refNs_(timing.refNs()), period_(refNs_),
       lane_(events.addLane(
           [](void *cpu) { static_cast<TraceCpu *>(cpu)->present(); },
           this))
@@ -34,13 +33,9 @@ void
 TraceCpu::setPeers(const std::vector<TraceCpu *> &cpus)
 {
     peers_.clear();
-    reach_ = maxTick;
     for (const TraceCpu *cpu : cpus) {
-        if (cpu != this) {
+        if (cpu != this)
             peers_.push_back(Peer{cpu->lane_, &cpu->controller_});
-            reach_ = std::min(reach_,
-                              cpu->controller_.timing().trapEntryNs);
-        }
     }
 }
 
@@ -132,7 +127,7 @@ TraceCpu::step()
     // service, a miss's done-chain) sits inside other work that may
     // still schedule, so it never batches.
     if (fetch())
-        events_.scheduleLane(lane_, events_.now() + refNs_);
+        events_.scheduleLane(lane_, events_.now() + kRefNs);
 }
 
 void
@@ -155,15 +150,15 @@ TraceCpu::present()
     if (!fetch(mode == Pending::End))
         return;
 
-    // The batch: retire the references at at, at + refNs, ... without
+    // The batch: retire the references at at, at + kRefNs, ... without
     // dispatching while each one and its boundary fall below the
     // lookahead bound. The first one that is not a plain hit, a
     // boundary with work to do, or the bound ends it with one step at
     // its tick: below the bound, where nothing created meanwhile can
     // land, that step sorts as one event per reference would.
-    Tick at = events_.now() + refNs_;
+    Tick at = events_.now() + kRefNs;
     const Tick bound = lookahead(at);
-    while (at + refNs_ < bound &&
+    while (at + kRefNs < bound &&
            controller_.cache().accessHit(ref_.asid, ref_.vaddr,
                                          ref_.isWrite(), ref_.supervisor) !=
                cache::noSlot) {
@@ -174,7 +169,7 @@ TraceCpu::present()
             pending_ = busy ? Pending::Boundary : Pending::End;
             break;
         }
-        at += refNs_;
+        at += kRefNs;
     }
     events_.scheduleLane(lane_, at);
 }
@@ -197,12 +192,12 @@ TraceCpu::scanPeers(Tick at, Tick bound) const
         const Tick step = events_.laneStep(peer.lane).when;
         if (step >= bound - 1)
             continue;
-        const bool tie = step > now && period_.divides(step - now);
+        const bool tie = step > now && (step - now) % kRefNs == 0;
         bound = std::min(bound, step + (tie ||
                                         peer.controller->interruptPending()
                                             ? 1
-                                            : reach_));
-        if (at + refNs_ >= bound)
+                                            : proto::kTrapEntryNs));
+        if (at + kRefNs >= bound)
             break;
     }
     return bound;
@@ -218,7 +213,7 @@ TraceCpu::elapsed() const
 Tick
 TraceCpu::idealTicks() const
 {
-    return refs_.value() * refNs_;
+    return refs_.value() * kRefNs;
 }
 
 double

@@ -33,8 +33,7 @@ class TraceCpu
     using Done = std::function<void()>;
 
     TraceCpu(CpuId id, EventQueue &events,
-             proto::CacheController &controller, trace::RefSource &refs,
-             const M68020Timing &timing = {});
+             proto::CacheController &controller, trace::RefSource &refs);
     ~TraceCpu();
 
     /** Start executing; @p done fires when the trace is exhausted. */
@@ -127,13 +126,13 @@ class TraceCpu
         const EventId &first = events_.firstLane();
         if (peers_.empty() || !first.valid() || next != first.when)
             return next;
-        // No peer reaches further than reach_ past its step. A scan
-        // costs a few ns a peer and a batched reference saves a
+        // No peer reaches further than kTrapEntryNs past its step. A
+        // scan costs a few ns a peer and a batched reference saves a
         // dispatch: scan only if one more reference per four fits.
-        Tick bound = std::min(events_.heapTop(), next + reach_);
+        Tick bound = std::min(events_.heapTop(), next + proto::kTrapEntryNs);
         if (events_.runLimit() < bound)
             bound = events_.runLimit() + 1;
-        if (bound <= at + refNs_ * (1 + peers_.size() / 4))
+        if (bound <= at + kRefNs * (1 + peers_.size() / 4))
             return next;
         return scanPeers(at, bound);
     }
@@ -141,14 +140,13 @@ class TraceCpu
      *  at @p at fits below it. */
     Tick scanPeers(Tick at, Tick bound) const;
 
+    /** Full-speed time of one reference. */
+    static constexpr Tick kRefNs = refNs();
+
     CpuId id_;
     EventQueue &events_;
     proto::CacheController &controller_;
     trace::RefSource &source_;
-    M68020Timing timing_;
-    /** timing_.refNs(), computed once, and its phase test. */
-    Tick refNs_;
-    Period period_;
     /** This CPU's lane in events_: at most one presentation pending. */
     std::uint32_t lane_;
     Done done_;
@@ -157,8 +155,6 @@ class TraceCpu
     trace::MemRef ref_;
     Pending pending_ = Pending::Present;
     std::vector<Peer> peers_;
-    /** The least trapEntryNs among peers_. */
-    Tick reach_ = 0;
     bool running_ = false;
     bool pendingFailstop_ = false;
     bool halted_ = false;

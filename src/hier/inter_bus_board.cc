@@ -13,30 +13,14 @@ using mem::ActionEntry;
 using mem::TxType;
 using mem::WatchVerdict;
 
-const Tick InterBusBoard::installNs = 2000;
-
-namespace
-{
-
-/** The machine's timing without the dead-owner deadline. */
-proto::SoftwareTiming
-withoutDeadline(proto::SoftwareTiming timing)
-{
-    timing.deadOwnerTimeoutNs = 0;
-    return timing;
-}
-
-} // namespace
-
 InterBusBoard::InterBusBoard(std::uint32_t cluster_index,
                              std::uint32_t local_master_id,
                              EventQueue &events, mem::VmeBus &local_bus,
                              mem::VmeBus &global_bus,
                              mem::PhysMem &image,
-                             const proto::SoftwareTiming &timing,
                              std::size_t fifo_capacity)
     : ProtocolClient("ibc", cluster_index, events, globalMonitor_,
-                     global_bus, image.pageBytes(), withoutDeadline(timing),
+                     global_bus, image.pageBytes(), 0,
                      0x51C5'A11Du * (cluster_index + 1) + 0x0B0Au),
       localId_(local_master_id), localBus_(local_bus), image_(image),
       localTable_(image.size(), image.pageBytes()),
@@ -196,7 +180,7 @@ InterBusBoard::pump()
         ++requestsServiced();
         noteProgress();
         local_.word = *word;
-        afterSoftware(timing().serviceNs,
+        afterSoftware(proto::kServiceNs,
                       Thunk::to<&InterBusBoard::startLocalWord>(this));
         return;
     }
@@ -324,7 +308,8 @@ InterBusBoard::retryAfterDrain()
 void
 InterBusBoard::install()
 {
-    afterSoftware(installNs, Thunk::to<&InterBusBoard::installed>(this));
+    afterSoftware(proto::kInstallNs,
+                  Thunk::to<&InterBusBoard::installed>(this));
 }
 
 void

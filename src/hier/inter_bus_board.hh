@@ -65,9 +65,9 @@ namespace vmp::hier
  * local ownership upgrades until the global upgrade completes) and is
  * a proto::ProtocolClient, over its own monitor, on the *global* bus.
  *
- * The board's software runs on the machine's proto::SoftwareTiming: a
- * service quantum per word taken (global or local), the jittered retry
- * back-off, and installNs per installed page. Its retry loops have no
+ * The board's software runs on the proto/timing.hh costs: a service
+ * quantum per word taken (global or local), the jittered retry
+ * back-off, and kInstallNs per installed page. Its retry loops have no
  * dead-owner deadline: they keep retrying until their frame comes.
  *
  * A failstop kills the board's *software*: the service loop stops at
@@ -84,24 +84,17 @@ namespace vmp::hier
 class InterBusBoard : public mem::BusWatcher, public proto::ProtocolClient
 {
   public:
-    /** Install a fetched page in the image and update the tables. */
-    static const Tick installNs;
-
     /**
      * @param cluster_index this cluster's master id on the global bus
      * @param local_master_id the board's master id on the local bus
      *        (must not collide with the cluster's CPU ids)
      * @param image the cluster image (local bus memory); same size and
      *        page geometry as main memory
-     * @param timing the machine's software timing; its dead-owner
-     *        deadline is not used
      */
     InterBusBoard(std::uint32_t cluster_index,
                   std::uint32_t local_master_id, EventQueue &events,
                   mem::VmeBus &local_bus, mem::VmeBus &global_bus,
-                  mem::PhysMem &image,
-                  const proto::SoftwareTiming &timing = {},
-                  std::size_t fifo_capacity = 128);
+                  mem::PhysMem &image, std::size_t fifo_capacity = 128);
 
     std::uint32_t localMasterId() const { return localId_; }
 

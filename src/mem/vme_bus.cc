@@ -101,28 +101,9 @@ BusTransaction::toString() const
     return os.str();
 }
 
-Tick
-BusTiming::blockNs(std::uint32_t bytes) const
-{
-    if (bytes == 0)
-        return 0;
-    const std::uint32_t words = (bytes + 3) / 4;
-    return firstWordNs + static_cast<Tick>(words - 1) * wordNs;
-}
-
-Tick
-BusTiming::occupancy(TxType type, std::uint32_t bytes) const
-{
-    // The 150 ns check/update interval is overlapped with the block
-    // transfer (Figure 2), so block transactions cost only the
-    // transfer; short transactions cost one address/check cycle.
-    return movesData(type) ? blockNs(bytes) : shortTxNs;
-}
-
 VmeBus::VmeBus(EventQueue &events, PhysMem &memory,
-               const BusTiming &timing,
                const ArbitrationConfig &arbitration)
-    : events_(events), mem_(memory), timing_(timing), arb_(arbitration)
+    : events_(events), mem_(memory), arb_(arbitration)
 {
     arb_.check();
     if (arb_.discipline == Arbitration::Priority) {
@@ -222,7 +203,7 @@ VmeBus::request(const BusTransaction &tx, Completion done)
     // branch.
     if (!fenced_.empty() && isMasterFenced(tx.requester)) {
         ++fencedDrops_;
-        events_.scheduleIn(timing_.shortTxNs,
+        events_.scheduleIn(kShortTxNs,
                            Thunk{bounce, done.client, done.token},
                            "bus-fence-bounce");
         return;
@@ -297,10 +278,10 @@ VmeBus::grant()
         } else if (movesData(tx.type) && hooks_->injectTruncate(tx)) {
             aborted = true;
             ++injectedAborts_;
-            const Tick block = timing_.blockNs(tx.bytes);
-            bus_time_override = block > timing_.abortNs
-                ? timing_.abortNs + (block - timing_.abortNs) / 2
-                : timing_.abortNs;
+            const Tick block = blockNs(tx.bytes);
+            bus_time_override = block > kAbortNs
+                ? kAbortNs + (block - kAbortNs) / 2
+                : kAbortNs;
             VMP_DTRACE(debug::Fault, events_.now(),
                        "truncated transfer ", tx.toString(),
                        " busTime=", bus_time_override);
@@ -308,8 +289,8 @@ VmeBus::grant()
     }
 
     const Tick bus_time = bus_time_override != 0 ? bus_time_override
-        : aborted ? timing_.abortNs
-                  : timing_.occupancy(tx.type, tx.bytes);
+        : aborted ? kAbortNs
+                  : occupancy(tx.type, tx.bytes);
     VMP_DTRACE(debug::Bus, events_.now(), tx.toString(),
                aborted ? " ABORTED" : " granted", " busTime=",
                bus_time);

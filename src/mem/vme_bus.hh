@@ -82,29 +82,42 @@ struct ArbitrationConfig
     void check() const;
 };
 
-/** Timing parameters of bus and memory (Sections 2, 4 and 5.1). */
-struct BusTiming
-{
-    /** First sequential access to a memory board. */
-    Tick firstWordNs = 300;
-    /** Each subsequent sequential 32-bit word. */
-    Tick wordNs = 100;
-    /** Consistency-check / action-table-update interval. */
-    Tick checkNs = 150;
-    /**
-     * Bus occupancy of non-block transactions (assert-ownership,
-     * notify, write-action-table): one address/check cycle.
-     */
-    Tick shortTxNs = 450;
-    /** Occupancy of an aborted transaction (terminates at the end of
-     *  the current memory reference). */
-    Tick abortNs = 450;
+// Timing of bus and memory (Sections 2, 4 and 5.1).
 
-    /** Block transfer occupancy for @p bytes (32-bit strobes). */
-    Tick blockNs(std::uint32_t bytes) const;
-    /** Total bus occupancy of a (successful) transaction. */
-    Tick occupancy(TxType type, std::uint32_t bytes) const;
-};
+/** First sequential access to a memory board. */
+inline constexpr Tick kFirstWordNs = 300;
+/** Each subsequent sequential 32-bit word. */
+inline constexpr Tick kWordNs = 100;
+/** Consistency-check / action-table-update interval. */
+inline constexpr Tick kCheckNs = 150;
+/**
+ * Bus occupancy of non-block transactions (assert-ownership,
+ * notify, write-action-table): one address/check cycle.
+ */
+inline constexpr Tick kShortTxNs = 450;
+/** Occupancy of an aborted transaction (terminates at the end of
+ *  the current memory reference). */
+inline constexpr Tick kAbortNs = 450;
+
+/** Block transfer occupancy for @p bytes (32-bit strobes). */
+constexpr Tick
+blockNs(std::uint32_t bytes)
+{
+    if (bytes == 0)
+        return 0;
+    const std::uint32_t words = (bytes + 3) / 4;
+    return kFirstWordNs + static_cast<Tick>(words - 1) * kWordNs;
+}
+
+/** Total bus occupancy of a (successful) transaction. */
+constexpr Tick
+occupancy(TxType type, std::uint32_t bytes)
+{
+    // The 150 ns check/update interval is overlapped with the block
+    // transfer (Figure 2), so block transactions cost only the
+    // transfer; short transactions cost one address/check cycle.
+    return movesData(type) ? blockNs(bytes) : kShortTxNs;
+}
 
 /**
  * Interface bus monitors implement to watch the bus. observe() is called
@@ -169,7 +182,6 @@ class VmeBus : private BusClient
     using Callback = std::function<void(const TxResult &)>;
 
     VmeBus(EventQueue &events, PhysMem &memory,
-           const BusTiming &timing = {},
            const ArbitrationConfig &arbitration = {});
 
     /**
@@ -197,7 +209,6 @@ class VmeBus : private BusClient
     /** True if a transaction currently occupies the bus. */
     bool busy() const { return busy_; }
 
-    const BusTiming &timing() const { return timing_; }
     const ArbitrationConfig &arbitration() const { return arb_; }
 
     /**
@@ -336,7 +347,6 @@ class VmeBus : private BusClient
 
     EventQueue &events_;
     PhysMem &mem_;
-    BusTiming timing_;
     ArbitrationConfig arb_;
     std::vector<std::pair<std::uint32_t, BusWatcher *>> watchers_;
     /** Per-master level overrides (Priority discipline). */

@@ -30,20 +30,17 @@ ProtocolClient::ProtocolClient(const char *kind, std::uint32_t id,
                                EventQueue &events,
                                monitor::BusMonitor &monitor,
                                mem::VmeBus &bus, std::uint32_t page_bytes,
-                               const SoftwareTiming &timing,
+                               Tick dead_owner_timeout_ns,
                                std::uint64_t seed)
     : events_(events), kind_(kind), id_(id), monitor_(monitor), bus_(bus),
       copier_(id, bus), pageBytes_(page_bytes), staging_(page_bytes),
-      timing_(timing), rng_(seed)
+      deadOwnerTimeoutNs_(dead_owner_timeout_ns), rng_(seed)
 {}
 
 Tick
 ProtocolClient::retryDelay()
 {
-    Tick delay = timing_.retryNs;
-    if (timing_.retryJitterNs > 0)
-        delay += rng_.below(timing_.retryJitterNs + 1);
-    return delay;
+    return kRetryNs + rng_.below(kRetryJitterNs + 1);
 }
 
 void
@@ -177,8 +174,8 @@ ProtocolClient::deadOwnerCheck(const char *operation, Addr vaddr,
                                Addr paddr, std::uint64_t attempts,
                                Tick started)
 {
-    if (timing_.deadOwnerTimeoutNs == 0 ||
-        events_.now() - started < timing_.deadOwnerTimeoutNs)
+    if (deadOwnerTimeoutNs_ == 0 ||
+        events_.now() - started < deadOwnerTimeoutNs_)
         return false;
     ++deadOwnerErrors_;
     DeadOwnerError error;
@@ -331,7 +328,7 @@ ProtocolClient::serviceInterrupts(Thunk done)
         // is deferred by one futile service quantum — simulated time
         // advances (callers re-poll without livelocking at one tick)
         // while the epoch stays frozen.
-        events_.scheduleIn(timing_.serviceNs, done, "svc-wedged");
+        events_.scheduleIn(kServiceNs, done, "svc-wedged");
         return;
     }
     if (!interruptPending()) {
@@ -383,7 +380,7 @@ ProtocolClient::drain()
     ++serviceEpoch_;
     // slowFactor_ is 1 on a healthy board — multiplying the charge by
     // one keeps the unfaulted run bit-identical.
-    serviceCpuNs_ += timing_.serviceNs * slowFactor_;
+    serviceCpuNs_ += kServiceNs * slowFactor_;
     takeWord(*word, Thunk::to<&ProtocolClient::drain>(this));
 }
 
@@ -405,7 +402,7 @@ ProtocolClient::takeWord(const monitor::InterruptWord &word, Thunk next)
                " service word ", mem::txTypeName(word.type), " pa=0x",
                std::hex, word.paddr, std::dec, " from=", word.requester,
                word.aborted ? " (aborted)" : "");
-    afterSoftware(timing_.serviceNs * slowFactor_,
+    afterSoftware(kServiceNs * slowFactor_,
                   Thunk::to<&ProtocolClient::serveWord>(
                       this, words_.put(WordOp{word, next})));
 }

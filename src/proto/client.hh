@@ -114,11 +114,12 @@ class ProtocolClient : public mem::BusClient
     /**
      * @param kind "cpu" or "ibc": names the client in reports
      * @param id the client's master id on @p bus
+     * @param dead_owner_timeout_ns the dead-owner deadline (0: none)
      * @param seed seed of the retry-jitter stream
      */
     ProtocolClient(const char *kind, std::uint32_t id, EventQueue &events,
                    monitor::BusMonitor &monitor, mem::VmeBus &bus,
-                   std::uint32_t page_bytes, const SoftwareTiming &timing,
+                   std::uint32_t page_bytes, Tick dead_owner_timeout_ns,
                    std::uint64_t seed);
     virtual ~ProtocolClient() = default;
     ProtocolClient(const ProtocolClient &) = delete;
@@ -130,7 +131,7 @@ class ProtocolClient : public mem::BusClient
     mem::BlockCopier &copier() { return copier_; }
     monitor::BusMonitor &monitor() { return monitor_; }
     const monitor::BusMonitor &monitor() const { return monitor_; }
-    const SoftwareTiming &timing() const { return timing_; }
+    Tick deadOwnerTimeoutNs() const { return deadOwnerTimeoutNs_; }
     std::uint32_t pageBytes() const { return pageBytes_; }
     std::uint64_t frameOf(Addr paddr) const { return paddr / pageBytes_; }
     Addr frameBase(Addr paddr) const { return alignDown(paddr, pageBytes_); }
@@ -438,7 +439,7 @@ class ProtocolClient : public mem::BusClient
     mem::BlockCopier copier_;
     std::uint32_t pageBytes_;
     std::vector<std::uint8_t> staging_;
-    SoftwareTiming timing_;
+    Tick deadOwnerTimeoutNs_;
     Rng rng_;
     obs::EventTracer *tracer_ = nullptr;
     std::uint16_t traceTrack_ = 0;

@@ -32,9 +32,9 @@ CacheController::CacheController(CpuId cpu, EventQueue &events,
                                  monitor::BusMonitor &busMonitor,
                                  mem::VmeBus &bus,
                                  Translator &translator,
-                                 const SoftwareTiming &timing)
+                                 Tick dead_owner_timeout_ns)
     : ProtocolClient("cpu", cpu, events, busMonitor, bus,
-                     cache.config().pageBytes, timing,
+                     cache.config().pageBytes, dead_owner_timeout_ns,
                      0x9E3779B9u * (cpu + 1) + 0x1234),
       cache_(cache), translator_(translator),
       slotFrame_(cache.config().totalSlots(), noFrame),
@@ -237,7 +237,7 @@ CacheController::dispatchMiss(const cache::AccessResult &res)
       case cache::MissKind::Protection:
         // Trap entry, then translation.
         tracePhase(obs::MissPhase::Trap);
-        afterSoftware(timing().trapEntryNs,
+        afterSoftware(kTrapEntryNs,
                       Thunk::to<&CacheController::translateMiss>(this));
         return;
       case cache::MissKind::None:
@@ -348,7 +348,7 @@ CacheController::victimJoined()
     if (--misses_.back().joins != 0)
         return;
     tracePhase(obs::MissPhase::TableLookup);
-    afterSoftware(timing().postNs,
+    afterSoftware(kPostNs,
                   Thunk::to<&CacheController::issueFill>(this));
 }
 
@@ -416,7 +416,7 @@ CacheController::missWithTranslation()
     m.joins = 1;
     cache::Slot &slot = cache_.slot(victim);
     if (!slot.valid()) {
-        afterSoftware(timing().overlapNs, joined);
+        afterSoftware(kOverlapNs, joined);
         return;
     }
 
@@ -428,7 +428,7 @@ CacheController::missWithTranslation()
     if (slot.modified()) {
         // Dirty implies privately owned: write the page back,
         // releasing ownership (entry -> 00), overlapped with up to
-        // overlapNs of bookkeeping.
+        // kOverlapNs of bookkeeping.
         m.dirty = true;
         m.joins = 2;
         auto buffer = copyPage(victim);
@@ -436,7 +436,7 @@ CacheController::missWithTranslation()
         cache_.invalidate(victim);
         writeBack(frame, std::move(buffer), mem::ActionEntry::Ignore,
                   violationCount_, joined);
-        afterSoftware(timing().overlapNs, joined);
+        afterSoftware(kOverlapNs, joined);
         return;
     }
 
@@ -458,7 +458,7 @@ CacheController::missWithTranslation()
     // Otherwise (shared or still-aliased victim) the 01 entry stays
     // stale; a later spurious interrupt cleans it up lazily. This keeps
     // the common replacement path free of extra bus transactions.
-    afterSoftware(timing().overlapNs, joined);
+    afterSoftware(kOverlapNs, joined);
 }
 
 void
@@ -526,7 +526,7 @@ CacheController::upgradeOwnership()
         return;
     }
     tracePhase(obs::MissPhase::TableLookup);
-    afterSoftware(timing().ownershipNs,
+    afterSoftware(kOwnershipNs,
                   Thunk::to<&CacheController::assertMissOwnership>(this));
 }
 

@@ -109,7 +109,7 @@ class CacheController : public ProtocolClient
     CacheController(CpuId cpu, EventQueue &events, cache::Cache &cache,
                     monitor::BusMonitor &busMonitor, mem::VmeBus &bus,
                     Translator &translator,
-                    const SoftwareTiming &timing = {});
+                    Tick dead_owner_timeout_ns = kDeadOwnerTimeoutNs);
     /** Releases the interrupt line and cancels a pending idle pass. */
     ~CacheController();
     CacheController(const CacheController &) = delete;

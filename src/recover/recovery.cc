@@ -217,7 +217,7 @@ RecoveryManager::maskAndReclaim(Record &record)
     record.reclaiming = true;
     mem::BusTransaction tx;
     tx.type = mem::TxType::BoardMask;
-    tx.requester = config_.coordinatorMaster;
+    tx.requester = kCoordinatorMaster;
     Record *target = &record; // deque: stable address
     bus_.request(tx, [this, target](const mem::TxResult &) {
         startReclaim(*target);
@@ -278,7 +278,7 @@ RecoveryManager::onUnfenced(std::uint32_t master)
     if (record->reclaiming) {
         // The detector cleared the fence while the reclaim broadcast
         // chain is still on the bus; let it finish, then lift.
-        events_.scheduleIn(config_.reclaimServiceNs * 4,
+        events_.scheduleIn(kReclaimServiceNs * 4,
                            [this, master] { onUnfenced(master); },
                            "unfence-wait");
         return;
@@ -332,11 +332,11 @@ RecoveryManager::reclaimNext(
     const std::uint64_t frame = frames->front();
     frames->pop_front();
     Record *target = &record;
-    events_.scheduleIn(config_.reclaimServiceNs,
+    events_.scheduleIn(kReclaimServiceNs,
                        [this, target, frame, frames] {
         mem::BusTransaction tx;
         tx.type = mem::TxType::Reclaim;
-        tx.requester = config_.coordinatorMaster;
+        tx.requester = kCoordinatorMaster;
         tx.paddr = frame * mem_.pageBytes();
         bus_.request(tx, [this, target, frame,
                           frames](const mem::TxResult &) {
@@ -388,7 +388,7 @@ RecoveryManager::restoreFrame(
                        [this, target, frame, frames, buffer] {
         mem::BusTransaction tx;
         tx.type = mem::TxType::DmaWrite;
-        tx.requester = config_.coordinatorMaster;
+        tx.requester = kCoordinatorMaster;
         tx.paddr = frame * mem_.pageBytes();
         tx.bytes = static_cast<std::uint32_t>(buffer->size());
         tx.data = buffer->data();

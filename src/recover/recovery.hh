@@ -13,7 +13,7 @@
  *  3. scan the masked monitor's action table: Shared/Notify entries are
  *     dropped silently (clean copies — memory is authoritative),
  *     Protect entries are queued for reclaim;
- *  4. for each Protect frame, after reclaimServiceNs of coordinator
+ *  4. for each Protect frame, after kReclaimServiceNs of coordinator
  *     service time, broadcast a Reclaim transaction and clear the
  *     entry. The only valid copy of a Protect frame lived in the dead
  *     board's cache; if an image store is attached (e.g. the memory
@@ -69,15 +69,16 @@
 namespace vmp::recover
 {
 
-/** Coordinator policy knobs (detection policy rides along). */
+/** Coordinator software service time per reclaimed frame. */
+inline constexpr Tick kReclaimServiceNs = 3000;
+/** Bus-master id the coordinator issues transactions as; must not
+ *  collide with any CPU, bridge or DMA device. */
+inline constexpr std::uint32_t kCoordinatorMaster = 0xFFFF;
+
+/** Coordinator policy knobs: the detection policy. */
 struct RecoveryConfig
 {
     DetectorConfig detector;
-    /** Coordinator software service time per reclaimed frame. */
-    Tick reclaimServiceNs = 3000;
-    /** Bus-master id the coordinator issues transactions as; must not
-     *  collide with any CPU, bridge or DMA device. */
-    std::uint32_t coordinatorMaster = 0xFFFF;
 };
 
 /**

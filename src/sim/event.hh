@@ -15,7 +15,6 @@
 #define VMP_SIM_EVENT_HH
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <type_traits>
@@ -116,39 +115,6 @@ class RecordPool
   private:
     std::vector<T> items_;
     std::vector<std::uint64_t> free_;
-};
-
-/**
- * A divide-free multiple test for a fixed period = 2^k * m, m odd: d is
- * a multiple iff rotr(d * m^-1 mod 2^64, k) <= (2^64 - 1) / period
- * (Granlund and Montgomery, PLDI 1994), one multiply for `d % period`.
- */
-class Period
-{
-  public:
-    explicit constexpr Period(Tick period)
-        : shift_(period == 0 ? 0 : std::countr_zero(period)),
-          limit_(period == 0 ? 0 : maxTick / period),
-          inverse_((period >> shift_) | 1)
-    {
-        // Newton's iteration doubles the correct low bits of m^-1; an
-        // odd m is its own inverse to three bits.
-        const Tick odd = inverse_;
-        for (int i = 0; i < 5; ++i)
-            inverse_ *= 2 - odd * inverse_;
-    }
-
-    /** True iff @p d is a multiple of the period (of 0: d == 0). */
-    bool
-    divides(Tick d) const
-    {
-        return std::rotr(d * inverse_, shift_) <= limit_;
-    }
-
-  private:
-    int shift_;
-    Tick limit_;
-    Tick inverse_;
 };
 
 /**

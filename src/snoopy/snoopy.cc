@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "mem/vme_bus.hh"
 #include "sim/logging.hh"
 #include "trace/synthetic.hh"
 
@@ -145,9 +146,9 @@ SnoopySystem::step(std::uint32_t cpu, const trace::MemRef &ref)
     const std::uint64_t line = lineOf(translated.paddr);
     const std::uint32_t set = setOf(line);
     const bool write = ref.isWrite();
-    const Tick line_ns = cfg_.busTiming.blockNs(cfg_.lineBytes);
-    const Tick word_ns = cfg_.busTiming.blockNs(4);
-    const Tick short_ns = cfg_.busTiming.shortTxNs;
+    const Tick line_ns = mem::blockNs(cfg_.lineBytes);
+    const Tick word_ns = mem::blockNs(4);
+    const Tick short_ns = mem::kShortTxNs;
 
     int way = findWay(cpu, line);
 

@@ -25,7 +25,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "mem/vme_bus.hh"
 #include "proto/translator.hh"
 #include "sim/stats.hh"
 #include "trace/ref.hh"
@@ -58,8 +57,6 @@ struct SnoopyConfig
     std::uint32_t processors = 1;
     /** Physical memory backing the traces. */
     std::uint64_t memBytes = 8ull << 20;
-    /** Bus timing shared with the VMP model. */
-    mem::BusTiming busTiming{};
 
     void check() const;
 };

@@ -16,6 +16,14 @@
 namespace vmp::telemetry
 {
 
+namespace
+{
+
+/** EWMA smoothing factor for the per-phase miss-time gauges. */
+constexpr double kEwmaAlpha = 0.125;
+
+} // namespace
+
 StreamingSink::StreamingSink(std::ostream &events_out,
                              StreamConfig config)
     : out_(events_out), cfg_(config),
@@ -62,8 +70,8 @@ StreamingSink::onEvent(const obs::TraceEvent &event)
         double &ewma = phaseEwmaNs_[phase];
         const double sample = static_cast<double>(event.arg0);
         ewma = ewma < 0.0 ? sample
-                          : cfg_.ewmaAlpha * sample +
-                                (1.0 - cfg_.ewmaAlpha) * ewma;
+                          : kEwmaAlpha * sample +
+                                (1.0 - kEwmaAlpha) * ewma;
     }
     if (event.track >= stagedPerTrack_.size()) {
         stagedPerTrack_.resize(event.track + 1, 0);

@@ -78,8 +78,6 @@ struct StreamConfig
      *  consumer must call flush() itself — the backpressure/drop
      *  path, exercised by tests. */
     bool autoFlush = true;
-    /** EWMA smoothing factor for the per-phase miss-time gauges. */
-    double ewmaAlpha = 0.125;
 };
 
 /** Drains an EventTracer's sink seam to a Chrome-trace JSON stream. */

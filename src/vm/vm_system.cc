@@ -92,7 +92,7 @@ VmTranslator::translate(const proto::TranslateRequest &req,
 VmSystem::VmSystem(EventQueue &events, mem::PhysMem &memory,
                    const VmConfig &config)
     : events_(events), memory_(memory), cfg_(config),
-      allocator_(memory.size(), config.reservedFrames),
+      allocator_(memory.size(), kReservedFrames),
       tier_(events, checkedTier(config))
 {
 }
@@ -574,7 +574,7 @@ VmSystem::clockScan(proto::CacheController &ctl, std::size_t scanned,
 void
 VmSystem::pageOutUntilTarget(proto::CacheController &ctl, Done done)
 {
-    if (allocator_.freeFrames() >= cfg_.freeTarget) {
+    if (allocator_.freeFrames() >= kFreeTarget) {
         done();
         return;
     }

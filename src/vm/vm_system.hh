@@ -47,13 +47,14 @@ constexpr Addr kernelBase = 0x1800'0000;
 /** Start of user virtual space. */
 constexpr Addr userBase = 0x2000'0000;
 
+/** Low frames reserved for uncached use (locks, mailboxes). */
+inline constexpr std::uint32_t kReservedFrames = 4;
+/** Pageout stops once this many frames are free. */
+inline constexpr std::uint32_t kFreeTarget = 8;
+
 /** VM configuration knobs. */
 struct VmConfig
 {
-    /** Low frames reserved for uncached use (locks, mailboxes). */
-    std::uint32_t reservedFrames = 4;
-    /** Pageout stops once this many frames are free. */
-    std::uint32_t freeTarget = 8;
     /** Memory-tier behavior, used as given: tier.diskLatencyNs is the
      *  backing-store latency per page transfer, and tier.pageBytes
      *  must be vmPageBytes. The default (Mirror mode) reproduces the
@@ -203,7 +204,7 @@ class VmSystem
     void pageOutOne(proto::CacheController &ctl,
                     std::function<void(bool)> done);
 
-    /** Run pageout until freeTarget frames are free (daemon body). */
+    /** Run pageout until kFreeTarget frames are free (daemon body). */
     void pageOutUntilTarget(proto::CacheController &ctl, Done done);
 
     /** Resident user pages (victim scan order). */

@@ -12,7 +12,6 @@
 #include <tuple>
 
 #include "analytic/models.hh"
-#include "hier/inter_bus_board.hh"
 #include "proto/timing.hh"
 #include "sim/logging.hh"
 
@@ -305,9 +304,7 @@ TEST(HierQueuingModel, RefsPerSecondScalesWithThroughput)
 {
     HierQueuingModel hier;
     const double tput = hier.systemThroughput(256, 0.006, 0.05, 4, 4);
-    const cpu::M68020Timing timing;
-    const double full_refs_per_s =
-        timing.mips() * timing.refsPerInstr * 1e6;
+    const double full_refs_per_s = cpu::mips() * cpu::kRefsPerInstr * 1e6;
     EXPECT_NEAR(hier.refsPerSecond(256, 0.006, 0.05, 4, 4),
                 tput * full_refs_per_s, 1.0);
 }
@@ -315,20 +312,19 @@ TEST(HierQueuingModel, RefsPerSecondScalesWithThroughput)
 TEST(IbcCostModel, MatchesTheSimulatorsInterBusBoardCosts)
 {
     // The model's inter-bus board budget is the simulator's: the
-    // machine's service quantum, the board's install charge, and the
-    // mean of the jittered retry back-off (base + uniform[0, jitter]).
-    const IbcCostModel ibc{};
-    const proto::SoftwareTiming timing{};
-    EXPECT_DOUBLE_EQ(ibc.serviceUs,
-                     static_cast<double>(timing.serviceNs) / 1e3);
-    EXPECT_DOUBLE_EQ(ibc.installUs,
-                     static_cast<double>(hier::InterBusBoard::installNs) /
+    // service quantum, the board's install charge, and the mean of the
+    // jittered retry back-off (base + uniform[0, jitter]).
+    EXPECT_DOUBLE_EQ(IbcCostModel::serviceUs,
+                     static_cast<double>(proto::kServiceNs) / 1e3);
+    EXPECT_DOUBLE_EQ(IbcCostModel::installUs,
+                     static_cast<double>(proto::kInstallNs) / 1e3);
+    EXPECT_DOUBLE_EQ(IbcCostModel::retryMeanUs,
+                     static_cast<double>(proto::kRetryNs +
+                                         proto::kRetryJitterNs / 2) /
                          1e3);
-    EXPECT_DOUBLE_EQ(ibc.retryMeanUs,
-                     static_cast<double>(timing.retryNs +
-                                         timing.retryJitterNs / 2) /
-                         1e3);
-    EXPECT_DOUBLE_EQ(ibc.retryMeanUs, 7.0);
+    EXPECT_DOUBLE_EQ(IbcCostModel::serviceUs, 3.0);
+    EXPECT_DOUBLE_EQ(IbcCostModel::installUs, 2.0);
+    EXPECT_DOUBLE_EQ(IbcCostModel::retryMeanUs, 7.0);
 }
 
 // ------------------------------------------------ Open-model domain

@@ -94,7 +94,7 @@ TEST(Arbitration, PriorityHigherLevelWinsWhileBusIsBusy)
     ArbitrationConfig arb;
     arb.discipline = Arbitration::Priority;
     arb.priorityLevels = 4;
-    VmeBus bus(f.events, f.memory, {}, arb);
+    VmeBus bus(f.events, f.memory, arb);
 
     std::vector<std::uint32_t> order;
     // Master 0 (level 0) takes the bus; masters 1..3 (levels 1..3)
@@ -113,7 +113,7 @@ TEST(Arbitration, PrioritySameLevelKeepsArrivalOrder)
     ArbitrationConfig arb;
     arb.discipline = Arbitration::Priority;
     arb.priorityLevels = 4;
-    VmeBus bus(f.events, f.memory, {}, arb);
+    VmeBus bus(f.events, f.memory, arb);
 
     // Masters 1, 5 and 9 all request on level 1 (id % 4); the
     // daisy-chain serves equals in arrival order.
@@ -131,7 +131,7 @@ TEST(Arbitration, PriorityMasterLevelOverride)
     ArbitrationConfig arb;
     arb.discipline = Arbitration::Priority;
     arb.priorityLevels = 4;
-    VmeBus bus(f.events, f.memory, {}, arb);
+    VmeBus bus(f.events, f.memory, arb);
 
     // Promote master 1 from its default level 1 to level 3: it now
     // beats master 2 (level 2) in arbitration.
@@ -152,7 +152,7 @@ TEST(Arbitration, PriorityLevelHistogramsSplitTheLoad)
     ArbitrationConfig arb;
     arb.discipline = Arbitration::Priority;
     arb.priorityLevels = 4;
-    VmeBus bus(f.events, f.memory, {}, arb);
+    VmeBus bus(f.events, f.memory, arb);
 
     std::vector<std::uint32_t> order;
     // Several contention rounds: all four levels request at once.
@@ -188,7 +188,7 @@ TEST(Arbitration, RoundRobinRotatesFromLastHolder)
     ArbFixture f;
     ArbitrationConfig arb;
     arb.discipline = Arbitration::RoundRobin;
-    VmeBus bus(f.events, f.memory, {}, arb);
+    VmeBus bus(f.events, f.memory, arb);
 
     // Master 2 holds the bus; 0, 1 and 3 queue while it transfers.
     // The rotation grants the next id after the holder: 3, then 0,
@@ -206,7 +206,7 @@ TEST(Arbitration, RoundRobinPreventsBusCapture)
     ArbFixture f;
     ArbitrationConfig arb;
     arb.discipline = Arbitration::RoundRobin;
-    VmeBus bus(f.events, f.memory, {}, arb);
+    VmeBus bus(f.events, f.memory, arb);
 
     // Master 0 resubmits the instant each of its transactions
     // completes — under FIFO-with-zero-latency-resubmit it could

@@ -59,12 +59,11 @@ struct CpuFixture : public ::testing::Test
 
 TEST(M68020Timing, PaperConstants)
 {
-    M68020Timing t;
     // 7 clocks/instr * 60 ns/clock = 420 ns/instr, ~2.4 MIPS.
-    EXPECT_EQ(t.instrNs(), 420u);
-    EXPECT_NEAR(t.mips(), 2.38, 0.05);
+    EXPECT_EQ(instrNs(), 420u);
+    EXPECT_NEAR(mips(), 2.38, 0.05);
     // 420 / 1.2 refs per instruction = 350 ns per reference.
-    EXPECT_EQ(t.refNs(), 350u);
+    EXPECT_EQ(refNs(), 350u);
 }
 
 // ------------------------------------------------------------ TraceCpu
@@ -529,8 +528,7 @@ TEST_F(CpuFixture, RunawayProgramIsFatal)
     const Program program = {
         opJump(0), // infinite loop
     };
-    ProgramCpu cpu(0, events, controller, 1, program, M68020Timing{},
-                   1000);
+    ProgramCpu cpu(0, events, controller, 1, program, 1000);
     cpu.run(nullptr);
     EXPECT_THROW(events.run(), FatalError);
 }

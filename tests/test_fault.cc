@@ -740,7 +740,6 @@ TEST(TinyFifo, ForcedDropsTriggerOverflowRecovery)
 
 TEST(RetryDelay, DeterministicBoundedAndDesynchronized)
 {
-    const proto::SoftwareTiming timing{};
     auto draw = [](core::VmpSystem &system, std::size_t cpu) {
         std::vector<Tick> delays;
         for (int i = 0; i < 64; ++i)
@@ -758,8 +757,8 @@ TEST(RetryDelay, DeterministicBoundedAndDesynchronized)
     EXPECT_EQ(a0, b0);
     // Bounded: retryNs <= delay <= retryNs + retryJitterNs.
     for (const Tick d : a0) {
-        EXPECT_GE(d, timing.retryNs);
-        EXPECT_LE(d, timing.retryNs + timing.retryJitterNs);
+        EXPECT_GE(d, proto::kRetryNs);
+        EXPECT_LE(d, proto::kRetryNs + proto::kRetryJitterNs);
     }
     // Different CPUs draw different sequences (desynchronization is
     // the whole point of the jitter — Section 3.2's retry argument).

@@ -347,21 +347,16 @@ TEST(HierSystem, TinyFifosStillCompleteAndStayCoherent)
 
 TEST(HierSystem, InterBusBoardTakesTheMachineSoftwareTiming)
 {
-    // The inter-bus boards run on the machine's one SoftwareTiming,
-    // except its dead-owner deadline: their retry loops never abandon.
+    // The machine's dead-owner deadline reaches every processor's
+    // controller but no inter-bus board: their retry loops never
+    // abandon.
     core::HierConfig cfg;
-    cfg.swTiming.serviceNs = 4500;
-    cfg.swTiming.deadOwnerTimeoutNs = msec(1);
+    cfg.deadOwnerTimeoutNs = msec(1);
     core::HierVmpSystem system(cfg);
-    for (std::uint32_t k = 0; k < cfg.clusters; ++k) {
-        const proto::SoftwareTiming &timing =
-            system.cluster(k).bridge->timing();
-        EXPECT_EQ(timing.serviceNs, 4500u);
-        EXPECT_EQ(timing.retryNs, cfg.swTiming.retryNs);
-        EXPECT_EQ(timing.retryJitterNs, cfg.swTiming.retryJitterNs);
-        EXPECT_EQ(timing.deadOwnerTimeoutNs, 0u);
-    }
-    EXPECT_EQ(system.controller(0).timing().deadOwnerTimeoutNs, msec(1));
+    for (std::uint32_t k = 0; k < cfg.clusters; ++k)
+        EXPECT_EQ(system.cluster(k).bridge->deadOwnerTimeoutNs(), 0u);
+    for (std::uint32_t cpu = 0; cpu < cfg.totalCpus(); ++cpu)
+        EXPECT_EQ(system.controller(cpu).deadOwnerTimeoutNs(), msec(1));
 }
 
 TEST(HierSystem, WatchdogReachesInterBusBoardFetchLoop)

@@ -162,34 +162,31 @@ TEST(PhysMem, ConfigValidation)
 
 TEST(BusTiming, BlockTransferMatchesPaper)
 {
-    BusTiming t;
     // 128B = 32 words: 300 + 31*100 = 3400 ns.
-    EXPECT_EQ(t.blockNs(128), 3400u);
+    EXPECT_EQ(blockNs(128), 3400u);
     // 256B = 64 words: 6600 ns (paper Table 1: 6.6 us bus time).
-    EXPECT_EQ(t.blockNs(256), 6600u);
+    EXPECT_EQ(blockNs(256), 6600u);
     // 512B = 128 words: 13000 ns (paper Table 1: 13.0 us).
-    EXPECT_EQ(t.blockNs(512), 13000u);
-    EXPECT_EQ(t.blockNs(0), 0u);
+    EXPECT_EQ(blockNs(512), 13000u);
+    EXPECT_EQ(blockNs(0), 0u);
 }
 
 TEST(BusTiming, FortyMegabytesPerSecond)
 {
     // "The VMEbus-based VMP block copier should transfer data at 40
     // megabytes per second" — the asymptotic rate of 4 bytes/100 ns.
-    BusTiming t;
     const double bytes = 1 << 20;
     const double secs =
-        static_cast<double>(t.blockNs(1 << 20)) * 1e-9;
+        static_cast<double>(blockNs(1 << 20)) * 1e-9;
     EXPECT_NEAR(bytes / secs / 1e6, 40.0, 0.5);
 }
 
 TEST(BusTiming, ShortTransactionsCostOneCycle)
 {
-    BusTiming t;
-    EXPECT_EQ(t.occupancy(TxType::AssertOwnership, 0), 450u);
-    EXPECT_EQ(t.occupancy(TxType::Notify, 0), 450u);
-    EXPECT_EQ(t.occupancy(TxType::WriteActionTable, 0), 450u);
-    EXPECT_EQ(t.occupancy(TxType::ReadShared, 256), 6600u);
+    EXPECT_EQ(occupancy(TxType::AssertOwnership, 0), 450u);
+    EXPECT_EQ(occupancy(TxType::Notify, 0), 450u);
+    EXPECT_EQ(occupancy(TxType::WriteActionTable, 0), 450u);
+    EXPECT_EQ(occupancy(TxType::ReadShared, 256), 6600u);
 }
 
 // --------------------------------------------------------------- bus

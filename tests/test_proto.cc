@@ -798,7 +798,7 @@ TEST(ServiceRecord, OverlappingCallsJoinOneDrain)
     EXPECT_EQ(spans, 1);
     EXPECT_EQ(sys.ctl(0).wordsServiced().value(), 3u);
     EXPECT_EQ(sys.ctl(0).serviceStallTicks(),
-              3 * sys.ctl(0).timing().serviceNs);
+              3 * kServiceNs);
 }
 
 TEST(IrqService, OffLeavesWordsPending)

@@ -851,7 +851,7 @@ TEST(Recovery, KilledBoardRejoinsAndFinishesItsTrace)
 TEST(Recovery, DeadOwnerErrorSurfacesWithoutRecovery)
 {
     auto cfg = smallConfig(2, 256);
-    cfg.swTiming.deadOwnerTimeoutNs = usec(300);
+    cfg.deadOwnerTimeoutNs = usec(300);
     core::VmpSystem system(cfg);
     system.attachIdleServicers();
 
@@ -908,7 +908,7 @@ TEST(Recovery, HierDeadInterBusBoardIsReclaimedGlobally)
     cfg.cache = cache::CacheConfig{256, 2, 16, true};
     cfg.memBytes = MiB(1);
     // Bound the stranded cluster's waits so the run terminates fast.
-    cfg.swTiming.deadOwnerTimeoutNs = usec(500);
+    cfg.deadOwnerTimeoutNs = usec(500);
     core::HierVmpSystem system(cfg);
     system.enableCoherenceCheckers();
     recover::RecoveryConfig rc;
@@ -957,7 +957,7 @@ TEST(Recovery, QuiesceSkipsADeadInterBusBoard)
     cfg.cpusPerCluster = 2;
     cfg.cache = cache::CacheConfig{256, 2, 16, true};
     cfg.memBytes = MiB(1);
-    cfg.swTiming.deadOwnerTimeoutNs = usec(500);
+    cfg.deadOwnerTimeoutNs = usec(500);
     core::HierVmpSystem system(cfg);
     fault::FaultSchedule s;
     s.seed = 1;
@@ -984,7 +984,7 @@ TEST(Recovery, WedgedBoardIsFencedAndQuarantined)
 {
     auto cfg = smallConfig(4, 256);
     // Bound the fenced board's stranded in-flight access.
-    cfg.swTiming.deadOwnerTimeoutNs = msec(1);
+    cfg.deadOwnerTimeoutNs = msec(1);
     core::VmpSystem system(cfg);
     fault::FaultSchedule s;
     s.wedgeMonitor(0, msec(1)); // never clears
@@ -1093,7 +1093,7 @@ hierFaultConfig()
     cfg.cache = cache::CacheConfig{256, 2, 16, true};
     cfg.memBytes = MiB(1);
     // Bound a quarantined board's stranded in-flight access.
-    cfg.swTiming.deadOwnerTimeoutNs = msec(1);
+    cfg.deadOwnerTimeoutNs = msec(1);
     return cfg;
 }
 
@@ -1441,7 +1441,7 @@ TEST_P(TortureHierIbc, DeadBridgeNeverViolatesSingleOwner)
         cfg.cpusPerCluster = 2;
         cfg.cache = cache::CacheConfig{page, 2, 16, true};
         cfg.memBytes = MiB(1);
-        cfg.swTiming.deadOwnerTimeoutNs = usec(500);
+        cfg.deadOwnerTimeoutNs = usec(500);
         core::HierVmpSystem system(cfg);
         fault::FaultSchedule s;
         s.seed = seed;
@@ -1516,7 +1516,7 @@ TEST_P(TorturePartialFault, DetectedFencedZeroViolations)
     const auto &p = GetParam();
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         auto cfg = smallConfig(4, p.pageBytes);
-        cfg.swTiming.deadOwnerTimeoutNs = msec(1);
+        cfg.deadOwnerTimeoutNs = msec(1);
         core::VmpSystem system(cfg);
         fault::FaultSchedule s;
         s.seed = seed;

@@ -933,41 +933,6 @@ TEST(EventQueue, NextTickAndQueriesContract)
     EXPECT_EQ(eq.heapTop(), maxTick);
 }
 
-TEST(Period, DividesMatchesRemainder)
-{
-    // Every period up to 1000 and a few large ones, odd and even,
-    // against %, on small, large and random dividends.
-    std::vector<Tick> periods;
-    for (Tick p = 1; p <= 1000; ++p)
-        periods.push_back(p);
-    for (const Tick p : {Tick{350}, Tick{1} << 32, (Tick{1} << 63) + 1,
-                         Tick{3} << 40, maxTick, maxTick - 1})
-        periods.push_back(p);
-    Rng rng(7);
-    for (const Tick p : periods) {
-        const Period period(p);
-        const auto check = [&](Tick d) {
-            ASSERT_EQ(period.divides(d), d % p == 0)
-                << d << " over period " << p;
-        };
-        for (Tick d = 0; d < 3 * 1024; ++d)
-            check(d);
-        for (const Tick k : {Tick{1}, Tick{2}, Tick{1000}, maxTick / p}) {
-            check(k * p);
-            check(k * p - 1);
-            check(k * p + 1);
-        }
-        check(maxTick);
-        for (int i = 0; i < 200; ++i)
-            check(rng.next());
-    }
-    // Period 0: only 0 is a multiple of it.
-    const Period zero(0);
-    EXPECT_TRUE(zero.divides(0));
-    EXPECT_FALSE(zero.divides(1));
-    EXPECT_FALSE(zero.divides(maxTick));
-}
-
 TEST(Logging, InformToggle)
 {
     setInformEnabled(false);

@@ -410,7 +410,7 @@ TEST(Gauges, HierBusGaugesCarryFencedDrops)
     cfg.cpusPerCluster = 2;
     cfg.cache = cache::CacheConfig{256, 2, 16, true};
     cfg.memBytes = MiB(1);
-    cfg.swTiming.deadOwnerTimeoutNs = msec(1);
+    cfg.deadOwnerTimeoutNs = msec(1);
     core::HierVmpSystem system(cfg);
     fault::FaultSchedule s;
     s.wedgeInterBus(1, msec(1)).clearAt(msec(3));

@@ -138,11 +138,10 @@ TEST(Timing, WriteBackOverlapsBookkeeping)
     rig.timedAccess(0, true); // dirty victim
     const Tick dirty_miss = rig.timedAccess(8ull * 512, false);
 
-    const auto &sw = rig.controller.timing();
-    const Tick serial = sw.serialNs();
-    const Tick xfer = rig.bus.timing().blockNs(512);
+    const Tick serial = proto::serialNs();
+    const Tick xfer = mem::blockNs(512);
     EXPECT_LT(dirty_miss, serial + 2 * xfer);
-    EXPECT_EQ(dirty_miss, serial + xfer + (xfer - sw.overlapNs));
+    EXPECT_EQ(dirty_miss, serial + xfer + (xfer - proto::kOverlapNs));
 }
 
 TEST(Timing, OwnershipMissCheaperThanFullMiss)
@@ -154,9 +153,8 @@ TEST(Timing, OwnershipMissCheaperThanFullMiss)
     rig.timedAccess(0, false); // shared fill (full miss)
     const Tick upgrade = rig.timedAccess(0, true); // WriteShared miss
 
-    const auto &sw = rig.controller.timing();
-    const Tick expected = sw.trapEntryNs + sw.ownershipNs +
-        rig.bus.timing().shortTxNs;
+    const Tick expected =
+        proto::kTrapEntryNs + proto::kOwnershipNs + mem::kShortTxNs;
     EXPECT_EQ(upgrade, expected);
     EXPECT_LT(upgrade, usec(15));
 }
